@@ -70,10 +70,10 @@ func main() {
 		join    = flag.String("join", "", "seed daemon HTTP addresses, comma-separated")
 		gossipI = flag.Int("gossip-interval", 500, "gossip round interval (ms)")
 		gossipF = flag.Int("gossip-fanout", 2, "peers contacted per gossip round")
-		window  = flag.Int("query-window", 100, "default hit-collection window (ms)")
+		window  = flag.Int("query-window", 100, "fallback hit-collection window (ms): a search ends when its flood terminates, and on this window only if an ack was lost")
 		drainT  = flag.Int("drain-timeout", 10_000, "graceful drain bound (ms)")
 
-		batchW   = flag.Int("batch-workers", 64, "resident workers draining one /v1/query/batch slab")
+		batchW   = flag.Int("batch-workers", 64, "goroutines draining one /v1/query/batch slab (floods in flight per slab)")
 		maxBatch = flag.Int("max-batch", 16_384, "largest query slab one batch request may carry")
 
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty)")

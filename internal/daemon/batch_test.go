@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,15 +37,10 @@ func reasonSet(rs []string) string {
 
 // holderDist is the BFS distance from origin to the nearest holder of
 // key over the world graph, or maxd+1 when no holder lies within maxd
-// hops. The equivalence harness keeps only order-proof queries: live
-// flood suppression is first-copy-wins, so a relay whose first copy
-// arrived via a longer route may have its TTL exhausted and cut the
-// short path — any query whose nearest replica lies 2..TTL hops out
-// can legitimately flip with message ordering. Distance 1 is a
-// guaranteed hit (the origin always sends to every neighbor, and a
-// node's first copy — whatever its route — gets exactly one store
-// check), and distance > TTL is a guaranteed miss (hop counting is
-// exact, reach can only shrink).
+// hops. A flood finds the key exactly when this is at most the TTL: the
+// shortest route to the nearest holder passes no other holder, and
+// live relays act on the shortest copy they receive, whichever arrives
+// first.
 //
 // The origin's own store is deliberately ignored: a live node never
 // answers its own query (QueryInfo floods to neighbors without a
@@ -74,124 +70,183 @@ func holderDist(w *World, origin topology.NodeID, key core.Key, maxd int) int {
 	return maxd + 1
 }
 
-// TestBatchSequentialEquivalence is the hit-rate contract of the batch
-// plane: one POST /v1/query/batch of 1k queries must produce, query by
-// query, the same hit outcome and the same degraded-reason set as 1k
-// single POST /v1/query calls against an identical cluster. Flood over
-// a shared deterministic graph is reachability, so the outcomes are
-// not statistical — they must match exactly.
+// floodHolders is the full answer of a flood: every holder of key the
+// BFS reaches within ttl hops when holders answer without forwarding
+// (and the origin is never asked), sorted by ID.
+func floodHolders(w *World, origin topology.NodeID, key core.Key, ttl int) []int {
+	dist := map[topology.NodeID]int{origin: 0}
+	queue := []topology.NodeID{origin}
+	var found []int
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if dist[cur] >= ttl {
+			continue
+		}
+		for _, nb := range w.Net.Out(cur) {
+			if _, seen := dist[nb]; seen {
+				continue
+			}
+			dist[nb] = dist[cur] + 1
+			if w.HasContent(nb, key) {
+				found = append(found, int(nb))
+				continue
+			}
+			queue = append(queue, nb)
+		}
+	}
+	sort.Ints(found)
+	return found
+}
+
+// hitHolders is floodHolders' form of a response's hit list.
+func hitHolders(r *searchclient.QueryResponse) []int {
+	got := make([]int, len(r.Hits))
+	for i, h := range r.Hits {
+		got[i] = h.Holder
+	}
+	sort.Ints(got)
+	return got
+}
+
+// loadShed reports whether rs is non-empty and names nothing but the
+// two reasons a fabric under load may give.
+func loadShed(rs []string) bool {
+	for _, r := range rs {
+		if r != searchclient.ReasonOverload && r != searchclient.ReasonDeadline {
+			return false
+		}
+	}
+	return len(rs) > 0
+}
+
+// TestBatchSequentialEquivalence is the exactness contract of the batch
+// plane: POST /v1/query/batch of 1k queries must return, query by query,
+// exactly the holder set the BFS flood oracle computes — the same the
+// single-query plane returns — whether the slab is drained by 1 or by 64
+// workers, collected in full or cut short at the first hit. Flood over a
+// shared deterministic graph is reachability and the live flood
+// terminates by protocol, so nothing here is statistical and nothing
+// depends on how busy the fabric is: no response may be degraded, no
+// message dropped, no query may end on its window.
+//
+// 512 workers put more copies and acks into the fabric at once than a
+// hot node's 1024-slot inbox is sure to hold (admission control is not
+// this layer's), so there the contract is the other one: an answer is
+// never wrong silently. What it reports found is held where the oracle
+// says, and whatever falls short of the oracle says that it could not
+// look everywhere, and why.
 func TestBatchSequentialEquivalence(t *testing.T) {
 	const (
 		nodes, degree, ttl = 50, 3, 3
 		keys, replicas     = 200, 3
 		seed               = 42
 		queries            = 1000
-		workers            = 16
 	)
-	// Per-query equality demands a drop-free, timing-proof run: modest
-	// concurrency keeps every inbox far from its cap (asserted below),
-	// and a collection window far above the sub-millisecond flood RTT
-	// means a reachable hit always beats the window — the outcome is
-	// pure reachability, not scheduling. Higher concurrency lives in
-	// the hammer test; the throughput story in BenchmarkDaemonREST.
-	cfg := Config{
-		Nodes: nodes, Degree: degree, TTL: ttl,
-		Keys: keys, Replicas: replicas, Seed: seed,
-		QueryWindowMillis: 200, BatchWorkers: workers,
-	}
-	srv := batchDaemon(t, cfg)
-
-	// Draw from a longer plan and keep the first 1k order-proof
-	// queries: nearest (non-origin) replica at a direct neighbor
-	// (certain hit) or beyond the TTL ball (certain miss) — see
-	// holderDist for why anything in between may flip.
 	w := BuildWorld(seed, nodes, degree, keys, replicas)
-	var reqs []searchclient.QueryRequest
-	for _, q := range w.QueryPlan(8 * queries) {
-		if d := holderDist(w, q.Origin, q.Key, ttl); d > 1 && d <= ttl {
-			continue
-		}
+	plan := w.QueryPlan(queries)
+	reqs := make([]searchclient.QueryRequest, len(plan))
+	probes := make([]searchclient.QueryRequest, len(plan))
+	want := make([][]int, len(plan))
+	for i, q := range plan {
 		origin := int(q.Origin)
-		reqs = append(reqs, searchclient.QueryRequest{
-			Key: uint64(q.Key), Origin: &origin, MaxHits: 1,
-		})
-		if len(reqs) == queries {
-			break
-		}
+		reqs[i] = searchclient.QueryRequest{Key: uint64(q.Key), Origin: &origin}
+		probes[i] = reqs[i]
+		probes[i].MaxHits = 1
+		want[i] = floodHolders(w, q.Origin, q.Key, ttl)
 	}
-	if len(reqs) < queries {
-		t.Fatalf("only %d/%d stable queries in the extended plan", len(reqs), queries)
-	}
-
-	client := fanClient(srv.Addr(), workers)
 	ctx := context.Background()
 
-	// Single-query reference run, same concurrency as the batch's
-	// resident workers so saturation (if any) is comparable.
-	singleHit := make([]bool, len(reqs))
-	singleReasons := make([]string, len(reqs))
-	var failures atomic.Int64
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			resp, err := client.Query(ctx, reqs[i])
-			if err != nil {
-				failures.Add(1)
+	for _, workers := range []int{1, 64, 512} {
+		srv := batchDaemon(t, Config{
+			Nodes: nodes, Degree: degree, TTL: ttl,
+			Keys: keys, Replicas: replicas, Seed: seed,
+			QueryWindowMillis: 1000, // no exact answer may wait this out
+			BatchWorkers:      workers,
+		})
+		client := fanClient(srv.Addr(), 16)
+		strict := workers <= 64
+
+		// check compares one answer with the oracle's holder list.
+		check := func(what string, i int, r *searchclient.QueryResponse, probe bool) {
+			t.Helper()
+			got := hitHolders(r)
+			exact := slices.Equal(got, want[i])
+			if probe {
+				exact = r.Found() == (len(want[i]) > 0)
+			}
+			if exact && !r.Degraded && len(r.DegradedReasons) == 0 {
 				return
 			}
-			singleHit[i] = resp.Found()
-			singleReasons[i] = reasonSet(resp.DegradedReasons)
-		}(i)
-	}
-	wg.Wait()
-	if n := failures.Load(); n > 0 {
-		t.Fatalf("%d/%d single queries failed", n, queries)
-	}
+			sound := true // every holder reported is one the oracle knows
+			for _, h := range r.Hits {
+				sound = sound && slices.Contains(want[i], h.Holder)
+			}
+			if !strict && sound && r.Degraded && loadShed(r.DegradedReasons) {
+				return
+			}
+			t.Fatalf("%d workers: %s %d (key %d from %d): holders %v, reasons %v, oracle %v",
+				workers, what, i, reqs[i].Key, *reqs[i].Origin, got, r.DegradedReasons, want[i])
+		}
 
-	batch, err := client.QueryBatch(ctx, reqs)
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	if len(batch.Results) != len(reqs) {
-		t.Fatalf("batch answered %d results for %d queries", len(batch.Results), len(reqs))
-	}
+		// The single-query plane first, as the reference.
+		singles := make([]*searchclient.QueryResponse, len(reqs))
+		var wg sync.WaitGroup
+		var failures atomic.Int64
+		sem := make(chan struct{}, 16)
+		for i := range reqs {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(i int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				var err error
+				if singles[i], err = client.Query(ctx, reqs[i]); err != nil {
+					failures.Add(1)
+				}
+			}(i)
+		}
+		wg.Wait()
+		if n := failures.Load(); n > 0 {
+			t.Fatalf("%d workers: %d/%d single queries failed", workers, n, queries)
+		}
+		for i, r := range singles {
+			check("single query", i, r, false)
+		}
 
-	singleHits, batchHits, mismatches := 0, 0, 0
-	for i := range reqs {
-		it := &batch.Results[i]
-		if !it.OK() {
-			t.Fatalf("batch item %d failed: %d %s", i, it.Status, it.Error)
+		// The slab collected in full, then as existence probes: MaxHits 1
+		// answers each query at its first hit while the rest of its flood
+		// is still running, so several times as many floods as workers are
+		// in the fabric at once.
+		for _, slab := range []struct {
+			what string
+			reqs []searchclient.QueryRequest
+		}{{"batch item", reqs}, {"batch probe", probes}} {
+			batch, err := client.QueryBatch(ctx, slab.reqs)
+			if err != nil {
+				t.Fatalf("%d workers: %s: %v", workers, slab.what, err)
+			}
+			if len(batch.Results) != len(reqs) {
+				t.Fatalf("%d workers: %d results for %d queries", workers, len(batch.Results), len(reqs))
+			}
+			for i := range batch.Results {
+				it := &batch.Results[i]
+				if !it.OK() {
+					t.Fatalf("%d workers: %s %d failed: %d %s", workers, slab.what, i, it.Status, it.Error)
+				}
+				check(slab.what, i, &it.QueryResponse, slab.reqs[i].MaxHits > 0)
+			}
 		}
-		if singleHit[i] {
-			singleHits++
+
+		st := srv.nodeStats
+		dropped := st.InboxDropped.Load() + st.SendFailed.Load()
+		fallback := st.QueriesWindowFallback.Load()
+		if strict && (dropped != 0 || fallback != 0) {
+			t.Fatalf("%d workers: %d messages dropped, %d queries ended on the window", workers, dropped, fallback)
 		}
-		if it.Found() {
-			batchHits++
-		}
-		if it.Found() != singleHit[i] {
-			mismatches++
-			t.Logf("mismatch %d: key %d origin %d dist %d: single=%v batch=%v",
-				i, reqs[i].Key, *reqs[i].Origin,
-				holderDist(w, topology.NodeID(*reqs[i].Origin), core.Key(reqs[i].Key), ttl),
-				singleHit[i], it.Found())
-		}
-		if got := reasonSet(it.DegradedReasons); got != singleReasons[i] {
-			t.Fatalf("item %d degraded reasons: batch %q vs single %q", i, got, singleReasons[i])
-		}
+		t.Logf("%d workers: %d queries terminated by protocol, %d on the window, %d messages dropped",
+			workers, st.QueriesComplete.Load(), fallback, dropped)
 	}
-	if dropped := srv.nodeStats.InboxDropped.Load(); dropped != 0 {
-		t.Fatalf("%d inbox drops — the harness saturated the cluster, outcomes are not comparable", dropped)
-	}
-	if mismatches != 0 || singleHits != batchHits {
-		t.Fatalf("hit outcomes diverged: single %d, batch %d, %d per-query mismatches",
-			singleHits, batchHits, mismatches)
-	}
-	t.Logf("equivalent: %d/%d hits both ways", batchHits, queries)
 }
 
 // TestBatchValidation pins the error split: body-level problems fail

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/pkg/searchclient"
@@ -104,6 +105,7 @@ func TestChaosQueriesSurviveFaults(t *testing.T) {
 	var answered, failed, degraded, hits atomic.Int64
 	known := map[string]bool{
 		searchclient.ReasonDeadline:      true,
+		searchclient.ReasonOverload:      true,
 		searchclient.ReasonOriginCrashed: true,
 		searchclient.ReasonNoFanout:      true,
 		searchclient.ReasonSuspects:      true,
@@ -327,14 +329,29 @@ func TestCrashRestartControlPlane(t *testing.T) {
 		}
 	}
 
-	// Deadline budgets flag what they cut: a 1ms budget on a full
-	// window collection comes back degraded with the deadline reason,
-	// not an error.
+	// A deadline budget degrades only what it cuts. A flood that finishes
+	// inside the budget is complete; one that cannot finish (node 0's
+	// neighbour is down, so an ack never comes) is cut off at the budget
+	// and says so, instead of erroring or waiting out the window.
+	origin = 0
 	resp, err = client.Query(ctx, searchclient.QueryRequest{
-		Key: 1, TimeoutMillis: 500, DeadlineMillis: 1,
+		Key: 1, Origin: &origin, TimeoutMillis: 500, DeadlineMillis: 250,
+	})
+	if err != nil || resp.Degraded {
+		t.Fatalf("budgeted query on a healthy cluster: err %v, reasons %v", err, resp.DegradedReasons)
+	}
+	if err := client.Crash(ctx, int(srv.world.Net.Out(0)[0])); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, err = client.Query(ctx, searchclient.QueryRequest{
+		Key: 1, Origin: &origin, TimeoutMillis: 5000, DeadlineMillis: 20,
 	})
 	if err != nil {
 		t.Fatalf("deadline query: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("20ms budget held the query for %v", elapsed)
 	}
 	sawDeadline := false
 	for _, r := range resp.DegradedReasons {
@@ -343,7 +360,7 @@ func TestCrashRestartControlPlane(t *testing.T) {
 		}
 	}
 	if !sawDeadline {
-		t.Fatalf("1ms budget not declared: degraded=%v reasons=%v",
+		t.Fatalf("20ms budget not declared: degraded=%v reasons=%v",
 			resp.Degraded, resp.DegradedReasons)
 	}
 }

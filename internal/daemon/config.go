@@ -64,11 +64,14 @@ type Config struct {
 	GossipFanout         int `json:"gossip_fanout"`
 
 	// QueryWindowMillis is the default per-query hit-collection window
-	// when a request does not carry its own.
+	// when a request does not carry its own. A search normally ends
+	// when its flood terminates; the window is the fallback for a flood
+	// whose end could not be detected (a lost ack), and a response that
+	// ends on it is degraded ("deadline").
 	QueryWindowMillis int `json:"query_window_ms"`
-	// BatchWorkers is how many resident workers drain one
-	// POST /v1/query/batch slab; misses pay the full collection window,
-	// so the worker count bounds how many such windows overlap.
+	// BatchWorkers is how many goroutines drain one
+	// POST /v1/query/batch slab, i.e. how many of its floods are in the
+	// fabric at once.
 	BatchWorkers int `json:"batch_workers"`
 	// MaxBatch caps the number of queries one batch request may carry;
 	// larger slabs are rejected whole (400).
@@ -198,6 +201,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("daemon: chan transport requires the whole cluster in-process (base 0, total == nodes)")
 	case c.Degree <= 0 || c.TTL <= 0 || c.Keys <= 0 || c.Replicas <= 0:
 		return fmt.Errorf("daemon: degree/ttl/keys/replicas must be positive")
+	case c.TTL > 255:
+		return fmt.Errorf("daemon: ttl %d exceeds the wire limit of 255", c.TTL)
 	case c.GossipFanout <= 0 || c.GossipIntervalMillis <= 0:
 		return fmt.Errorf("daemon: gossip fanout and interval must be positive")
 	case c.BatchWorkers <= 0 || c.MaxBatch <= 0:

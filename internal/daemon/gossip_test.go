@@ -225,3 +225,52 @@ func TestGossipVersionMonotone(t *testing.T) {
 		t.Fatalf("no-op absorb bumped version: %d -> %d", v2, got)
 	}
 }
+
+// TestViewMergeIsASemilattice: anti-entropy converges whatever order
+// views meet in because Merge is a join — commutative, associative and
+// idempotent. The views are drawn under the protocol's one invariant: a
+// (name, beat) pair names one entry, since only the member itself writes
+// its entry and bumps its beat whenever it does.
+func TestViewMergeIsASemilattice(t *testing.T) {
+	stream := rng.New(99)
+	randView := func() View {
+		v := View{}
+		for i, n := 0, stream.Intn(6); i < n; i++ {
+			name := fmt.Sprintf("m%d", stream.Intn(5))
+			beat := uint64(stream.Intn(4))
+			v[name] = Member{Name: name, HTTP: fmt.Sprintf("%s@%d", name, beat), BaseID: int(beat), Beat: beat}
+		}
+		return v
+	}
+	merged := func(views ...View) View {
+		out := View{}
+		for _, v := range views {
+			out.Merge(v)
+		}
+		return out
+	}
+	same := func(a, b View) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for k, m := range a {
+			if o, ok := b[k]; !ok || o.HTTP != m.HTTP || o.Beat != m.Beat || o.BaseID != m.BaseID {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < 2000; i++ {
+		a, b, c := randView(), randView(), randView()
+		if !same(merged(a, b), merged(b, a)) {
+			t.Fatalf("not commutative: %v, %v", a, b)
+		}
+		if !same(merged(merged(a, b), c), merged(a, merged(b, c))) {
+			t.Fatalf("not associative: %v, %v, %v", a, b, c)
+		}
+		ab := merged(a, b)
+		if ab.Merge(b) || ab.Merge(a) || !same(ab, merged(a, b)) {
+			t.Fatalf("not idempotent: %v, %v", a, b)
+		}
+	}
+}

@@ -499,7 +499,7 @@ func noRelease() (func(), bool) { return func() {}, true }
 // with (code 0 means success). Both the single and the batch endpoint
 // funnel through here, so the two planes cannot drift semantically.
 func (s *Server) runQuery(ctx context.Context, req *searchclient.QueryRequest,
-	admit func() (func(), bool)) (searchclient.QueryResponse, int, string) {
+	admit func() (func(), bool), settle bool) (searchclient.QueryResponse, int, string) {
 	var zero searchclient.QueryResponse
 	if req.Key >= uint64(s.cfg.Keys) {
 		return zero, http.StatusBadRequest,
@@ -556,14 +556,13 @@ func (s *Server) runQuery(ctx context.Context, req *searchclient.QueryRequest,
 	// collection window is clamped under it, and a Cancel channel cuts
 	// the query off mid-collection if it is exhausted anyway — the
 	// client gets whatever arrived, flagged Degraded, instead of a
-	// timeout error with nothing.
+	// timeout error with nothing. A flood that finishes inside the
+	// budget was cut short by nothing and is not degraded by it.
 	cancel := ctx.Done()
-	clamped := false
 	if req.DeadlineMillis > 0 {
 		budget := time.Duration(req.DeadlineMillis) * time.Millisecond
 		if timeout > budget {
 			timeout = budget
-			clamped = true // the budget already cut collection short
 		}
 		dctx, stop := context.WithTimeout(ctx, budget)
 		defer stop()
@@ -584,6 +583,7 @@ func (s *Server) runQuery(ctx context.Context, req *searchclient.QueryRequest,
 		TTL:     req.TTL,
 		Timeout: timeout,
 		MaxHits: req.MaxHits,
+		Settle:  settle,
 		Forward: forward,
 		Cancel:  cancel,
 	})
@@ -595,9 +595,16 @@ func (s *Server) runQuery(ctx context.Context, req *searchclient.QueryRequest,
 	// Degradation verdict: anything that may have cost the response
 	// completeness is declared, so a caller can always distinguish "no
 	// replica holds this key" from "the cluster could not look
-	// everywhere".
-	if info.Stopped || clamped {
+	// everywhere". A flood that terminated with nothing lost is exact
+	// and adds no reason; one that ended on the window or the budget
+	// instead (an ack or a message it waited for never came) is
+	// "deadline"; one that terminated but could not hand some copy to
+	// the transport is "overload".
+	if info.Expired || info.Stopped {
 		reasons = append(reasons, searchclient.ReasonDeadline)
+	}
+	if info.Lost {
+		reasons = append(reasons, searchclient.ReasonOverload)
 	}
 	if info.Fanout == 0 && len(hits) == 0 {
 		reasons = append(reasons, searchclient.ReasonNoFanout)
@@ -633,7 +640,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad query body: "+err.Error())
 		return
 	}
-	resp, code, msg := s.runQuery(r.Context(), &req, s.admit)
+	resp, code, msg := s.runQuery(r.Context(), &req, s.admit, false)
 	if code != 0 {
 		if code == http.StatusServiceUnavailable {
 			writeUnavailable(w, msg)
@@ -642,12 +649,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSONFast(w, http.StatusOK, &resp)
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 // handleQueryBatch admits a slab of queries through the lifecycle gate
-// as one unit and drains it on the configured number of resident
-// workers, each running the exact single-query path (runQuery).
+// as one unit and drains it on up to BatchWorkers goroutines started
+// for this request, each running the exact single-query path (runQuery).
 // Admission is batch-atomic: one gate check and one inflight entry
 // cover the slab, so Drain waits for a started batch to finish and a
 // paused daemon refuses the whole slab with 503. Malformed bodies,
@@ -684,9 +691,12 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if workers > len(req.Queries) {
 		workers = len(req.Queries)
 	}
-	// Resident workers drain a shared index: misses pay the full
-	// collection window, so the worker count is how many such windows
-	// overlap instead of serializing.
+	// The workers drain a shared index; their number is how many floods
+	// of this slab are in the fabric at once — a worker lets its flood
+	// end before it takes the next query even when MaxHits answered it
+	// early (settle): the slab is only as done as its last item anyway,
+	// and the unfinished tails of a thousand probes would otherwise pile
+	// into the inboxes.
 	var next atomic.Uint64
 	var wg sync.WaitGroup
 	ctx := r.Context()
@@ -699,7 +709,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 				if i >= len(req.Queries) {
 					return
 				}
-				resp, code, msg := s.runQuery(ctx, &req.Queries[i], noRelease)
+				resp, code, msg := s.runQuery(ctx, &req.Queries[i], noRelease, true)
 				if code != 0 {
 					results[i].Status, results[i].Error = code, msg
 					continue
@@ -709,7 +719,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	wg.Wait()
-	writeJSONFast(w, http.StatusOK, &searchclient.BatchQueryResponse{
+	writeJSON(w, http.StatusOK, &searchclient.BatchQueryResponse{
 		Results:       results,
 		ElapsedMillis: float64(time.Since(start).Microseconds()) / 1000,
 	})
@@ -773,6 +783,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap["node_hits_received"] = s.nodeStats.HitsReceived.Load()
 	snap["node_inbox_dropped"] = s.nodeStats.InboxDropped.Load()
 	snap["node_send_failed"] = s.nodeStats.SendFailed.Load()
+	snap["node_acks_sent"] = s.nodeStats.AcksSent.Load()
+	snap["node_queries_complete"] = s.nodeStats.QueriesComplete.Load()
+	snap["node_queries_window_fallback"] = s.nodeStats.QueriesWindowFallback.Load()
 	for k, v := range s.faultT.Stats().Snapshot() {
 		snap[k] = v
 	}
@@ -924,11 +937,10 @@ func classFor(name string) (netsim.BandwidthClass, error) {
 	}
 }
 
-// bufPool recycles body buffers across requests on the hot query
-// paths: request bodies are slurped into a pooled buffer and decoded
-// with Unmarshal (cheaper than a fresh Decoder), responses are encoded
-// into a pooled buffer and written in one shot with Content-Length set
-// (no chunked framing).
+// bufPool recycles body buffers across requests: query bodies are
+// slurped into a pooled buffer and decoded with Unmarshal (cheaper than
+// a fresh Decoder), responses are encoded into a pooled buffer and
+// written in one shot with Content-Length set (no chunked framing).
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // decodeBody slurps and unmarshals a request body through the pool.
@@ -942,9 +954,9 @@ func decodeBody(r *http.Request, v any) error {
 	return json.Unmarshal(buf.Bytes(), v)
 }
 
-// writeJSONFast is writeJSON without indentation, for the hot query
-// paths: compact output, pooled encode buffer, one Write.
-func writeJSONFast(w http.ResponseWriter, code int, v any) {
+// writeJSON answers with v as compact JSON: pooled encode buffer, one
+// Write.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer bufPool.Put(buf)
@@ -956,14 +968,6 @@ func writeJSONFast(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
 	_, _ = w.Write(buf.Bytes())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, code int, msg string) {

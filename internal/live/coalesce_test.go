@@ -167,7 +167,7 @@ func TestCoalesceManyFramesOneWindowAllDelivered(t *testing.T) {
 	tr.SetAddr(1, lis.addr)
 	const frames = 500
 	for i := 0; i < frames; i++ {
-		if err := tr.Send(1, Envelope{Type: MsgQuery, From: 6, QueryID: 1000, Hops: i}); err != nil {
+		if err := tr.Send(1, Envelope{Type: MsgQuery, From: 6, QueryID: 1000, Hops: uint8(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

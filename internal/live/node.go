@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -37,7 +36,7 @@ type Config struct {
 	ID topology.NodeID
 	// Neighbors is the symmetric neighbor capacity.
 	Neighbors int
-	// TTL is the default search depth.
+	// TTL is the default search depth, 1 to 255 (what an Envelope carries).
 	TTL int
 	// Transport delivers messages. Required.
 	Transport Transport
@@ -52,7 +51,7 @@ type Config struct {
 	// means core.Flood (the Gnutella baseline). Policies resolve from
 	// configuration strings via pkg/search's registry (PolicyByName) —
 	// cmd/dsearch's -policy flag does exactly that. The policy runs
-	// inside this node's single actor goroutine, so an instance need
+	// under this node's lock, one call at a time, so an instance need
 	// not be concurrency-safe — but for that same reason a stochastic
 	// instance (random-<k>'s rng stream) must not be shared across
 	// nodes of one process; give each node its own.
@@ -79,6 +78,15 @@ type NodeStats struct {
 	// side (full destination inbox in chan mode, dead peer in TCP
 	// mode) — the send-side twin of InboxDropped.
 	SendFailed metrics.Counter
+	// AcksSent counts MsgAck envelopes sent: one per query copy whose
+	// part of the flood is exhausted.
+	AcksSent metrics.Counter
+	// QueriesComplete counts originated queries that ended because
+	// the flood terminated (every first-hop copy acknowledged and every
+	// announced hit collected); QueriesWindowFallback counts those that
+	// ended on the collection window instead — a lost ack, a dropped
+	// message or an evicted record somewhere in the flood.
+	QueriesComplete, QueriesWindowFallback metrics.Counter
 }
 
 // SearchHit is one result of a live search.
@@ -91,12 +99,19 @@ type SearchHit struct {
 	Class netsim.BandwidthClass
 }
 
-// Node is one live repository: an actor goroutine owning all mutable
-// state (neighbor set, ledger, duplicate cache, pending searches).
+// Node is one live repository: an actor goroutine working off an inbox,
+// and the mutable state (neighbor set, ledger, duplicate cache, pending
+// searches) it works on.
 type Node struct {
-	cfg     Config
+	cfg Config
+	// mu guards st. The actor holds it while it works off a burst of its
+	// inbox and lets go before it parks; a sender whose ack or hit finds
+	// the node idle takes it to do that bit of work on the spot
+	// (deliverNow) instead of waking the actor for it.
+	mu      sync.Mutex
+	st      state
 	inbox   chan Envelope
-	ctl     chan func(*state)
+	ctl     chan ctlMsg
 	done    chan struct{}
 	closing chan struct{}
 	wg      sync.WaitGroup
@@ -104,17 +119,26 @@ type Node struct {
 	stopOnce  sync.Once
 	closeOnce sync.Once
 
-	// searches maps pending query IDs to collectors; owned by the actor
-	// loop except for the buffered result channels.
+	// nextQID numbers originated queries; guarded by mu.
 	nextQID core.QueryID
 }
 
-// state is the actor-owned mutable state.
+// ctlMsg is one unit of control work for a node (see submit): a
+// function to run, or a collector whose query is to be originated or
+// retired.
+type ctlMsg struct {
+	f      func(*state)
+	c      *collector
+	retire bool
+}
+
+// state is a node's mutable state, guarded by Node.mu.
 type state struct {
 	neighbors []topology.NodeID
 	ledger    *stats.Ledger
 	seen      seenSet
-	pending   map[core.QueryID]chan SearchHit
+	acts      actTable
+	pending   map[core.QueryID]*collector
 	searches  int
 	// fwdBuf and fwdQuery are scratch reused across handle calls so the
 	// hot path stops allocating per forwarded query: the target slice
@@ -131,16 +155,24 @@ func NewNode(cfg Config) *Node {
 	if cfg.Transport == nil || cfg.Store == nil {
 		panic("live: Config requires Transport and Store")
 	}
-	if cfg.Neighbors <= 0 || cfg.TTL < 1 {
+	if cfg.Neighbors <= 0 || cfg.TTL < 1 || cfg.TTL > maxTTL {
 		panic(fmt.Sprintf("live: bad config %+v", cfg))
 	}
 	if cfg.Forward == nil {
 		cfg.Forward = core.Flood{}
 	}
+	if cfg.Stats == nil {
+		cfg.Stats = &NodeStats{}
+	}
 	return &Node{
-		cfg:     cfg,
-		inbox:   make(chan Envelope, 1024),
-		ctl:     make(chan func(*state), 64),
+		cfg: cfg,
+		st: state{
+			ledger:  stats.NewLedger(),
+			seen:    newSeenSet(),
+			pending: make(map[core.QueryID]*collector),
+		},
+		inbox:   make(chan Envelope, inboxCap),
+		ctl:     make(chan ctlMsg, 64),
 		done:    make(chan struct{}),
 		closing: make(chan struct{}),
 	}
@@ -160,9 +192,7 @@ func (n *Node) Deliver(env Envelope) {
 	case n.inbox <- env:
 	case <-n.done:
 	default:
-		if n.cfg.Stats != nil {
-			n.cfg.Stats.InboxDropped.Inc()
-		}
+		n.cfg.Stats.InboxDropped.Inc()
 	}
 }
 
@@ -176,6 +206,7 @@ func (n *Node) Start() {
 // envelopes are abandoned. Use Close for a draining shutdown.
 func (n *Node) Stop() {
 	n.markDone()
+	n.wake()
 	n.wg.Wait()
 }
 
@@ -186,6 +217,7 @@ func (n *Node) Stop() {
 // idempotent, and Stop/Close may be combined in any order.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() { close(n.closing) })
+	n.wake()
 	n.wg.Wait()
 }
 
@@ -194,25 +226,93 @@ func (n *Node) markDone() {
 	n.stopOnce.Do(func() { close(n.done) })
 }
 
-// loop is the actor: all state mutations happen here.
+// msgWake is the inbox token that makes the actor look at its control
+// queue and its shutdown signals. It never travels between nodes.
+const msgWake MsgType = 255
+
+// wake nudges the actor without blocking. A full inbox needs no token:
+// the actor is busy and looks after every burst anyway.
+func (n *Node) wake() {
+	select {
+	case n.inbox <- Envelope{Type: msgWake}:
+	default:
+	}
+}
+
+// deliverNow handles env on the caller's goroutine if the node is idle,
+// and reports whether it did. It is for messages that end at their
+// receiver — an ack, a hit: at most they make the receiver send one ack
+// in turn, which may be delivered the same way, TTL levels deep at most.
+// It never waits for the lock, so a busy (or, in a cycle of senders, a
+// circularly waiting) receiver just gets the message through its inbox;
+// that it may then see the two kinds out of their sending order is what
+// the hit count in the acks is for.
+func (n *Node) deliverNow(env Envelope) bool {
+	if !n.mu.TryLock() {
+		return false
+	}
+	n.handle(&n.st, env)
+	n.drainCtl()
+	n.mu.Unlock()
+	return true
+}
+
+// drainCtl runs what is queued for the node; the caller holds mu, and
+// whoever holds mu calls it before letting go.
+func (n *Node) drainCtl() {
+	for {
+		select {
+		case m := <-n.ctl:
+			n.control(&n.st, m)
+		default:
+			return
+		}
+	}
+}
+
+// loop is the actor: it works off the inbox and the control queue.
 func (n *Node) loop() {
 	defer n.wg.Done()
-	st := &state{
-		ledger:  stats.NewLedger(),
-		seen:    newSeenSet(),
-		pending: make(map[core.QueryID]chan SearchHit),
-	}
+	st := &n.st
 	for {
+		// The one place the actor parks is a plain receive: parking in a
+		// select over inbox, control queue and shutdown signals costs
+		// several times as much per wake-up, and a flood that acks every
+		// copy wakes its relays twice as often. Control work and shutdown
+		// announce themselves through the inbox instead (msgWake), and are
+		// looked at after every burst.
+		env := <-n.inbox
+		n.mu.Lock()
+		n.handle(st, env)
+		// Drain what else is already queued with cheap non-blocking
+		// receives — one wake-up usually finds a burst. Bounded so a
+		// Stop takes effect under load.
+	drain:
+		for i := 0; i < 256; i++ {
+			select {
+			case env := <-n.inbox:
+				n.handle(st, env)
+			default:
+				break drain
+			}
+		}
+		n.drainCtl()
+		n.mu.Unlock()
 		select {
 		case <-n.done:
 			return
+		default:
+		}
+		select {
 		case <-n.closing:
 			// Drain mode: consume whatever is already queued, then
-			// declare the node done so Deliver and do stop enqueueing.
+			// declare the node done so Deliver and submit stop enqueueing.
+			n.mu.Lock()
+			defer n.mu.Unlock()
 			for {
 				select {
-				case f := <-n.ctl:
-					f(st)
+				case m := <-n.ctl:
+					n.control(st, m)
 				case env := <-n.inbox:
 					n.handle(st, env)
 				default:
@@ -220,47 +320,65 @@ func (n *Node) loop() {
 					return
 				}
 			}
-		case f := <-n.ctl:
-			f(st)
-		case env := <-n.inbox:
-			n.handle(st, env)
-			// Drain what else is already queued with cheap non-blocking
-			// receives: under flood fan-in the 4-way select above is a
-			// large share of per-message cost, and one wakeup usually
-			// finds a burst. Bounded so ctl and done never starve.
-		drain:
-			for i := 0; i < 256; i++ {
-				select {
-				case env := <-n.inbox:
-					n.handle(st, env)
-				default:
-					break drain
-				}
-			}
+		default:
 		}
 	}
 }
 
-// do runs f inside the actor loop and waits for it.
+// submit gets m run under the node's lock; false means the node has
+// shut down and m will not run. An idle node's work is done here and
+// now, on the caller's goroutine, behind whatever was queued before it;
+// a busy node gets m queued. With wake the actor is then roused for it;
+// without, m waits until whoever holds the lock lets go or the node
+// next has something to do — good enough for bookkeeping.
+func (n *Node) submit(m ctlMsg, wake bool) bool {
+	select {
+	case <-n.done:
+		return false
+	default:
+	}
+	if n.mu.TryLock() {
+		n.drainCtl()
+		n.control(&n.st, m)
+		n.mu.Unlock()
+		return true
+	}
+	select {
+	case n.ctl <- m:
+	case <-n.done:
+		return false
+	}
+	if wake {
+		select {
+		case n.inbox <- Envelope{Type: msgWake}:
+		case <-n.done:
+		}
+	}
+	return true
+}
+
+// control runs one ctlMsg; the caller holds mu.
+func (n *Node) control(st *state, m ctlMsg) {
+	switch {
+	case m.f != nil:
+		m.f(st)
+	case m.retire:
+		n.retire(st, m.c)
+	default:
+		n.originate(st, m.c)
+	}
+}
+
+// do runs f under the node's lock and waits for it. It is the
+// management path (wiring, snapshots, reconfiguration); queries travel
+// as collectors and allocate nothing here.
 func (n *Node) do(f func(*state)) {
 	doneCh := make(chan struct{})
-	select {
-	case n.ctl <- func(st *state) { f(st); close(doneCh) }:
-	case <-n.done:
+	if !n.submit(ctlMsg{f: func(st *state) { f(st); close(doneCh) }}, true) {
 		return
 	}
 	select {
 	case <-doneCh:
-	case <-n.done:
-	}
-}
-
-// post runs f inside the actor loop without waiting for it. The ctl
-// channel serializes posted functions with everything else the actor
-// does, so ordering against later do/post calls is preserved.
-func (n *Node) post(f func(*state)) {
-	select {
-	case n.ctl <- f:
 	case <-n.done:
 	}
 }
@@ -305,160 +423,12 @@ func removeNeighbor(st *state, id topology.NodeID) bool {
 	return false
 }
 
-// QueryOpts parameterizes one originated search. The zero value of
-// every field defers to the node's configuration.
-type QueryOpts struct {
-	// Key is the content item requested.
-	Key core.Key
-	// TTL overrides Config.TTL for this query when positive.
-	TTL int
-	// Timeout is the hit-collection window. Required.
-	Timeout time.Duration
-	// MaxHits, when positive, ends collection early once that many
-	// hits arrived — a REST frontend answering "is it out there?"
-	// returns in a flood round-trip instead of a full window.
-	MaxHits int
-	// Forward overrides the origin hop's fan-out policy for this query
-	// only; forwarding nodes still apply their own configured policies
-	// (each hop is autonomous in the live protocol). Nil uses
-	// Config.Forward.
-	Forward core.ForwardPolicy
-	// Cancel, when non-nil, ends hit collection early when it becomes
-	// receivable — the hook a serving frontend uses to enforce a total
-	// per-request deadline budget tighter than Timeout. Hits already
-	// collected are returned; QueryInfo.Stopped records the early end.
-	Cancel <-chan struct{}
-}
-
-// QueryInfo describes how a query's hit collection ended — the signal
-// a serving layer needs to mark a response as degraded rather than
-// silently partial.
-type QueryInfo struct {
-	// Fanout is how many first-hop copies the origin sent. Zero (with
-	// no local hit) means the query never left this node — an isolated
-	// or fully-partitioned origin.
-	Fanout int
-	// Stopped reports that collection ended early: Cancel fired or the
-	// node shut down before the window closed.
-	Stopped bool
-}
-
-// Search floods a query and collects hits until timeout. It implements
-// Send_Query of Algo 5: statistics update with benefit B/R over the
-// collected results, then a reconfiguration check.
-func (n *Node) Search(key core.Key, timeout time.Duration) []SearchHit {
-	return n.Query(QueryOpts{Key: key, Timeout: timeout})
-}
-
-// Query originates one search with explicit options (see QueryOpts);
-// Search is the common-case wrapper. Any number of goroutines may
-// originate queries on one node concurrently.
-func (n *Node) Query(opts QueryOpts) []SearchHit {
-	hits, _ := n.QueryInfo(opts)
-	return hits
-}
-
-// resultsPool recycles hit-collection channels across queries: the
-// 256-slot buffer is the single largest per-query allocation on the
-// serving path, and a pooled channel is safe to reuse because only the
-// actor loop ever writes to it — once the actor has dropped the
-// pending entry (and drained stragglers), nothing can touch it again.
-var resultsPool = sync.Pool{
-	New: func() any { return make(chan SearchHit, 256) },
-}
-
-// QueryInfo is Query plus an account of how collection ended (first-hop
-// fan-out, early stop) — see the QueryInfo type.
-func (n *Node) QueryInfo(opts QueryOpts) ([]SearchHit, QueryInfo) {
-	ttl := opts.TTL
-	if ttl <= 0 {
-		ttl = n.cfg.TTL
-	}
-	forward := opts.Forward
-	if forward == nil {
-		forward = n.cfg.Forward
-	}
-	results := resultsPool.Get().(chan SearchHit)
-	var qid core.QueryID
-	var info QueryInfo
-	n.do(func(st *state) {
-		n.nextQID++
-		qid = core.QueryID(uint64(n.cfg.ID)<<32) | n.nextQID
-		st.pending[qid] = results
-		st.seen.add(qid) // our own query must not be re-processed
-		q := core.Query{ID: qid, Key: opts.Key, Origin: n.cfg.ID, TTL: ttl}
-		targets := forward.Select(&q, n.cfg.ID, topology.None, st.neighbors, st.ledger, nil)
-		info.Fanout = len(targets)
-		for _, nb := range targets {
-			n.send(nb, Envelope{
-				Type: MsgQuery, From: n.cfg.ID,
-				QueryID: qid, Key: opts.Key, Origin: n.cfg.ID,
-				TTL: ttl, Hops: 1,
-			})
-		}
-	})
-
-	deadline := time.NewTimer(opts.Timeout)
-	defer deadline.Stop()
-	var hits []SearchHit
-collect:
-	for {
-		select {
-		case h := <-results:
-			hits = append(hits, h)
-			if opts.MaxHits > 0 && len(hits) >= opts.MaxHits {
-				break collect
-			}
-		case <-deadline.C:
-			break collect
-		case <-opts.Cancel:
-			info.Stopped = true
-			break collect
-		case <-n.done:
-			info.Stopped = true
-			break collect
-		}
-	}
-
-	// Post-collection bookkeeping is asynchronous: the caller has its
-	// hits and need not wait for the ledger update. The actor owns the
-	// results channel's retirement — it drops the pending entry, drains
-	// stragglers that raced the collection window, and only then
-	// recycles the channel, so no writer can ever touch a pooled one.
-	n.post(func(st *state) {
-		delete(st.pending, qid)
-	drain:
-		for {
-			select {
-			case <-results:
-			default:
-				break drain
-			}
-		}
-		resultsPool.Put(results)
-		r := float64(len(hits))
-		for _, h := range hits {
-			rec := st.ledger.Touch(h.Holder)
-			rec.Hits++
-			rec.Results++
-			rec.Replies++
-			rec.Benefit += h.Class.Weight() / r
-		}
-		st.searches++
-		if n.cfg.ReconfigThreshold > 0 && st.searches >= n.cfg.ReconfigThreshold {
-			st.searches = 0
-			n.reconfigureLocked(st)
-		}
-	})
-	return hits, info
-}
-
 // Reconfigure forces one Algo 5 reconfiguration immediately.
 func (n *Node) Reconfigure() {
 	n.do(n.reconfigureLocked)
 }
 
-// reconfigureLocked runs inside the actor loop: invite the single most
+// reconfigureLocked runs under the node's lock: invite the single most
 // beneficial known non-neighbor, evicting the worst neighbor when full
 // (MaxSwaps = 1, as in the paper's case study).
 func (n *Node) reconfigureLocked(st *state) {
@@ -494,51 +464,34 @@ func (n *Node) reconfigureLocked(st *state) {
 	}
 }
 
-// handle processes one incoming envelope inside the actor loop.
+// handle processes one incoming envelope; the caller holds mu.
 func (n *Node) handle(st *state, env Envelope) {
 	switch env.Type {
 	case MsgQuery:
-		if st.seen.insert(env.QueryID) {
+		n.handleQuery(st, &env)
+	case MsgAck:
+		// Acks are matched by identity: the record the copy named, still
+		// serving that query, still waiting for that very copy. A
+		// duplicated or late ack, or one for a query this node has
+		// retired, matches nothing and is dropped.
+		if int(env.Slot) >= len(st.acts.recs) || env.Seq >= maxCopies {
 			return
 		}
-		if n.cfg.Stats != nil {
-			n.cfg.Stats.QueriesSeen.Inc()
-		}
-		if n.cfg.Store.Has(env.Key) {
-			if n.cfg.Stats != nil {
-				n.cfg.Stats.HitsServed.Inc()
-			}
-			n.send(env.Origin, Envelope{
-				Type: MsgHit, From: n.cfg.ID,
-				QueryID: env.QueryID, Key: env.Key,
-				Hops: env.Hops, Class: n.cfg.Class,
-			})
-			return // the case study does not forward past a serving node
-		}
-		if env.Hops >= env.TTL {
+		r := &st.acts.recs[env.Slot]
+		if r.qid != env.QueryID || r.waiting&(1<<env.Seq) == 0 {
 			return
 		}
-		// The forward policy picks the propagation targets; Flood keeps
-		// the baseline everyone-but-sender-and-origin semantics.
-		st.fwdQuery = core.Query{ID: env.QueryID, Key: env.Key, Origin: env.Origin, TTL: env.TTL}
-		targets := n.cfg.Forward.Select(&st.fwdQuery, n.cfg.ID, env.From, st.neighbors, st.ledger, st.fwdBuf[:0])
-		st.fwdBuf = targets[:0] // keep the grown capacity for the next query
-		if n.cfg.Stats != nil {
-			n.cfg.Stats.QueriesForwarded.Add(uint64(len(targets)))
-		}
-		for _, nb := range targets {
-			fwd := env
-			fwd.From = n.cfg.ID
-			fwd.Hops++
-			n.send(nb, fwd)
+		r.waiting &^= 1 << env.Seq
+		r.served += env.Served
+		r.lost = r.lost || env.Lost
+		if r.waiting == 0 {
+			n.finish(st, env.Slot)
 		}
 	case MsgHit:
-		if n.cfg.Stats != nil {
-			n.cfg.Stats.HitsReceived.Inc()
-		}
-		if ch, ok := st.pending[env.QueryID]; ok {
+		n.cfg.Stats.HitsReceived.Inc()
+		if c := st.pending[env.QueryID]; c != nil {
 			select {
-			case ch <- SearchHit{Holder: env.From, Hops: env.Hops, Class: env.Class}:
+			case c.results <- SearchHit{Holder: env.From, Hops: int(env.Hops), Class: env.Class}:
 			default:
 			}
 		}
@@ -565,96 +518,14 @@ func (n *Node) handle(st *state, env Envelope) {
 	}
 }
 
-// seenSet is the bounded duplicate cache ("each node keeps a list of
-// recent messages"): a two-generation open-addressed table. Inserts go
-// into the current generation; when it fills, the previous generation
-// is discarded wholesale and the tables swap — no per-entry eviction.
-// Lookups probe both generations, so the retention window is between
-// seenGenCap and 2*seenGenCap recent IDs. The Go-map + eviction-ring
-// this replaces was the hottest code on the flood path (hash, probe,
-// insert AND delete per message).
-const (
-	// seenGenCap bounds a generation. 2048 keeps the minimum retention
-	// window above anything the fabric can interleave between two
-	// copies of one query (inbox depth 1024 plus admission concurrency)
-	// while the per-node tables (2 x 32KB) stay cache-resident.
-	seenGenCap  = 2048
-	seenTabSize = 2 * seenGenCap     // slots per table: load factor <= 1/2
-	seenMask    = seenTabSize - 1    // power-of-two probe mask
-	seenHashK   = 0x9e3779b97f4a7c15 // Fibonacci multiplier
-)
-
-type seenSet struct {
-	cur, old []core.QueryID // slots hold qid+1 so 0 means empty
-	n        int            // live entries in cur
-}
-
-func newSeenSet() seenSet {
-	return seenSet{
-		cur: make([]core.QueryID, seenTabSize),
-		old: make([]core.QueryID, seenTabSize),
-	}
-}
-
-// seenSlot maps a query ID to its home slot (top bits of a Fibonacci
-// hash — query IDs are origin<<32|counter, so low bits alone collide
-// across origins).
-func seenSlot(qid core.QueryID) int {
-	return int((uint64(qid)*seenHashK)>>52) & seenMask
-}
-
-func seenProbe(tab []core.QueryID, v core.QueryID, home int) bool {
-	for i := home; ; i = (i + 1) & seenMask {
-		switch tab[i] {
-		case 0:
-			return false
-		case v:
-			return true
-		}
-	}
-}
-
-func (s *seenSet) has(qid core.QueryID) bool {
-	home := seenSlot(qid)
-	return seenProbe(s.cur, qid+1, home) || seenProbe(s.old, qid+1, home)
-}
-
-func (s *seenSet) add(qid core.QueryID) {
-	s.insert(qid)
-}
-
-// insert records qid and reports whether it was already present — one
-// combined walk of the current generation instead of a lookup followed
-// by a re-probing add (these random-index walks are pure cache-miss
-// cost on the flood path, so every probe chain saved counts).
-func (s *seenSet) insert(qid core.QueryID) (dup bool) {
-	if s.n >= seenGenCap {
-		s.cur, s.old = s.old, s.cur
-		clear(s.cur)
-		s.n = 0
-	}
-	v := qid + 1
-	home := seenSlot(qid)
-	for i := home; ; i = (i + 1) & seenMask {
-		switch s.cur[i] {
-		case 0:
-			if seenProbe(s.old, v, home) {
-				return true // still remembered by the previous generation
-			}
-			s.cur[i] = v
-			s.n++
-			return false
-		case v:
-			return true
-		}
-	}
-}
-
-// send delivers without blocking the actor; transport errors keep
-// lossy-network semantics (the message is gone) but are counted, so a
+// send delivers without blocking the actor and reports whether the
+// transport took the message; a refusal (full inbox, dead peer) keeps
+// lossy-network semantics — the message is gone — but is counted, so a
 // harness can tell a saturated run from a clean one.
-func (n *Node) send(to topology.NodeID, env Envelope) {
-	if err := n.cfg.Transport.Send(to, env); err != nil && n.cfg.Stats != nil {
+func (n *Node) send(to topology.NodeID, env Envelope) bool {
+	if err := n.cfg.Transport.Send(to, env); err != nil {
 		n.cfg.Stats.SendFailed.Inc()
+		return false
 	}
+	return true
 }

@@ -7,14 +7,18 @@
 // The protocol is the paper's Algo 5 adapted to a real network: queries
 // flood with a TTL and duplicate suppression, hits reply directly to
 // the origin (carrying the answering link's bandwidth class, as the
-// Gnutella Ping-Pong protocol does), and neighbor updates use
-// invitation/eviction messages with the always-accept policy.
+// Gnutella Ping-Pong protocol does), every query copy is acknowledged
+// once the part of the flood behind it is exhausted (so the origin
+// knows when a search is finished instead of waiting out a window),
+// and neighbor updates use invitation/eviction messages with the
+// always-accept policy.
 package live
 
 import (
 	"bufio"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -35,6 +39,10 @@ const (
 	MsgInvite
 	MsgInviteReply
 	MsgEvict
+	// MsgAck answers one MsgQuery copy: the flood behind that copy is
+	// exhausted. It is appended last so the older types keep their wire
+	// values.
+	MsgAck
 )
 
 // String implements fmt.Stringer.
@@ -50,28 +58,46 @@ func (t MsgType) String() string {
 		return "invite-reply"
 	case MsgEvict:
 		return "evict"
+	case MsgAck:
+		return "ack"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
 }
 
 // Envelope is the wire message. All fields are exported and
-// gob-encodable; unused fields stay zero.
+// gob-encodable; unused fields stay zero. The field order packs it into
+// 40 bytes: every node owns a 1024-slot inbox of these.
 type Envelope struct {
 	Type MsgType
+	// TTL and Hops are the search depth and the distance this copy has
+	// travelled (query, hit); an ack leaves them zero.
+	TTL, Hops uint8
+	// Seq numbers a query copy among the copies its sender's activation
+	// record awaits an ack for; the ack echoes it (query, ack).
+	Seq  uint8
 	From topology.NodeID
 
-	// Query / Hit fields.
+	// Query / Hit / Ack fields.
 	QueryID core.QueryID
 	Key     core.Key
 	Origin  topology.NodeID
-	TTL     int
-	Hops    int
+	// Slot is the sender's activation record, echoed by the ack so the
+	// sender finds it without a lookup (query, ack).
+	Slot uint16
+	// Served is the number of hits sent to the origin from the part of
+	// the flood this ack closes (ack).
+	Served uint32
 	// Class is the answering node's bandwidth class on hits.
 	Class netsim.BandwidthClass
 
 	// InviteReply field.
 	Accept bool
+
+	// Lost reports that a copy in the part of the flood this ack closes
+	// could not be handed to the transport: nodes behind it were not
+	// searched (ack).
+	Lost bool
 }
 
 // Transport delivers envelopes between nodes. Implementations must be
@@ -89,23 +115,30 @@ type Transport interface {
 // reads it with one atomic load and no lock.
 type ChanTransport struct {
 	mu    sync.Mutex // serializes writers only
-	boxes atomic.Pointer[map[topology.NodeID]chan Envelope]
+	boxes atomic.Pointer[map[topology.NodeID]chanDest]
+}
+
+// chanDest is one routing entry: the inbox, and the node behind it when
+// one was attached (a bare Register has none).
+type chanDest struct {
+	box  chan Envelope
+	node *Node
 }
 
 // NewChanTransport returns an empty fabric.
 func NewChanTransport() *ChanTransport {
 	t := &ChanTransport{}
-	m := map[topology.NodeID]chan Envelope{}
+	m := map[topology.NodeID]chanDest{}
 	t.boxes.Store(&m)
 	return t
 }
 
 // mutate publishes a modified copy of the routing table under t.mu.
-func (t *ChanTransport) mutate(f func(map[topology.NodeID]chan Envelope)) {
+func (t *ChanTransport) mutate(f func(map[topology.NodeID]chanDest)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := *t.boxes.Load()
-	m := make(map[topology.NodeID]chan Envelope, len(old)+1)
+	m := make(map[topology.NodeID]chanDest, len(old)+1)
 	for k, v := range old {
 		m[k] = v
 	}
@@ -115,19 +148,12 @@ func (t *ChanTransport) mutate(f func(map[topology.NodeID]chan Envelope)) {
 
 // Register creates (or returns) the inbox for node id.
 func (t *ChanTransport) Register(id topology.NodeID) chan Envelope {
-	t.mu.Lock()
-	if box, ok := (*t.boxes.Load())[id]; ok {
-		t.mu.Unlock()
-		return box
-	}
-	t.mu.Unlock()
-	box := make(chan Envelope, 1024)
-	t.mutate(func(m map[topology.NodeID]chan Envelope) {
-		if existing, ok := m[id]; ok {
-			box = existing
-			return
+	var box chan Envelope
+	t.mutate(func(m map[topology.NodeID]chanDest) {
+		if _, ok := m[id]; !ok {
+			m[id] = chanDest{box: make(chan Envelope, inboxCap)}
 		}
-		m[id] = box
+		box = m[id].box
 	})
 	return box
 }
@@ -135,23 +161,29 @@ func (t *ChanTransport) Register(id topology.NodeID) chan Envelope {
 // Attach wires a node's inbox into the fabric, replacing any channel
 // previously registered for its ID.
 func (t *ChanTransport) Attach(n *Node) {
-	t.mutate(func(m map[topology.NodeID]chan Envelope) { m[n.ID()] = n.Inbox() })
+	t.mutate(func(m map[topology.NodeID]chanDest) { m[n.ID()] = chanDest{n.Inbox(), n} })
 }
 
 // Unregister removes a node's inbox; pending messages are dropped.
 func (t *ChanTransport) Unregister(id topology.NodeID) {
-	t.mutate(func(m map[topology.NodeID]chan Envelope) { delete(m, id) })
+	t.mutate(func(m map[topology.NodeID]chanDest) { delete(m, id) })
 }
 
 // Send implements Transport. A full inbox drops the message (backpressure
 // by loss, as UDP-era Gnutella did) rather than blocking the sender.
 func (t *ChanTransport) Send(to topology.NodeID, env Envelope) error {
-	box, ok := (*t.boxes.Load())[to]
+	d, ok := (*t.boxes.Load())[to]
 	if !ok {
 		return fmt.Errorf("live: no inbox for node %d", to)
 	}
+	// Half of a flood's messages are acks, and an ack to an idle node
+	// costs a goroutine wake-up to clear one bit: an idle node gets its
+	// acks and hits handled by the sender instead.
+	if (env.Type == MsgAck || env.Type == MsgHit) && d.node != nil && d.node.deliverNow(env) {
+		return nil
+	}
 	select {
-	case box <- env:
+	case d.box <- env:
 		return nil
 	default:
 		return fmt.Errorf("live: inbox of node %d is full", to)
@@ -440,6 +472,24 @@ func (t *TCPTransport) Close() {
 	}
 }
 
+// decodeFrames reads the gob stream a TCPTransport writes and hands
+// each envelope to deliver, until the stream ends or stops making
+// sense; it returns the error that ended it. One envelope is reused for
+// the whole stream: gob decodes into the same frame every iteration and
+// deliver receives a value copy, so the steady-state receive path
+// allocates nothing per hop.
+func decodeFrames(r io.Reader, deliver func(Envelope)) error {
+	dec := gob.NewDecoder(bufio.NewReader(r))
+	env := new(Envelope)
+	for {
+		*env = Envelope{}
+		if err := dec.Decode(env); err != nil {
+			return err
+		}
+		deliver(*env)
+	}
+}
+
 // Listen starts a TCP listener that decodes envelopes into deliver.
 // It returns the bound address and a stop function.
 func Listen(addr string, deliver func(Envelope)) (string, func(), error) {
@@ -501,19 +551,7 @@ func Listen(addr string, deliver func(Envelope)) (string, func(), error) {
 				defer wg.Done()
 				defer untrack(c)
 				defer c.Close()
-				// One reused envelope per connection: gob decodes into the
-				// same frame every iteration and deliver receives a value
-				// copy, so the steady-state receive path allocates nothing
-				// per hop.
-				dec := gob.NewDecoder(bufio.NewReader(c))
-				env := new(Envelope)
-				for {
-					*env = Envelope{}
-					if err := dec.Decode(env); err != nil {
-						return
-					}
-					deliver(*env)
-				}
+				_ = decodeFrames(c, deliver)
 			}(conn)
 		}
 	}()

@@ -134,7 +134,9 @@ type QueryRequest struct {
 	// reroutes to a live local node and marks the response Degraded.
 	Origin *int `json:"origin,omitempty"`
 	// TimeoutMillis bounds the hit-collection window; 0 uses the
-	// daemon's default window.
+	// daemon's default window. A search normally ends well inside it,
+	// when its flood has terminated; a response that ran into it is
+	// Degraded ("deadline").
 	TimeoutMillis int `json:"timeout_ms,omitempty"`
 	// DeadlineMillis is a hard total budget for the request: the daemon
 	// clamps the collection window to what remains of it and, if the
@@ -143,8 +145,8 @@ type QueryRequest struct {
 	// collection window.
 	DeadlineMillis int `json:"deadline_ms,omitempty"`
 	// MaxHits ends collection early after that many hits (1 turns the
-	// query into an existence probe that returns in a flood
-	// round-trip); 0 collects for the full window.
+	// query into an existence probe that returns at its first hit);
+	// 0 collects every hit of the flood.
 	MaxHits int `json:"max_hits,omitempty"`
 }
 
@@ -167,13 +169,16 @@ type QueryResponse struct {
 	// ElapsedMillis is the server-side collection time.
 	ElapsedMillis float64 `json:"elapsed_ms"`
 	// Degraded marks a response the daemon knows may be incomplete:
-	// the deadline budget cut collection short, the pinned origin was
-	// crashed and the query was rerouted, the origin could not fan out
-	// at all, or the failure detector currently suspects cluster
-	// members. The hits are still valid — there may just be fewer than
-	// a healthy cluster would have found.
+	// the search ended on its window or its deadline budget instead of
+	// on the flood's termination, part of the flood could not be sent,
+	// the pinned origin was crashed and the query was rerouted, the
+	// origin could not fan out at all, or the failure detector currently
+	// suspects cluster members. The hits are still valid — there may
+	// just be fewer than a healthy cluster would have found. A response
+	// that is not Degraded is exact: it lists every holder within TTL
+	// hops (up to MaxHits), and an empty one means there is none.
 	Degraded bool `json:"degraded,omitempty"`
-	// DegradedReasons lists why, when Degraded ("deadline",
+	// DegradedReasons lists why, when Degraded ("deadline", "overload",
 	// "origin-crashed", "no-fanout", "suspect-members",
 	// "crashed-nodes").
 	DegradedReasons []string `json:"degraded_reasons,omitempty"`
@@ -184,8 +189,14 @@ func (r *QueryResponse) Found() bool { return len(r.Hits) > 0 }
 
 // Degradation reasons carried in QueryResponse.DegradedReasons.
 const (
-	// ReasonDeadline: the deadline budget expired mid-collection.
+	// ReasonDeadline: collection ended on the query window or the
+	// deadline budget, not because the flood was known to be finished —
+	// a message of the search was lost, or the budget ran out first.
 	ReasonDeadline = "deadline"
+	// ReasonOverload: the flood finished, but some node could not hand
+	// a copy of the query on (a full inbox, a dead peer), so the nodes
+	// behind that copy were not searched.
+	ReasonOverload = "overload"
 	// ReasonOriginCrashed: the pinned origin was crashed; the query ran
 	// from a substitute node.
 	ReasonOriginCrashed = "origin-crashed"
