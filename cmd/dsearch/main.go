@@ -1,27 +1,18 @@
-// Command dsearch runs one live repository node over TCP, exposing the
-// framework's search and reconfiguration on a real socket. Several
-// dsearch processes on one machine (or LAN) form a searchable network.
+// Command dsearch is the interactive client of a running dsearchd
+// daemon: stdin commands go over the daemon's HTTP/JSON plane via
+// pkg/searchclient. (A TCP node is booted by dsearchd -transport tcp.)
 //
 // Usage:
 //
-//	dsearch -id 0 -listen 127.0.0.1:7000 \
-//	        -peers "1=127.0.0.1:7001,2=127.0.0.1:7002" \
-//	        -neighbors 1,2 -keys 10,11,12 [-policy flood]
-//
-// -policy accepts any pkg/search registry name ("flood", "random-2",
-// "directed-bft-2", ...); run with -policy help to list them.
+//	dsearch -addr 127.0.0.1:7080 [-timeout 2s]
 //
 // Commands on stdin:
 //
-//	search <key>    flood a query and print the hits
-//	neighbors       print the current neighbor set
+//	search <key>    query the cluster and print the hits
+//	cluster         print the membership view
+//	stats           print the daemon's counters
 //	reconfigure     run one Algo 5 reconfiguration
 //	quit            exit
-//
-// With -addr, dsearch is instead a client of a running dsearchd
-// daemon: no local node is started, and the same stdin commands (plus
-// "cluster" and "stats") go over the daemon's HTTP/JSON plane via
-// pkg/searchclient.
 package main
 
 import (
@@ -35,138 +26,22 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/live"
-	"repro/internal/netsim"
-	"repro/internal/rng"
-	"repro/internal/topology"
-	"repro/pkg/search"
 	"repro/pkg/searchclient"
 )
 
 func main() {
 	var (
-		addr      = flag.String("addr", "", "dsearchd HTTP address; client mode, no local node")
-		id        = flag.Int("id", 0, "this node's ID (unique in the network)")
-		listen    = flag.String("listen", "127.0.0.1:7000", "listen address")
-		peers     = flag.String("peers", "", "peer address book: id=host:port,...")
-		neighbors = flag.String("neighbors", "", "initial neighbor IDs: 1,2,...")
-		keys      = flag.String("keys", "", "content keys this node serves: 10,11,...")
-		ttl       = flag.Int("ttl", 4, "search hop limit")
-		capacity  = flag.Int("cap", 4, "neighbor capacity")
-		timeout   = flag.Duration("timeout", 2*time.Second, "search collection window")
-		class     = flag.String("class", "cable", "bandwidth class: 56k, cable or lan")
-		policy    = flag.String("policy", "flood", "forward policy by registry name (or 'help' to list)")
-		seed      = flag.Uint64("seed", 1, "seed for stochastic forward policies")
+		addr    = flag.String("addr", "", "dsearchd HTTP address")
+		timeout = flag.Duration("timeout", 2*time.Second, "search collection window")
 	)
 	flag.Parse()
-
-	if *policy == "help" {
-		fmt.Println("policies:", strings.Join(search.PolicyNames(), " "))
-		return
+	if *addr == "" {
+		fatalf("-addr is required: the HTTP address of a running dsearchd")
 	}
-	if *addr != "" {
-		clientREPL(*addr, *timeout)
-		return
-	}
-	forward, err := search.PolicyByName(*policy, search.PolicyEnv{Intn: rng.New(*seed).Intn})
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	store := live.MapStore{}
-	for _, k := range splitInts(*keys) {
-		store.Add(core.Key(k))
-	}
-
-	transport := live.NewTCPTransport()
-	defer transport.Close()
-	for _, kv := range strings.Split(*peers, ",") {
-		if kv == "" {
-			continue
-		}
-		parts := strings.SplitN(kv, "=", 2)
-		if len(parts) != 2 {
-			fatalf("bad -peers entry %q (want id=addr)", kv)
-		}
-		pid, err := strconv.Atoi(parts[0])
-		if err != nil {
-			fatalf("bad peer id %q: %v", parts[0], err)
-		}
-		transport.SetAddr(topology.NodeID(pid), parts[1])
-	}
-
-	node := live.NewNode(live.Config{
-		ID:        topology.NodeID(*id),
-		Neighbors: *capacity,
-		TTL:       *ttl,
-		Transport: transport,
-		Store:     store,
-		Class:     parseClass(*class),
-		Forward:   forward,
-	})
-
-	bound, stopListen, err := live.Listen(*listen, node.Deliver)
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	defer stopListen()
-	node.Start()
-	defer node.Stop()
-
-	for _, nb := range splitInts(*neighbors) {
-		node.AddNeighbor(topology.NodeID(nb))
-	}
-	fmt.Printf("node %d listening on %s, serving %d keys, neighbors %v\n",
-		*id, bound, len(store), node.Neighbors())
-
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			fmt.Print("> ")
-			continue
-		}
-		switch fields[0] {
-		case "search":
-			if len(fields) != 2 {
-				fmt.Println("usage: search <key>")
-				break
-			}
-			k, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				fmt.Printf("bad key: %v\n", err)
-				break
-			}
-			hits := node.Search(core.Key(k), *timeout)
-			if len(hits) == 0 {
-				fmt.Println("NOT FOUND")
-			}
-			for _, h := range hits {
-				fmt.Printf("hit: node %d, %d hop(s), link %v\n", h.Holder, h.Hops, h.Class)
-			}
-		case "neighbors":
-			fmt.Println(node.Neighbors())
-		case "reconfigure":
-			node.Reconfigure()
-			time.Sleep(100 * time.Millisecond)
-			fmt.Println(node.Neighbors())
-		case "quit", "exit":
-			return
-		default:
-			fmt.Println("commands: search <key> | neighbors | reconfigure | quit")
-		}
-		fmt.Print("> ")
-	}
-	// Stdin closed without "quit": keep serving (daemon mode — the node
-	// still answers peers' queries). Interrupt to stop.
-	fmt.Println("stdin closed; serving until interrupted")
-	select {}
+	clientREPL(*addr, *timeout)
 }
 
-// clientREPL drives a running dsearchd over pkg/searchclient with the
-// same stdin command language as the local-node mode.
+// clientREPL drives a running dsearchd over pkg/searchclient.
 func clientREPL(addr string, timeout time.Duration) {
 	c := searchclient.New(addr)
 	ctx := context.Background()
@@ -250,37 +125,6 @@ func sortedKeys(m map[string]uint64) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// splitInts parses "1,2,3" (empty string allowed).
-func splitInts(s string) []int {
-	var out []int
-	for _, p := range strings.Split(s, ",") {
-		if p == "" {
-			continue
-		}
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			fatalf("bad integer list entry %q: %v", p, err)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// parseClass maps a flag value to a bandwidth class.
-func parseClass(s string) netsim.BandwidthClass {
-	switch strings.ToLower(s) {
-	case "56k", "modem":
-		return netsim.Modem56K
-	case "cable":
-		return netsim.Cable
-	case "lan":
-		return netsim.LAN
-	default:
-		fatalf("unknown bandwidth class %q", s)
-		panic("unreachable")
-	}
 }
 
 func fatalf(format string, args ...any) {

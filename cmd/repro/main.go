@@ -28,8 +28,9 @@
 // per-cell outputs land in <out>/<name>/cells.json (deterministic —
 // diff it across commits) and <out>/<name>/summary.json (timing and
 // failure metadata); experiments with wall-clock side measurements
-// (scale, churnserve) additionally write <out>/<name>/BENCH_<exp>.json
-// (machine-dependent — never diffed, tracked as the perf trajectory).
+// (scale, skew, churnserve, faults) additionally write
+// <out>/<name>/BENCH_<exp>.json (machine-dependent — never diffed,
+// never checked in).
 package main
 
 import (
@@ -124,8 +125,8 @@ func run() int {
 	}
 
 	if *policies {
-		// The policies experiment sweeps these; cmd/dsearch selects them
-		// with -policy. One registry backs both.
+		// The policies experiment sweeps these; dsearchd selects them by
+		// its policy setting and per query. One registry backs both.
 		fmt.Println(strings.Join(search.PolicyNames(), "\n"))
 		return 0
 	}

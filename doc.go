@@ -15,7 +15,7 @@
 // webcache, peerolap) — all of which search through the facade.
 // internal/runner shards independent experiment cells across a worker
 // pool with deterministic results at any worker count. cmd/repro
-// regenerates every figure of the paper's evaluation; bench_test.go in
-// this directory does the same under `go test -bench`. See README.md,
-// DESIGN.md and EXPERIMENTS.md.
+// regenerates every figure of the paper's evaluation; benchmarks/dbench
+// (a module of its own, run by benchmarks/run.sh) is the repository's
+// benchmark. See README.md, DESIGN.md and EXPERIMENTS.md.
 package repro

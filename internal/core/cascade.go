@@ -19,7 +19,7 @@ import (
 // exact as long as node state does not change during the (seconds-long)
 // life of one query — see DESIGN.md, substitution table.
 //
-// All per-query state (visited set, reverse routes, frontier heap,
+// All per-query state (visited set, reverse routes, frontier queue,
 // result buffers) lives in a Scratch of epoch-stamped flat slices; see
 // RunScratch for the pooled, allocation-free hot path.
 type Cascade struct {
@@ -70,7 +70,7 @@ func (c *Cascade) Run(q *Query) *Outcome {
 }
 
 // RunScratch is Run over caller-pooled working memory: the visited set,
-// frontier heap and result buffer all come from s and are reused across
+// frontier queue and result buffer all come from s and are reused across
 // cascades, so a steady-state query costs zero heap allocations beyond
 // the Outcome header. The returned outcome (its Results slice) aliases
 // s and is valid until the next RunScratch/ExploreScratch call with the
@@ -109,32 +109,7 @@ func (c *Cascade) RunScratch(q *Query, s *Scratch) *Outcome {
 	csr, fastGraph := c.Graph.(*topology.CSR)
 	_, fastFlood := c.Forward.(Flood)
 
-	// Visited-set variant: dense floods over big snapshots answer the
-	// membership question from a bitset (one bit per node) instead of
-	// the 24-byte slot array — duplicate arrivals, the bulk of a dense
-	// flood's queue traffic, then probe 512 nodes per cache line. The
-	// slot array still records the reverse routes; cascades with a
-	// local Index always stay on slots (the idxEpoch stamp lives
-	// there). Both variants realize identical semantics — see
-	// TestVisitedVariantsByteIdentical.
-	useBits := false
-	if c.Index == nil {
-		switch ForceVisited {
-		case VisitedAuto:
-			useBits = fastGraph && denseFlood(csr.Len(), csr.EdgeCount(), q.TTL, q.MaxResults)
-		case VisitedBits:
-			useBits = true
-		}
-	}
-
 	s.begin()
-	if useBits {
-		hint := 0
-		if fastGraph {
-			hint = csr.Len()
-		}
-		s.beginBits(hint)
-	}
 	out := &Outcome{Results: s.results[:0]}
 	defer func() {
 		// Keep the (possibly grown) buffer for the next cascade, and
@@ -149,9 +124,6 @@ func (c *Cascade) RunScratch(q *Query, s *Scratch) *Outcome {
 	origin := s.slot(q.Origin)
 	origin.epoch = s.epoch
 	origin.parent = topology.None
-	if useBits {
-		s.setBit(q.Origin)
-	}
 
 	send := func(from, to topology.NodeID, t float64, hops int32) {
 		out.Messages++
@@ -210,12 +182,7 @@ func (c *Cascade) RunScratch(q *Query, s *Scratch) *Outcome {
 			break
 		}
 		now := a.time
-		if useBits {
-			// Process_Query duplicate suppression, bitset representation.
-			if s.testBit(a.node) {
-				continue
-			}
-		} else if s.visited(a.node) {
+		if s.visited(a.node) {
 			continue // Process_Query: "if the same message has been received before, return"
 		}
 		if !fastGraph && !c.Graph.Online(a.node) {
@@ -223,9 +190,6 @@ func (c *Cascade) RunScratch(q *Query, s *Scratch) *Outcome {
 		}
 		st := s.slot(a.node)
 		st.epoch = s.epoch
-		if useBits {
-			s.setBit(a.node)
-		}
 		st.parent = a.from
 		st.forwardDelay = now
 		st.hops = a.hops

@@ -4,16 +4,14 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/eventq"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
-// Differential tests for the hot-path machinery this package gained in
-// the CSR/bucketed-queue PR: every fast path (frozen-snapshot graph,
-// devirtualized flood, bucketed event queue) must be byte-identical to
-// the generic path it replaces.
+// Differential tests for the hot-path machinery of this package: every
+// fast path (frozen-snapshot graph, devirtualized flood) must be
+// byte-identical to the generic path it replaces.
 
 // indirectFlood is Flood behind a different concrete type, so the
 // cascade's devirtualized flood check fails and the generic
@@ -33,8 +31,8 @@ func (indirectFlood) Select(q *Query, _, from topology.NodeID, out []topology.No
 func (indirectFlood) Name() string { return "flood-indirect" }
 
 // cascadeDelayModels are the hop-delay regimes the differentials sweep:
-// the sorted-run regime (zero, constant), the bucketed regime (netsim),
-// and the heap-fallback regime (heavy tail).
+// in-order arrivals (zero, constant), a bounded spread (netsim) and a
+// heavy tail.
 func cascadeDelayModels(s *rng.Stream) map[string]DelayFunc {
 	return map[string]DelayFunc{
 		"zero":     ZeroDelay,
@@ -69,27 +67,6 @@ func outcomesJSON(t *testing.T, c *Cascade, queries int) []byte {
 		t.Fatal(err)
 	}
 	return out
-}
-
-// TestBucketHeapByteIdentical: for every delay regime and a spread of
-// seeds, cascades running on the bucketed queue produce byte-identical
-// outcomes to cascades forced onto the binary-heap fallback.
-func TestBucketHeapByteIdentical(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42} {
-		for name := range cascadeDelayModels(rng.New(0)) {
-			run := func(forceHeap bool) []byte {
-				eventq.ForceHeapQueue = forceHeap
-				defer func() { eventq.ForceHeapQueue = false }()
-				g, content, s := randomCase(seed, 60, 4)
-				c := &Cascade{Graph: g, Content: content, Forward: Flood{},
-					Delay: cascadeDelayModels(s)[name]}
-				return outcomesJSON(t, c, 40)
-			}
-			if a, b := string(run(false)), string(run(true)); a != b {
-				t.Fatalf("seed %d delay %s: bucketed and heap outcomes differ:\n%s\n%s", seed, name, a, b)
-			}
-		}
-	}
 }
 
 // TestCSRSnapshotByteIdentical: cascades over a frozen CSR snapshot are

@@ -30,23 +30,9 @@ type Scratch struct {
 	epoch  uint32
 	visits []visitSlot
 
-	// bits is the dense-flood visited bitset: bit id set ⇔ id was
-	// visited in the current cascade. It replaces the per-arrival slot
-	// load of the epoch-stamped check when the cascade expects to touch
-	// a large fraction of a big network (see denseFlood): duplicate
-	// arrivals — the bulk of a flood's queue traffic — then probe one
-	// bit (512 nodes per cache line) instead of a 24-byte slot (2-3 per
-	// line). The slot array still records parent/hops/delay for visited
-	// nodes; bits only answer the membership question. Cleared wholesale
-	// at the start of each cascade that engages it (O(n/64) memclr —
-	// amortized by the dense visit count the heuristic requires).
-	bits []uint64
-
-	// queue orders in-flight query copies by (arrival time, push seq) —
-	// the monotone bucketed queue of internal/eventq, which realizes
-	// the exact total order of the historical binary heap (and falls
-	// back to one for unbucketable delay distributions), so cascades
-	// pop identical sequences whichever representation serves them.
+	// queue orders in-flight query copies by (arrival time, push seq):
+	// the exact total order of eventq.Queue, whichever representation
+	// of eventq.Monotone serves a cascade.
 	queue eventq.Monotone[arrivalPayload]
 
 	// Pooled result and working buffers, reused across cascades.
@@ -123,45 +109,6 @@ func (s *Scratch) slot(id topology.NodeID) *visitSlot {
 // visited reports whether id was processed in the current cascade.
 func (s *Scratch) visited(id topology.NodeID) bool {
 	return int(id) < len(s.visits) && s.visits[id].epoch == s.epoch
-}
-
-// beginBits opens the bitset for a cascade over (at least) n nodes:
-// every previously set bit is cleared and capacity for n is ensured, so
-// testBit/setBit never observe stale membership. Growth beyond n (the
-// generic-graph case, where ids are unbounded) happens in setBit; fresh
-// words come zeroed from make.
-func (s *Scratch) beginBits(n int) {
-	clear(s.bits)
-	s.ensureBits(n)
-}
-
-// ensureBits grows the bitset to cover node ids < n, zero-filled.
-func (s *Scratch) ensureBits(n int) {
-	need := (n + 63) / 64
-	if need <= len(s.bits) {
-		return
-	}
-	if need < 2*len(s.bits) {
-		need = 2 * len(s.bits)
-	}
-	grown := make([]uint64, need)
-	copy(grown, s.bits)
-	s.bits = grown
-}
-
-// setBit marks id visited in the bitset, growing it as needed.
-func (s *Scratch) setBit(id topology.NodeID) {
-	w := int(id) >> 6
-	if w >= len(s.bits) {
-		s.ensureBits(int(id) + 1)
-	}
-	s.bits[w] |= 1 << (uint(id) & 63)
-}
-
-// testBit reports bitset membership; ids beyond the array are unvisited.
-func (s *Scratch) testBit(id topology.NodeID) bool {
-	w := int(id) >> 6
-	return w < len(s.bits) && s.bits[w]&(1<<(uint(id)&63)) != 0
 }
 
 // arrivalPayload is the queue payload of one in-flight query copy; the

@@ -3,7 +3,9 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"time"
 )
@@ -205,13 +207,19 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("daemon: ttl %d exceeds the wire limit of 255", c.TTL)
 	case c.GossipFanout <= 0 || c.GossipIntervalMillis <= 0:
 		return fmt.Errorf("daemon: gossip fanout and interval must be positive")
+	case c.QueryWindowMillis <= 0 || c.DrainTimeoutMillis <= 0:
+		return fmt.Errorf("daemon: query_window_ms and drain_timeout_ms must be positive")
 	case c.BatchWorkers <= 0 || c.MaxBatch <= 0:
 		return fmt.Errorf("daemon: batch_workers and max_batch must be positive")
+	case c.FDSuspectRounds <= 0 || c.FDAmnestyRounds <= 0:
+		return fmt.Errorf("daemon: fd_suspect_rounds and fd_amnesty_rounds must be positive")
 	case c.FDEvictRounds <= c.FDSuspectRounds:
 		return fmt.Errorf("daemon: fd_evict_rounds %d must exceed fd_suspect_rounds %d",
 			c.FDEvictRounds, c.FDSuspectRounds)
 	case badRate(c.Faults.Drop) || badRate(c.Faults.Dup) || badRate(c.Faults.Reorder):
 		return fmt.Errorf("daemon: fault rates must lie in [0,1)")
+	case c.Faults.DelayMinMillis < 0:
+		return fmt.Errorf("daemon: negative fault delay min %dms", c.Faults.DelayMinMillis)
 	case c.Faults.DelayMaxMillis < c.Faults.DelayMinMillis:
 		return fmt.Errorf("daemon: fault delay max %dms < min %dms",
 			c.Faults.DelayMaxMillis, c.Faults.DelayMinMillis)
@@ -219,7 +227,8 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-func badRate(r float64) bool { return r < 0 || r >= 1 }
+// badRate is written so that NaN (which flag.Float64 parses) is bad.
+func badRate(r float64) bool { return !(r >= 0 && r < 1) }
 
 // GossipInterval, QueryWindow and DrainTimeout return the millisecond
 // fields as durations.
@@ -236,15 +245,28 @@ func (c *Config) DrainTimeout() time.Duration {
 // LoadConfig reads a JSON config file; unknown fields are errors so a
 // typo fails the boot instead of silently defaulting.
 func LoadConfig(path string) (Config, error) {
-	var c Config
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return c, fmt.Errorf("daemon: read config: %w", err)
+		return Config{}, fmt.Errorf("daemon: read config: %w", err)
 	}
+	c, err := parseConfig(data)
+	if err != nil {
+		return c, fmt.Errorf("daemon: parse config %s: %w", path, err)
+	}
+	return c, nil
+}
+
+// parseConfig decodes exactly one JSON object; anything after it is an
+// error, not a silently ignored second config.
+func parseConfig(data []byte) (Config, error) {
+	var c Config
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
-		return c, fmt.Errorf("daemon: parse config %s: %w", path, err)
+		return c, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return c, errors.New("trailing data after the config object")
 	}
 	return c, nil
 }

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,6 +36,12 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"short total", func(c *Config) { c.Total = 4; c.BaseID = 2 }, "total"},
 		{"bad transport", func(c *Config) { c.Transport = "udp" }, "transport"},
 		{"chan shard", func(c *Config) { c.Total = 16 }, "whole cluster"},
+		{"NaN fault rate", func(c *Config) { c.Faults.Drop = math.NaN() }, "fault rates"},
+		{"negative query window", func(c *Config) { c.QueryWindowMillis = -5 }, "query_window_ms"},
+		{"negative drain timeout", func(c *Config) { c.DrainTimeoutMillis = -1 }, "drain_timeout_ms"},
+		{"negative fault delay", func(c *Config) { c.Faults.DelayMinMillis = -3 }, "fault delay min"},
+		{"negative suspect rounds", func(c *Config) { c.FDSuspectRounds = -2 }, "fd_suspect_rounds"},
+		{"negative amnesty rounds", func(c *Config) { c.FDAmnestyRounds = -1 }, "fd_amnesty_rounds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,12 +72,18 @@ func TestLoadConfig(t *testing.T) {
 		t.Fatalf("unexpected config: %+v", c)
 	}
 
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"nodez": 12}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadConfig(bad); err == nil {
-		t.Fatal("unknown config field accepted")
+	for name, body := range map[string]string{
+		"unknown field":   `{"nodez": 12}`,
+		"trailing object": `{"nodes": 12} {"nodes": 99}`,
+		"trailing bytes":  `{"nodes": 12}]`,
+	} {
+		bad := filepath.Join(dir, "bad.json")
+		if err := os.WriteFile(bad, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadConfig(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -48,3 +48,41 @@ func FuzzDecodeBody(f *testing.F) {
 		roundTrip(new(searchclient.BatchQueryRequest), new(searchclient.BatchQueryRequest))
 	})
 }
+
+// FuzzLoadConfig feeds LoadConfig's decoder arbitrary bytes. It must
+// reject or accept — never panic — and a config that loads, defaults
+// and validates must be stable: marshalled and loaded again it is the
+// same config, defaulting it again changes nothing, and it still
+// validates, so the file a daemon would write of its own settings boots
+// the same daemon.
+func FuzzLoadConfig(f *testing.F) {
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := parseConfig(data)
+		if err != nil {
+			return
+		}
+		c.ApplyDefaults()
+		if c.Validate() != nil {
+			return
+		}
+		enc, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("accepted %q but cannot encode it: %v", data, err)
+		}
+		again, err := parseConfig(enc)
+		if err != nil {
+			t.Fatalf("accepted %q, rejected its own encoding %q: %v", data, enc, err)
+		}
+		if !reflect.DeepEqual(c, again) {
+			t.Fatalf("%q loaded to %+v, its encoding %q to %+v", data, c, enc, again)
+		}
+		again.ApplyDefaults()
+		if !reflect.DeepEqual(c, again) {
+			t.Fatalf("defaulting %+v twice gave %+v", c, again)
+		}
+		if err := again.Validate(); err != nil {
+			t.Fatalf("%q validated, its encoding %q did not: %v", data, enc, err)
+		}
+	})
+}

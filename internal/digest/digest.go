@@ -1,8 +1,8 @@
-// Package digest implements the summarized-information structures that
-// Algo 1 of the paper refers to ("use summary info if available") and
-// that Yang & Garcia-Molina's Local Indices technique requires: Bloom
-// filters over content keys (the cache-digest approach used by Squid),
-// and k-hop local indices that aggregate neighbors' digests.
+// Package digest implements the summarized-information structure that
+// Algo 1 of the paper refers to ("use summary info if available"):
+// Bloom filters over content keys (the cache-digest approach used by
+// Squid). The Local Indices technique of Yang & Garcia-Molina is
+// core.Index.
 //
 // Digests let a search policy skip neighbors that certainly do not hold
 // the requested key: Bloom filters have no false negatives, so skipping

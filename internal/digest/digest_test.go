@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/rng"
-	"repro/internal/topology"
 )
 
 func TestBloomNoFalseNegatives(t *testing.T) {
@@ -152,88 +151,6 @@ func TestQuickBloomNoFalseNegatives(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestLocalIndexPublishAndQuery(t *testing.T) {
-	ix := NewLocalIndex(2, 1000, 0.01)
-	d1 := NewBloom(1000, 0.01)
-	d1.Add(100)
-	d2 := NewBloom(1000, 0.01)
-	d2.Add(200)
-	ix.Publish(1, d1)
-	ix.Publish(2, d2)
-	if !ix.MayContain(100) || !ix.MayContain(200) {
-		t.Fatal("index lost published keys")
-	}
-	if ix.Peers() != 2 {
-		t.Fatalf("Peers = %d", ix.Peers())
-	}
-	if ix.Radius() != 2 {
-		t.Fatalf("Radius = %d", ix.Radius())
-	}
-}
-
-func TestLocalIndexHolders(t *testing.T) {
-	ix := NewLocalIndex(1, 1000, 0.001)
-	for peer := topology.NodeID(1); peer <= 3; peer++ {
-		d := NewBloom(1000, 0.001)
-		d.Add(Key(peer) * 1000)
-		ix.Publish(peer, d)
-	}
-	holders := ix.Holders(2000)
-	if len(holders) != 1 || holders[0] != 2 {
-		t.Fatalf("Holders = %v", holders)
-	}
-}
-
-func TestLocalIndexWithdraw(t *testing.T) {
-	ix := NewLocalIndex(1, 1000, 0.01)
-	d := NewBloom(1000, 0.01)
-	d.Add(77)
-	ix.Publish(1, d)
-	ix.Withdraw(1)
-	if ix.MayContain(77) {
-		t.Fatal("withdrawn peer's keys still indexed")
-	}
-	if ix.Peers() != 0 {
-		t.Fatal("peer count wrong after withdraw")
-	}
-	ix.Withdraw(99) // no-op must not panic
-}
-
-func TestLocalIndexRepublishReplaces(t *testing.T) {
-	ix := NewLocalIndex(1, 1000, 0.01)
-	d1 := NewBloom(1000, 0.01)
-	d1.Add(1)
-	ix.Publish(5, d1)
-	d2 := NewBloom(1000, 0.01)
-	d2.Add(2)
-	ix.Publish(5, d2)
-	if ix.MayContain(1) {
-		t.Fatal("republish did not replace old digest")
-	}
-	if !ix.MayContain(2) {
-		t.Fatal("republish lost new digest")
-	}
-}
-
-func TestLocalIndexPublishClones(t *testing.T) {
-	ix := NewLocalIndex(1, 1000, 0.01)
-	d := NewBloom(1000, 0.01)
-	ix.Publish(1, d)
-	d.Add(42) // mutate after publish
-	if ix.MayContain(42) {
-		t.Fatal("index aliases the published digest")
-	}
-}
-
-func TestLocalIndexNegativeRadiusPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative radius did not panic")
-		}
-	}()
-	NewLocalIndex(-1, 100, 0.01)
 }
 
 func BenchmarkBloomAdd(b *testing.B) {

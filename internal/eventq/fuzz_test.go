@@ -35,19 +35,18 @@ func (r *fuzzRef) reset() { r.entries = r.entries[:0]; r.seq = 0 }
 
 // delayScales maps the two scale bits of an op byte to a delay unit.
 // The spread — sub-millisecond to 1e7 — is what drives the queue
-// through every representation: tight scales stay in the sorted run,
-// mixed scales spill to buckets, and the huge one forces re-bucketing
-// and the heap fallback.
+// through both representations: a single scale in order stays in the
+// sorted run, mixed scales invert and, once enough is pending, hand
+// off to the heap.
 var delayScales = [4]float64{0.001, 0.13, 37, 1e7}
 
 // FuzzMonotoneOrder feeds one arbitrary (but contract-respecting)
-// push/pop/reset sequence to three queues at once — a Monotone on its
-// adaptive run/buckets path, a Monotone pinned to its binary-heap
-// fallback (ForceHeapQueue), and the naive reference — and requires all
-// three to pop identical (time, value) sequences, mid-stream and on the
-// final drain. This is the fuzz extension of the differential suites:
-// whatever representation an arbitrary delay distribution lands the
-// queue in, the exact (time, seq) total order must survive.
+// push/pop/reset sequence to a Monotone and to the naive reference, and
+// requires both to pop identical (time, value) sequences, mid-stream
+// and on the final drain. This is the fuzz extension of the
+// differential suite: whichever representation an arbitrary delay
+// distribution lands the queue in, the exact (time, seq) total order
+// must survive.
 //
 // Input grammar: two bytes per operation. Low two bits of the first
 // byte select the op (0/1 push, 2 reset, 3 pop); bits 2-3 select the
@@ -60,8 +59,8 @@ func FuzzMonotoneOrder(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x03, 0x00})
 	// Small mixed delays with interleaved pops: binary-insert run path.
 	f.Add([]byte{0x00, 0x05, 0x04, 0x01, 0x00, 0x09, 0x03, 0x00, 0x04, 0x02, 0x03, 0x00})
-	// A burst big enough to spill to buckets, then a huge-scale push
-	// (far beyond the bucket window), then a full drain.
+	// A burst big enough to hand off to the heap, then a huge-scale
+	// push, then a full drain.
 	f.Add(func() []byte {
 		var b []byte
 		for i := 0; i < 80; i++ {
@@ -80,10 +79,6 @@ func FuzzMonotoneOrder(f *testing.F) {
 		if len(data) > 4096 {
 			t.Skip("bounded: the reference pop is quadratic")
 		}
-		defer func(prev bool) { ForceHeapQueue = prev }(ForceHeapQueue)
-		ForceHeapQueue = true
-		heapQ := NewMonotone[uint32](0)
-		ForceHeapQueue = false
 		adaptive := NewMonotone[uint32](0)
 		ref := &fuzzRef{}
 
@@ -92,20 +87,16 @@ func FuzzMonotoneOrder(f *testing.F) {
 
 		popCheck := func(where string) {
 			at, av, aok := adaptive.Pop()
-			ht, hv, hok := heapQ.Pop()
 			rt, rv, rok := ref.pop()
-			if aok != rok || hok != rok {
-				t.Fatalf("%s: ok diverged: adaptive=%v heap=%v ref=%v", where, aok, hok, rok)
+			if aok != rok {
+				t.Fatalf("%s: ok diverged: adaptive=%v ref=%v", where, aok, rok)
 			}
 			if !rok {
 				return
 			}
 			if at != rt || av != rv {
-				t.Fatalf("%s: adaptive (t=%v v=%d, mode=%s) != ref (t=%v v=%d)",
-					where, at, av, adaptive.Mode(), rt, rv)
-			}
-			if ht != rt || hv != rv {
-				t.Fatalf("%s: heap (t=%v v=%d) != ref (t=%v v=%d)", where, ht, hv, rt, rv)
+				t.Fatalf("%s: adaptive (t=%v v=%d, heaped=%v) != ref (t=%v v=%d)",
+					where, at, av, adaptive.heaped, rt, rv)
 			}
 			now = rt
 		}
@@ -117,21 +108,18 @@ func FuzzMonotoneOrder(f *testing.F) {
 				popCheck("mid-stream")
 			case 2:
 				adaptive.Reset()
-				heapQ.Reset()
 				ref.reset()
 				now = 0
 			default:
 				d := float64(mag) * delayScales[(op>>2)&0x3]
 				adaptive.Push(now+d, nextVal)
-				heapQ.Push(now+d, nextVal)
 				ref.push(now+d, nextVal)
 				nextVal++
 			}
 		}
 
-		if adaptive.Len() != len(ref.entries) || heapQ.Len() != len(ref.entries) {
-			t.Fatalf("pending diverged: adaptive=%d heap=%d ref=%d",
-				adaptive.Len(), heapQ.Len(), len(ref.entries))
+		if adaptive.Len() != len(ref.entries) {
+			t.Fatalf("pending diverged: adaptive=%d ref=%d", adaptive.Len(), len(ref.entries))
 		}
 		for len(ref.entries) > 0 {
 			popCheck("drain")

@@ -1,69 +1,41 @@
 package eventq
 
-import "math"
-
-// Monotone is a calendar-queue-style bucketed priority queue for
-// *monotone* event streams: every Push time must be >= the time of the
-// last Pop (delays are non-negative, so a cascade's arrival times never
-// run backwards). It implements exactly the (time, seq) total order of
-// Queue — ties in time break by insertion order — so a consumer popping
-// from a Monotone sees the same sequence it would from a binary heap,
-// but pays O(1) per operation on the common paths instead of O(log n)
-// sift work.
+// Monotone is the cascade's frontier queue: a value-typed priority
+// queue tuned for *monotone* event streams, where every Push time is >=
+// the time of the last Pop (delays are non-negative, so a cascade's
+// arrival times never run backwards). It implements exactly the
+// (time, seq) total order of Queue — ties in time break by insertion
+// order — so a consumer popping from a Monotone sees the same sequence
+// it would from Queue, without an allocation per item and, on the
+// common path, without sift work.
 //
-// The queue moves through three internal representations, always
-// forward, reset per use:
+// The queue has two internal representations, moving forward only,
+// reset per use:
 //
-//   - sorted run: items live in one sorted slice, appended at the tail
-//     (zero and constant delay models always append — pure FIFO) or
-//     binary-inserted while the frontier is small, popped from the
-//     head.
-//   - buckets: when an out-of-order push finds a large pending set,
-//     the run is redistributed into fixed-width time buckets (width
-//     calibrated from the observed hop-delay scale, re-widened
-//     geometrically if outgrown); each bucket is kept sorted by
-//     (time, seq) with an append fast path, and pops walk the buckets
-//     in order. Monotonicity guarantees the minimum always lives in
-//     the lowest non-empty bucket, so pops never search globally.
-//   - heap fallback: when a push's time lands beyond maxBuckets bucket
-//     widths (an unbucketable delay distribution: enormous spread or
-//     near-zero span inflating 1/width), everything pending is
-//     heapified once and the queue degrades to the classic binary heap
-//     for the rest of the run. Order is unchanged — the heap implements
-//     the same (time, seq) order — only the constant factors move.
+//   - sorted run: pending items live in one sorted slice, appended at
+//     the tail (zero and constant delay models always append — pure
+//     FIFO) or binary-inserted while the frontier is small, popped from
+//     the head in O(1).
+//   - heap: when an out-of-order push finds more than runInsertMax
+//     items pending, the run — sorted, hence already a valid binary
+//     heap — carries on as a min-heap on (time, seq) for the rest of
+//     the run.
 //
-// Because all three representations realize one total order, switching
-// between them is invisible to the consumer: outcomes are byte-identical
-// whichever representation served a given run (asserted by the
-// differential tests in this package and in internal/core).
+// Both realize one total order, so the switch is invisible to the
+// consumer: the order is exact for any sequence of pushes, monotone or
+// not. A NaN time compares unordered; where it (and its neighbours)
+// pop is then unspecified, but every pushed item still pops exactly
+// once.
 //
 // A Monotone is not safe for concurrent use, exactly like Queue.
 type Monotone[T any] struct {
-	mode   monoMode
 	seq    uint64
-	size   int
-	last   float64 // time of the last Pop: the monotone floor for pushes
-	maxLag float64 // max (push time - last) seen: the hop-delay scale
-	regrew int     // re-bucketing rounds this run (bounded; then heap)
+	heaped bool
 
-	// Sorted-run state: run[head:] is pending, sorted by (time, seq).
-	run  []monoEntry[T]
-	head int
-
-	// Bucket state. Bucket i spans [start + i*width, start + (i+1)*width);
-	// buckets[i][heads[i]:] is pending, sorted by (time, seq). cur is
-	// the lowest bucket that may hold pending items; [usedLo, usedHi]
-	// is the range of buckets filed into this run, so short cascades
-	// clear a handful of buckets at Reset, not the whole array.
-	width, invWidth float64
-	start           float64
-	buckets         [][]monoEntry[T]
-	heads           []int
-	cur             int
-	usedLo, usedHi  int
-
-	// Heap-fallback state: a binary min-heap on (time, seq).
-	heap []monoEntry[T]
+	// items[head:] is pending: sorted by (time, seq) until heaped, a
+	// binary min-heap (with head == 0) after.
+	items []monoEntry[T]
+	head  int
 }
 
 type monoEntry[T any] struct {
@@ -72,331 +44,101 @@ type monoEntry[T any] struct {
 	v    T
 }
 
-type monoMode uint8
-
-const (
-	monoRun monoMode = iota
-	monoBuckets
-	monoHeap
-)
-
 // runInsertMax is the largest pending count the sorted run absorbs
 // out-of-order pushes into by binary insert; beyond it, an inversion
-// spills to buckets. Small frontiers (shallow TTLs, sparse fan-out)
-// never leave the run, paying one short memmove instead of bucket
-// bookkeeping.
+// moves the queue to the heap. Small frontiers (shallow TTLs, sparse
+// fan-out) never leave the run, paying one short memmove instead of
+// sift work.
 const runInsertMax = 64
 
-// bucketsPerDelay is how many buckets one delay-depth is split into
-// when the queue leaves the sorted run. The delay depth (the pending
-// horizon beyond the last pop) estimates the per-hop delay scale, so
-// buckets hold roughly a fan-out's worth of events divided by
-// bucketsPerDelay — short enough that sorted inserts are appends or
-// tiny memmoves.
-const bucketsPerDelay = 32
-
-// maxBuckets bounds the bucket array; a push that would index beyond it
-// triggers the heap fallback. At the default width this covers a
-// cascade ~512 delay-depths deep — far beyond any TTL-bounded search —
-// so only genuinely unbucketable distributions (spreads that dwarf the
-// initial delay estimate) degrade.
-const maxBuckets = 1 << 14
-
-// ForceHeapQueue, when true, makes every Monotone start (at Reset/first
-// use) in its binary-heap fallback. It exists for the differential
-// tests asserting bucketed and heap-ordered runs produce byte-identical
-// outcomes; production code never sets it.
-var ForceHeapQueue bool
-
-// NewMonotone returns an empty queue whose sorted run is pre-sized to
-// hold hint items without growing; hint <= 0 allocates lazily.
+// NewMonotone returns an empty queue pre-sized to hold hint items
+// without growing; hint <= 0 allocates lazily.
 func NewMonotone[T any](hint int) *Monotone[T] {
 	q := &Monotone[T]{}
-	if hint > 0 {
-		q.run = make([]monoEntry[T], 0, hint)
-	}
-	q.Reset()
+	q.Grow(hint)
 	return q
 }
 
 // Len returns the number of pending items.
-func (q *Monotone[T]) Len() int { return q.size }
+func (q *Monotone[T]) Len() int { return len(q.items) - q.head }
 
-// Grow ensures the sorted run can hold at least hint items without
+// Grow ensures the queue can hold at least hint items without
 // reallocating — the pre-sizing hook for pooled owners (core.Scratch).
 func (q *Monotone[T]) Grow(hint int) {
-	if hint <= cap(q.run) {
+	if hint <= cap(q.items) {
 		return
 	}
-	grown := make([]monoEntry[T], len(q.run), hint)
-	copy(grown, q.run)
-	q.run = grown
+	grown := make([]monoEntry[T], len(q.items), hint)
+	copy(grown, q.items)
+	q.items = grown
 }
 
-// Mode reports the current internal representation ("run", "buckets" or
-// "heap") — observability for tests and diagnostics only.
-func (q *Monotone[T]) Mode() string {
-	switch q.mode {
-	case monoRun:
-		return "run"
-	case monoBuckets:
-		return "buckets"
-	default:
-		return "heap"
-	}
-}
-
-// Reset empties the queue, retaining every backing array for reuse.
+// Reset empties the queue, retaining its backing array for reuse.
 // Sequence numbers restart at zero, so a Reset queue reproduces the
 // exact pop order of a fresh one for the same push sequence.
 func (q *Monotone[T]) Reset() {
 	q.seq = 0
-	q.size = 0
-	q.last = 0
-	q.maxLag = 0
-	q.regrew = 0
-	q.run = q.run[:0]
+	q.heaped = false
+	q.items = q.items[:0]
 	q.head = 0
-	q.clearUsedBuckets()
-	q.cur = 0
-	q.heap = q.heap[:0]
-	q.mode = monoRun
-	if ForceHeapQueue {
-		q.mode = monoHeap
-	}
 }
 
-// clearUsedBuckets empties exactly the buckets filed into since the
-// last clear — short cascades touch a handful, so Reset stays O(events)
-// rather than O(bucket array).
-func (q *Monotone[T]) clearUsedBuckets() {
-	// The i < len guard keeps the zero value (usedLo == usedHi == 0
-	// with no bucket array yet) safe.
-	for i := q.usedLo; i <= q.usedHi && i < len(q.buckets); i++ {
-		q.buckets[i] = q.buckets[i][:0]
-		q.heads[i] = 0
-	}
-	q.usedLo, q.usedHi = maxBuckets, -1
-}
-
-// Push schedules v at time t. t must be >= the time of the last Pop
-// (the monotonicity contract); violating it corrupts the pop order.
+// Push schedules v at time t.
 func (q *Monotone[T]) Push(t float64, v T) {
 	e := monoEntry[T]{time: t, seq: q.seq, v: v}
 	q.seq++
-	q.size++
-	if lag := t - q.last; lag > q.maxLag {
-		// Pushes happen at "now" == the last popped time, so the lag is
-		// the event's scheduling delay; its maximum calibrates the
-		// bucket width when the sorted run ends.
-		q.maxLag = lag
-	}
-	switch q.mode {
-	case monoRun:
-		n := len(q.run)
-		if n == q.head || t >= q.run[n-1].time {
-			q.run = append(q.run, e)
-			return
-		}
-		if n-q.head <= runInsertMax {
-			// Small frontier: a binary insert into the sorted run beats
-			// any bucket machinery — one short memmove, O(1) pops.
-			lo, hi := q.head, n
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if entryLess(e, q.run[mid]) {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			q.run = append(q.run, monoEntry[T]{})
-			copy(q.run[lo+1:], q.run[lo:])
-			q.run[lo] = e
-			return
-		}
-		q.toBuckets(e)
-	case monoBuckets:
-		q.bucketPush(e)
-	default:
+	if q.heaped {
 		q.heapPush(e)
+		return
 	}
+	n := len(q.items)
+	if n == q.head || t >= q.items[n-1].time {
+		q.items = append(q.items, e)
+		return
+	}
+	if n-q.head <= runInsertMax {
+		// Small frontier: a binary insert into the sorted run beats any
+		// sift work — one short memmove, O(1) pops.
+		lo, hi := q.head, n
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if entryLess(e, q.items[mid]) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		q.items = append(q.items, monoEntry[T]{})
+		copy(q.items[lo+1:], q.items[lo:])
+		q.items[lo] = e
+		return
+	}
+	// Large frontier: slide the pending run to index 0, where a sorted
+	// slice is a heap as it stands, and sift the newcomer up.
+	q.items = q.items[:copy(q.items, q.items[q.head:])]
+	q.head = 0
+	q.heaped = true
+	q.heapPush(e)
 }
 
 // Pop removes and returns the pending item with the least (time, seq),
 // reporting ok=false when the queue is empty.
 func (q *Monotone[T]) Pop() (t float64, v T, ok bool) {
-	if q.size == 0 {
+	if q.head == len(q.items) {
 		var zero T
 		return 0, zero, false
 	}
-	q.size--
-	switch q.mode {
-	case monoRun:
-		e := q.run[q.head]
-		q.head++
-		if q.head == len(q.run) { // drained: reclaim the buffer in O(1)
-			q.run = q.run[:0]
-			q.head = 0
-		}
-		q.last = e.time
-		return e.time, e.v, true
-	case monoBuckets:
-		for q.heads[q.cur] == len(q.buckets[q.cur]) {
-			q.cur++
-		}
-		e := q.buckets[q.cur][q.heads[q.cur]]
-		q.heads[q.cur]++
-		q.last = e.time
-		return e.time, e.v, true
-	default:
+	if q.heaped {
 		e := q.heapPop()
-		q.last = e.time
 		return e.time, e.v, true
 	}
-}
-
-// toBuckets leaves the sorted run: the pending items plus the
-// out-of-order newcomer are redistributed into buckets. The width is
-// the hop-delay scale observed so far (the max push lag, necessarily
-// positive when an inversion occurred) split into bucketsPerDelay
-// buckets; re-bucketing widens it geometrically if the run outgrows
-// the window.
-func (q *Monotone[T]) toBuckets(e monoEntry[T]) {
-	pending := q.run[q.head:]
-	// The window floor is the monotone floor itself: no push can ever
-	// land below the last popped time, so bucket indices stay >= 0 even
-	// for later pushes of the same fan-out burst as e.
-	q.start = q.last
-	q.width = q.maxLag / bucketsPerDelay
-	q.invWidth = 1 / q.width
-	q.cur = maxBuckets // the first filing clamps it to its bucket
-	q.mode = monoBuckets
-	q.bucketPush(e)
-	for _, p := range pending {
-		if q.mode != monoBuckets { // a redistribution overflowed to heap
-			q.heapPush(p)
-			continue
-		}
-		q.bucketPush(p)
+	e := q.items[q.head]
+	q.head++
+	if q.head == len(q.items) { // drained: reclaim the buffer in O(1)
+		q.items = q.items[:0]
+		q.head = 0
 	}
-	q.run = q.run[:0]
-	q.head = 0
-}
-
-// bucketPush files e into its time bucket, keeping the bucket sorted by
-// (time, seq). Out-of-window times re-bucket with a wider width, and
-// genuinely unbucketable ones degrade the queue to the heap.
-func (q *Monotone[T]) bucketPush(e monoEntry[T]) {
-	f := (e.time - q.start) * q.invWidth
-	if !(f >= 0) { // NaN-proof: catches NaN and below-window times
-		q.toHeap(e)
-		return
-	}
-	if f >= maxBuckets {
-		q.rebucket(e)
-		return
-	}
-	idx := int(f)
-	for idx >= len(q.buckets) {
-		q.buckets = append(q.buckets, nil)
-		q.heads = append(q.heads, 0)
-	}
-	if idx < q.cur {
-		// Monotonicity puts e no earlier than the last pop, which lived
-		// in a bucket q.cur may since have advanced past; re-open it.
-		q.cur = idx
-	}
-	if idx < q.usedLo {
-		q.usedLo = idx
-	}
-	if idx > q.usedHi {
-		q.usedHi = idx
-	}
-	b := q.buckets[idx]
-	if cap(b) == 0 {
-		// First use of this bucket: skip the 1-2-4 growth chain — the
-		// steady occupancy is a fan-out's worth of events.
-		b = make([]monoEntry[T], 0, 8)
-	}
-	if n := len(b); n == q.heads[idx] || !entryLess(e, b[n-1]) {
-		q.buckets[idx] = append(b, e)
-		return
-	}
-	// Binary insert above the bucket's pop cursor (everything below it
-	// is already popped and dead).
-	lo, hi := q.heads[idx], len(b)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if entryLess(e, b[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	b = append(b, monoEntry[T]{})
-	copy(b[lo+1:], b[lo:])
-	b[lo] = e
-	q.buckets[idx] = b
-}
-
-// maxRegrow bounds re-bucketing rounds per run; a distribution that
-// keeps outgrowing geometrically widened windows is heap business.
-const maxRegrow = 8
-
-// rebucket widens the window to cover e and everything pending —
-// filling half the bucket range, so the width grows at least
-// geometrically — and redistributes. Distributions that defeat even
-// that (or non-finite times) degrade to the heap.
-func (q *Monotone[T]) rebucket(e monoEntry[T]) {
-	q.regrew++
-	if q.regrew > maxRegrow || math.IsInf(e.time, 0) {
-		q.toHeap(e)
-		return
-	}
-	spill := q.run[:0] // the run buffer is idle in bucket mode
-	top := e.time
-	for i := q.usedLo; i <= q.usedHi; i++ {
-		for _, p := range q.buckets[i][q.heads[i]:] {
-			if p.time > top {
-				top = p.time
-			}
-			spill = append(spill, p)
-		}
-		q.buckets[i] = q.buckets[i][:0]
-		q.heads[i] = 0
-	}
-	q.usedLo, q.usedHi = maxBuckets, -1
-	q.cur = maxBuckets
-	q.width = (top - q.start) / (maxBuckets / 2)
-	q.invWidth = 1 / q.width
-	q.bucketPush(e) // cannot overflow: top maps to maxBuckets/2
-	for _, p := range spill {
-		if q.mode != monoBuckets {
-			q.heapPush(p)
-			continue
-		}
-		q.bucketPush(p)
-	}
-	q.run = spill[:0] // keep the (possibly grown) spill capacity pooled
-}
-
-// toHeap abandons the buckets: every pending item plus e is heapified
-// once and the queue runs on the binary heap from here on.
-func (q *Monotone[T]) toHeap(e monoEntry[T]) {
-	q.heap = append(q.heap[:0], e)
-	if q.mode == monoBuckets {
-		for i := q.usedLo; i <= q.usedHi; i++ {
-			q.heap = append(q.heap, q.buckets[i][q.heads[i]:]...)
-			q.buckets[i] = q.buckets[i][:0]
-			q.heads[i] = 0
-		}
-		q.usedLo, q.usedHi = maxBuckets, -1
-	}
-	q.mode = monoHeap
-	for i := len(q.heap)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
+	return e.time, e.v, true
 }
 
 func entryLess[T any](a, b monoEntry[T]) bool {
@@ -407,23 +149,23 @@ func entryLess[T any](a, b monoEntry[T]) bool {
 }
 
 func (q *Monotone[T]) heapPush(e monoEntry[T]) {
-	q.heap = append(q.heap, e)
-	i := len(q.heap) - 1
+	q.items = append(q.items, e)
+	i := len(q.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !entryLess(q.heap[i], q.heap[parent]) {
+		if !entryLess(q.items[i], q.items[parent]) {
 			break
 		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
+		q.items[i], q.items[parent] = q.items[parent], q.items[i]
 		i = parent
 	}
 }
 
 func (q *Monotone[T]) heapPop() monoEntry[T] {
-	e := q.heap[0]
-	n := len(q.heap) - 1
-	q.heap[0] = q.heap[n]
-	q.heap = q.heap[:n]
+	e := q.items[0]
+	n := len(q.items) - 1
+	q.items[0] = q.items[n]
+	q.items = q.items[:n]
 	if n > 0 {
 		q.siftDown(0)
 	}
@@ -431,20 +173,20 @@ func (q *Monotone[T]) heapPop() monoEntry[T] {
 }
 
 func (q *Monotone[T]) siftDown(i int) {
-	n := len(q.heap)
+	n := len(q.items)
 	for {
 		left := 2*i + 1
 		if left >= n {
 			return
 		}
 		smallest := left
-		if right := left + 1; right < n && entryLess(q.heap[right], q.heap[left]) {
+		if right := left + 1; right < n && entryLess(q.items[right], q.items[left]) {
 			smallest = right
 		}
-		if !entryLess(q.heap[smallest], q.heap[i]) {
+		if !entryLess(q.items[smallest], q.items[i]) {
 			return
 		}
-		q.heap[i], q.heap[smallest] = q.heap[smallest], q.heap[i]
+		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
 		i = smallest
 	}
 }

@@ -39,16 +39,25 @@ var delayModels = map[string]func(g *lcg) float64{
 	"constant": func(*lcg) float64 { return 0.125 },
 	"netsim":   func(g *lcg) float64 { return 0.070 + 0.280*g.float() },
 	"tiny-spread": func(g *lcg) float64 {
-		return 0.1 + 1e-9*g.float() // near-identical delays: degenerate width
+		return 0.1 + 1e-9*g.float() // near-identical delays
 	},
 	"heavy-tail": func(g *lcg) float64 {
 		d := 0.01 + 0.04*g.float()
 		if g.next()%64 == 0 {
-			d *= 1e5 // occasional enormous delay: forces the heap fallback
+			d *= 1e5 // occasional enormous delay
 		}
 		return d
 	},
 	"micro": func(g *lcg) float64 { return 1e-7 * g.float() },
+	// A spread wide enough that inversions keep coming once the frontier
+	// has outgrown runInsertMax — the run → heap hand-off — with the odd
+	// copy that never arrives.
+	"wide-frontier": func(g *lcg) float64 {
+		if g.next()%128 == 0 {
+			return math.Inf(1)
+		}
+		return 10 * g.float()
+	},
 }
 
 // driveCascade emulates the cascade's push/pop pattern: a seed burst,
@@ -81,11 +90,14 @@ func driveCascade(t *testing.T, push func(float64, int), pop func() (float64, in
 	return times, vals
 }
 
-// TestMonotoneMatchesHeapOrder: under every delay model, the bucketed
-// queue pops the exact sequence the reference binary heap does.
+// TestMonotoneMatchesHeapOrder: under every delay model, Monotone pops
+// the exact sequence the reference binary heap does — from the run
+// alone where pushes arrive in order, across the hand-off to the heap
+// where they do not.
 func TestMonotoneMatchesHeapOrder(t *testing.T) {
 	for name, delay := range delayModels {
 		t.Run(name, func(t *testing.T) {
+			handoffs := 0
 			for seed := uint64(1); seed <= 20; seed++ {
 				m := NewMonotone[int](0)
 				ref := &refQueue{q: New()}
@@ -96,10 +108,19 @@ func TestMonotoneMatchesHeapOrder(t *testing.T) {
 				}
 				for i := range mt {
 					if mt[i] != rt[i] || mv[i] != rv[i] {
-						t.Fatalf("seed %d pop %d: (%v, %d) vs reference (%v, %d) [mode %s]",
-							seed, i, mt[i], mv[i], rt[i], rv[i], m.Mode())
+						t.Fatalf("seed %d pop %d: (%v, %d) vs reference (%v, %d) [heaped %v]",
+							seed, i, mt[i], mv[i], rt[i], rv[i], m.heaped)
 					}
 				}
+				if m.heaped {
+					handoffs++
+				}
+			}
+			if inOrder := name == "zero" || name == "constant"; inOrder && handoffs > 0 {
+				t.Errorf("in-order pushes left the run on %d seeds", handoffs)
+			}
+			if name == "wide-frontier" && handoffs == 0 {
+				t.Error("no seed reached the run → heap hand-off")
 			}
 		})
 	}
@@ -130,15 +151,12 @@ func TestMonotoneReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestMonotoneModes pins the representation transitions: sorted (and
-// small out-of-order) pushes stay in the run, a large-frontier
-// inversion moves to buckets, and a runaway spread degrades to the
-// heap — with the pop order exact throughout.
+// TestMonotoneModes pins the representation hand-off: sorted (and
+// small out-of-order) pushes stay in the run, a large-frontier inversion
+// moves to the heap, and a Reset returns to the run — with the pop order
+// exact throughout, ±Inf times included.
 func TestMonotoneModes(t *testing.T) {
 	q := NewMonotone[int](0)
-	if q.Mode() != "run" {
-		t.Fatalf("fresh queue in mode %s, want run", q.Mode())
-	}
 	type entry struct {
 		t float64
 		v int
@@ -152,36 +170,34 @@ func TestMonotoneModes(t *testing.T) {
 	push(2, 1)
 	push(2, 2)   // ties append
 	push(1.5, 3) // small-frontier inversion: binary insert, still the run
-	if q.Mode() != "run" {
-		t.Fatalf("small inversion left the run: %s", q.Mode())
+	if q.heaped {
+		t.Fatal("small inversion left the run")
 	}
+	if tm, v, _ := q.Pop(); tm != 1 || v != 0 { // the hand-off must slide a popped head away
+		t.Fatalf("first pop = (%v, %d), want (1, 0)", tm, v)
+	}
+	want = want[1:]
 	// Grow the pending set beyond the run-insert bound, then invert.
 	v := 4
 	for ; v < 4+runInsertMax; v++ {
 		push(3+float64(v)/1000, v)
 	}
+	if q.heaped {
+		t.Fatal("in-order pushes left the run")
+	}
 	push(2.5, v)
 	v++
-	if q.Mode() != "buckets" {
-		t.Fatalf("large-frontier inversion did not bucket: %s", q.Mode())
+	if !q.heaped {
+		t.Fatal("large-frontier inversion did not move to the heap")
 	}
-	push(1e9, v) // far beyond the window: re-buckets with a wider width
-	v++
-	if q.Mode() != "buckets" {
-		t.Fatalf("out-of-window push did not re-bucket: %s", q.Mode())
-	}
-	// A spread that keeps outgrowing geometrically widened windows
-	// exhausts the re-bucketing budget and degrades to the heap.
-	next := 1e13
-	for q.Mode() == "buckets" && v < 200 {
-		push(next, v)
-		next *= 1e4
-		v++
-	}
-	if q.Mode() != "heap" {
-		t.Fatal("runaway spread never degraded to heap")
-	}
+	push(math.Inf(1), v)
+	push(1e9, v+1)
+	push(math.Inf(-1), v+2)
+	push(math.Inf(1), v+3)
 	sort.SliceStable(want, func(i, j int) bool { return want[i].t < want[j].t })
+	if q.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", q.Len(), len(want))
+	}
 	for i, w := range want {
 		tm, got, ok := q.Pop()
 		if !ok || tm != w.t || got != w.v {
@@ -191,45 +207,43 @@ func TestMonotoneModes(t *testing.T) {
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("pop from empty queue reported ok")
 	}
+	q.Reset()
+	if q.heaped {
+		t.Fatal("Reset did not return to the run")
+	}
 }
 
-// TestMonotoneNaNDegrades: a NaN time cannot be bucketed; the queue
-// must degrade instead of corrupting its index arithmetic.
+// TestMonotoneNaNDegrades: a NaN time has no place in the order, but it
+// must not cost the queue an item or an index: pushed into the run, at
+// the hand-off and into the heap, every value still pops exactly once.
 func TestMonotoneNaNDegrades(t *testing.T) {
 	q := NewMonotone[int](0)
+	q.Push(math.NaN(), -1) // into the run
 	for v := 0; v <= runInsertMax; v++ {
 		q.Push(2+float64(v)/1000, v)
 	}
-	q.Push(1, -1) // large-frontier inversion: to buckets
-	if q.Mode() != "buckets" {
-		t.Fatalf("setup failed: mode %s, want buckets", q.Mode())
+	q.Push(math.NaN(), -2) // large-frontier, unordered: the hand-off itself
+	if !q.heaped {
+		t.Fatal("NaN push at a large frontier left the run")
 	}
-	q.Push(math.NaN(), -2)
-	if q.Mode() != "heap" {
-		t.Fatalf("NaN push left mode %s, want heap", q.Mode())
+	q.Push(1, -3)
+	q.Push(math.NaN(), -4) // into the heap
+	if n := q.Len(); n != runInsertMax+5 {
+		t.Fatalf("Len = %d, want %d", n, runInsertMax+5)
 	}
-	if n := q.Len(); n != runInsertMax+3 {
-		t.Fatalf("Len = %d, want %d", n, runInsertMax+3)
-	}
-}
-
-// TestMonotoneForceHeap: the differential-test hook starts the queue on
-// the heap and produces the same order.
-func TestMonotoneForceHeap(t *testing.T) {
-	ForceHeapQueue = true
-	defer func() { ForceHeapQueue = false }()
-	q := NewMonotone[int](0)
-	if q.Mode() != "heap" {
-		t.Fatalf("ForceHeapQueue ignored: mode %s", q.Mode())
-	}
-	delay := delayModels["netsim"]
-	ref := &refQueue{q: New()}
-	mt, mv := driveCascade(t, q.Push, q.Pop, 7, delay, 300)
-	rt, rv := driveCascade(t, func(tm float64, v int) { ref.push(tm, v) }, ref.pop, 7, delay, 300)
-	for i := range mt {
-		if mt[i] != rt[i] || mv[i] != rv[i] {
-			t.Fatalf("forced heap diverged at pop %d", i)
+	seen := map[int]bool{}
+	for {
+		_, v, ok := q.Pop()
+		if !ok {
+			break
 		}
+		if seen[v] {
+			t.Fatalf("value %d popped twice", v)
+		}
+		seen[v] = true
+	}
+	if len(seen) != runInsertMax+5 {
+		t.Fatalf("%d distinct values popped, want %d", len(seen), runInsertMax+5)
 	}
 }
 
@@ -237,8 +251,8 @@ func TestMonotoneForceHeap(t *testing.T) {
 // does not disturb pending items.
 func TestMonotoneGrow(t *testing.T) {
 	q := NewMonotone[int](64)
-	if cap(q.run) < 64 {
-		t.Fatalf("hint ignored: cap %d", cap(q.run))
+	if cap(q.items) < 64 {
+		t.Fatalf("hint ignored: cap %d", cap(q.items))
 	}
 	q.Push(1, 1)
 	q.Grow(128)

@@ -39,7 +39,7 @@ import (
 // (TestChurnServeModesAgree locks this down). Queries/sec, downtime
 // and publish cost are wall-clock side measurements that land in
 // BENCH_churnserve.json, plus a cross-mode "saturate-under-churn"
-// headline suitable for BENCH_history.json trajectory points.
+// headline entry.
 
 // Churnserve cell shape: epochs of n/100 rewires each, a probe batch
 // one quarter of the query budget, at the two sizes where the refreeze
@@ -129,8 +129,7 @@ func (p *ChurnServePerf) record(cell string, s ChurnServePerfSample) {
 
 // Report renders the collected samples as a BENCH_churnserve.json
 // document: one entry per cell, plus the "saturate-under-churn"
-// headline comparing epochswap against stopworld at the largest size —
-// the trajectory point BENCH_history.json tracks.
+// headline comparing epochswap against stopworld at the largest size.
 func (p *ChurnServePerf) Report(rs []runner.Result) (*perf.Report, error) {
 	rep := perf.NewReport("churnserve-experiment")
 	p.mu.Lock()

@@ -158,7 +158,7 @@ func (p *FaultsPerf) record(cell string, s FaultsPerfSample) {
 
 // Report renders the collected samples plus the deterministic per-cell
 // metrics as a BENCH_faults.json document. The degraded-mode cells'
-// queries/sec is the headline the perf history tracks.
+// queries/sec is the headline.
 func (p *FaultsPerf) Report(rs []runner.Result) (*perf.Report, error) {
 	rep := perf.NewReport("faults-experiment")
 	p.mu.Lock()

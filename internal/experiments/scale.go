@@ -24,7 +24,7 @@ import (
 // content, bystanders only route). Unlike the gnutella experiments it
 // has no churn or reconfiguration — it isolates the per-query hot path
 // (CSR topology snapshots, flat-slice visited sets, pooled Scratch,
-// the monotone bucketed event queue) so its numbers move only when the
+// the monotone event queue) so its numbers move only when the
 // engine does. The refreeze cell is the exception that proves the
 // snapshot contract: it churns edges between epochs and re-freezes the
 // CSR in place, measuring what a reconfiguration epoch costs the hot

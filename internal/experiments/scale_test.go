@@ -175,12 +175,12 @@ func TestScalePerfReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := rep.Get("scale/n400")
-	if e == nil {
-		t.Fatalf("missing entry; report: %+v", rep)
+	if len(rep.Entries) != 1 || rep.Entries[0].Name != "scale/n400" {
+		t.Fatalf("want the one entry scale/n400; report: %+v", rep)
 	}
+	e := rep.Entries[0]
 	for _, m := range []string{"msgs/query", "hit-rate", "events/sec", "allocs/query", "delay_p95_ms"} {
-		if _, ok := e.Metric(m); !ok {
+		if _, ok := e.Metrics[m]; !ok {
 			t.Errorf("metric %q missing: %+v", m, e.Metrics)
 		}
 	}

@@ -14,12 +14,11 @@ const latencyBuckets = 28
 // LatencyHistogram is a fixed-bucket latency histogram safe for
 // concurrent writers and readers without locks: every bucket is an
 // atomic counter, so a serving hot path records one observation with a
-// single atomic add and no allocation. It is the concurrency-safe
-// sibling of Histogram, specialized to durations: buckets are fixed
-// powers of two in microseconds, which keeps the memory footprint
-// constant and the quantile estimate within 2x at every scale —
-// exactly enough to tell a 100µs path from a 100ms one, which is what
-// a tail-latency dashboard needs.
+// single atomic add and no allocation. Buckets are fixed powers of two
+// in microseconds, which keeps the memory footprint constant and the
+// quantile estimate within 2x at every scale — exactly enough to tell a
+// 100µs path from a 100ms one, which is what a tail-latency dashboard
+// needs.
 //
 // The zero value is ready to use.
 type LatencyHistogram struct {

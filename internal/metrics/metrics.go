@@ -1,14 +1,13 @@
 // Package metrics provides the measurement plumbing shared by all
 // experiments: per-hour time series (the x-axis of Figures 1 and 2),
 // streaming mean/min/max aggregates (Figure 3(a)'s average first-result
-// delay), histograms, and renderers that print paper-style tables to
-// text and CSV.
+// delay), the daemon's counter registry and latency histogram, and
+// renderers that print paper-style tables to text and CSV.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -128,82 +127,6 @@ func (w *Welford) Min() float64 { return w.min }
 // Max returns the largest observed sample (0 when empty).
 func (w *Welford) Max() float64 { return w.max }
 
-// Histogram is a fixed-width bucket histogram over [lo, hi); samples
-// outside the range land in the under/overflow buckets.
-type Histogram struct {
-	lo, hi    float64
-	width     float64
-	buckets   []uint64
-	under     uint64
-	over      uint64
-	aggregate Welford
-}
-
-// NewHistogram builds a histogram with n equal buckets spanning
-// [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic(fmt.Sprintf("metrics: bad histogram [%v,%v)/%d", lo, hi, n))
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]uint64, n)}
-}
-
-// Observe folds one sample into the histogram.
-func (h *Histogram) Observe(x float64) {
-	h.aggregate.Observe(x)
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		h.buckets[int((x-h.lo)/h.width)]++
-	}
-}
-
-// N returns the total number of samples, including out-of-range ones.
-func (h *Histogram) N() uint64 { return h.aggregate.N() }
-
-// Mean returns the mean of all samples.
-func (h *Histogram) Mean() float64 { return h.aggregate.Mean() }
-
-// Quantile returns an approximate q-quantile (q in [0,1]) assuming
-// uniform density within buckets. Out-of-range mass is attributed to
-// the range boundaries.
-func (h *Histogram) Quantile(q float64) float64 {
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("metrics: quantile %v outside [0,1]", q))
-	}
-	total := h.aggregate.N()
-	if total == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	acc := float64(h.under)
-	if acc >= target {
-		return h.lo
-	}
-	for i, c := range h.buckets {
-		next := acc + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - acc) / float64(c)
-			return h.lo + (float64(i)+frac)*h.width
-		}
-		acc = next
-	}
-	return h.hi
-}
-
-// Counts returns a copy of the in-range bucket counts.
-func (h *Histogram) Counts() []uint64 {
-	out := make([]uint64, len(h.buckets))
-	copy(out, h.buckets)
-	return out
-}
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over uint64) { return h.under, h.over }
-
 // Table renders experiment results in the row/column shape the paper
 // reports. It exists so every experiment prints the same way in the CLI
 // harness, the benchmarks and the tests.
@@ -316,45 +239,4 @@ func SampleHours(start, step, end int) []int {
 		out = append(out, h)
 	}
 	return out
-}
-
-// Monotone reports whether xs is non-decreasing.
-func Monotone(xs []float64) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// ArgMax returns the index of the maximum element (first on ties), or
-// -1 for an empty slice.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range xs {
-		if v > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Median returns the median of xs (0 for empty input). xs is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := make([]float64, len(xs))
-	copy(c, xs)
-	sort.Float64s(c)
-	mid := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[mid]
-	}
-	return (c[mid-1] + c[mid]) / 2
 }

@@ -123,68 +123,6 @@ func TestQuickWelfordMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	h.Observe(-1)
-	h.Observe(99)
-	if h.N() != 12 {
-		t.Fatalf("N = %d", h.N())
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 1 {
-		t.Fatalf("out of range = %d/%d", under, over)
-	}
-	for i, c := range h.Counts() {
-		if c != 1 {
-			t.Fatalf("bucket %d = %d, want 1", i, c)
-		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i % 100))
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median = %v, want ~50", med)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := h.Quantile(1); q < 99 || q > 100 {
-		t.Fatalf("q1 = %v", q)
-	}
-}
-
-func TestHistogramQuantileEmpty(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile must be 0")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"zero buckets": func() { NewHistogram(0, 1, 0) },
-		"inverted":     func() { NewHistogram(2, 1, 4) },
-		"bad quantile": func() { NewHistogram(0, 1, 4).Quantile(2) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Figure 1(a)", "hour", "static", "dynamic")
 	tb.AddRow(12, 1700.0, 1800.0)
@@ -242,44 +180,6 @@ func TestSampleHoursPanics(t *testing.T) {
 		}
 	}()
 	SampleHours(0, 0, 10)
-}
-
-func TestMonotone(t *testing.T) {
-	if !Monotone([]float64{1, 1, 2, 3}) {
-		t.Fatal("monotone slice misjudged")
-	}
-	if Monotone([]float64{1, 3, 2}) {
-		t.Fatal("non-monotone slice misjudged")
-	}
-	if !Monotone(nil) {
-		t.Fatal("empty slice is monotone")
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	if ArgMax([]float64{1, 5, 3, 5}) != 1 {
-		t.Fatal("ArgMax must return first maximum")
-	}
-	if ArgMax(nil) != -1 {
-		t.Fatal("ArgMax(empty) must be -1")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd median wrong")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Fatal("even median wrong")
-	}
-	if Median(nil) != 0 {
-		t.Fatal("empty median must be 0")
-	}
-	xs := []float64{9, 1, 5}
-	Median(xs)
-	if xs[0] != 9 {
-		t.Fatal("Median must not mutate input")
-	}
 }
 
 func BenchmarkWelford(b *testing.B) {

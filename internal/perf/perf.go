@@ -1,22 +1,12 @@
-// Package perf defines the machine-readable benchmark artifact emitted
-// by this repository's performance pipeline: the BENCH_*.json files
-// that CI uploads on every run and that the repository tracks as its
-// performance trajectory across PRs.
-//
-// Two producers feed the format:
-//
-//   - the scale experiment family (internal/experiments) measures the
-//     cascade engine directly — events/sec, allocs/query, message
-//     counts, delay percentiles — and writes BENCH_scale.json next to
-//     its deterministic runs/<name>/ artifacts;
-//   - cmd/perfcheck parses `go test -bench` output into the same
-//     schema (BENCH_ci.json) and gates CI on allocs/op regressions
-//     against the checked-in baseline (BENCH_baseline.json).
-//
-// Unlike cells.json, BENCH files are NOT byte-deterministic: they carry
-// wall-clock throughput. Regression gating therefore only compares
-// schedule-independent metrics — CI gates on allocs/op (see
-// cmd/perfcheck); wall-clock metrics are recorded but never gated.
+// Package perf defines the wall-clock sidecar an experiment family
+// writes next to its deterministic artifacts: `repro -exp
+// scale|skew|faults|churnserve -json` leaves runs/<name>/BENCH_<exp>.json
+// beside cells.json. Unlike cells.json these files are NOT
+// byte-deterministic — they carry throughput, downtime and allocation
+// measurements of one machine at one moment — so they are never checked
+// in and never diffed. The repository's benchmark is benchmarks/dbench;
+// the sidecars cover what it does not run (1M-node cells, stop-the-world
+// vs epoch-swap downtime).
 package perf
 
 import (
@@ -27,29 +17,21 @@ import (
 	"sort"
 )
 
-// Entry is one benchmarked unit: a Go benchmark, or one cell of the
-// scale experiment.
+// Entry is one measured unit: one cell of an experiment family.
 type Entry struct {
-	// Name identifies the unit ("BenchmarkFig1", "scale/n100000", ...).
+	// Name identifies the unit ("scale/n100000", ...).
 	Name string `json:"name"`
-	// Metrics maps metric name to value. Conventional keys: "ns/op",
-	// "B/op", "allocs/op", "events/sec", "allocs/query", "msgs/query",
+	// Metrics maps metric name to value. Conventional keys:
+	// "events/sec", "allocs/query", "msgs/query", "wall_seconds",
 	// "delay_p50_ms", "delay_p95_ms", "delay_p99_ms".
 	Metrics map[string]float64 `json:"metrics"`
-}
-
-// Metric returns a metric value and whether it is present.
-func (e *Entry) Metric(name string) (float64, bool) {
-	v, ok := e.Metrics[name]
-	return v, ok
 }
 
 // Report is the toplevel BENCH_*.json document.
 type Report struct {
 	// Schema versions the document layout.
 	Schema string `json:"schema"`
-	// Source says which producer wrote the file ("go-bench",
-	// "scale-experiment").
+	// Source says which producer wrote the file ("scale-experiment").
 	Source string `json:"source"`
 	// Entries is sorted by Name for stable diffs.
 	Entries []Entry `json:"entries"`
@@ -81,16 +63,6 @@ func (r *Report) Add(name string, metrics map[string]float64) {
 	r.Entries = append(r.Entries, Entry{Name: name, Metrics: m})
 }
 
-// Get returns the entry with the given name, or nil.
-func (r *Report) Get(name string) *Entry {
-	for i := range r.Entries {
-		if r.Entries[i].Name == name {
-			return &r.Entries[i]
-		}
-	}
-	return nil
-}
-
 // sorted returns the entries ordered by name (writing normalizes order
 // so reports diff cleanly regardless of production order).
 func (r *Report) sorted() {
@@ -116,71 +88,4 @@ func (r *Report) Write(path string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// Read loads a report from path and validates the schema.
-func Read(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("perf: parse %s: %w", path, err)
-	}
-	if r.Schema != SchemaVersion {
-		return nil, fmt.Errorf("perf: %s has schema %q, want %q", path, r.Schema, SchemaVersion)
-	}
-	return &r, nil
-}
-
-// Regression is one metric that worsened beyond the allowed ratio.
-type Regression struct {
-	Entry    string  // entry name
-	Metric   string  // metric name
-	Baseline float64 // checked-in value
-	Current  float64 // measured value
-	Ratio    float64 // Current / Baseline
-}
-
-// String implements fmt.Stringer.
-func (g Regression) String() string {
-	return fmt.Sprintf("%s %s: %.0f -> %.0f (%.2fx)", g.Entry, g.Metric, g.Baseline, g.Current, g.Ratio)
-}
-
-// Compare gates current against baseline: for every baseline entry and
-// every listed metric present on both sides, the current value may be
-// at most maxRatio times the baseline. Entries or metrics missing from
-// current are regressions too (a silently dropped benchmark must not
-// pass the gate); entries only in current are ignored (new benchmarks
-// need no baseline to land). Zero baselines gate on current > 0.
-func Compare(baseline, current *Report, maxRatio float64, metrics ...string) []Regression {
-	var out []Regression
-	for _, be := range baseline.Entries {
-		ce := current.Get(be.Name)
-		for _, m := range metrics {
-			bv, ok := be.Metric(m)
-			if !ok {
-				continue
-			}
-			if ce == nil {
-				out = append(out, Regression{Entry: be.Name, Metric: m, Baseline: bv, Current: -1, Ratio: -1})
-				continue
-			}
-			cv, ok := ce.Metric(m)
-			if !ok {
-				out = append(out, Regression{Entry: be.Name, Metric: m, Baseline: bv, Current: -1, Ratio: -1})
-				continue
-			}
-			switch {
-			case bv == 0:
-				if cv > 0 {
-					out = append(out, Regression{Entry: be.Name, Metric: m, Baseline: bv, Current: cv, Ratio: -1})
-				}
-			case cv > bv*maxRatio:
-				out = append(out, Regression{Entry: be.Name, Metric: m, Baseline: bv, Current: cv, Ratio: cv / bv})
-			}
-		}
-	}
-	return out
 }

@@ -1,132 +1,47 @@
 package perf
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-func TestParseBench(t *testing.T) {
-	out := `
-goos: linux
-goarch: amd64
-pkg: repro
-cpu: Intel(R) Xeon(R) Processor @ 2.70GHz
-BenchmarkFig1-8 	       1	 185114118 ns/op	      3566 dynamic-hits	21403896 B/op	  335142 allocs/op
-BenchmarkRunnerWorkers/workers=4-8 	 2	 100 ns/op	 12 B/op	 3 allocs/op
-PASS
-ok  	repro	0.188s
-`
-	rep, err := ParseBench(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Entries) != 2 {
-		t.Fatalf("got %d entries, want 2", len(rep.Entries))
-	}
-	e := rep.Get("BenchmarkFig1")
-	if e == nil {
-		t.Fatal("BenchmarkFig1 missing (GOMAXPROCS suffix not stripped?)")
-	}
-	if v, _ := e.Metric("allocs/op"); v != 335142 {
-		t.Errorf("allocs/op = %v, want 335142", v)
-	}
-	if v, _ := e.Metric("dynamic-hits"); v != 3566 {
-		t.Errorf("dynamic-hits = %v, want 3566", v)
-	}
-	sub := rep.Get("BenchmarkRunnerWorkers/workers=4")
-	if sub == nil {
-		t.Fatal("sub-benchmark missing")
-	}
-	if v, _ := sub.Metric("B/op"); v != 12 {
-		t.Errorf("sub B/op = %v, want 12", v)
-	}
-}
-
-func TestParseBenchIgnoresGarbage(t *testing.T) {
-	rep, err := ParseBench(strings.NewReader("BenchmarkBroken not-a-number\nBenchmarkOdd 1 5 ns/op trailing\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Entries) != 0 {
-		t.Fatalf("got %d entries, want 0", len(rep.Entries))
-	}
-}
-
 func TestWriteReadRoundTrip(t *testing.T) {
-	rep := NewReport("go-bench")
-	rep.Add("B", map[string]float64{"allocs/op": 10})
-	rep.Add("A", map[string]float64{"allocs/op": 5, "ns/op": 1.5})
+	rep := NewReport("scale-experiment")
+	rep.Add("B", map[string]float64{"allocs/query": 10})
+	rep.Add("A", map[string]float64{"allocs/query": 5, "events/sec": 1.5})
 	path := filepath.Join(t.TempDir(), "sub", "BENCH_test.json")
 	if err := rep.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Source != "go-bench" || len(got.Entries) != 2 {
+	var got Report
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Schema != SchemaVersion || got.Source != "scale-experiment" || len(got.Entries) != 2 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 	if got.Entries[0].Name != "A" || got.Entries[1].Name != "B" {
 		t.Errorf("entries not sorted by name: %+v", got.Entries)
 	}
-	if v, _ := got.Entries[0].Metric("ns/op"); v != 1.5 {
-		t.Errorf("ns/op = %v, want 1.5", v)
-	}
-}
-
-func TestReadRejectsWrongSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	rep := &Report{Schema: "other/v9"}
-	if err := rep.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(path); err == nil {
-		t.Fatal("Read accepted wrong schema")
+	if v := got.Entries[0].Metrics["events/sec"]; v != 1.5 {
+		t.Errorf("events/sec = %v, want 1.5", v)
 	}
 }
 
 func TestAddMerges(t *testing.T) {
 	rep := NewReport("x")
-	rep.Add("A", map[string]float64{"allocs/op": 5})
-	rep.Add("A", map[string]float64{"B/op": 7})
+	rep.Add("A", map[string]float64{"allocs/query": 5})
+	rep.Add("A", map[string]float64{"msgs/query": 7})
 	if len(rep.Entries) != 1 {
 		t.Fatalf("got %d entries, want 1", len(rep.Entries))
 	}
-	if v, _ := rep.Get("A").Metric("allocs/op"); v != 5 {
-		t.Errorf("allocs/op lost on merge")
-	}
-	if v, _ := rep.Get("A").Metric("B/op"); v != 7 {
-		t.Errorf("B/op missing after merge")
-	}
-}
-
-func TestCompare(t *testing.T) {
-	base := NewReport("go-bench")
-	base.Add("Stable", map[string]float64{"allocs/op": 100})
-	base.Add("Worse", map[string]float64{"allocs/op": 100})
-	base.Add("Gone", map[string]float64{"allocs/op": 100})
-	base.Add("Zero", map[string]float64{"allocs/op": 0})
-	base.Add("NoMetric", map[string]float64{"ns/op": 5})
-
-	cur := NewReport("go-bench")
-	cur.Add("Stable", map[string]float64{"allocs/op": 199}) // < 2x: fine
-	cur.Add("Worse", map[string]float64{"allocs/op": 201})  // > 2x: regression
-	cur.Add("Zero", map[string]float64{"allocs/op": 3})     // 0 -> 3: regression
-	cur.Add("New", map[string]float64{"allocs/op": 9999})   // no baseline: ignored
-
-	regs := Compare(base, cur, 2, "allocs/op")
-	want := map[string]bool{"Worse": true, "Gone": true, "Zero": true}
-	if len(regs) != len(want) {
-		t.Fatalf("got %d regressions (%v), want %d", len(regs), regs, len(want))
-	}
-	for _, g := range regs {
-		if !want[g.Entry] {
-			t.Errorf("unexpected regression %v", g)
-		}
-		if g.String() == "" {
-			t.Error("empty String()")
-		}
+	if m := rep.Entries[0].Metrics; m["allocs/query"] != 5 || m["msgs/query"] != 7 {
+		t.Errorf("merge lost a metric: %+v", m)
 	}
 }

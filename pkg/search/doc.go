@@ -57,6 +57,6 @@
 // working memory), so a steady-state query through the facade costs the
 // same small constant number of heap allocations as the expert-only
 // core.RunScratch path, while returned Results are always caller-owned
-// — no aliasing contract to misuse. BenchmarkEnginePooled, gated in CI
-// by cmd/perfcheck, holds this property.
+// — no aliasing contract to misuse. TestEngineSteadyStateAllocs holds
+// this property.
 package search
