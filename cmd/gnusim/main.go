@@ -193,6 +193,9 @@ func buildConfig(mode string, users, songs, hours, ttl, neighbors, theta, swaps 
 	default:
 		return gnutella.Config{}, fmt.Errorf("unknown mode %q", mode)
 	}
+	if users <= 0 {
+		return gnutella.Config{}, fmt.Errorf("users %d must be positive", users)
+	}
 	cfg := gnutella.DefaultConfig(m, ttl)
 	if users != 2000 {
 		scale := 2000 / users

@@ -150,10 +150,6 @@ func run() int {
 	type job struct {
 		def      experiments.Definition
 		off, len int
-		// owns marks the job whose Definition contributed the cells
-		// (duplicated selections alias it). Only the owning job's Run
-		// closures execute, so only its Perf collector holds samples.
-		owns bool
 	}
 	var (
 		cells   []runner.Cell
@@ -168,7 +164,7 @@ func run() int {
 			offsets[canonical] = off
 			cells = append(cells, d.Cells...)
 		}
-		jobs = append(jobs, job{def: d, off: off, len: len(d.Cells), owns: !seen})
+		jobs = append(jobs, job{def: d, off: off, len: len(d.Cells)})
 	}
 
 	opts := runner.Options{Workers: *workers, Retries: 1}
@@ -209,10 +205,10 @@ func run() int {
 		// interrupted run skips them (its cells never finished); the
 		// deterministic artifacts above are always written.
 		for _, j := range jobs {
-			if j.def.Perf == nil || !j.owns || runErr != nil {
+			if j.def.Sidecar == nil || runErr != nil {
 				continue
 			}
-			rep, err := j.def.Perf(results[j.off : j.off+j.len])
+			rep, err := j.def.Sidecar(results[j.off : j.off+j.len])
 			if err == nil {
 				benchPath := filepath.Join(dir, "BENCH_"+j.def.Name+".json")
 				err = rep.Write(benchPath)
@@ -221,7 +217,7 @@ func run() int {
 				}
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "repro: %s perf: %v\n", j.def.Name, err)
+				fmt.Fprintf(os.Stderr, "repro: %s sidecar: %v\n", j.def.Name, err)
 				return 1
 			}
 		}

@@ -55,6 +55,8 @@ func TestDocsQuoteOnlyWhatExists(t *testing.T) {
 		"trajectory.go", "core/visited.go", "localindex.go",
 		"Force" + "Visited", "ForceHeapQueue", "metrics.Histogram",
 		"dsearch -id", "dsearch -policy",
+		// Folded into internal/experiments, its only caller.
+		"internal/" + "perf",
 	}
 	goBench := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	ticked := regexp.MustCompile("`([^`\n]+)`")

@@ -112,32 +112,3 @@ func popcount(x uint64) int {
 	}
 	return n
 }
-
-// Union merges other into b in place. Both filters must have identical
-// geometry (bits and k); Union panics otherwise because merging
-// incompatible filters silently corrupts membership.
-func (b *Bloom) Union(other *Bloom) {
-	if b.nbits != other.nbits || b.k != other.k {
-		panic(fmt.Sprintf("digest: union of incompatible filters (%d/%d bits, k %d/%d)",
-			b.nbits, other.nbits, b.k, other.k))
-	}
-	for i := range b.bits {
-		b.bits[i] |= other.bits[i]
-	}
-	b.count += other.count
-}
-
-// Clone returns a deep copy.
-func (b *Bloom) Clone() *Bloom {
-	bits := make([]uint64, len(b.bits))
-	copy(bits, b.bits)
-	return &Bloom{bits: bits, nbits: b.nbits, k: b.k, count: b.count}
-}
-
-// Clear resets the filter to empty.
-func (b *Bloom) Clear() {
-	for i := range b.bits {
-		b.bits[i] = 0
-	}
-	b.count = 0
-}

@@ -70,51 +70,6 @@ func TestBloomFillRatioGrows(t *testing.T) {
 	}
 }
 
-func TestBloomUnion(t *testing.T) {
-	a := NewBloom(1000, 0.01)
-	b := NewBloom(1000, 0.01)
-	a.Add(1)
-	b.Add(2)
-	a.Union(b)
-	if !a.Contains(1) || !a.Contains(2) {
-		t.Fatal("union lost keys")
-	}
-	if a.Count() != 2 {
-		t.Fatalf("union count = %d", a.Count())
-	}
-}
-
-func TestBloomUnionIncompatiblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("incompatible union did not panic")
-		}
-	}()
-	NewBloom(100, 0.01).Union(NewBloom(100000, 0.001))
-}
-
-func TestBloomCloneIndependent(t *testing.T) {
-	a := NewBloom(100, 0.01)
-	a.Add(1)
-	c := a.Clone()
-	c.Add(2)
-	if a.Contains(2) && a.Count() == 2 {
-		t.Fatal("clone aliases parent")
-	}
-	if !c.Contains(1) || !c.Contains(2) {
-		t.Fatal("clone lost keys")
-	}
-}
-
-func TestBloomClear(t *testing.T) {
-	b := NewBloom(100, 0.01)
-	b.Add(7)
-	b.Clear()
-	if b.Contains(7) || b.Count() != 0 || b.FillRatio() != 0 {
-		t.Fatal("Clear incomplete")
-	}
-}
-
 func TestBloomPanicsOnBadArgs(t *testing.T) {
 	for name, f := range map[string]func(){
 		"n=0":  func() { NewBloom(0, 0.01) },

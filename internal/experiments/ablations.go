@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/gnutella"
 	"repro/internal/metrics"
 	"repro/internal/peerolap"
@@ -40,12 +37,12 @@ func variantCells(experiment string, names []string, cfgs []gnutella.Config) []r
 
 // AssembleVariants tabulates variant cells in submission order.
 func AssembleVariants(rs []runner.Result) ([]VariantRow, error) {
-	rows := make([]VariantRow, len(rs))
-	for i := range rs {
-		m, err := gnutellaValue(rs, i)
-		if err != nil {
-			return nil, err
-		}
+	gs, err := collect[*GnutellaSummary](rs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]VariantRow, len(gs))
+	for i, m := range gs {
 		rows[i] = VariantRow{
 			Name:              rs[i].Cell,
 			Hits:              m.HitsTotal,
@@ -65,7 +62,10 @@ func VariantTable(title string, rows []VariantRow) *metrics.Table {
 	return t
 }
 
-// DirectedBFTCells builds the forward-policy comparison cells.
+// DirectedBFTCells builds the forward-policy comparison cells:
+// flooding, Directed BFT (K=2) and random-2 forwarding on the dynamic
+// system — technique (ii) of [10], which the paper says can be employed
+// "to further reduce the query cost".
 func DirectedBFTCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	base := scale.config(gnutella.Dynamic, 3, seed)
 	directed := base
@@ -77,14 +77,9 @@ func DirectedBFTCells(experiment string, scale Scale, seed uint64) []runner.Cell
 		[]gnutella.Config{base, directed, random})
 }
 
-// DirectedBFT compares flooding, Directed BFT (K=2) and random-2
-// forwarding on the dynamic system — technique (ii) of [10], which the
-// paper says can be employed "to further reduce the query cost".
-func DirectedBFT(scale Scale, seed uint64) []VariantRow {
-	return must(AssembleVariants(runLocal(DirectedBFTCells("directed", scale, seed))))
-}
-
-// IterDeepeningCells builds the deepening-schedule comparison cells.
+// IterDeepeningCells builds the deepening-schedule comparison cells:
+// one full-depth flood against the iterative deepening schedule
+// {1, TTL} — technique (i) of [10].
 func IterDeepeningCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	base := scale.config(gnutella.Dynamic, 3, seed)
 	deep := base
@@ -95,13 +90,10 @@ func IterDeepeningCells(experiment string, scale Scale, seed uint64) []runner.Ce
 		[]gnutella.Config{base, deep})
 }
 
-// IterDeepening compares one full-depth flood against the iterative
-// deepening schedule {1, TTL} — technique (i) of [10].
-func IterDeepening(scale Scale, seed uint64) []VariantRow {
-	return must(AssembleVariants(runLocal(IterDeepeningCells("iterdeep", scale, seed))))
-}
-
-// LocalIndicesCells builds the local-indices comparison cells.
+// LocalIndicesCells builds the local-indices comparison cells: the
+// plain dynamic flood against technique (iii) of [10], radius-1 local
+// indices with the flood shortened by one hop. Same nominal coverage,
+// one hop less propagation.
 func LocalIndicesCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	base := scale.config(gnutella.Dynamic, 2, seed)
 	indexed := base
@@ -111,14 +103,9 @@ func LocalIndicesCells(experiment string, scale Scale, seed uint64) []runner.Cel
 		[]gnutella.Config{base, indexed})
 }
 
-// LocalIndices compares the plain dynamic flood against technique
-// (iii) of [10]: radius-1 local indices with the flood shortened by one
-// hop. Same nominal coverage, one hop less propagation.
-func LocalIndices(scale Scale, seed uint64) []VariantRow {
-	return must(AssembleVariants(runLocal(LocalIndicesCells("localindex", scale, seed))))
-}
-
-// AsymmetricUpdateCells builds the update-regime comparison cells.
+// AsymmetricUpdateCells builds the update-regime comparison cells: the
+// paper's symmetric (Algo 4) update against the unilateral asymmetric
+// (Algo 3) regime on the same workload.
 func AsymmetricUpdateCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	static := scale.config(gnutella.Static, 2, seed)
 	symmetric := scale.config(gnutella.Dynamic, 2, seed)
@@ -129,13 +116,10 @@ func AsymmetricUpdateCells(experiment string, scale Scale, seed uint64) []runner
 		[]gnutella.Config{static, symmetric, asymmetric})
 }
 
-// AsymmetricUpdate compares the paper's symmetric (Algo 4) update with
-// the unilateral asymmetric (Algo 3) regime on the same workload.
-func AsymmetricUpdate(scale Scale, seed uint64) []VariantRow {
-	return must(AssembleVariants(runLocal(AsymmetricUpdateCells("asym", scale, seed))))
-}
-
-// BenefitFunctionsCells builds the benefit-sensitivity cells.
+// BenefitFunctionsCells builds the benefit-sensitivity cells: the
+// dynamic gain under each benefit definition (Section 3.4: "the benefit
+// function should capture the general goals and characteristics of the
+// system").
 func BenefitFunctionsCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	br := scale.config(gnutella.Dynamic, 2, seed)
 	hits := br
@@ -147,13 +131,6 @@ func BenefitFunctionsCells(experiment string, scale Scale, seed uint64) []runner
 		[]gnutella.Config{br, hits, lat})
 }
 
-// BenefitFunctions measures the sensitivity of the dynamic gain to the
-// benefit definition (Section 3.4: "the benefit function should capture
-// the general goals and characteristics of the system").
-func BenefitFunctions(scale Scale, seed uint64) []VariantRow {
-	return must(AssembleVariants(runLocal(BenefitFunctionsCells("benefit", scale, seed))))
-}
-
 // DriftRow is one sampled hour of the preference-drift experiment.
 type DriftRow struct {
 	Hour                    int
@@ -162,7 +139,11 @@ type DriftRow struct {
 }
 
 // DriftCells builds the three drift cells: static, dynamic, and
-// dynamic with hourly ledger decay.
+// dynamic with hourly ledger decay. The experiment evaluates the
+// framework's central motivation — following "changes in access
+// patterns": at mid-run every user's music preferences change; the
+// static network cannot react, the dynamic one re-adapts, and hourly
+// ledger decay (aging out stale statistics) accelerates the recovery.
 func DriftCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	duration := scale.config(gnutella.Static, 2, seed).DurationHours
 	at := duration / 2
@@ -180,18 +161,11 @@ func DriftCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 
 // AssembleDrift builds the hourly drift rows from DriftCells results.
 func AssembleDrift(scale Scale, seed uint64, rs []runner.Result) ([]DriftRow, error) {
-	sm, err := gnutellaValue(rs, 0)
+	gs, err := gnutellaSummaries(rs, 3)
 	if err != nil {
 		return nil, err
 	}
-	dm, err := gnutellaValue(rs, 1)
-	if err != nil {
-		return nil, err
-	}
-	dd, err := gnutellaValue(rs, 2)
-	if err != nil {
-		return nil, err
-	}
+	sm, dm, dd := gs[0], gs[1], gs[2]
 	duration := scale.config(gnutella.Static, 2, seed).DurationHours
 	var rows []DriftRow
 	for h := 0; h < duration; h++ {
@@ -203,15 +177,6 @@ func AssembleDrift(scale Scale, seed uint64, rs []runner.Result) ([]DriftRow, er
 		})
 	}
 	return rows, nil
-}
-
-// Drift evaluates the framework's central motivation — following
-// "changes in access patterns": at mid-run every user's music
-// preferences change; the static network cannot react, the dynamic one
-// re-adapts, and hourly ledger decay (aging out stale statistics)
-// accelerates the recovery.
-func Drift(scale Scale, seed uint64) []DriftRow {
-	return must(AssembleDrift(scale, seed, runLocal(DriftCells("drift", scale, seed))))
 }
 
 // DriftTable renders the drift series.
@@ -249,68 +214,38 @@ func webcacheConfig(scale Scale, mode webcache.Mode, digests bool, seed uint64) 
 	return c
 }
 
-// WebCacheCells builds the three web-caching cells.
+// WebCacheCells builds the three web-caching cells: static and dynamic
+// Squid-like proxy cooperation, with and without digest guidance.
 func WebCacheCells(experiment string, scale Scale, seed uint64) []runner.Cell {
-	type variant struct {
+	variants := []struct {
 		name    string
 		mode    webcache.Mode
 		digests bool
-	}
-	variants := []variant{
+	}{
 		{"static", webcache.Static, false},
 		{"dynamic", webcache.Dynamic, false},
 		{"dynamic+digests", webcache.Dynamic, true},
 	}
 	cells := make([]runner.Cell, len(variants))
 	for i, v := range variants {
-		cfg := webcacheConfig(scale, v.mode, v.digests, seed)
-		name := v.name
-		cells[i] = runner.Cell{
-			Experiment: experiment,
-			Name:       name,
-			Seed:       cfg.Seed,
-			Run: func(_ context.Context, seed uint64) (any, error) {
-				c := cfg
-				c.Seed = seed
+		cells[i] = cell(experiment, v.name, webcacheConfig(scale, v.mode, v.digests, seed),
+			func(c *webcache.Config) *uint64 { return &c.Seed },
+			func(c webcache.Config) (*WebCacheRow, error) {
 				m := webcache.New(c).Run()
 				half := c.DurationHours / 2
 				return &WebCacheRow{
-					Name:             name,
+					Name:             v.name,
 					NeighborHitRatio: m.NeighborHitRatio(half, c.DurationHours),
 					MeanLatencyMs:    m.Latency.Mean() * 1000,
 					OriginFetches:    m.OriginFetches.Total(),
 				}, nil
-			},
-		}
+			})
 	}
 	return cells
 }
 
-// AssembleWebCache tabulates web-caching cells.
-func AssembleWebCache(rs []runner.Result) ([]WebCacheRow, error) {
-	rows := make([]WebCacheRow, len(rs))
-	for i, r := range rs {
-		if r.Err != "" {
-			return nil, fmt.Errorf("experiments: cell %s/%s failed: %s", r.Experiment, r.Cell, r.Err)
-		}
-		row, ok := r.Value.(*WebCacheRow)
-		if !ok {
-			return nil, fmt.Errorf("experiments: cell %s/%s has value %T, want *WebCacheRow",
-				r.Experiment, r.Cell, r.Value)
-		}
-		rows[i] = *row
-	}
-	return rows, nil
-}
-
-// WebCache compares static and dynamic Squid-like proxy cooperation,
-// with and without digest guidance.
-func WebCache(scale Scale, seed uint64) []WebCacheRow {
-	return must(AssembleWebCache(runLocal(WebCacheCells("webcache", scale, seed))))
-}
-
 // WebCacheTable renders the web-caching rows.
-func WebCacheTable(rows []WebCacheRow) *metrics.Table {
+func WebCacheTable(rows []*WebCacheRow) *metrics.Table {
 	t := metrics.NewTable("Case study: distributed web caching (Squid-like, hops=1)",
 		"variant", "neighbor-hit ratio", "mean latency (ms)", "origin fetches")
 	for _, r := range rows {
@@ -344,62 +279,33 @@ func peerolapConfig(scale Scale, mode peerolap.Mode, seed uint64) peerolap.Confi
 	return c
 }
 
-// PeerOlapCells builds the two PeerOlap cells.
+// PeerOlapCells builds the two PeerOlap cells: static and dynamic
+// chunk-cache cooperation.
 func PeerOlapCells(experiment string, scale Scale, seed uint64) []runner.Cell {
-	type variant struct {
+	variants := []struct {
 		name string
 		mode peerolap.Mode
-	}
-	variants := []variant{{"static", peerolap.Static}, {"dynamic", peerolap.Dynamic}}
+	}{{"static", peerolap.Static}, {"dynamic", peerolap.Dynamic}}
 	cells := make([]runner.Cell, len(variants))
 	for i, v := range variants {
-		cfg := peerolapConfig(scale, v.mode, seed)
-		name := v.name
-		cells[i] = runner.Cell{
-			Experiment: experiment,
-			Name:       name,
-			Seed:       cfg.Seed,
-			Run: func(_ context.Context, seed uint64) (any, error) {
-				c := cfg
-				c.Seed = seed
+		cells[i] = cell(experiment, v.name, peerolapConfig(scale, v.mode, seed),
+			func(c *peerolap.Config) *uint64 { return &c.Seed },
+			func(c peerolap.Config) (*PeerOlapRow, error) {
 				m := peerolap.New(c).Run()
 				half := c.DurationHours / 2
 				return &PeerOlapRow{
-					Name:            name,
+					Name:            v.name,
 					MeanQueryCostS:  m.QueryCost.Mean(),
 					PeerHitRatio:    m.PeerHitRatio(half, c.DurationHours),
 					WarehouseChunks: m.WarehouseChunks.Total(),
 				}, nil
-			},
-		}
+			})
 	}
 	return cells
 }
 
-// AssemblePeerOlap tabulates PeerOlap cells.
-func AssemblePeerOlap(rs []runner.Result) ([]PeerOlapRow, error) {
-	rows := make([]PeerOlapRow, len(rs))
-	for i, r := range rs {
-		if r.Err != "" {
-			return nil, fmt.Errorf("experiments: cell %s/%s failed: %s", r.Experiment, r.Cell, r.Err)
-		}
-		row, ok := r.Value.(*PeerOlapRow)
-		if !ok {
-			return nil, fmt.Errorf("experiments: cell %s/%s has value %T, want *PeerOlapRow",
-				r.Experiment, r.Cell, r.Value)
-		}
-		rows[i] = *row
-	}
-	return rows, nil
-}
-
-// PeerOlap compares static and dynamic chunk-cache cooperation.
-func PeerOlap(scale Scale, seed uint64) []PeerOlapRow {
-	return must(AssemblePeerOlap(runLocal(PeerOlapCells("peerolap", scale, seed))))
-}
-
 // PeerOlapTable renders the PeerOlap rows.
-func PeerOlapTable(rows []PeerOlapRow) *metrics.Table {
+func PeerOlapTable(rows []*PeerOlapRow) *metrics.Table {
 	t := metrics.NewTable("Case study: PeerOlap chunk caching",
 		"variant", "mean query cost (s)", "peer-hit ratio", "warehouse chunks")
 	for _, r := range rows {

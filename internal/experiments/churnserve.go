@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/perf"
+	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/topology"
@@ -37,9 +37,9 @@ import (
 // seed), and a sequential post-quiesce probe batch — byte-identical
 // between the two modes because both end on the same adjacency
 // (TestChurnServeModesAgree locks this down). Queries/sec, downtime
-// and publish cost are wall-clock side measurements that land in
-// BENCH_churnserve.json, plus a cross-mode "saturate-under-churn"
-// headline entry.
+// and publish cost are wall-clock side measurements: they ride in the
+// value's WallSample and land in BENCH_churnserve.json, plus a
+// cross-mode "saturate-under-churn" headline entry.
 
 // Churnserve cell shape: epochs of n/100 rewires each, a probe batch
 // one quarter of the query budget, at the two sizes where the refreeze
@@ -65,16 +65,15 @@ func churnServeQueries(s Scale) int {
 }
 
 // ChurnServeSummary is the deterministic cells.json value of one
-// churnserve cell. Identical between the stopworld and epochswap cells
-// of one size apart from Mode.
+// churnserve cell, plus its wall-clock sample. Identical between the
+// stopworld and epochswap cells of one size apart from Mode and Wall.
 type ChurnServeSummary struct {
 	Nodes          int    `json:"nodes"`
 	Mode           string `json:"mode"` // "stopworld" or "epochswap"
 	Epochs         int    `json:"epochs"`
 	DeltasPerEpoch int    `json:"deltas_per_epoch"`
 	// ChurnQueries is how many saturated queries drained during churn;
-	// their outcomes are schedule-dependent and live in the perf side
-	// channel only.
+	// their outcomes are schedule-dependent and live in Wall only.
 	ChurnQueries int `json:"churn_queries"`
 	// FinalEdges is the adjacency size after the last epoch — a pure
 	// function of the seed, and the first cross-mode identity check.
@@ -86,144 +85,93 @@ type ChurnServeSummary struct {
 	ProbeHitRate      float64 `json:"probe_hit_rate"`
 	ProbeMessages     uint64  `json:"probe_messages"`
 	ProbeMsgsPerQuery float64 `json:"probe_msgs_per_query"`
+
+	Wall WallSample `json:"-"`
 }
 
-// ChurnServePerfSample is the wall-clock side channel of one cell.
-type ChurnServePerfSample struct {
-	// WallSeconds spans the during-churn serving loop (build and probe
-	// excluded); Queries is how many saturated queries it drained.
-	WallSeconds float64
-	Queries     int
-	// DowntimeSeconds totals time the query pipeline was blocked with no
-	// query able to run: the whole FreezeInto for stopworld; for
-	// epochswap the time spent enqueueing epoch handoffs to the writer
-	// (observed near-zero — the handoff never waits on a publish) —
-	// measured, not assumed, so the zero-downtime claim is an
-	// observation.
-	DowntimeSeconds float64
-	// PublishSeconds totals off-thread freeze+swap cost over Publishes
-	// epochs (epochswap only — stopworld's freezes are all downtime).
-	PublishSeconds float64
-	Publishes      int
-	// Workers is the saturation shard size.
-	Workers int
-}
-
-// ChurnServePerf collects the non-deterministic measurements of a
-// churnserve run, keyed by cell name. Safe for concurrent cells.
-type ChurnServePerf struct {
-	mu      sync.Mutex
-	samples map[string]ChurnServePerfSample
-}
-
-// NewChurnServePerf returns an empty collector.
-func NewChurnServePerf() *ChurnServePerf {
-	return &ChurnServePerf{samples: make(map[string]ChurnServePerfSample)}
-}
-
-func (p *ChurnServePerf) record(cell string, s ChurnServePerfSample) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.samples[cell] = s
-}
-
-// Report renders the collected samples as a BENCH_churnserve.json
-// document: one entry per cell, plus the "saturate-under-churn"
-// headline comparing epochswap against stopworld at the largest size.
-func (p *ChurnServePerf) Report(rs []runner.Result) (*perf.Report, error) {
-	rep := perf.NewReport("churnserve-experiment")
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	type modePair struct{ stopQPS, swapQPS, stopDown, swapDown float64 }
-	headline := map[int]*modePair{}
-	for _, r := range rs {
-		if r.Experiment != "churnserve" {
-			continue
-		}
-		if r.Err != "" {
-			return nil, fmt.Errorf("experiments: churnserve cell %s failed: %s", r.Cell, r.Err)
-		}
-		sum, ok := r.Value.(*ChurnServeSummary)
-		if !ok {
-			return nil, fmt.Errorf("experiments: churnserve cell %s has value %T", r.Cell, r.Value)
-		}
-		m := map[string]float64{
-			"probe_hit_rate":   sum.ProbeHitRate,
-			"probe_msgs/query": sum.ProbeMsgsPerQuery,
-		}
-		s, ok := p.samples[r.Cell]
-		if ok && s.WallSeconds > 0 {
-			m["queries/sec"] = float64(s.Queries) / s.WallSeconds
-			m["downtime_ms"] = s.DowntimeSeconds * 1000
-			m["wall_seconds"] = s.WallSeconds
-			m["workers"] = float64(s.Workers)
-			if s.Publishes > 0 {
-				m["publish_ms"] = s.PublishSeconds / float64(s.Publishes) * 1000
-			}
-			h := headline[sum.Nodes]
-			if h == nil {
-				h = &modePair{}
-				headline[sum.Nodes] = h
-			}
-			if sum.Mode == "epochswap" {
-				h.swapQPS, h.swapDown = m["queries/sec"], m["downtime_ms"]
-			} else {
-				h.stopQPS, h.stopDown = m["queries/sec"], m["downtime_ms"]
-			}
-		}
-		rep.Add("churnserve/"+r.Cell, m)
+// churnServeMetrics is the BENCH_churnserve.json entry of one cell.
+func churnServeMetrics(s *ChurnServeSummary) map[string]float64 {
+	m := map[string]float64{
+		"probe_hit_rate":   s.ProbeHitRate,
+		"probe_msgs/query": s.ProbeMsgsPerQuery,
 	}
+	if w := s.Wall; w.WallSeconds > 0 {
+		m["queries/sec"] = float64(w.Queries) / w.WallSeconds
+		m["downtime_ms"] = w.DowntimeSeconds * 1000
+		m["wall_seconds"] = w.WallSeconds
+		m["workers"] = float64(w.Workers)
+		if w.Publishes > 0 {
+			m["publish_ms"] = w.PublishSeconds / float64(w.Publishes) * 1000
+		}
+	}
+	return m
+}
+
+// churnServeSidecar is the family's sidecar: one entry per cell, plus
+// the "saturate-under-churn" headline comparing epochswap against
+// stopworld at the largest measured size.
+func churnServeSidecar(rs []runner.Result) (*Report, error) {
+	rep, err := sidecar("churnserve", churnServeMetrics)(rs)
+	if err != nil {
+		return nil, err
+	}
+	sums, _ := collect[*ChurnServeSummary](rs) // checked by sidecar
 	largest := 0
-	for n := range headline {
-		if n > largest {
-			largest = n
+	for _, s := range sums {
+		if s.Wall.WallSeconds > 0 {
+			largest = max(largest, s.Nodes)
 		}
 	}
-	if h := headline[largest]; h != nil && h.stopQPS > 0 && h.swapQPS > 0 {
-		rep.Add("saturate-under-churn", map[string]float64{
+	qps := map[string]float64{}
+	down := map[string]float64{}
+	for _, s := range sums {
+		if s.Nodes == largest && s.Wall.WallSeconds > 0 {
+			qps[s.Mode] = float64(s.Wall.Queries) / s.Wall.WallSeconds
+			down[s.Mode] = s.Wall.DowntimeSeconds * 1000
+		}
+	}
+	if qps["stopworld"] > 0 && qps["epochswap"] > 0 {
+		rep.Entries = append(rep.Entries, Entry{Name: "saturate-under-churn", Metrics: map[string]float64{
 			"nodes":                 float64(largest),
-			"epochswap_qps":         h.swapQPS,
-			"stopworld_qps":         h.stopQPS,
-			"qps_ratio":             h.swapQPS / h.stopQPS,
-			"epochswap_downtime_ms": h.swapDown,
-			"stopworld_downtime_ms": h.stopDown,
-		})
+			"epochswap_qps":         qps["epochswap"],
+			"stopworld_qps":         qps["stopworld"],
+			"qps_ratio":             qps["epochswap"] / qps["stopworld"],
+			"epochswap_downtime_ms": down["epochswap"],
+			"stopworld_downtime_ms": down["stopworld"],
+		}})
 	}
 	return rep, nil
 }
 
-// ChurnServeCells returns the stopworld/epochswap pair per size, plus
-// the collector receiving each cell's wall-clock measurements.
-func ChurnServeCells(experiment string, scale Scale, seed uint64) ([]runner.Cell, *ChurnServePerf) {
-	collector := NewChurnServePerf()
+// ChurnServeCells returns the stopworld/epochswap pair per size.
+func ChurnServeCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	var cells []runner.Cell
 	for _, n := range churnServeSizes {
 		for _, mode := range []string{"stopworld", "epochswap"} {
-			name := fmt.Sprintf("%s-n%d", mode, n)
 			// Both modes of one size share a seed, so their worlds and
 			// delta streams — and therefore their summaries — agree.
 			cfg := DefaultScaleConfig(n, churnServeQueries(scale),
 				runner.DeriveSeed(seed, experiment, fmt.Sprintf("n%d", n)))
-			epochSwap := mode == "epochswap"
-			cells = append(cells, runner.Cell{
-				Experiment: experiment,
-				Name:       name,
-				Seed:       cfg.Seed,
-				Run: func(_ context.Context, cellSeed uint64) (any, error) {
-					c := cfg
-					c.Seed = cellSeed
-					sum, sample, err := RunChurnServe(c, churnServeEpochs,
-						c.Nodes/churnServeDenom, c.Queries/4, 0, epochSwap)
-					if err != nil {
-						return nil, err
-					}
-					collector.record(name, sample)
-					return sum, nil
-				},
-			})
+			cells = append(cells, cell(experiment, fmt.Sprintf("%s-n%d", mode, n), cfg, scaleSeed,
+				func(c ScaleConfig) (*ChurnServeSummary, error) {
+					return RunChurnServe(c, churnServeEpochs, c.Nodes/churnServeDenom, c.Queries/4, 0, mode == "epochswap")
+				}))
 		}
 	}
-	return cells, collector
+	return cells
+}
+
+// ChurnServeTable renders the churnserve sweep. The stopworld and
+// epochswap rows of one size must agree on everything but the mode —
+// the table doubles as a visual identity check.
+func ChurnServeTable(sums []*ChurnServeSummary) *metrics.Table {
+	t := metrics.NewTable("Churnserve: saturated queries across churn epochs (post-quiesce probe)",
+		"nodes", "mode", "epochs", "deltas/epoch", "final_edges", "probe_hit_rate", "probe_msgs/query")
+	for _, s := range sums {
+		t.AddRow(s.Nodes, s.Mode, s.Epochs, s.DeltasPerEpoch, s.FinalEdges,
+			s.ProbeHitRate, s.ProbeMsgsPerQuery)
+	}
+	return t
 }
 
 // churnServeDeltas draws one epoch's delta batch against the current
@@ -271,17 +219,17 @@ func keyOf(fx *scaleFixture, s *rng.Stream) search.Key {
 // across them (workers <= 0 means GOMAXPROCS), then probeQueries
 // sequential post-quiesce queries for the deterministic summary.
 // epochSwap selects the serving mode (see the package comment above).
-func RunChurnServe(cfg ScaleConfig, epochs, deltasPerEpoch, probeQueries, workers int, epochSwap bool) (*ChurnServeSummary, ChurnServePerfSample, error) {
+func RunChurnServe(cfg ScaleConfig, epochs, deltasPerEpoch, probeQueries, workers int, epochSwap bool) (*ChurnServeSummary, error) {
 	if epochs < 1 || deltasPerEpoch < 1 || probeQueries < 1 {
-		return nil, ChurnServePerfSample{}, fmt.Errorf("experiments: churnserve with %d epochs, %d deltas, %d probes",
+		return nil, fmt.Errorf("experiments: churnserve with %d epochs, %d deltas, %d probes",
 			epochs, deltasPerEpoch, probeQueries)
 	}
 	if cfg.Queries < epochs {
-		return nil, ChurnServePerfSample{}, fmt.Errorf("experiments: churnserve with %d queries over %d epochs", cfg.Queries, epochs)
+		return nil, fmt.Errorf("experiments: churnserve with %d queries over %d epochs", cfg.Queries, epochs)
 	}
 	fx, err := buildScaleFixture(cfg)
 	if err != nil {
-		return nil, ChurnServePerfSample{}, err
+		return nil, err
 	}
 	churnStream := fx.root.Split()
 	churnQs := drawChurnQueries(fx, 1, cfg.Queries)
@@ -312,17 +260,17 @@ func RunChurnServe(cfg ScaleConfig, epochs, deltasPerEpoch, probeQueries, worker
 		DeltasPerEpoch: deltasPerEpoch,
 		ChurnQueries:   cfg.Queries,
 		ProbeQueries:   probeQueries,
+		Wall:           WallSample{Queries: cfg.Queries, Workers: workers},
 	}
-	sample := ChurnServePerfSample{Queries: cfg.Queries, Workers: workers}
 
 	var eng *search.Engine
 	if epochSwap {
-		eng, err = serveEpochSwap(fx, churnStream, churnQs, epochs, deltasPerEpoch, workers, baseOpts, &sample)
+		eng, err = serveEpochSwap(fx, churnStream, churnQs, epochs, deltasPerEpoch, workers, baseOpts, &sum.Wall)
 	} else {
-		eng, err = serveStopWorld(fx, churnStream, churnQs, epochs, deltasPerEpoch, workers, baseOpts, &sample)
+		eng, err = serveStopWorld(fx, churnStream, churnQs, epochs, deltasPerEpoch, workers, baseOpts, &sum.Wall)
 	}
 	if err != nil {
-		return nil, ChurnServePerfSample{}, err
+		return nil, err
 	}
 
 	// Post-quiesce probe: sequential, on the final adjacency — the
@@ -332,7 +280,7 @@ func RunChurnServe(cfg ScaleConfig, epochs, deltasPerEpoch, probeQueries, worker
 	for i := range probeQs {
 		out, err := eng.Do(ctx, probeQs[i])
 		if err != nil {
-			return nil, ChurnServePerfSample{}, err
+			return nil, err
 		}
 		sum.ProbeMessages += out.Messages
 		if out.Found() {
@@ -341,7 +289,7 @@ func RunChurnServe(cfg ScaleConfig, epochs, deltasPerEpoch, probeQueries, worker
 	}
 	sum.ProbeHitRate = float64(sum.ProbeHits) / float64(probeQueries)
 	sum.ProbeMsgsPerQuery = float64(sum.ProbeMessages) / float64(probeQueries)
-	return sum, sample, nil
+	return sum, nil
 }
 
 // epochChunks splits qs into epochs contiguous chunks (remainder on the
@@ -364,7 +312,7 @@ func epochChunks(qs []search.Query, epochs int) [][]search.Query {
 // the single CSR in place with the shard fully drained (the whole
 // freeze is downtime), then drain that epoch's chunk.
 func serveStopWorld(fx *scaleFixture, churn *rng.Stream, qs []search.Query,
-	epochs, deltasPerEpoch, workers int, opts []search.Option, sample *ChurnServePerfSample) (*search.Engine, error) {
+	epochs, deltasPerEpoch, workers int, opts []search.Option, sample *WallSample) (*search.Engine, error) {
 	csr := fx.net.Freeze()
 	eng, err := search.New(search.Over(csr, fx.content()), opts...)
 	if err != nil {
@@ -410,7 +358,7 @@ func serveStopWorld(fx *scaleFixture, churn *rng.Stream, qs []search.Query,
 // against the adjacency left by batches 1..k-1 — the identical stream
 // the stopworld mode applies.
 func serveEpochSwap(fx *scaleFixture, churn *rng.Stream, qs []search.Query,
-	epochs, deltasPerEpoch, workers int, opts []search.Option, sample *ChurnServePerfSample) (*search.Engine, error) {
+	epochs, deltasPerEpoch, workers int, opts []search.Option, sample *WallSample) (*search.Engine, error) {
 	store := topology.NewSnapshotStore(fx.net)
 	eng, err := search.New(search.OverContent(fx.content()),
 		append(opts, search.WithSnapshotStore(store))...)
@@ -454,22 +402,4 @@ func serveEpochSwap(fx *scaleFixture, churn *rng.Stream, qs []search.Query,
 	close(epochCh)
 	wg.Wait()
 	return eng, nil
-}
-
-// AssembleChurnServe validates the results of ChurnServeCells into
-// summaries, in sweep order.
-func AssembleChurnServe(rs []runner.Result) ([]*ChurnServeSummary, error) {
-	out := make([]*ChurnServeSummary, len(rs))
-	for i, r := range rs {
-		if r.Err != "" {
-			return nil, fmt.Errorf("experiments: cell %s/%s failed: %s", r.Experiment, r.Cell, r.Err)
-		}
-		sum, ok := r.Value.(*ChurnServeSummary)
-		if !ok {
-			return nil, fmt.Errorf("experiments: cell %s/%s has value %T, want *ChurnServeSummary",
-				r.Experiment, r.Cell, r.Value)
-		}
-		out[i] = sum
-	}
-	return out, nil
 }

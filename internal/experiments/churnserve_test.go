@@ -10,7 +10,8 @@ import (
 // the epochswap store path consume the identical delta stream, end on
 // the identical adjacency, and produce byte-identical deterministic
 // summaries — only the Mode tag differs. The during-churn throughput
-// numbers are wall-clock side measurements and are not compared.
+// numbers are wall-clock side measurements (the Wall sample) and are
+// not compared.
 func TestChurnServeModesAgree(t *testing.T) {
 	cfg := DefaultScaleConfig(3000, 300, 7)
 	const (
@@ -18,11 +19,11 @@ func TestChurnServeModesAgree(t *testing.T) {
 		deltas = 30
 		probes = 200
 	)
-	stop, stopSample, err := RunChurnServe(cfg, epochs, deltas, probes, 2, false)
+	stop, err := RunChurnServe(cfg, epochs, deltas, probes, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	swap, swapSample, err := RunChurnServe(cfg, epochs, deltas, probes, 2, true)
+	swap, err := RunChurnServe(cfg, epochs, deltas, probes, 2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +33,7 @@ func TestChurnServeModesAgree(t *testing.T) {
 	}
 	a, b := *stop, *swap
 	a.Mode, b.Mode = "", ""
+	a.Wall, b.Wall = WallSample{}, WallSample{}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("deterministic summaries diverged:\nstopworld: %+v\nepochswap: %+v", a, b)
 	}
@@ -44,32 +46,32 @@ func TestChurnServeModesAgree(t *testing.T) {
 
 	// The store path publishes exactly one epoch per delta batch; the
 	// baseline never publishes (its freezes are all downtime).
-	if swapSample.Publishes != epochs {
-		t.Fatalf("epochswap published %d epochs, want %d", swapSample.Publishes, epochs)
+	if swap.Wall.Publishes != epochs {
+		t.Fatalf("epochswap published %d epochs, want %d", swap.Wall.Publishes, epochs)
 	}
-	if stopSample.Publishes != 0 {
-		t.Fatalf("stopworld published %d epochs, want 0", stopSample.Publishes)
+	if stop.Wall.Publishes != 0 {
+		t.Fatalf("stopworld published %d epochs, want 0", stop.Wall.Publishes)
 	}
-	if stopSample.Queries != cfg.Queries || swapSample.Queries != cfg.Queries {
+	if stop.Wall.Queries != cfg.Queries || swap.Wall.Queries != cfg.Queries {
 		t.Fatalf("samples drained %d/%d queries, want %d",
-			stopSample.Queries, swapSample.Queries, cfg.Queries)
+			stop.Wall.Queries, swap.Wall.Queries, cfg.Queries)
 	}
 }
 
 func TestChurnServeValidates(t *testing.T) {
 	cfg := DefaultScaleConfig(3000, 300, 7)
-	if _, _, err := RunChurnServe(cfg, 0, 30, 200, 2, false); err == nil {
+	if _, err := RunChurnServe(cfg, 0, 30, 200, 2, false); err == nil {
 		t.Fatal("zero epochs accepted")
 	}
-	if _, _, err := RunChurnServe(cfg, 4, 0, 200, 2, false); err == nil {
+	if _, err := RunChurnServe(cfg, 4, 0, 200, 2, false); err == nil {
 		t.Fatal("zero deltas accepted")
 	}
-	if _, _, err := RunChurnServe(cfg, 4, 30, 0, 2, false); err == nil {
+	if _, err := RunChurnServe(cfg, 4, 30, 0, 2, false); err == nil {
 		t.Fatal("zero probes accepted")
 	}
 	small := cfg
 	small.Queries = 2
-	if _, _, err := RunChurnServe(small, 4, 30, 200, 2, false); err == nil {
+	if _, err := RunChurnServe(small, 4, 30, 200, 2, false); err == nil {
 		t.Fatal("fewer queries than epochs accepted")
 	}
 }

@@ -2,15 +2,15 @@
 // paper's evaluation (Section 4.3) plus the ablations listed in
 // DESIGN.md.
 //
-// Each experiment decomposes into runner.Cells — one isolated
-// simulation per cell — via its *Cells constructor, and reassembles
-// the finished results into paper-shaped rows via its assemble
-// function. The typed Fig*/ablation entry points (Fig1, Fig3a,
-// DirectedBFT, ...) bundle both steps over a default worker pool; the
-// CLI (cmd/repro) instead merges the cells of many experiments into
-// one pooled runner.Run so the whole evaluation shards across cores.
-// See EXPERIMENTS.md for the experiment ↔ paper-figure map and the
-// artifact schema.
+// Every experiment family is one Registry entry: runner.Cells — one
+// isolated simulation per cell, built by the family's *Cells
+// constructor through cell — plus a renderer that checks the finished
+// results with collect and shapes them into paper-style tables, plus
+// (for the stress families) a sidecar of wall-clock metrics read off
+// the cell values. The CLI (cmd/repro) merges the cells of many
+// experiments into one pooled runner.Run so the whole evaluation
+// shards across cores. See EXPERIMENTS.md for the experiment ↔
+// paper-figure map and the artifact schema.
 //
 // Seeding: all cells of one experiment share the experiment seed, so
 // static/dynamic comparisons are paired (identical workload streams) —
@@ -20,7 +20,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/gnutella"
@@ -132,52 +131,20 @@ func summarizeGnutella(m *gnutella.Metrics) *GnutellaSummary {
 
 // gnutellaCell wraps one gnutella configuration as a runner cell.
 func gnutellaCell(experiment, name string, cfg gnutella.Config) runner.Cell {
-	return runner.Cell{
-		Experiment: experiment,
-		Name:       name,
-		Seed:       cfg.Seed,
-		Run: func(_ context.Context, seed uint64) (any, error) {
-			c := cfg
-			c.Seed = seed
+	return cell(experiment, name, cfg, func(c *gnutella.Config) *uint64 { return &c.Seed },
+		func(c gnutella.Config) (*GnutellaSummary, error) {
 			return summarizeGnutella(gnutella.New(c).Run()), nil
-		},
-	}
+		})
 }
 
-// runLocal executes cells on the default pool (GOMAXPROCS workers) and
-// panics on any cell failure — the typed Fig* wrappers keep the
-// crash-loudly contract the package always had. The CLI drives the
-// runner directly and handles failures gracefully instead.
-func runLocal(cells []runner.Cell) []runner.Result {
-	rs, _ := runner.Run(context.Background(), cells, runner.Options{})
-	if err := runner.FirstError(rs); err != nil {
-		panic(err)
+// gnutellaSummaries collects the n gnutella summaries a positional
+// shaper indexes.
+func gnutellaSummaries(rs []runner.Result, n int) ([]*GnutellaSummary, error) {
+	gs, err := collect[*GnutellaSummary](rs)
+	if err == nil && len(gs) != n {
+		err = fmt.Errorf("experiments: %d gnutella cells, want %d", len(gs), n)
 	}
-	return rs
-}
-
-// must unwraps an assemble result inside the typed wrappers.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// gnutellaValue extracts the summary of result i, validating shape.
-func gnutellaValue(rs []runner.Result, i int) (*GnutellaSummary, error) {
-	if i >= len(rs) {
-		return nil, fmt.Errorf("experiments: missing cell %d (have %d results)", i, len(rs))
-	}
-	if rs[i].Err != "" {
-		return nil, fmt.Errorf("experiments: cell %s/%s failed: %s", rs[i].Experiment, rs[i].Cell, rs[i].Err)
-	}
-	g, ok := rs[i].Value.(*GnutellaSummary)
-	if !ok {
-		return nil, fmt.Errorf("experiments: cell %s/%s has value %T, want *GnutellaSummary",
-			rs[i].Experiment, rs[i].Cell, rs[i].Value)
-	}
-	return g, nil
+	return gs, err
 }
 
 // bucketF and bucketU index an hourly series like metrics.Series
@@ -253,14 +220,11 @@ func FigHourlyCells(experiment string, scale Scale, ttl int, seed uint64) []runn
 // AssembleFigSeries builds the hourly series from the results of
 // FigHourlyCells.
 func AssembleFigSeries(scale Scale, ttl int, rs []runner.Result) (*FigSeries, error) {
-	sm, err := gnutellaValue(rs, 0)
+	gs, err := gnutellaSummaries(rs, 2)
 	if err != nil {
 		return nil, err
 	}
-	dm, err := gnutellaValue(rs, 1)
-	if err != nil {
-		return nil, err
-	}
+	sm, dm := gs[0], gs[1]
 	out := &FigSeries{TTL: ttl}
 	for _, h := range scale.reportHours() {
 		out.Rows = append(out.Rows, HourlyRow{
@@ -284,19 +248,6 @@ func AssembleFigSeries(scale Scale, ttl int, rs []runner.Result) (*FigSeries, er
 	}
 	return out, nil
 }
-
-// FigHourly runs the Figure 1 (ttl=2) or Figure 2 (ttl=4) experiment:
-// hits per hour and query messages per hour for both variants.
-func FigHourly(scale Scale, ttl int, seed uint64) *FigSeries {
-	cells := FigHourlyCells(fmt.Sprintf("fig-ttl%d", ttl), scale, ttl, seed)
-	return must(AssembleFigSeries(scale, ttl, runLocal(cells)))
-}
-
-// Fig1 is Figure 1: hops = 2.
-func Fig1(scale Scale, seed uint64) *FigSeries { return FigHourly(scale, 2, seed) }
-
-// Fig2 is Figure 2: hops = 4.
-func Fig2(scale Scale, seed uint64) *FigSeries { return FigHourly(scale, 4, seed) }
 
 // Fig3aRow is one TTL column of Figure 3(a).
 type Fig3aRow struct {
@@ -327,16 +278,13 @@ func Fig3aCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 
 // AssembleFig3a builds the rows from the results of Fig3aCells.
 func AssembleFig3a(rs []runner.Result) ([]Fig3aRow, error) {
+	gs, err := gnutellaSummaries(rs, 2*len(fig3aTTLs))
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig3aRow, len(fig3aTTLs))
 	for i, ttl := range fig3aTTLs {
-		sm, err := gnutellaValue(rs, 2*i)
-		if err != nil {
-			return nil, err
-		}
-		dm, err := gnutellaValue(rs, 2*i+1)
-		if err != nil {
-			return nil, err
-		}
+		sm, dm := gs[2*i], gs[2*i+1]
 		rows[i] = Fig3aRow{
 			TTL:            ttl,
 			StaticDelayMs:  sm.FirstResultMsMean,
@@ -346,12 +294,6 @@ func AssembleFig3a(rs []runner.Result) ([]Fig3aRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// Fig3a runs the response-time experiment: TTL ∈ {1, 2, 3, 4}, both
-// variants.
-func Fig3a(scale Scale, seed uint64) []Fig3aRow {
-	return must(AssembleFig3a(runLocal(Fig3aCells("fig3a", scale, seed))))
 }
 
 // Fig3aTable renders Figure 3(a).
@@ -392,25 +334,15 @@ func Fig3bCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 
 // AssembleFig3b builds the rows from the results of Fig3bCells.
 func AssembleFig3b(rs []runner.Result) ([]Fig3bRow, error) {
-	sm, err := gnutellaValue(rs, 0)
+	gs, err := gnutellaSummaries(rs, 1+len(fig3bThresholds))
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig3bRow, len(fig3bThresholds))
 	for i, th := range fig3bThresholds {
-		dm, err := gnutellaValue(rs, i+1)
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = Fig3bRow{Threshold: th, DynamicHits: dm.HitsTotal, StaticHits: sm.HitsTotal}
+		rows[i] = Fig3bRow{Threshold: th, DynamicHits: gs[i+1].HitsTotal, StaticHits: gs[0].HitsTotal}
 	}
 	return rows, nil
-}
-
-// Fig3b runs the reconfiguration-threshold sweep: θ ∈ {1, 2, 4, 8, 16}
-// at TTL 2, against the static baseline.
-func Fig3b(scale Scale, seed uint64) []Fig3bRow {
-	return must(AssembleFig3b(runLocal(Fig3bCells("fig3b", scale, seed))))
 }
 
 // Fig3bTable renders Figure 3(b).

@@ -1,14 +1,36 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // These are the repository's integration tests: full (CI-scale)
 // simulations of every figure, asserting the paper's qualitative
 // claims. Absolute numbers differ from the paper (different scale and
 // substrate); the shapes must not.
+
+// run executes cells on the default pool and shapes the results,
+// failing the test on any cell error.
+func run[T any](t *testing.T, cells []runner.Cell, shape func([]runner.Result) (T, error)) T {
+	t.Helper()
+	rs, _ := runner.Run(context.Background(), cells, runner.Options{})
+	v, err := shape(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// figSeries runs Figure 1 (ttl 2) or Figure 2 (ttl 4).
+func figSeries(t *testing.T, ttl int, seed uint64) *FigSeries {
+	return run(t, FigHourlyCells("fig", CI, ttl, seed), func(rs []runner.Result) (*FigSeries, error) {
+		return AssembleFigSeries(CI, ttl, rs)
+	})
+}
 
 func TestParseScale(t *testing.T) {
 	if s, err := ParseScale("full"); err != nil || s != Full {
@@ -37,7 +59,7 @@ func TestReportHours(t *testing.T) {
 }
 
 func TestFig1Shape(t *testing.T) {
-	f := Fig1(CI, 1)
+	f := figSeries(t, 2, 1)
 	if len(f.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -63,7 +85,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	f := Fig2(CI, 1)
+	f := figSeries(t, 4, 1)
 	if f.DynamicHitsTotal <= f.StaticHitsTotal {
 		t.Fatalf("dynamic hits %v not above static %v", f.DynamicHitsTotal, f.StaticHitsTotal)
 	}
@@ -73,7 +95,7 @@ func TestFig2Shape(t *testing.T) {
 	// Claim: the overhead gap is larger at hops=4 than at hops=2
 	// ("the performance difference is significant if we allow the
 	// queries to propagate for a larger number of hops").
-	f1 := Fig1(CI, 1)
+	f1 := figSeries(t, 2, 1)
 	gap2 := f1.StaticMsgsTotal / f1.DynamicMsgsTotal
 	gap4 := f.StaticMsgsTotal / f.DynamicMsgsTotal
 	if gap4 <= gap2 {
@@ -82,7 +104,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3aShape(t *testing.T) {
-	rows := Fig3a(CI, 1)
+	rows := run(t, Fig3aCells("fig3a", CI, 1), AssembleFig3a)
 	if len(rows) != 4 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -110,7 +132,7 @@ func TestFig3aShape(t *testing.T) {
 }
 
 func TestFig3bShape(t *testing.T) {
-	rows := Fig3b(CI, 1)
+	rows := run(t, Fig3bCells("fig3b", CI, 1), AssembleFig3b)
 	if len(rows) != 5 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -135,7 +157,7 @@ func TestFig3bShape(t *testing.T) {
 }
 
 func TestDirectedBFTAblation(t *testing.T) {
-	rows := DirectedBFT(CI, 1)
+	rows := run(t, DirectedBFTCells("directed", CI, 1), AssembleVariants)
 	if len(rows) != 3 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -151,7 +173,7 @@ func TestDirectedBFTAblation(t *testing.T) {
 }
 
 func TestIterDeepeningAblation(t *testing.T) {
-	rows := IterDeepening(CI, 1)
+	rows := run(t, IterDeepeningCells("iterdeep", CI, 1), AssembleVariants)
 	if len(rows) != 2 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -166,7 +188,7 @@ func TestIterDeepeningAblation(t *testing.T) {
 }
 
 func TestAsymmetricUpdateAblation(t *testing.T) {
-	rows := AsymmetricUpdate(CI, 1)
+	rows := run(t, AsymmetricUpdateCells("asym", CI, 1), AssembleVariants)
 	if len(rows) != 3 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -177,7 +199,7 @@ func TestAsymmetricUpdateAblation(t *testing.T) {
 }
 
 func TestBenefitFunctionsAblation(t *testing.T) {
-	rows := BenefitFunctions(CI, 1)
+	rows := run(t, BenefitFunctionsCells("benefit", CI, 1), AssembleVariants)
 	if len(rows) != 3 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -189,7 +211,7 @@ func TestBenefitFunctionsAblation(t *testing.T) {
 }
 
 func TestWebCacheExperiment(t *testing.T) {
-	rows := WebCache(CI, 1)
+	rows := run(t, WebCacheCells("webcache", CI, 1), collect[*WebCacheRow])
 	if len(rows) != 3 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -205,7 +227,7 @@ func TestWebCacheExperiment(t *testing.T) {
 }
 
 func TestPeerOlapExperiment(t *testing.T) {
-	rows := PeerOlap(CI, 1)
+	rows := run(t, PeerOlapCells("peerolap", CI, 1), collect[*PeerOlapRow])
 	if len(rows) != 2 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -217,12 +239,12 @@ func TestPeerOlapExperiment(t *testing.T) {
 }
 
 func TestTablesRender(t *testing.T) {
-	f := Fig1(CI, 2)
+	f := figSeries(t, 2, 2)
 	for _, tbl := range []interface{ String() string }{
 		f.HitsTable("t1"),
 		f.MsgsTable("t2"),
-		Fig3aTable(Fig3a(CI, 2)),
-		Fig3bTable(Fig3b(CI, 2)),
+		Fig3aTable(run(t, Fig3aCells("fig3a", CI, 2), AssembleFig3a)),
+		Fig3bTable(run(t, Fig3bCells("fig3b", CI, 2), AssembleFig3b)),
 	} {
 		out := tbl.String()
 		if !strings.Contains(out, "Gnutella") {
@@ -232,15 +254,15 @@ func TestTablesRender(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	a := Fig1(CI, 7)
-	b := Fig1(CI, 7)
+	a := figSeries(t, 2, 7)
+	b := figSeries(t, 2, 7)
 	if a.DynamicHitsTotal != b.DynamicHitsTotal || a.StaticMsgsTotal != b.StaticMsgsTotal {
 		t.Fatal("same seed produced different experiment results")
 	}
 }
 
 func TestLocalIndicesAblation(t *testing.T) {
-	rows := LocalIndices(CI, 1)
+	rows := run(t, LocalIndicesCells("localindex", CI, 1), AssembleVariants)
 	if len(rows) != 2 {
 		t.Fatalf("rows: %v", rows)
 	}
@@ -258,7 +280,9 @@ func TestLocalIndicesAblation(t *testing.T) {
 }
 
 func TestDriftExperiment(t *testing.T) {
-	rows := Drift(CI, 1)
+	rows := run(t, DriftCells("drift", CI, 1), func(rs []runner.Result) ([]DriftRow, error) {
+		return AssembleDrift(CI, 1, rs)
+	})
 	if len(rows) != 24 {
 		t.Fatalf("expected 24 hourly rows, got %d", len(rows))
 	}

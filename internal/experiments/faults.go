@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/perf"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -29,7 +25,8 @@ import (
 // nodes from routing and serving. Every cell is a pure function of its
 // config: the summaries land in cells.json byte-identically at any
 // worker count, while wall-clock throughput (the degraded-mode
-// queries/sec headline) goes to the BENCH_faults.json side channel.
+// queries/sec headline) rides in each value's WallSample and lands in
+// the BENCH_faults.json sidecar.
 
 // FaultsConfig parameterizes one faults cell.
 type FaultsConfig struct {
@@ -108,7 +105,7 @@ func (c FaultsConfig) Validate() error {
 }
 
 // FaultsSummary is the deterministic (JSON-stable) output of one
-// faults cell.
+// faults cell, plus its wall-clock sample.
 type FaultsSummary struct {
 	Nodes  int     `json:"nodes"`
 	Policy string  `json:"policy"`
@@ -118,75 +115,9 @@ type FaultsSummary struct {
 	// survived to issue queries.
 	Crashed     int `json:"crashed"`
 	LiveClients int `json:"live_clients"`
-	Queries     int `json:"queries"`
-	Hits        int `json:"hits"`
-	// HitRate = Hits/Queries under the cell's faults.
-	HitRate       float64 `json:"hit_rate"`
-	Messages      uint64  `json:"messages"`
-	ReplyMessages uint64  `json:"reply_messages"`
-	MsgsPerQuery  float64 `json:"msgs_per_query"`
-	VisitedMean   float64 `json:"visited_mean"`
-	DelayP50Ms    float64 `json:"delay_p50_ms"`
-	DelayP95Ms    float64 `json:"delay_p95_ms"`
-	DelayP99Ms    float64 `json:"delay_p99_ms"`
-}
-
-// FaultsPerfSample is the wall-clock side channel of one faults cell.
-type FaultsPerfSample struct {
-	WallSeconds float64
-	Queries     int
-	Events      uint64
-}
-
-// FaultsPerf collects the non-deterministic measurements of a faults
-// run, keyed by cell name. Safe for concurrent cells.
-type FaultsPerf struct {
-	mu      sync.Mutex
-	samples map[string]FaultsPerfSample
-}
-
-// NewFaultsPerf returns an empty collector.
-func NewFaultsPerf() *FaultsPerf {
-	return &FaultsPerf{samples: make(map[string]FaultsPerfSample)}
-}
-
-func (p *FaultsPerf) record(cell string, s FaultsPerfSample) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.samples[cell] = s
-}
-
-// Report renders the collected samples plus the deterministic per-cell
-// metrics as a BENCH_faults.json document. The degraded-mode cells'
-// queries/sec is the headline.
-func (p *FaultsPerf) Report(rs []runner.Result) (*perf.Report, error) {
-	rep := perf.NewReport("faults-experiment")
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, r := range rs {
-		if r.Experiment != "faults" {
-			continue
-		}
-		if r.Err != "" {
-			return nil, fmt.Errorf("experiments: faults cell %s failed: %s", r.Cell, r.Err)
-		}
-		sum, ok := r.Value.(*FaultsSummary)
-		if !ok {
-			return nil, fmt.Errorf("experiments: faults cell %s has value %T", r.Cell, r.Value)
-		}
-		m := map[string]float64{
-			"hit-rate":     sum.HitRate,
-			"msgs/query":   sum.MsgsPerQuery,
-			"delay_p95_ms": sum.DelayP95Ms,
-		}
-		if s, ok := p.samples[r.Cell]; ok && s.WallSeconds > 0 && s.Queries > 0 {
-			m["queries/sec"] = float64(s.Queries) / s.WallSeconds
-			m["events/sec"] = float64(s.Events) / s.WallSeconds
-			m["wall_seconds"] = s.WallSeconds
-		}
-		rep.Add("faults/"+r.Cell, m)
-	}
-	return rep, nil
+	// QueryStats covers the stream under the cell's faults.
+	QueryStats
+	Wall WallSample `json:"-"`
 }
 
 // The faults grid: every policy at every drop × crash combination.
@@ -217,11 +148,9 @@ func faultsCellName(policy string, drop, crash float64) string {
 	return fmt.Sprintf("%s-d%02d-c%02d", policy, int(drop*100+0.5), int(crash*100+0.5))
 }
 
-// FaultsCells returns the grid plus the collector that receives each
-// cell's wall-clock measurements. Cells are independent, so each draws
+// FaultsCells returns the grid. Cells are independent, so each draws
 // its own stable seed from its labels (worker-count invariant).
-func FaultsCells(experiment string, scale Scale, seed uint64) ([]runner.Cell, *FaultsPerf) {
-	collector := NewFaultsPerf()
+func FaultsCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	var cells []runner.Cell
 	for _, policy := range faultsPolicies {
 		for _, crash := range faultsCrashes {
@@ -232,26 +161,12 @@ func FaultsCells(experiment string, scale Scale, seed uint64) ([]runner.Cell, *F
 				cfg.Policy = policy
 				cfg.Drop = drop
 				cfg.CrashFraction = crash
-				cellName := name
-				cells = append(cells, runner.Cell{
-					Experiment: experiment,
-					Name:       name,
-					Seed:       cfg.Seed,
-					Run: func(_ context.Context, cellSeed uint64) (any, error) {
-						c := cfg
-						c.Seed = cellSeed
-						sum, sample, err := RunFaults(c)
-						if err != nil {
-							return nil, err
-						}
-						collector.record(cellName, sample)
-						return sum, nil
-					},
-				})
+				cells = append(cells, cell(experiment, name, cfg,
+					func(c *FaultsConfig) *uint64 { return &c.Seed }, RunFaults))
 			}
 		}
 	}
-	return cells, collector
+	return cells
 }
 
 // downMask removes dead nodes from every policy selection: the
@@ -281,13 +196,13 @@ func (p *downMask) Name() string { return "downmask(" + p.inner.Name() + ")" }
 // policy wrapped in deterministic per-link loss, and the query stream
 // driven from the surviving clients. The summary is a pure function of
 // the config.
-func RunFaults(cfg FaultsConfig) (*FaultsSummary, FaultsPerfSample, error) {
+func RunFaults(cfg FaultsConfig) (*FaultsSummary, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, FaultsPerfSample{}, err
+		return nil, err
 	}
 	fx, err := buildScaleFixture(cfg.scaleConfig())
 	if err != nil {
-		return nil, FaultsPerfSample{}, err
+		return nil, err
 	}
 	// Stream-split order after the fixture's own is load-bearing for
 	// byte identity: classes, policy, crash — in that order.
@@ -308,7 +223,7 @@ func RunFaults(cfg FaultsConfig) (*FaultsSummary, FaultsPerfSample, error) {
 
 	base, err := search.PolicyByName(cfg.Policy, search.PolicyEnv{Intn: polStream.Intn})
 	if err != nil {
-		return nil, FaultsPerfSample{}, err
+		return nil, err
 	}
 	var forward core.ForwardPolicy = &downMask{inner: base, down: down}
 	if cfg.Drop > 0 {
@@ -322,19 +237,15 @@ func RunFaults(cfg FaultsConfig) (*FaultsSummary, FaultsPerfSample, error) {
 		return !down[id] && alive.HasContent(id, key)
 	})
 
-	csr := fx.net.Freeze()
-	delayStream := fx.delay
 	eng, err := search.New(
-		search.Over(csr, content),
+		search.Over(fx.net.Freeze(), content),
 		search.WithForward(forward),
 		search.WithSeed(cfg.Seed),
 		search.WithTTL(cfg.TTL),
 		search.WithScratchHint(cfg.Nodes),
-		search.WithDelay(func(from, to topology.NodeID) float64 {
-			return netsim.OneWayDelay(delayStream, classes[from], classes[to])
-		}))
+		search.WithDelay(fx.delayFunc(classes)))
 	if err != nil {
-		return nil, FaultsPerfSample{}, err
+		return nil, err
 	}
 
 	// Queries originate only at surviving clients.
@@ -345,7 +256,7 @@ func RunFaults(cfg FaultsConfig) (*FaultsSummary, FaultsPerfSample, error) {
 		}
 	}
 	if len(liveClients) == 0 {
-		return nil, FaultsPerfSample{}, fmt.Errorf("experiments: faults cell crashed every client")
+		return nil, fmt.Errorf("experiments: faults cell crashed every client")
 	}
 
 	sum := &FaultsSummary{
@@ -355,65 +266,18 @@ func RunFaults(cfg FaultsConfig) (*FaultsSummary, FaultsPerfSample, error) {
 		Crash:       cfg.CrashFraction,
 		Crashed:     crashed,
 		LiveClients: len(liveClients),
-		Queries:     cfg.Queries,
 	}
-	delays := make([]float64, 0, cfg.Queries)
-	visitedSum := 0
-	ctx := context.Background()
 	start := time.Now()
-	for q := 0; q < cfg.Queries; q++ {
-		origin := liveClients[fx.query.Intn(len(liveClients))]
-		key := core.Key(fx.zipf.Index(fx.query))
-		outcome, err := eng.Do(ctx, search.Query{
-			ID:     uint64(q + 1),
-			Key:    key,
-			Origin: origin,
-		})
-		if err != nil {
-			return nil, FaultsPerfSample{}, err
-		}
-		sum.Messages += outcome.Messages
-		sum.ReplyMessages += outcome.ReplyMessages
-		visitedSum += outcome.Visited
-		if outcome.Found() {
-			sum.Hits++
-			delays = append(delays, outcome.FirstResultDelay)
-		}
+	if err := fx.runQueries(eng, liveClients, &sum.QueryStats, 0, cfg.Queries); err != nil {
+		return nil, err
 	}
-	wall := time.Since(start)
-
-	sum.HitRate = float64(sum.Hits) / float64(sum.Queries)
-	sum.MsgsPerQuery = float64(sum.Messages) / float64(sum.Queries)
-	sum.VisitedMean = float64(visitedSum) / float64(sum.Queries)
-	sort.Float64s(delays)
-	sum.DelayP50Ms = quantileMs(delays, 0.50)
-	sum.DelayP95Ms = quantileMs(delays, 0.95)
-	sum.DelayP99Ms = quantileMs(delays, 0.99)
-
-	sample := FaultsPerfSample{
-		WallSeconds: wall.Seconds(),
+	sum.Wall = WallSample{
+		WallSeconds: time.Since(start).Seconds(),
 		Queries:     cfg.Queries,
 		Events:      sum.Messages + sum.ReplyMessages,
 	}
-	return sum, sample, nil
-}
-
-// AssembleFaults validates the results of FaultsCells into summaries,
-// in grid order.
-func AssembleFaults(rs []runner.Result) ([]*FaultsSummary, error) {
-	out := make([]*FaultsSummary, len(rs))
-	for i, r := range rs {
-		if r.Err != "" {
-			return nil, fmt.Errorf("experiments: cell %s/%s failed: %s", r.Experiment, r.Cell, r.Err)
-		}
-		sum, ok := r.Value.(*FaultsSummary)
-		if !ok {
-			return nil, fmt.Errorf("experiments: cell %s/%s has value %T, want *FaultsSummary",
-				r.Experiment, r.Cell, r.Value)
-		}
-		out[i] = sum
-	}
-	return out, nil
+	sum.finish()
+	return sum, nil
 }
 
 // FaultsTable renders the grid with each row's hit-rate retention
@@ -435,22 +299,4 @@ func FaultsTable(sums []*FaultsSummary) *metrics.Table {
 		t.AddRow(s.Policy, s.Drop, s.Crash, s.HitRate, retention, s.MsgsPerQuery, s.DelayP95Ms)
 	}
 	return t
-}
-
-// faultsDefinition wires the faults family into the registry.
-func faultsDefinition(scale Scale, seed uint64) Definition {
-	cells, collector := FaultsCells("faults", scale, seed)
-	return Definition{
-		Name:  "faults",
-		About: "Robustness: hit-rate retention under drop-rate x crash-rate x policy",
-		Cells: cells,
-		Tables: func(rs []runner.Result) ([]*metrics.Table, error) {
-			sums, err := AssembleFaults(rs)
-			if err != nil {
-				return nil, err
-			}
-			return []*metrics.Table{FaultsTable(sums)}, nil
-		},
-		Perf: collector.Report,
-	}
 }

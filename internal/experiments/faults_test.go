@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
 
@@ -31,7 +30,7 @@ func TestFaultsConfigValidation(t *testing.T) {
 	} {
 		c := ciFaultsConfig(1)
 		mutate(&c)
-		if _, _, err := RunFaults(c); err == nil {
+		if _, err := RunFaults(c); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -41,11 +40,11 @@ func TestFaultsCellIsPureFunctionOfConfig(t *testing.T) {
 	cfg := ciFaultsConfig(7)
 	cfg.Drop = 0.1
 	cfg.CrashFraction = 0.1
-	a, _, err := RunFaults(cfg)
+	a, err := RunFaults(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunFaults(cfg)
+	b, err := RunFaults(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestFaultsCellIsPureFunctionOfConfig(t *testing.T) {
 		t.Fatalf("same config diverged:\n%s\n%s", aj, bj)
 	}
 	cfg.Seed = 8
-	c, _, err := RunFaults(cfg)
+	c, err := RunFaults(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestFaultsCellIsPureFunctionOfConfig(t *testing.T) {
 // configured share of the population.
 func TestFaultsDegradeHitRate(t *testing.T) {
 	clean := ciFaultsConfig(3)
-	base, _, err := RunFaults(clean)
+	base, err := RunFaults(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestFaultsDegradeHitRate(t *testing.T) {
 
 	dropped := clean
 	dropped.Drop = 0.4
-	d, _, err := RunFaults(dropped)
+	d, err := RunFaults(dropped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestFaultsDegradeHitRate(t *testing.T) {
 
 	crashed := clean
 	crashed.CrashFraction = 0.3
-	c, _, err := RunFaults(crashed)
+	c, err := RunFaults(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,28 +115,13 @@ func TestFaultsWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full CI-scale grid twice")
 	}
-	run := func(workers int) string {
-		cells, _ := FaultsCells("faults", CI, 1)
-		rs, err := runner.Run(context.Background(), cells, runner.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runner.FirstError(rs); err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.MarshalIndent(rs, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	if run(1) != run(8) {
+	if cellsJSON(t, FaultsCells("faults", CI, 1), 1) != cellsJSON(t, FaultsCells("faults", CI, 1), 8) {
 		t.Fatal("faults cells.json depends on the worker count")
 	}
 }
 
 func TestFaultsCellsWellFormed(t *testing.T) {
-	cells, _ := FaultsCells("faults", CI, 1)
+	cells := FaultsCells("faults", CI, 1)
 	if len(cells) != len(faultsPolicies)*len(faultsDrops)*len(faultsCrashes) {
 		t.Fatalf("grid has %d cells", len(cells))
 	}

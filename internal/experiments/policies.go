@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -49,43 +48,17 @@ func PolicyCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	// the same pairing discipline as the figure experiments.
 	cells := make([]runner.Cell, 0, len(policySweep))
 	for _, policy := range policySweep {
-		policy := policy
 		cfg := DefaultScaleConfig(policyNodes(scale), scaleQueries(scale)/2, seed)
 		cfg.Policy = policy
-		cells = append(cells, runner.Cell{
-			Experiment: experiment,
-			Name:       policy,
-			Seed:       cfg.Seed,
-			Run: func(_ context.Context, cellSeed uint64) (any, error) {
-				c := cfg
-				c.Seed = cellSeed
-				sum, _, err := RunScale(c)
-				if err != nil {
-					return nil, err
-				}
-				return &PolicySummary{Policy: policy, ScaleSummary: *sum}, nil
-			},
-		})
+		cells = append(cells, cell(experiment, policy, cfg, scaleSeed, func(c ScaleConfig) (*PolicySummary, error) {
+			sum, err := RunScale(c)
+			if err != nil {
+				return nil, err
+			}
+			return &PolicySummary{Policy: policy, ScaleSummary: *sum}, nil
+		}))
 	}
 	return cells
-}
-
-// AssemblePolicies validates the results of PolicyCells, in sweep
-// order.
-func AssemblePolicies(rs []runner.Result) ([]*PolicySummary, error) {
-	out := make([]*PolicySummary, len(rs))
-	for i, r := range rs {
-		if r.Err != "" {
-			return nil, fmt.Errorf("experiments: cell %s/%s failed: %s", r.Experiment, r.Cell, r.Err)
-		}
-		sum, ok := r.Value.(*PolicySummary)
-		if !ok {
-			return nil, fmt.Errorf("experiments: cell %s/%s has value %T, want *PolicySummary",
-				r.Experiment, r.Cell, r.Value)
-		}
-		out[i] = sum
-	}
-	return out, nil
 }
 
 // PolicyTable renders the sweep.
@@ -97,10 +70,4 @@ func PolicyTable(sums []*PolicySummary) *metrics.Table {
 		t.AddRow(s.Policy, s.HitRate, s.MsgsPerQuery, s.VisitedMean, s.DelayP50Ms, s.DelayP95Ms)
 	}
 	return t
-}
-
-// Policies runs the sweep on the default pool and returns the
-// summaries.
-func Policies(scale Scale, seed uint64) []*PolicySummary {
-	return must(AssemblePolicies(runLocal(PolicyCells("policies", scale, seed))))
 }

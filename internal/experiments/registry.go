@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/perf"
 	"repro/internal/runner"
 )
 
@@ -25,11 +29,11 @@ type Definition struct {
 	// Tables renders this definition's slice of the results (same
 	// order and length as Cells).
 	Tables func(rs []runner.Result) ([]*metrics.Table, error)
-	// Perf, when non-nil, renders the experiment's wall-clock side
-	// measurements as a BENCH_<name>.json document (see internal/perf).
-	// The stress families (scale, skew, churnserve) set it; figure
+	// Sidecar, when non-nil, renders the experiment's wall-clock side
+	// measurements as its BENCH_<name>.json document (see Report). The
+	// stress families (scale, skew, churnserve, faults) set it; figure
 	// experiments are fully described by their deterministic cells.
-	Perf func(rs []runner.Result) (*perf.Report, error)
+	Sidecar func(rs []runner.Result) (*Report, error)
 }
 
 // Registry returns every canonical experiment in presentation order —
@@ -43,24 +47,11 @@ func Registry(scale Scale, seed uint64) []Definition {
 			if err != nil {
 				return nil, err
 			}
-			var out []*metrics.Table
-			if hits != "" {
-				out = append(out, f.HitsTable(hits))
-			}
-			if msgs != "" {
-				out = append(out, f.MsgsTable(msgs))
-			}
-			return out, nil
+			return []*metrics.Table{f.HitsTable(hits), f.MsgsTable(msgs)}, nil
 		}
 	}
 	variantTables := func(title string) func(rs []runner.Result) ([]*metrics.Table, error) {
-		return func(rs []runner.Result) ([]*metrics.Table, error) {
-			rows, err := AssembleVariants(rs)
-			if err != nil {
-				return nil, err
-			}
-			return []*metrics.Table{VariantTable(title, rows)}, nil
-		}
+		return table(AssembleVariants, func(rows []VariantRow) *metrics.Table { return VariantTable(title, rows) })
 	}
 	return []Definition{
 		{
@@ -80,28 +71,16 @@ func Registry(scale Scale, seed uint64) []Definition {
 				"Figure 2(b): query overhead per hour (hops=4)"),
 		},
 		{
-			Name:  "fig3a",
-			About: "Figure 3(a): first-result response time and result counts over TTL 1-4",
-			Cells: Fig3aCells("fig3a", scale, seed),
-			Tables: func(rs []runner.Result) ([]*metrics.Table, error) {
-				rows, err := AssembleFig3a(rs)
-				if err != nil {
-					return nil, err
-				}
-				return []*metrics.Table{Fig3aTable(rows)}, nil
-			},
+			Name:   "fig3a",
+			About:  "Figure 3(a): first-result response time and result counts over TTL 1-4",
+			Cells:  Fig3aCells("fig3a", scale, seed),
+			Tables: table(AssembleFig3a, Fig3aTable),
 		},
 		{
-			Name:  "fig3b",
-			About: "Figure 3(b): total hits over the reconfiguration threshold sweep",
-			Cells: Fig3bCells("fig3b", scale, seed),
-			Tables: func(rs []runner.Result) ([]*metrics.Table, error) {
-				rows, err := AssembleFig3b(rs)
-				if err != nil {
-					return nil, err
-				}
-				return []*metrics.Table{Fig3bTable(rows)}, nil
-			},
+			Name:   "fig3b",
+			About:  "Figure 3(b): total hits over the reconfiguration threshold sweep",
+			Cells:  Fig3bCells("fig3b", scale, seed),
+			Tables: table(AssembleFig3b, Fig3bTable),
 		},
 		{
 			Name:   "directed",
@@ -137,140 +116,180 @@ func Registry(scale Scale, seed uint64) []Definition {
 			Name:  "drift",
 			About: "Extension: mid-run preference drift and recovery, with ledger decay",
 			Cells: DriftCells("drift", scale, seed),
-			Tables: func(rs []runner.Result) ([]*metrics.Table, error) {
-				rows, err := AssembleDrift(scale, seed, rs)
-				if err != nil {
-					return nil, err
-				}
-				return []*metrics.Table{DriftTable(rows)}, nil
-			},
+			Tables: table(func(rs []runner.Result) ([]DriftRow, error) {
+				return AssembleDrift(scale, seed, rs)
+			}, DriftTable),
 		},
 		{
-			Name:  "webcache",
-			About: "Case study: Squid-like cooperating proxies (one-hop, origin fallback)",
-			Cells: WebCacheCells("webcache", scale, seed),
-			Tables: func(rs []runner.Result) ([]*metrics.Table, error) {
-				rows, err := AssembleWebCache(rs)
-				if err != nil {
-					return nil, err
-				}
-				return []*metrics.Table{WebCacheTable(rows)}, nil
-			},
+			Name:   "webcache",
+			About:  "Case study: Squid-like cooperating proxies (one-hop, origin fallback)",
+			Cells:  WebCacheCells("webcache", scale, seed),
+			Tables: table(collect[*WebCacheRow], WebCacheTable),
 		},
 		{
-			Name:  "peerolap",
-			About: "Case study: PeerOlap chunk caching against a data warehouse",
-			Cells: PeerOlapCells("peerolap", scale, seed),
-			Tables: func(rs []runner.Result) ([]*metrics.Table, error) {
-				rows, err := AssemblePeerOlap(rs)
-				if err != nil {
-					return nil, err
-				}
-				return []*metrics.Table{PeerOlapTable(rows)}, nil
-			},
+			Name:   "peerolap",
+			About:  "Case study: PeerOlap chunk caching against a data warehouse",
+			Cells:  PeerOlapCells("peerolap", scale, seed),
+			Tables: table(collect[*PeerOlapRow], PeerOlapTable),
 		},
-		scaleDefinition(scale, seed),
 		{
-			Name:  "policies",
-			About: "Forward-policy registry swept over one shared network",
-			Cells: PolicyCells("policies", scale, seed),
+			Name:    "scale",
+			About:   "Engine stress: 1k-1M-node cascade sweeps plus the CSR re-freeze cell",
+			Cells:   ScaleCells("scale", scale, seed),
+			Tables:  table(collect[*ScaleSummary], ScaleTable),
+			Sidecar: sidecar("scale", scaleMetrics),
+		},
+		{
+			Name:   "policies",
+			About:  "Forward-policy registry swept over one shared network",
+			Cells:  PolicyCells("policies", scale, seed),
+			Tables: table(collect[*PolicySummary], PolicyTable),
+		},
+		{
+			Name:  "skew",
+			About: "Session driver grid: Zipf skew × churn × policy, plus a flash crowd",
+			Cells: SkewCells("skew", scale, seed),
 			Tables: func(rs []runner.Result) ([]*metrics.Table, error) {
-				sums, err := AssemblePolicies(rs)
+				sums, err := collect[*SkewSummary](rs)
 				if err != nil {
 					return nil, err
 				}
-				return []*metrics.Table{PolicyTable(sums)}, nil
+				return []*metrics.Table{SkewTable(rs, sums)}, nil
 			},
+			Sidecar: sidecar("skew", func(s *SkewSummary) map[string]float64 {
+				return queryMetrics(&s.QueryStats, s.Wall)
+			}),
 		},
-		skewDefinition(scale, seed),
-		churnServeDefinition(scale, seed),
-		faultsDefinition(scale, seed),
-	}
-}
-
-// churnServeDefinition wires the churnserve family (see churnserve.go)
-// into the registry: deterministic post-quiesce summaries render as a
-// table; the wall-clock collector renders as BENCH_churnserve.json with
-// the saturate-under-churn headline.
-func churnServeDefinition(scale Scale, seed uint64) Definition {
-	cells, collector := ChurnServeCells("churnserve", scale, seed)
-	return Definition{
-		Name:  "churnserve",
-		About: "Serving under churn: stop-the-world re-freeze vs zero-downtime epoch swaps",
-		Cells: cells,
-		Tables: func(rs []runner.Result) ([]*metrics.Table, error) {
-			sums, err := AssembleChurnServe(rs)
-			if err != nil {
-				return nil, err
-			}
-			return []*metrics.Table{ChurnServeTable(sums)}, nil
+		{
+			Name:    "churnserve",
+			About:   "Serving under churn: stop-the-world re-freeze vs zero-downtime epoch swaps",
+			Cells:   ChurnServeCells("churnserve", scale, seed),
+			Tables:  table(collect[*ChurnServeSummary], ChurnServeTable),
+			Sidecar: churnServeSidecar,
 		},
-		Perf: collector.Report,
-	}
-}
-
-// ChurnServeTable renders the churnserve sweep. The stopworld and
-// epochswap rows of one size must agree on everything but the mode —
-// the table doubles as a visual identity check.
-func ChurnServeTable(sums []*ChurnServeSummary) *metrics.Table {
-	t := metrics.NewTable("Churnserve: saturated queries across churn epochs (post-quiesce probe)",
-		"nodes", "mode", "epochs", "deltas/epoch", "final_edges", "probe_hit_rate", "probe_msgs/query")
-	for _, s := range sums {
-		t.AddRow(s.Nodes, s.Mode, s.Epochs, s.DeltasPerEpoch, s.FinalEdges,
-			s.ProbeHitRate, s.ProbeMsgsPerQuery)
-	}
-	return t
-}
-
-// skewDefinition wires the skew family (see skew.go) into the
-// registry: the session-driver grid renders as a table; the wall-clock
-// collector renders as BENCH_skew.json.
-func skewDefinition(scale Scale, seed uint64) Definition {
-	cells, collector := SkewCells("skew", scale, seed)
-	return Definition{
-		Name:  "skew",
-		About: "Session driver grid: Zipf skew × churn × policy, plus a flash crowd",
-		Cells: cells,
-		Tables: func(rs []runner.Result) ([]*metrics.Table, error) {
-			sums, err := AssembleSkew(rs)
-			if err != nil {
-				return nil, err
-			}
-			return []*metrics.Table{SkewTable(rs, sums)}, nil
+		{
+			Name:   "faults",
+			About:  "Robustness: hit-rate retention under drop-rate x crash-rate x policy",
+			Cells:  FaultsCells("faults", scale, seed),
+			Tables: table(collect[*FaultsSummary], FaultsTable),
+			Sidecar: sidecar("faults", func(s *FaultsSummary) map[string]float64 {
+				return queryMetrics(&s.QueryStats, s.Wall)
+			}),
 		},
-		Perf: collector.Report,
 	}
 }
 
-// scaleDefinition wires the scale family (see scale.go) into the
-// registry: deterministic summaries render as a table; the wall-clock
-// collector renders as BENCH_scale.json.
-func scaleDefinition(scale Scale, seed uint64) Definition {
-	cells, collector := ScaleCells("scale", scale, seed)
-	return Definition{
-		Name:  "scale",
-		About: "Engine stress: 1k-1M-node cascade sweeps plus the CSR re-freeze cell",
-		Cells: cells,
-		Tables: func(rs []runner.Result) ([]*metrics.Table, error) {
-			sums, err := AssembleScale(rs)
-			if err != nil {
-				return nil, err
-			}
-			return []*metrics.Table{ScaleTable(sums)}, nil
+// cell is the one way a family turns a config into a runner cell: the
+// config is fixed at construction, and every run works on a copy whose
+// seed field (seed points into it) holds the seed the runner passes.
+func cell[C, V any](experiment, name string, cfg C, seed func(*C) *uint64, run func(C) (V, error)) runner.Cell {
+	return runner.Cell{
+		Experiment: experiment,
+		Name:       name,
+		Seed:       *seed(&cfg),
+		Run: func(_ context.Context, s uint64) (any, error) {
+			c := cfg
+			*seed(&c) = s
+			return run(c)
 		},
-		Perf: collector.Report,
 	}
 }
 
-// ScaleTable renders the scale sweep.
-func ScaleTable(sums []*ScaleSummary) *metrics.Table {
-	t := metrics.NewTable("Scale: cascade engine at 1k-100k nodes (clients/providers/bystanders)",
-		"nodes", "clients", "providers", "hit_rate", "msgs/query", "visited", "p50_ms", "p95_ms", "p99_ms")
-	for _, s := range sums {
-		t.AddRow(s.Nodes, s.Clients, s.Providers, s.HitRate, s.MsgsPerQuery, s.VisitedMean,
-			s.DelayP50Ms, s.DelayP95Ms, s.DelayP99Ms)
+// collect is the one check every renderer and sidecar applies to a
+// family's results: there are some, every cell succeeded, and every
+// value is a T. It returns the values in cell order.
+func collect[T any](rs []runner.Result) ([]T, error) {
+	if len(rs) == 0 {
+		return nil, fmt.Errorf("experiments: no results")
 	}
-	return t
+	out := make([]T, len(rs))
+	for i, r := range rs {
+		if r.Err != "" {
+			return nil, fmt.Errorf("experiments: cell %s/%s failed: %s", r.Experiment, r.Cell, r.Err)
+		}
+		v, ok := r.Value.(T)
+		if !ok {
+			return nil, fmt.Errorf("experiments: cell %s/%s has value %T, want %T",
+				r.Experiment, r.Cell, r.Value, *new(T))
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// table adapts a shaper and the renderer of its output into a
+// Definition.Tables of one table.
+func table[T any](shape func([]runner.Result) (T, error), render func(T) *metrics.Table) func([]runner.Result) ([]*metrics.Table, error) {
+	return func(rs []runner.Result) ([]*metrics.Table, error) {
+		v, err := shape(rs)
+		if err != nil {
+			return nil, err
+		}
+		return []*metrics.Table{render(v)}, nil
+	}
+}
+
+// Report is a BENCH_<exp>.json document: the wall-clock side an
+// experiment family writes next to its deterministic artifacts (`repro
+// -exp scale|skew|faults|churnserve -json` leaves runs/<name>/BENCH_<exp>.json
+// beside cells.json). Unlike cells.json these files are NOT
+// byte-deterministic — they carry throughput, downtime and allocation
+// measurements of one machine at one moment — so they are never checked
+// in and never diffed.
+type Report struct {
+	// Schema versions the document layout (SchemaVersion).
+	Schema string `json:"schema"`
+	// Source names the producer ("scale-experiment", ...).
+	Source string `json:"source"`
+	// Entries is sorted by Name when written.
+	Entries []Entry `json:"entries"`
+}
+
+// Entry is one measured unit: one cell ("scale/n100000") or a
+// cross-cell headline ("saturate-under-churn").
+type Entry struct {
+	Name    string             `json:"name"`
+	Metrics map[string]float64 `json:"metrics"`
+}
+
+// SchemaVersion is the current value of Report.Schema.
+const SchemaVersion = "repro-bench/v1"
+
+// sidecar builds a family's Definition.Sidecar: one entry per cell,
+// named "<family>/<cell>", holding what metrics reads off the cell's
+// value — its deterministic summary and the wall-clock sample inside it.
+func sidecar[T any](family string, metrics func(T) map[string]float64) func([]runner.Result) (*Report, error) {
+	return func(rs []runner.Result) (*Report, error) {
+		vs, err := collect[T](rs)
+		if err != nil {
+			return nil, err
+		}
+		rep := &Report{Schema: SchemaVersion, Source: family + "-experiment"}
+		for i, v := range vs {
+			rep.Entries = append(rep.Entries, Entry{Name: family + "/" + rs[i].Cell, Metrics: metrics(v)})
+		}
+		return rep, nil
+	}
+}
+
+// Write marshals the report (entries sorted by name, so reports diff
+// cleanly regardless of production order) to path, creating parent
+// directories as needed.
+func (r *Report) Write(path string) error {
+	sort.Slice(r.Entries, func(i, j int) bool { return r.Entries[i].Name < r.Entries[j].Name })
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return fmt.Errorf("experiments: marshal %s: %w", filepath.Base(path), err)
+	}
+	data = append(data, '\n')
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // aliases maps single-table shortcuts to (canonical experiment, which

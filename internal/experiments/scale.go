@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/perf"
 	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/topology"
@@ -33,10 +32,10 @@ import (
 // Each cell's deterministic outcome (message counts, hit rate, delay
 // percentiles) lands in runs/<name>/cells.json like every other
 // experiment; the wall-clock measurements (events/sec, allocs/query)
-// go to a side channel that cmd/repro writes as BENCH_scale.json via
-// internal/perf — those depend on the machine and on how many sibling
-// cells run concurrently, so they must stay out of the byte-comparable
-// artifact. For clean allocs/query, run the bench job with -workers 1.
+// ride in the same value as its WallSample, which cells.json never
+// sees and the family's sidecar writes as BENCH_scale.json — they
+// depend on the machine and on how many sibling cells run concurrently.
+// For clean allocs/query, run with -workers 1.
 
 // ScaleConfig parameterizes one scale cell.
 type ScaleConfig struct {
@@ -105,15 +104,24 @@ func (c ScaleConfig) Validate() error {
 }
 
 // ScaleSummary is the deterministic (JSON-stable) output of one scale
-// cell — the `value` schema of scale cells in cells.json.
+// cell — the `value` schema of scale cells in cells.json — plus its
+// wall-clock sample, which stays out of the JSON.
 type ScaleSummary struct {
 	Nodes      int `json:"nodes"`
 	Clients    int `json:"clients"`
 	Providers  int `json:"providers"`
 	Bystanders int `json:"bystanders"`
 	Edges      int `json:"edges"`
-	Queries    int `json:"queries"`
-	// Hits counts satisfied queries; HitRate = Hits/Queries.
+	QueryStats
+	Wall WallSample `json:"-"`
+}
+
+// QueryStats tallies a stream of searches: the block of cells.json that
+// every query-driving family (scale, policies, skew, faults) reports.
+type QueryStats struct {
+	// Queries counts issued searches; Hits the satisfied subset, and
+	// HitRate = Hits/Queries.
+	Queries int     `json:"queries"`
 	Hits    int     `json:"hits"`
 	HitRate float64 `json:"hit_rate"`
 	// Messages and ReplyMessages total the query propagations and
@@ -129,81 +137,110 @@ type ScaleSummary struct {
 	DelayP50Ms float64 `json:"delay_p50_ms"`
 	DelayP95Ms float64 `json:"delay_p95_ms"`
 	DelayP99Ms float64 `json:"delay_p99_ms"`
+
+	// visited and delays accumulate until finish folds them in.
+	visited int
+	delays  []float64
 }
 
-// ScalePerfSample is the wall-clock side channel of one cell: the
-// machine-dependent measurements that stay out of cells.json.
-type ScalePerfSample struct {
-	// WallSeconds is the query loop's execution time (excluding the
-	// network build).
+// tally adds one search to the stream and reports whether it hit.
+func (s *QueryStats) tally(out search.Result) bool {
+	s.Queries++
+	s.Messages += out.Messages
+	s.ReplyMessages += out.ReplyMessages
+	s.visited += out.Visited
+	if !out.Found() {
+		return false
+	}
+	s.Hits++
+	s.delays = append(s.delays, out.FirstResultDelay)
+	return true
+}
+
+// finish folds the tallies into rates and percentiles.
+func (s *QueryStats) finish() {
+	if s.Queries > 0 {
+		s.HitRate = float64(s.Hits) / float64(s.Queries)
+		s.MsgsPerQuery = float64(s.Messages) / float64(s.Queries)
+		s.VisitedMean = float64(s.visited) / float64(s.Queries)
+	}
+	sort.Float64s(s.delays)
+	s.DelayP50Ms = quantileMs(s.delays, 0.50)
+	s.DelayP95Ms = quantileMs(s.delays, 0.95)
+	s.DelayP99Ms = quantileMs(s.delays, 0.99)
+	s.delays = nil
+}
+
+// WallSample is the wall-clock side of one stress cell (scale, skew,
+// faults, churnserve): measurements of one machine at one moment. It
+// rides in the cell's value under `json:"-"` — the idiom of
+// runner.Result.Wall — so cells.json stays byte-comparable while the
+// family's sidecar reads it. Each family fills what it measures; the
+// rest stays zero.
+type WallSample struct {
+	// WallSeconds times the cell's serving or query loop (world build
+	// and post-quiesce probes excluded).
 	WallSeconds float64
-	// Events counts messages plus reply hops processed in the loop.
-	Events uint64
+	// Queries and Events (messages plus reply hops) count the loop's
+	// work.
+	Queries int
+	Events  uint64
 	// Allocs counts heap allocations during the loop (runtime.MemStats
 	// deltas: an upper bound when sibling cells run concurrently).
 	Allocs uint64
-	// Queries is the number of searches driven.
-	Queries int
-	// RefreezeSeconds totals the time spent re-freezing the CSR
-	// snapshot after churn epochs; Refreezes counts the re-freezes.
-	// Both are zero for the static cells.
+	// RefreezeSeconds totals the in-place CSR re-freezes of the scale
+	// refreeze cell; Refreezes counts them.
 	RefreezeSeconds float64
 	Refreezes       int
+	// DowntimeSeconds totals time the churnserve query pipeline was
+	// blocked with no query able to run: the whole FreezeInto for
+	// stopworld; for epochswap the time spent enqueueing epoch handoffs
+	// to the writer (observed near-zero — the handoff never waits on a
+	// publish) — measured, not assumed, so the zero-downtime claim is an
+	// observation.
+	DowntimeSeconds float64
+	// PublishSeconds totals off-thread freeze+swap cost over Publishes
+	// epochs (epochswap only — stopworld's freezes are all downtime).
+	PublishSeconds float64
+	Publishes      int
+	// Workers is the churnserve saturation shard size.
+	Workers int
 }
 
-// ScalePerf collects the non-deterministic measurements of a scale
-// run, keyed by cell name. It is safe for concurrent cells.
-type ScalePerf struct {
-	mu      sync.Mutex
-	samples map[string]ScalePerfSample
-}
-
-// NewScalePerf returns an empty collector.
-func NewScalePerf() *ScalePerf {
-	return &ScalePerf{samples: make(map[string]ScalePerfSample)}
-}
-
-func (p *ScalePerf) record(cell string, s ScalePerfSample) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.samples[cell] = s
-}
-
-// Report renders the collected samples plus the deterministic
-// per-cell metrics as a BENCH_scale.json document.
-func (p *ScalePerf) Report(rs []runner.Result) (*perf.Report, error) {
-	rep := perf.NewReport("scale-experiment")
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, r := range rs {
-		if r.Experiment != "scale" {
-			continue
-		}
-		if r.Err != "" {
-			return nil, fmt.Errorf("experiments: scale cell %s failed: %s", r.Cell, r.Err)
-		}
-		sum, ok := r.Value.(*ScaleSummary)
-		if !ok {
-			return nil, fmt.Errorf("experiments: scale cell %s has value %T", r.Cell, r.Value)
-		}
-		m := map[string]float64{
-			"msgs/query":   sum.MsgsPerQuery,
-			"hit-rate":     sum.HitRate,
-			"delay_p50_ms": sum.DelayP50Ms,
-			"delay_p95_ms": sum.DelayP95Ms,
-			"delay_p99_ms": sum.DelayP99Ms,
-		}
-		if s, ok := p.samples[r.Cell]; ok && s.WallSeconds > 0 && s.Queries > 0 {
-			m["events/sec"] = float64(s.Events) / s.WallSeconds
-			m["allocs/query"] = float64(s.Allocs) / float64(s.Queries)
-			m["wall_seconds"] = s.WallSeconds
-			if s.Refreezes > 0 {
-				m["refreeze_ms"] = s.RefreezeSeconds / float64(s.Refreezes) * 1000
-			}
-		}
-		rep.Add("scale/"+r.Cell, m)
+// scaleMetrics is the BENCH_scale.json entry of one cell.
+func scaleMetrics(s *ScaleSummary) map[string]float64 {
+	m := map[string]float64{
+		"msgs/query":   s.MsgsPerQuery,
+		"hit-rate":     s.HitRate,
+		"delay_p50_ms": s.DelayP50Ms,
+		"delay_p95_ms": s.DelayP95Ms,
+		"delay_p99_ms": s.DelayP99Ms,
 	}
-	return rep, nil
+	if w := s.Wall; w.WallSeconds > 0 && w.Queries > 0 {
+		m["events/sec"] = float64(w.Events) / w.WallSeconds
+		m["allocs/query"] = float64(w.Allocs) / float64(w.Queries)
+		m["wall_seconds"] = w.WallSeconds
+		if w.Refreezes > 0 {
+			m["refreeze_ms"] = w.RefreezeSeconds / float64(w.Refreezes) * 1000
+		}
+	}
+	return m
+}
+
+// queryMetrics is the BENCH_<exp>.json entry of one skew or faults
+// cell: the stream's deterministic headline plus its throughput.
+func queryMetrics(s *QueryStats, w WallSample) map[string]float64 {
+	m := map[string]float64{
+		"hit-rate":     s.HitRate,
+		"msgs/query":   s.MsgsPerQuery,
+		"delay_p95_ms": s.DelayP95Ms,
+	}
+	if w.WallSeconds > 0 && w.Queries > 0 {
+		m["events/sec"] = float64(w.Events) / w.WallSeconds
+		m["queries/sec"] = float64(w.Queries) / w.WallSeconds
+		m["wall_seconds"] = w.WallSeconds
+	}
+	return m
 }
 
 // scaleSizes is the sweep of the scale experiment family.
@@ -228,50 +265,23 @@ const (
 	refreezeChurn  = 1_000
 )
 
-// ScaleCells returns one cell per network size, plus the refreeze cell,
-// plus the collector that receives each cell's wall-clock measurements.
-func ScaleCells(experiment string, scale Scale, seed uint64) ([]runner.Cell, *ScalePerf) {
-	collector := NewScalePerf()
+// ScaleCells returns one cell per network size, plus the refreeze cell.
+func ScaleCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	cells := make([]runner.Cell, 0, len(scaleSizes)+1)
 	for _, n := range scaleSizes {
 		name := fmt.Sprintf("n%d", n)
 		cfg := DefaultScaleConfig(n, scaleQueries(scale), runner.DeriveSeed(seed, experiment, name))
-		cells = append(cells, runner.Cell{
-			Experiment: experiment,
-			Name:       name,
-			Seed:       cfg.Seed,
-			Run: func(_ context.Context, cellSeed uint64) (any, error) {
-				c := cfg
-				c.Seed = cellSeed
-				sum, sample, err := RunScale(c)
-				if err != nil {
-					return nil, err
-				}
-				collector.record(name, sample)
-				return sum, nil
-			},
-		})
+		cells = append(cells, cell(experiment, name, cfg, scaleSeed, RunScale))
 	}
 	refreeze := fmt.Sprintf("refreeze-n%d", refreezeNodes)
-	refreezeCfg := DefaultScaleConfig(refreezeNodes, scaleQueries(scale),
-		runner.DeriveSeed(seed, experiment, refreeze))
-	cells = append(cells, runner.Cell{
-		Experiment: experiment,
-		Name:       refreeze,
-		Seed:       refreezeCfg.Seed,
-		Run: func(_ context.Context, cellSeed uint64) (any, error) {
-			c := refreezeCfg
-			c.Seed = cellSeed
-			sum, sample, err := RunRefreeze(c, refreezeEpochs, refreezeChurn)
-			if err != nil {
-				return nil, err
-			}
-			collector.record(refreeze, sample)
-			return sum, nil
-		},
-	})
-	return cells, collector
+	cfg := DefaultScaleConfig(refreezeNodes, scaleQueries(scale), runner.DeriveSeed(seed, experiment, refreeze))
+	return append(cells, cell(experiment, refreeze, cfg, scaleSeed, func(c ScaleConfig) (*ScaleSummary, error) {
+		return RunRefreeze(c, refreezeEpochs, refreezeChurn)
+	}))
 }
+
+// scaleSeed points cell at a ScaleConfig's seed.
+func scaleSeed(c *ScaleConfig) *uint64 { return &c.Seed }
 
 // scaleFixture is the engine-less part of a scale world: the wired
 // network, roles, holdings and streams. The churnserve family shares it
@@ -356,19 +366,12 @@ func (fx *scaleFixture) content() core.ContentFunc {
 	}
 }
 
-// scaleWorld is the deterministic fixture of one scale cell: the wired
-// network with its frozen snapshot, roles, holdings and the streams the
-// query loop consumes.
+// scaleWorld is the deterministic fixture of one scale cell: the
+// fixture plus its frozen snapshot and the engine searching it.
 type scaleWorld struct {
-	net       *topology.Network
-	csr       *topology.CSR
-	clientIDs []topology.NodeID
-	holdings  []map[core.Key]struct{}
-	zipf      *rng.Zipf
-	providers int
-	root      *rng.Stream
-	query     *rng.Stream
-	eng       *search.Engine
+	*scaleFixture
+	csr *topology.CSR
+	eng *search.Engine
 }
 
 // buildScaleWorld wires, partitions and freezes one cell's network and
@@ -379,8 +382,7 @@ func buildScaleWorld(cfg ScaleConfig) (*scaleWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := cfg.Nodes
-	classes := netsim.AssignClasses(fx.root.Split().Intn, n)
+	classes := netsim.AssignClasses(fx.root.Split().Intn, cfg.Nodes)
 	policy := cfg.Policy
 	if policy == "" {
 		policy = "flood"
@@ -390,112 +392,51 @@ func buildScaleWorld(cfg ScaleConfig) (*scaleWorld, error) {
 	// RunRefreeze re-freezes the same *CSR in place after churn epochs,
 	// which the engine sees through the shared pointer.
 	csr := fx.net.Freeze()
-	delayStream := fx.delay
 	eng, err := search.New(
 		search.Over(csr, fx.content()),
 		search.WithPolicy(policy),
 		search.WithSeed(cfg.Seed),
 		search.WithTTL(cfg.TTL),
-		search.WithScratchHint(n),
-		search.WithDelay(func(from, to topology.NodeID) float64 {
-			return netsim.OneWayDelay(delayStream, classes[from], classes[to])
-		}))
+		search.WithScratchHint(cfg.Nodes),
+		search.WithDelay(fx.delayFunc(classes)))
 	if err != nil {
 		return nil, err
 	}
-	return &scaleWorld{
-		net:       fx.net,
-		csr:       csr,
-		clientIDs: fx.clientIDs,
-		holdings:  fx.holdings,
-		zipf:      fx.zipf,
-		providers: fx.providers,
-		root:      fx.root,
-		query:     fx.query,
-		eng:       eng,
-	}, nil
+	return &scaleWorld{scaleFixture: fx, csr: csr, eng: eng}, nil
 }
 
-// runQueries drives queries [first, first+count) of the cell through
-// the world's engine, accumulating into sum and delays.
-func (w *scaleWorld) runQueries(sum *ScaleSummary, delays *[]float64, visitedSum *int, first, count int) error {
+// delayFunc is the netsim one-way delay between two nodes' bandwidth
+// classes, drawn from the fixture's delay stream.
+func (fx *scaleFixture) delayFunc(classes []netsim.BandwidthClass) core.DelayFunc {
+	return func(from, to topology.NodeID) float64 {
+		return netsim.OneWayDelay(fx.delay, classes[from], classes[to])
+	}
+}
+
+// runQueries drives queries [first, first+count) through eng, each from
+// a uniform origin among origins to a Zipf key. Both come from the
+// fixture's query stream, origin first — an order every scale and
+// faults cells.json depends on.
+func (fx *scaleFixture) runQueries(eng *search.Engine, origins []topology.NodeID, st *QueryStats, first, count int) error {
 	ctx := context.Background()
 	for q := first; q < first+count; q++ {
-		origin := w.clientIDs[w.query.Intn(len(w.clientIDs))]
-		key := core.Key(w.zipf.Index(w.query))
-		outcome, err := w.eng.Do(ctx, search.Query{
-			ID:     uint64(q + 1),
-			Key:    key,
-			Origin: origin,
-		})
+		origin := origins[fx.query.Intn(len(origins))]
+		key := core.Key(fx.zipf.Index(fx.query))
+		out, err := eng.Do(ctx, search.Query{ID: uint64(q + 1), Key: key, Origin: origin})
 		if err != nil {
 			return err
 		}
-		sum.Messages += outcome.Messages
-		sum.ReplyMessages += outcome.ReplyMessages
-		*visitedSum += outcome.Visited
-		if outcome.Found() {
-			sum.Hits++
-			*delays = append(*delays, outcome.FirstResultDelay)
-		}
+		st.tally(out)
 	}
 	return nil
-}
-
-// finish folds the accumulated tallies into the summary's rates and
-// percentiles.
-func (sum *ScaleSummary) finish(delays []float64, visitedSum int) {
-	sum.HitRate = float64(sum.Hits) / float64(sum.Queries)
-	sum.MsgsPerQuery = float64(sum.Messages) / float64(sum.Queries)
-	sum.VisitedMean = float64(visitedSum) / float64(sum.Queries)
-	sort.Float64s(delays)
-	sum.DelayP50Ms = quantileMs(delays, 0.50)
-	sum.DelayP95Ms = quantileMs(delays, 0.95)
-	sum.DelayP99Ms = quantileMs(delays, 0.99)
 }
 
 // RunScale executes one scale cell: build the role-partitioned network,
 // freeze its CSR snapshot, drive the configured number of cascades
 // through the pooled engine, and summarize. The summary is a pure
-// function of the config; the returned sample carries the wall-clock
-// side measurements.
-func RunScale(cfg ScaleConfig) (*ScaleSummary, ScalePerfSample, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, ScalePerfSample{}, err
-	}
-	w, err := buildScaleWorld(cfg)
-	if err != nil {
-		return nil, ScalePerfSample{}, err
-	}
-	sum := &ScaleSummary{
-		Nodes:      cfg.Nodes,
-		Clients:    len(w.clientIDs),
-		Providers:  w.providers,
-		Bystanders: cfg.Nodes - len(w.clientIDs) - w.providers,
-		Edges:      w.csr.EdgeCount(),
-		Queries:    cfg.Queries,
-	}
-	delays := make([]float64, 0, cfg.Queries)
-	visitedSum := 0
-
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	if err := w.runQueries(sum, &delays, &visitedSum, 0, cfg.Queries); err != nil {
-		return nil, ScalePerfSample{}, err
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-
-	sum.finish(delays, visitedSum)
-	sample := ScalePerfSample{
-		WallSeconds: wall.Seconds(),
-		Events:      sum.Messages + sum.ReplyMessages,
-		Allocs:      ms1.Mallocs - ms0.Mallocs,
-		Queries:     cfg.Queries,
-	}
-	return sum, sample, nil
-}
+// function of the config; its Wall sample carries the wall-clock side
+// measurements.
+func RunScale(cfg ScaleConfig) (*ScaleSummary, error) { return runScale(cfg, 0, 0) }
 
 // RunRefreeze executes the refreeze cell: the same world as RunScale,
 // but the query budget is split across epochs and every epoch rewires
@@ -504,16 +445,21 @@ func RunScale(cfg ScaleConfig) (*ScaleSummary, ScalePerfSample, error) {
 // before its queries run. The summary is a pure function of (cfg,
 // epochs, churn); the sample's RefreezeSeconds/Refreezes record what a
 // reconfiguration epoch costs the hot path.
-func RunRefreeze(cfg ScaleConfig, epochs, churn int) (*ScaleSummary, ScalePerfSample, error) {
+func RunRefreeze(cfg ScaleConfig, epochs, churn int) (*ScaleSummary, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, ScalePerfSample{}, err
+		return nil, err
 	}
 	if epochs < 1 || cfg.Queries < epochs {
-		return nil, ScalePerfSample{}, fmt.Errorf("experiments: refreeze with %d epochs over %d queries", epochs, cfg.Queries)
+		return nil, fmt.Errorf("experiments: refreeze with %d epochs over %d queries", epochs, cfg.Queries)
 	}
+	return runScale(cfg, epochs, churn)
+}
+
+// runScale is RunScale (epochs == 0: one static chunk) and RunRefreeze.
+func runScale(cfg ScaleConfig, epochs, churn int) (*ScaleSummary, error) {
 	w, err := buildScaleWorld(cfg)
 	if err != nil {
-		return nil, ScalePerfSample{}, err
+		return nil, err
 	}
 	churnStream := w.root.Split()
 	sum := &ScaleSummary{
@@ -521,29 +467,28 @@ func RunRefreeze(cfg ScaleConfig, epochs, churn int) (*ScaleSummary, ScalePerfSa
 		Clients:    len(w.clientIDs),
 		Providers:  w.providers,
 		Bystanders: cfg.Nodes - len(w.clientIDs) - w.providers,
-		Queries:    cfg.Queries,
 	}
-	delays := make([]float64, 0, cfg.Queries)
-	visitedSum := 0
-	perEpoch := cfg.Queries / epochs
+	chunks := max(epochs, 1)
+	perChunk := cfg.Queries / chunks
 
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	sample := ScalePerfSample{}
 	done := 0
-	for e := 0; e < epochs; e++ {
-		scaleChurn(w.net, churn, churnStream)
-		t0 := time.Now()
-		w.net.FreezeInto(w.csr)
-		sample.RefreezeSeconds += time.Since(t0).Seconds()
-		sample.Refreezes++
-		count := perEpoch
-		if e == epochs-1 {
-			count = cfg.Queries - done // remainder rides the last epoch
+	for e := 0; e < chunks; e++ {
+		if epochs > 0 {
+			scaleChurn(w.net, churn, churnStream)
+			t0 := time.Now()
+			w.net.FreezeInto(w.csr)
+			sum.Wall.RefreezeSeconds += time.Since(t0).Seconds()
+			sum.Wall.Refreezes++
 		}
-		if err := w.runQueries(sum, &delays, &visitedSum, done, count); err != nil {
-			return nil, ScalePerfSample{}, err
+		count := perChunk
+		if e == chunks-1 {
+			count = cfg.Queries - done // remainder rides the last chunk
+		}
+		if err := w.runQueries(w.eng, w.clientIDs, &sum.QueryStats, done, count); err != nil {
+			return nil, err
 		}
 		done += count
 	}
@@ -551,12 +496,12 @@ func RunRefreeze(cfg ScaleConfig, epochs, churn int) (*ScaleSummary, ScalePerfSa
 	runtime.ReadMemStats(&ms1)
 
 	sum.Edges = w.csr.EdgeCount() // post-churn: the snapshot the last epoch searched
-	sum.finish(delays, visitedSum)
-	sample.WallSeconds = wall.Seconds()
-	sample.Events = sum.Messages + sum.ReplyMessages
-	sample.Allocs = ms1.Mallocs - ms0.Mallocs
-	sample.Queries = cfg.Queries
-	return sum, sample, nil
+	sum.finish()
+	sum.Wall.WallSeconds = wall.Seconds()
+	sum.Wall.Events = sum.Messages + sum.ReplyMessages
+	sum.Wall.Allocs = ms1.Mallocs - ms0.Mallocs
+	sum.Wall.Queries = cfg.Queries
+	return sum, nil
 }
 
 // scaleChurn rewires up to count edges: each step disconnects one
@@ -615,26 +560,13 @@ func scaleWire(net *topology.Network, degree int, s *rng.Stream) {
 	}
 }
 
-// AssembleScale validates the results of ScaleCells into summaries, in
-// sweep order.
-func AssembleScale(rs []runner.Result) ([]*ScaleSummary, error) {
-	out := make([]*ScaleSummary, len(rs))
-	for i, r := range rs {
-		if r.Err != "" {
-			return nil, fmt.Errorf("experiments: cell %s/%s failed: %s", r.Experiment, r.Cell, r.Err)
-		}
-		sum, ok := r.Value.(*ScaleSummary)
-		if !ok {
-			return nil, fmt.Errorf("experiments: cell %s/%s has value %T, want *ScaleSummary",
-				r.Experiment, r.Cell, r.Value)
-		}
-		out[i] = sum
+// ScaleTable renders the scale sweep.
+func ScaleTable(sums []*ScaleSummary) *metrics.Table {
+	t := metrics.NewTable("Scale: cascade engine at 1k-100k nodes (clients/providers/bystanders)",
+		"nodes", "clients", "providers", "hit_rate", "msgs/query", "visited", "p50_ms", "p95_ms", "p99_ms")
+	for _, s := range sums {
+		t.AddRow(s.Nodes, s.Clients, s.Providers, s.HitRate, s.MsgsPerQuery, s.VisitedMean,
+			s.DelayP50Ms, s.DelayP95Ms, s.DelayP99Ms)
 	}
-	return out, nil
-}
-
-// Scale runs the sweep on the default pool and returns the summaries.
-func ScaleSweep(scale Scale, seed uint64) []*ScaleSummary {
-	cells, _ := ScaleCells("scale", scale, seed)
-	return must(AssembleScale(runLocal(cells)))
+	return t
 }

@@ -18,11 +18,11 @@ func smallScaleConfig(seed uint64) ScaleConfig {
 }
 
 func TestRunScaleDeterministic(t *testing.T) {
-	a, _, err := RunScale(smallScaleConfig(11))
+	a, err := RunScale(smallScaleConfig(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunScale(smallScaleConfig(11))
+	b, err := RunScale(smallScaleConfig(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestRunScaleDeterministic(t *testing.T) {
 }
 
 func TestRunScaleSeedSensitivity(t *testing.T) {
-	a, _, err := RunScale(smallScaleConfig(11))
+	a, err := RunScale(smallScaleConfig(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunScale(smallScaleConfig(12))
+	b, err := RunScale(smallScaleConfig(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,61 +127,25 @@ func TestScaleCellsWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
-	run := func(workers int) string {
-		cells, _ := ScaleCells("scale", CI, 1)
-		rs, err := runner.Run(context.Background(), cells, runner.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runner.FirstError(rs); err != nil {
-			t.Fatal(err)
-		}
-		j, err := json.Marshal(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(j)
-	}
-	if a, b := run(1), run(4); a != b {
+	if a, b := cellsJSON(t, ScaleCells("scale", CI, 1), 1), cellsJSON(t, ScaleCells("scale", CI, 1), 4); a != b {
 		t.Fatal("scale results differ between 1 and 4 workers")
 	}
 }
 
-// TestScalePerfReport: the collector renders one BENCH entry per cell
-// with both deterministic and wall-clock metrics.
-func TestScalePerfReport(t *testing.T) {
-	cfg := smallScaleConfig(5)
-	collector := NewScalePerf()
-	cells := []runner.Cell{{
-		Experiment: "scale",
-		Name:       "n400",
-		Seed:       cfg.Seed,
-		Run: func(_ context.Context, seed uint64) (any, error) {
-			c := cfg
-			c.Seed = seed
-			sum, sample, err := RunScale(c)
-			if err != nil {
-				return nil, err
-			}
-			collector.record("n400", sample)
-			return sum, nil
-		},
-	}}
-	rs, err := runner.Run(context.Background(), cells, runner.Options{})
+// cellsJSON runs cells on the given number of workers and returns the
+// results marshaled as cells.json holds them.
+func cellsJSON(t *testing.T, cells []runner.Cell, workers int) string {
+	t.Helper()
+	rs, err := runner.Run(context.Background(), cells, runner.Options{Workers: workers})
+	if err == nil {
+		err = runner.FirstError(rs)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := collector.Report(rs)
+	b, err := json.MarshalIndent(rs, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Entries) != 1 || rep.Entries[0].Name != "scale/n400" {
-		t.Fatalf("want the one entry scale/n400; report: %+v", rep)
-	}
-	e := rep.Entries[0]
-	for _, m := range []string{"msgs/query", "hit-rate", "events/sec", "allocs/query", "delay_p95_ms"} {
-		if _, ok := e.Metrics[m]; !ok {
-			t.Errorf("metric %q missing: %+v", m, e.Metrics)
-		}
-	}
+	return string(b)
 }

@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/perf"
 	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/topology"
@@ -48,8 +44,8 @@ import (
 // the cell name (runner.DeriveSeed), every draw comes from the cell's
 // own stream tree, and stochastic policies use the engine's per-query
 // derived streams — cells.json is byte-identical at any -workers
-// count. Wall-clock measurements go to the BENCH_skew.json side
-// channel, never into the comparable artifact.
+// count. Wall-clock measurements ride in each value's WallSample and
+// land in the BENCH_skew.json sidecar, never in the comparable artifact.
 
 // SkewConfig parameterizes one skew cell.
 type SkewConfig struct {
@@ -149,29 +145,15 @@ func DefaultSkewConfig(nodes int, seed uint64) SkewConfig {
 }
 
 // SkewSummary is the deterministic (JSON-stable) output of one skew
-// cell — the `value` schema of skew cells in cells.json.
+// cell — the `value` schema of skew cells in cells.json — plus its
+// wall-clock sample.
 type SkewSummary struct {
 	Nodes     int     `json:"nodes"`
 	Providers int     `json:"providers"`
 	Theta     float64 `json:"theta"`
 	ChurnMean float64 `json:"churn_mean_s"`
 	Policy    string  `json:"policy"`
-	// Queries counts issued searches; Hits the satisfied subset.
-	Queries int     `json:"queries"`
-	Hits    int     `json:"hits"`
-	HitRate float64 `json:"hit_rate"`
-	// Messages and ReplyMessages total propagations and reply hops.
-	Messages      uint64  `json:"messages"`
-	ReplyMessages uint64  `json:"reply_messages"`
-	MsgsPerQuery  float64 `json:"msgs_per_query"`
-	// VisitedMean is the mean number of distinct repositories that
-	// processed each query.
-	VisitedMean float64 `json:"visited_mean"`
-	// DelayP50Ms/P95Ms/P99Ms are first-result delay percentiles over
-	// satisfied queries, in milliseconds.
-	DelayP50Ms float64 `json:"delay_p50_ms"`
-	DelayP95Ms float64 `json:"delay_p95_ms"`
-	DelayP99Ms float64 `json:"delay_p99_ms"`
+	QueryStats
 	// Logins and Logoffs count churn transitions (0 when stable).
 	Logins  uint64 `json:"logins"`
 	Logoffs uint64 `json:"logoffs"`
@@ -180,66 +162,8 @@ type SkewSummary struct {
 	// across cells and a measured zero hit rate stays visible.
 	FlashQueries int     `json:"flash_queries"`
 	FlashHitRate float64 `json:"flash_hit_rate"`
-}
 
-// SkewPerfSample is the wall-clock side channel of one skew cell.
-type SkewPerfSample struct {
-	// WallSeconds is the session run time (excluding world build).
-	WallSeconds float64
-	// Events counts messages plus reply hops.
-	Events uint64
-	// Queries is the number of searches issued.
-	Queries int
-}
-
-// SkewPerf collects the non-deterministic measurements of a skew run,
-// keyed by cell name. It is safe for concurrent cells.
-type SkewPerf struct {
-	mu      sync.Mutex
-	samples map[string]SkewPerfSample
-}
-
-// NewSkewPerf returns an empty collector.
-func NewSkewPerf() *SkewPerf {
-	return &SkewPerf{samples: make(map[string]SkewPerfSample)}
-}
-
-func (p *SkewPerf) record(cell string, s SkewPerfSample) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.samples[cell] = s
-}
-
-// Report renders the collected samples plus the deterministic per-cell
-// metrics as a BENCH_skew.json document.
-func (p *SkewPerf) Report(rs []runner.Result) (*perf.Report, error) {
-	rep := perf.NewReport("skew-experiment")
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, r := range rs {
-		if r.Experiment != "skew" {
-			continue
-		}
-		if r.Err != "" {
-			return nil, fmt.Errorf("experiments: skew cell %s failed: %s", r.Cell, r.Err)
-		}
-		sum, ok := r.Value.(*SkewSummary)
-		if !ok {
-			return nil, fmt.Errorf("experiments: skew cell %s has value %T", r.Cell, r.Value)
-		}
-		m := map[string]float64{
-			"hit-rate":     sum.HitRate,
-			"msgs/query":   sum.MsgsPerQuery,
-			"delay_p95_ms": sum.DelayP95Ms,
-		}
-		if s, ok := p.samples[r.Cell]; ok && s.WallSeconds > 0 && s.Queries > 0 {
-			m["events/sec"] = float64(s.Events) / s.WallSeconds
-			m["queries/sec"] = float64(s.Queries) / s.WallSeconds
-			m["wall_seconds"] = s.WallSeconds
-		}
-		rep.Add("skew/"+r.Cell, m)
-	}
-	return rep, nil
+	Wall WallSample `json:"-"`
 }
 
 // Grid axes. Policies come from the pkg/search registry; churn levels
@@ -277,30 +201,14 @@ func skewNodes(s Scale) int {
 }
 
 // SkewCells returns the grid cells (theta × churn × policy, in that
-// nesting order) plus the flash-crowd cell, plus the collector that
-// receives each cell's wall-clock measurements. Every cell derives its
-// own seed from (seed, experiment, cell name), so the family is
+// nesting order) plus the flash-crowd cell. Every cell derives its own
+// seed from (seed, experiment, cell name), so the family is
 // deterministic at any worker count and cells can be re-run in
 // isolation.
-func SkewCells(experiment string, scale Scale, seed uint64) ([]runner.Cell, *SkewPerf) {
-	collector := NewSkewPerf()
+func SkewCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	nodes := skewNodes(scale)
 	mk := func(name string, cfg SkewConfig) runner.Cell {
-		return runner.Cell{
-			Experiment: experiment,
-			Name:       name,
-			Seed:       cfg.Seed,
-			Run: func(_ context.Context, cellSeed uint64) (any, error) {
-				c := cfg
-				c.Seed = cellSeed
-				sum, sample, err := RunSkew(c)
-				if err != nil {
-					return nil, err
-				}
-				collector.record(name, sample)
-				return sum, nil
-			},
-		}
+		return cell(experiment, name, cfg, func(c *SkewConfig) *uint64 { return &c.Seed }, RunSkew)
 	}
 	var cells []runner.Cell
 	for _, theta := range skewThetas {
@@ -322,8 +230,7 @@ func SkewCells(experiment string, scale Scale, seed uint64) ([]runner.Cell, *Ske
 		DurationHours: flashWindowHours,
 		HotKeys:       flashHotKeys,
 	}
-	cells = append(cells, mk("flash", flash))
-	return cells, collector
+	return append(cells, mk("flash", flash))
 }
 
 // skewWorld is one cell's domain state over the session driver.
@@ -334,19 +241,17 @@ type skewWorld struct {
 	holds []map[core.Key]struct{}
 	arr   driver.FlashCrowd // flash cell only (cfg.Flash != nil)
 
-	sum        SkewSummary
-	delays     []float64
-	visitedSum int
-	flashHits  int
+	sum       SkewSummary
+	flashHits int
 }
 
 // RunSkew executes one skew cell: generate the world (roles, holdings,
 // classes), hand the timeline to a driver session, drive it to the
 // horizon, summarize. The summary is a pure function of the config;
-// the sample carries the wall-clock side measurements.
-func RunSkew(cfg SkewConfig) (*SkewSummary, SkewPerfSample, error) {
+// its Wall sample carries the wall-clock side measurements.
+func RunSkew(cfg SkewConfig) (*SkewSummary, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, SkewPerfSample{}, err
+		return nil, err
 	}
 	root := rng.New(cfg.Seed)
 	roleStream := root.Split()
@@ -417,21 +322,26 @@ func RunSkew(cfg SkewConfig) (*SkewSummary, SkewPerfSample, error) {
 		OnQuery: w.onQuery,
 	}, root)
 	if err != nil {
-		return nil, SkewPerfSample{}, err
+		return nil, err
 	}
 	w.sess = sess
 
 	start := time.Now()
 	sess.Run()
-	wall := time.Since(start)
-
-	w.finish()
-	sample := SkewPerfSample{
-		WallSeconds: wall.Seconds(),
+	w.sum.Wall = WallSample{
+		WallSeconds: time.Since(start).Seconds(),
 		Events:      w.sum.Messages + w.sum.ReplyMessages,
 		Queries:     w.sum.Queries,
 	}
-	return &w.sum, sample, nil
+
+	s := &w.sum
+	s.Logins = sess.Logins()
+	s.Logoffs = sess.Logoffs()
+	s.finish()
+	if s.FlashQueries > 0 {
+		s.FlashHitRate = float64(w.flashHits) / float64(s.FlashQueries)
+	}
+	return s, nil
 }
 
 // onQuery handles one arrival: sample a key (the hot set inside the
@@ -442,65 +352,18 @@ func (w *skewWorld) onQuery(id topology.NodeID, now float64) {
 	var key core.Key
 	if inFlash {
 		key = core.Key(st.Intn(w.cfg.Flash.HotKeys))
+		w.sum.FlashQueries++
 	} else {
 		key = core.Key(w.zipf.Index(st))
-	}
-	w.sum.Queries++
-	if inFlash {
-		w.sum.FlashQueries++
 	}
 	out := w.sess.Do(search.Query{
 		ID:     w.sess.NextQueryID(),
 		Key:    key,
 		Origin: id,
 	})
-	w.sum.Messages += out.Messages
-	w.sum.ReplyMessages += out.ReplyMessages
-	w.visitedSum += out.Visited
-	if out.Found() {
-		w.sum.Hits++
-		w.delays = append(w.delays, out.FirstResultDelay)
-		if inFlash {
-			w.flashHits++
-		}
+	if w.sum.tally(out) && inFlash {
+		w.flashHits++
 	}
-}
-
-// finish folds the tallies into rates and percentiles.
-func (w *skewWorld) finish() {
-	s := &w.sum
-	s.Logins = w.sess.Logins()
-	s.Logoffs = w.sess.Logoffs()
-	if s.Queries > 0 {
-		s.HitRate = float64(s.Hits) / float64(s.Queries)
-		s.MsgsPerQuery = float64(s.Messages) / float64(s.Queries)
-		s.VisitedMean = float64(w.visitedSum) / float64(s.Queries)
-	}
-	if s.FlashQueries > 0 {
-		s.FlashHitRate = float64(w.flashHits) / float64(s.FlashQueries)
-	}
-	sort.Float64s(w.delays)
-	s.DelayP50Ms = quantileMs(w.delays, 0.50)
-	s.DelayP95Ms = quantileMs(w.delays, 0.95)
-	s.DelayP99Ms = quantileMs(w.delays, 0.99)
-}
-
-// AssembleSkew validates the results of SkewCells into summaries, in
-// grid order.
-func AssembleSkew(rs []runner.Result) ([]*SkewSummary, error) {
-	out := make([]*SkewSummary, len(rs))
-	for i, r := range rs {
-		if r.Err != "" {
-			return nil, fmt.Errorf("experiments: cell %s/%s failed: %s", r.Experiment, r.Cell, r.Err)
-		}
-		sum, ok := r.Value.(*SkewSummary)
-		if !ok {
-			return nil, fmt.Errorf("experiments: cell %s/%s has value %T, want *SkewSummary",
-				r.Experiment, r.Cell, r.Value)
-		}
-		out[i] = sum
-	}
-	return out, nil
 }
 
 // SkewTable renders the grid plus the flash cell.
@@ -513,10 +376,4 @@ func SkewTable(rs []runner.Result, sums []*SkewSummary) *metrics.Table {
 			s.DelayP50Ms, s.DelayP95Ms)
 	}
 	return t
-}
-
-// Skew runs the grid on the default pool and returns the summaries.
-func Skew(scale Scale, seed uint64) []*SkewSummary {
-	cells, _ := SkewCells("skew", scale, seed)
-	return must(AssembleSkew(runLocal(cells)))
 }

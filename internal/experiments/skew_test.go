@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
 
@@ -36,7 +35,7 @@ func TestSkewConfigValidation(t *testing.T) {
 	} {
 		c := ciSkewConfig(1)
 		mutate(&c)
-		if _, _, err := RunSkew(c); err == nil {
+		if _, err := RunSkew(c); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -45,11 +44,11 @@ func TestSkewConfigValidation(t *testing.T) {
 func TestSkewCellIsPureFunctionOfConfig(t *testing.T) {
 	cfg := ciSkewConfig(7)
 	cfg.ChurnMean = 1800
-	a, _, err := RunSkew(cfg)
+	a, err := RunSkew(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunSkew(cfg)
+	b, err := RunSkew(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestSkewCellIsPureFunctionOfConfig(t *testing.T) {
 		t.Fatalf("same config diverged:\n%s\n%s", aj, bj)
 	}
 	cfg.Seed = 8
-	c, _, err := RunSkew(cfg)
+	c, err := RunSkew(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +70,13 @@ func TestSkewCellIsPureFunctionOfConfig(t *testing.T) {
 
 func TestSkewChurnDegradesCoverage(t *testing.T) {
 	stable := ciSkewConfig(3)
-	a, _, err := RunSkew(stable)
+	a, err := RunSkew(stable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	churned := stable
 	churned.ChurnMean = 1800
-	b, _, err := RunSkew(churned)
+	b, err := RunSkew(churned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +102,11 @@ func TestSkewSkewRaisesHitRate(t *testing.T) {
 	lo.Theta = 0.3
 	hi := ciSkewConfig(5)
 	hi.Theta = 1.2
-	a, _, err := RunSkew(lo)
+	a, err := RunSkew(lo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunSkew(hi)
+	b, err := RunSkew(hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestSkewFlashCrowdRampsVolume(t *testing.T) {
 	cfg := ciSkewConfig(9)
 	cfg.DurationHours = 2
 	cfg.Flash = &FlashSpec{Peak: 6, StartHour: 1, DurationHours: 0.5, HotKeys: 8}
-	sum, _, err := RunSkew(cfg)
+	sum, err := RunSkew(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,28 +145,13 @@ func TestSkewFlashCrowdRampsVolume(t *testing.T) {
 // the exact JSON the artifact writer would emit must not depend on the
 // worker count.
 func TestSkewWorkerCountInvariance(t *testing.T) {
-	run := func(workers int) string {
-		cells, _ := SkewCells("skew", CI, 1)
-		rs, err := runner.Run(context.Background(), cells, runner.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runner.FirstError(rs); err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.MarshalIndent(rs, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	if run(1) != run(8) {
+	if cellsJSON(t, SkewCells("skew", CI, 1), 1) != cellsJSON(t, SkewCells("skew", CI, 1), 8) {
 		t.Fatal("skew cells.json depends on the worker count")
 	}
 }
 
 func TestSkewCellsWellFormed(t *testing.T) {
-	cells, _ := SkewCells("skew", CI, 1)
+	cells := SkewCells("skew", CI, 1)
 	if len(cells) != len(skewThetas)*len(skewChurns)*len(skewPolicies)+1 {
 		t.Fatalf("grid has %d cells", len(cells))
 	}

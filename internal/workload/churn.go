@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -83,10 +84,12 @@ type QueryConfig struct {
 // DefaultQueryConfig returns the derived 12 queries/hour.
 func DefaultQueryConfig() QueryConfig { return QueryConfig{RatePerHour: 12} }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. The rate must be a finite
+// positive number: NaN and +Inf would reach the exponential sampler as
+// an interarrival mean of NaN or 0.
 func (c QueryConfig) Validate() error {
-	if c.RatePerHour <= 0 {
-		return fmt.Errorf("workload: non-positive query rate %v", c.RatePerHour)
+	if r := c.RatePerHour; !(r > 0) || math.IsInf(r, 1) {
+		return fmt.Errorf("workload: query rate %v is not a finite positive number", r)
 	}
 	return nil
 }

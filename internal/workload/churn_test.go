@@ -115,8 +115,10 @@ func TestQueryConfigDefaults(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (QueryConfig{}).Validate(); err == nil {
-		t.Fatal("zero rate accepted")
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (QueryConfig{RatePerHour: rate}).Validate(); err == nil {
+			t.Errorf("rate %v accepted", rate)
+		}
 	}
 }
 
