@@ -38,11 +38,26 @@ func main() {
 	if *addr == "" {
 		fatalf("-addr is required: the HTTP address of a running dsearchd")
 	}
-	clientREPL(*addr, *timeout)
+	window, err := windowMillis(*timeout)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	clientREPL(*addr, window)
 }
 
-// clientREPL drives a running dsearchd over pkg/searchclient.
-func clientREPL(addr string, timeout time.Duration) {
+// windowMillis converts -timeout to the wire's whole milliseconds. The
+// daemon reads 0 as "use my default window", so a value that would
+// round to 0 or below is refused instead of silently replaced.
+func windowMillis(timeout time.Duration) (int, error) {
+	if timeout < time.Millisecond {
+		return 0, fmt.Errorf("-timeout %v: must be at least 1ms", timeout)
+	}
+	return int(timeout / time.Millisecond), nil
+}
+
+// clientREPL drives a running dsearchd over pkg/searchclient, asking
+// for a window-millisecond collection window on every search.
+func clientREPL(addr string, window int) {
 	c := searchclient.New(addr)
 	ctx := context.Background()
 	if err := c.Ready(ctx); err != nil {
@@ -69,10 +84,7 @@ func clientREPL(addr string, timeout time.Duration) {
 				fmt.Printf("bad key: %v\n", err)
 				break
 			}
-			resp, err := c.Query(ctx, searchclient.QueryRequest{
-				Key:           k,
-				TimeoutMillis: int(timeout / time.Millisecond),
-			})
+			resp, err := c.Query(ctx, searchclient.QueryRequest{Key: k, TimeoutMillis: window})
 			if err != nil {
 				fmt.Printf("query: %v\n", err)
 				break

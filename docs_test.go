@@ -57,6 +57,12 @@ func TestDocsQuoteOnlyWhatExists(t *testing.T) {
 		"dsearch -id", "dsearch -policy",
 		// Folded into internal/experiments, its only caller.
 		"internal/" + "perf",
+		// Public surface nothing ran: the streaming call and its core
+		// hook, the reply-hop observers, options only tests set, and the
+		// example programs CI compiled but never ran.
+		"eng." + "Stream", "On" + "Result", "On" + "ReplyHop", "QueryBatch" + "Pipelined",
+		"WithBatch" + "Workers", "WithAdmit" + "Batch", "WithSnap" + "shot(", "With" + "Benefit",
+		"Without" + "Breaker", "examples" + "/",
 	}
 	goBench := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	ticked := regexp.MustCompile("`([^`\n]+)`")

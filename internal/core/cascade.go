@@ -42,14 +42,6 @@ type Cascade struct {
 	// OnMessage, when non-nil, is invoked for every query propagation
 	// (from -> to), including duplicates discarded on arrival.
 	OnMessage func(from, to topology.NodeID)
-	// OnReplyHop, when non-nil, is invoked for every hop of a reply on
-	// the reverse route.
-	OnReplyHop func(from, to topology.NodeID)
-	// OnResult, when non-nil, is invoked for every result the moment its
-	// reply reaches the origin — before the cascade finishes — enabling
-	// incremental (streaming) consumption. The Result is passed by value
-	// and safe to retain.
-	OnResult func(Result)
 	// Halt, when non-nil, is polled between cascade hops (once per
 	// arrival processed) and before each deepening iteration; when it
 	// returns true the search stops and returns the partial outcome
@@ -213,29 +205,19 @@ func (c *Cascade) RunScratch(q *Query, s *Scratch) *Outcome {
 				}
 			}
 			if hit {
-				node := a.node
-				for node != q.Origin {
-					out.ReplyMessages++
-					parent := s.visits[node].parent
-					if c.OnReplyHop != nil {
-						c.OnReplyHop(node, parent)
-					}
-					node = parent
-				}
+				// The reverse route is the parent chain, one hop per
+				// forward hop: a node's parent arrived one hop earlier.
+				out.ReplyMessages += uint64(a.hops)
 				if c.Index != nil {
 					s.visits[a.node].idxEpoch = s.epoch
 				}
 				total := now + replyDelay
-				res := Result{Holder: a.node, Hops: int(a.hops), Delay: total}
-				out.Results = append(out.Results, res)
+				out.Results = append(out.Results, Result{Holder: a.node, Hops: int(a.hops), Delay: total})
 				// First appended result opens the minimum; set-ness is
 				// len(Results) > 0, never a zero sentinel — a genuine
 				// zero-delay first result survives later, slower ones.
 				if len(out.Results) == 1 || total < out.FirstResultDelay {
 					out.FirstResultDelay = total
-				}
-				if c.OnResult != nil {
-					c.OnResult(res)
 				}
 			}
 			// Answer for indexed peers beyond this node.

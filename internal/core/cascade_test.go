@@ -204,18 +204,22 @@ func TestCascadeFirstResultDelayIsMinimum(t *testing.T) {
 
 func TestCascadeMetersMessages(t *testing.T) {
 	g := star(4)
-	var sent, replied int
+	sent := 0
 	c := &Cascade{
 		Graph: g, Content: holders(2), Forward: Flood{},
-		OnMessage:  func(_, _ topology.NodeID) { sent++ },
-		OnReplyHop: func(_, _ topology.NodeID) { replied++ },
+		OnMessage: func(_, _ topology.NodeID) { sent++ },
 	}
 	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 1})
 	if uint64(sent) != o.Messages {
 		t.Fatalf("OnMessage count %d != Messages %d", sent, o.Messages)
 	}
-	if uint64(replied) != o.ReplyMessages {
-		t.Fatalf("OnReplyHop count %d != ReplyMessages %d", replied, o.ReplyMessages)
+	// Every reply walks the reverse route: one hop per forward hop.
+	hops := 0
+	for _, r := range o.Results {
+		hops += r.Hops
+	}
+	if uint64(hops) != o.ReplyMessages {
+		t.Fatalf("results cover %d reply hops, ReplyMessages %d", hops, o.ReplyMessages)
 	}
 }
 

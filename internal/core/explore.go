@@ -172,9 +172,6 @@ func (c *Cascade) ExploreScratch(x *Exploration, s *Scratch) *ExploreOutcome {
 			parent := s.visits[node].parent
 			replyDelay += delay(node, parent)
 			out.ReplyMessages++
-			if c.OnReplyHop != nil {
-				c.OnReplyHop(node, parent)
-			}
 			node = parent
 		}
 		out.Findings = append(out.Findings, Finding{

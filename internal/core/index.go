@@ -56,13 +56,9 @@ func (c *Cascade) indexResults(q *Query, out *Outcome, s *Scratch,
 		if h != at {
 			total += delay(at, h) // indexing node pinged the holder
 		}
-		res := Result{Holder: h, Hops: hops + 1, Delay: total}
-		out.Results = append(out.Results, res)
+		out.Results = append(out.Results, Result{Holder: h, Hops: hops + 1, Delay: total})
 		if len(out.Results) == 1 || total < out.FirstResultDelay {
 			out.FirstResultDelay = total
-		}
-		if c.OnResult != nil {
-			c.OnResult(res)
 		}
 		if q.MaxResults > 0 && len(out.Results) >= q.MaxResults {
 			break

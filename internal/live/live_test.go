@@ -36,6 +36,17 @@ func cluster(t *testing.T, n, neighbors, ttl, threshold int) ([]*Node, *ChanTran
 	return nodes, tr
 }
 
+// query originates one search from n and returns its hits.
+func query(n *Node, opts QueryOpts) []SearchHit {
+	hits, _ := n.QueryInfo(opts)
+	return hits
+}
+
+// search is query with only a key and a collection window.
+func search(n *Node, key core.Key, timeout time.Duration) []SearchHit {
+	return query(n, QueryOpts{Key: key, Timeout: timeout})
+}
+
 // link wires a symmetric edge for bootstrap.
 func link(a, b *Node) {
 	a.AddNeighbor(b.ID())
@@ -58,7 +69,7 @@ func TestSearchFindsDirectNeighbor(t *testing.T) {
 	nodes[1].cfg.Store.(MapStore).Add(42)
 	link(nodes[0], nodes[1])
 	link(nodes[1], nodes[2])
-	hits := nodes[0].Search(42, 200*time.Millisecond)
+	hits := search(nodes[0], 42, 200*time.Millisecond)
 	if len(hits) != 1 || hits[0].Holder != 1 {
 		t.Fatalf("hits: %+v", hits)
 	}
@@ -77,7 +88,7 @@ func TestSearchTraversesMultipleHops(t *testing.T) {
 	link(nodes[1], nodes[2])
 	link(nodes[2], nodes[3])
 	nodes[3].cfg.Store.(MapStore).Add(7)
-	hits := nodes[0].Search(7, 300*time.Millisecond)
+	hits := search(nodes[0], 7, 300*time.Millisecond)
 	if len(hits) != 1 || hits[0].Holder != 3 || hits[0].Hops != 3 {
 		t.Fatalf("hits: %+v", hits)
 	}
@@ -89,7 +100,7 @@ func TestSearchRespectsTTL(t *testing.T) {
 	link(nodes[1], nodes[2])
 	link(nodes[2], nodes[3])
 	nodes[3].cfg.Store.(MapStore).Add(7)
-	if hits := nodes[0].Search(7, 200*time.Millisecond); len(hits) != 0 {
+	if hits := search(nodes[0], 7, 200*time.Millisecond); len(hits) != 0 {
 		t.Fatalf("TTL 2 found a 3-hop holder: %+v", hits)
 	}
 }
@@ -97,7 +108,7 @@ func TestSearchRespectsTTL(t *testing.T) {
 func TestSearchMiss(t *testing.T) {
 	nodes, _ := cluster(t, 2, 4, 2, 0)
 	link(nodes[0], nodes[1])
-	if hits := nodes[0].Search(999, 100*time.Millisecond); len(hits) != 0 {
+	if hits := search(nodes[0], 999, 100*time.Millisecond); len(hits) != 0 {
 		t.Fatalf("miss returned hits: %+v", hits)
 	}
 }
@@ -108,7 +119,7 @@ func TestSearchCollectsMultipleHolders(t *testing.T) {
 		link(nodes[0], nodes[i])
 		nodes[i].cfg.Store.(MapStore).Add(5)
 	}
-	hits := nodes[0].Search(5, 300*time.Millisecond)
+	hits := search(nodes[0], 5, 300*time.Millisecond)
 	if len(hits) != 3 {
 		t.Fatalf("expected 3 holders, got %+v", hits)
 	}
@@ -120,7 +131,7 @@ func TestServingNodeDoesNotForward(t *testing.T) {
 	link(nodes[1], nodes[2])
 	nodes[1].cfg.Store.(MapStore).Add(5)
 	nodes[2].cfg.Store.(MapStore).Add(5)
-	hits := nodes[0].Search(5, 300*time.Millisecond)
+	hits := search(nodes[0], 5, 300*time.Millisecond)
 	if len(hits) != 1 || hits[0].Holder != 1 {
 		t.Fatalf("propagation past a serving node: %+v", hits)
 	}
@@ -130,7 +141,7 @@ func TestStatisticsAccumulate(t *testing.T) {
 	nodes, _ := cluster(t, 2, 4, 1, 0)
 	link(nodes[0], nodes[1])
 	nodes[1].cfg.Store.(MapStore).Add(5)
-	nodes[0].Search(5, 200*time.Millisecond)
+	search(nodes[0], 5, 200*time.Millisecond)
 	var benefit float64
 	nodes[0].do(func(st *state) {
 		if r := st.ledger.Get(1); r != nil {
@@ -150,7 +161,7 @@ func TestReconfigureInvitesBestPeer(t *testing.T) {
 	link(nodes[0], nodes[1])
 	link(nodes[1], nodes[2])
 	nodes[2].cfg.Store.(MapStore).Add(9)
-	hits := nodes[0].Search(9, 300*time.Millisecond)
+	hits := search(nodes[0], 9, 300*time.Millisecond)
 	if len(hits) != 1 || hits[0].Holder != 2 {
 		t.Fatalf("setup search failed: %+v", hits)
 	}
@@ -194,7 +205,7 @@ func TestEvictionResetsStatistics(t *testing.T) {
 	nodes, _ := cluster(t, 2, 4, 2, 0)
 	link(nodes[0], nodes[1])
 	nodes[1].cfg.Store.(MapStore).Add(5)
-	nodes[0].Search(5, 200*time.Millisecond)
+	search(nodes[0], 5, 200*time.Millisecond)
 	// Node 0 evicts node 1 by hand.
 	nodes[0].do(func(st *state) {
 		removeNeighbor(st, 1)
@@ -218,8 +229,8 @@ func TestAutomaticReconfigurationAfterThreshold(t *testing.T) {
 	link(nodes[0], nodes[1])
 	link(nodes[1], nodes[2])
 	nodes[2].cfg.Store.(MapStore).Add(9)
-	nodes[0].Search(9, 200*time.Millisecond)
-	nodes[0].Search(9, 200*time.Millisecond) // second search crosses θ
+	search(nodes[0], 9, 200*time.Millisecond)
+	search(nodes[0], 9, 200*time.Millisecond) // second search crosses θ
 	deadline := time.After(2 * time.Second)
 	for {
 		if hasNeighbor(nodes[0], 2) {
@@ -241,7 +252,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	link(nodes[1], nodes[3])
 	link(nodes[2], nodes[3])
 	nodes[3].cfg.Store.(MapStore).Add(5)
-	hits := nodes[0].Search(5, 300*time.Millisecond)
+	hits := search(nodes[0], 5, 300*time.Millisecond)
 	if len(hits) != 1 {
 		t.Fatalf("duplicate replies: %+v", hits)
 	}
@@ -315,7 +326,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	a.AddNeighbor(1)
 	b.AddNeighbor(0)
 
-	hits := a.Search(5, 500*time.Millisecond)
+	hits := search(a, 5, 500*time.Millisecond)
 	if len(hits) != 1 || hits[0].Holder != 1 {
 		t.Fatalf("TCP search hits: %+v", hits)
 	}
@@ -335,7 +346,7 @@ func TestQueryMaxHitsReturnsEarly(t *testing.T) {
 		nodes[i].cfg.Store.(MapStore).Add(5)
 	}
 	start := time.Now()
-	hits := nodes[0].Query(QueryOpts{Key: 5, Timeout: 10 * time.Second, MaxHits: 1})
+	hits := query(nodes[0], QueryOpts{Key: 5, Timeout: 10 * time.Second, MaxHits: 1})
 	if len(hits) != 1 {
 		t.Fatalf("MaxHits 1 returned %d hits", len(hits))
 	}
@@ -350,10 +361,10 @@ func TestQueryTTLOverride(t *testing.T) {
 	link(nodes[1], nodes[2])
 	link(nodes[2], nodes[3])
 	nodes[3].cfg.Store.(MapStore).Add(7)
-	if hits := nodes[0].Query(QueryOpts{Key: 7, Timeout: 200 * time.Millisecond}); len(hits) != 0 {
+	if hits := query(nodes[0], QueryOpts{Key: 7, Timeout: 200 * time.Millisecond}); len(hits) != 0 {
 		t.Fatalf("config TTL 2 reached a 3-hop holder: %+v", hits)
 	}
-	hits := nodes[0].Query(QueryOpts{Key: 7, TTL: 3, Timeout: 300 * time.Millisecond, MaxHits: 1})
+	hits := query(nodes[0], QueryOpts{Key: 7, TTL: 3, Timeout: 300 * time.Millisecond, MaxHits: 1})
 	if len(hits) != 1 || hits[0].Holder != 3 {
 		t.Fatalf("TTL override 3 missed the holder: %+v", hits)
 	}

@@ -68,22 +68,6 @@ type QueryInfo struct {
 	Stopped bool
 }
 
-// Search floods a query and collects hits until the flood terminates
-// (or, failing that, until timeout). It implements Send_Query of Algo
-// 5: statistics update with benefit B/R over the collected results,
-// then a reconfiguration check.
-func (n *Node) Search(key core.Key, timeout time.Duration) []SearchHit {
-	return n.Query(QueryOpts{Key: key, Timeout: timeout})
-}
-
-// Query originates one search with explicit options (see QueryOpts);
-// Search is the common-case wrapper. Any number of goroutines may
-// originate queries on one node concurrently.
-func (n *Node) Query(opts QueryOpts) []SearchHit {
-	hits, _ := n.QueryInfo(opts)
-	return hits
-}
-
 // collector is the rendezvous between one QueryInfo call and the node:
 // the request travels in it to the node (submit), hits and the
 // completion mark travel back through results, and after collection it
@@ -133,8 +117,13 @@ func completionMark(served uint32, lost bool) SearchHit {
 	return m
 }
 
-// QueryInfo is Query plus an account of how collection ended (first-hop
-// fan-out, completion, loss, early stop) — see the QueryInfo type.
+// QueryInfo originates one search (see QueryOpts) and collects hits
+// until the flood terminates or, failing that, until the window closes;
+// the QueryInfo it returns says how collection ended (first-hop
+// fan-out, completion, loss, early stop). It implements Send_Query of
+// Algo 5: statistics update with benefit B/R over the collected
+// results, then a reconfiguration check. Any number of goroutines may
+// originate queries on one node concurrently.
 func (n *Node) QueryInfo(opts QueryOpts) ([]SearchHit, QueryInfo) {
 	c := collectorPool.Get().(*collector)
 	c.key, c.forward, c.hits = opts.Key, opts.Forward, nil

@@ -149,7 +149,7 @@ func TestTerminationMissIsFast(t *testing.T) {
 		edges = append(edges, [2]int{i, (i + 1) % 12}, [2]int{i, (i + 5) % 12})
 	}
 	nodes, _ := hookCluster(t, 12, 3, edges)
-	nodes[0].Search(7, longWindow) // warm the collector pool
+	search(nodes[0], 7, longWindow) // warm the collector pool
 	start := time.Now()
 	hits, info := nodes[0].QueryInfo(QueryOpts{Key: 7, Timeout: longWindow})
 	if elapsed := time.Since(start); elapsed > 10*time.Millisecond {

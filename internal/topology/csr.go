@@ -62,8 +62,9 @@ func (net *Network) FreezeInto(c *CSR) *CSR {
 }
 
 // FreezeView builds a CSR from any adjacency function over n dense
-// node IDs — the bridge for graph views that are not a *Network (the
-// pkg/search facade's WithSnapshot uses it). out must be pure for the
+// node IDs — the bridge for graph views that are not a *Network; the
+// freeze tests use it as the independent reference Freeze and
+// FreezeInto must match. out must be pure for the
 // duration of the call (it is invoked twice per node: a sizing pass
 // and a fill pass). Unlike Network freezes, the view is arbitrary
 // caller input, so violations — a negative n, or an edge pointing

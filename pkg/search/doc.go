@@ -1,6 +1,6 @@
 // Package search is the public, stable API of this repository: a
-// pooled, context-aware, streaming query facade over the cascade core
-// that reproduces conf_ipps_BakirasKLN03's generic search framework.
+// pooled, context-aware query facade over the cascade core that
+// reproduces conf_ipps_BakirasKLN03's generic search framework.
 //
 // Everything below pkg/search lives in internal/ packages; this package
 // is the supported way in. An Engine is constructed once per network
@@ -13,14 +13,14 @@
 // Three call shapes cover the workloads:
 //
 //   - Do: one-shot — run a search to completion, return the Result.
-//   - Stream: incremental — an iter.Seq2 that yields each Hit the
-//     moment its reply reaches the origin; break to stop the cascade.
-//   - Batch: fan-out — many queries over a bounded worker group with
-//     per-query deterministic seeds, byte-identical to sequential Do
-//     at any worker count.
 //   - Saturate: sustained serving — N resident workers with pinned
-//     scratch state drain a batched admission queue; still
-//     byte-identical to sequential Do.
+//     scratch state drain a chunked admission queue; results are
+//     byte-identical to sequential Do at any worker count, because
+//     every query's seed derives from the query alone.
+//   - Explore: a metadata-only census of the TTL-hop neighborhood
+//     (Algo 2) that fetches nothing.
+//
+// Batch is shorthand for Saturate + Run + Close on a one-call shard.
 //
 // Every call accepts a context.Context; cancellation is checked
 // between cascade hops, so even 100k-node floods stop promptly.
@@ -28,10 +28,10 @@
 // # Serving under churn
 //
 // A static Engine reads one topology for its whole life (a live
-// Network view, or an immutable CSR snapshot via WithSnapshot). For
+// Network view, or an immutable *topology.CSR passed through Over). For
 // workloads where the topology churns while queries are in flight,
 // WithSnapshotStore binds the Engine to a topology.SnapshotStore
-// instead: every query — through Do, Stream, Batch or a Saturator —
+// instead: every query — through Do or a Saturator —
 // acquires one immutable snapshot epoch, runs entirely on it, and
 // tags Result.Epoch with the epoch it saw. A single writer applies
 // churn deltas through the store, which re-freezes into an off-duty

@@ -43,31 +43,10 @@ func Example() {
 	// 1 result(s), holder 5, 5 hops, first after 1000 ms
 }
 
-// ExampleEngine_Stream consumes hits incrementally; breaking out of
-// the loop stops the cascade at the next hop.
-func ExampleEngine_Stream() {
-	eng, err := search.New(ringNet{}, search.WithTTL(7))
-	if err != nil {
-		panic(err)
-	}
-	for hit, err := range eng.Stream(context.Background(), search.Query{Key: hotItem, Origin: 0}) {
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("hit: node %d at %d hops\n", hit.Holder, hit.Hops)
-		break // first answer is enough; the flood stops here
-	}
-	// Output:
-	// hit: node 5 at 5 hops
-}
-
-// ExampleEngine_Batch fans a query list out over a bounded worker
-// group; results come back in input order, identical at any worker
-// count.
+// ExampleEngine_Batch runs a query list on a one-call Saturator;
+// results come back in input order, identical to sequential Do.
 func ExampleEngine_Batch() {
-	eng, err := search.New(ringNet{},
-		search.WithTTL(7),
-		search.WithBatchWorkers(4))
+	eng, err := search.New(ringNet{}, search.WithTTL(7))
 	if err != nil {
 		panic(err)
 	}

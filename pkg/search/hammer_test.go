@@ -11,8 +11,8 @@ import (
 
 // TestSaturationHammerByteIdentical is the concurrency battery for the
 // shared-snapshot serving path: 32 goroutines drive mixed traffic — Do,
-// Stream, Batch and Saturator.Run — against ONE engine over ONE frozen
-// CSR snapshot, and every per-query outcome must be byte-identical to a
+// Batch and Saturator.Run — against ONE engine over ONE frozen CSR
+// snapshot, and every per-query outcome must be byte-identical to a
 // sequential replay of the same queries with the same runner.DeriveSeed
 // streams. Under -race (the CI race job runs this package) it also
 // proves the whole serving surface — pool scratches, pinned worker
@@ -26,13 +26,12 @@ func TestSaturationHammerByteIdentical(t *testing.T) {
 	)
 	net := newTestNet(nodes, 4)
 	mk := func() *search.Engine {
-		eng, err := search.New(net,
+		eng, err := search.New(frozen(t, net),
 			search.WithPolicy("random-2"),
 			search.WithSeed(7),
 			search.WithTTL(8),
 			search.WithDelay(stepDelay),
-			search.WithForwardWhenHit(true),
-			search.WithSnapshot(nodes))
+			search.WithForwardWhenHit(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +56,7 @@ func TestSaturationHammerByteIdentical(t *testing.T) {
 
 	// One shared engine + one shared saturator take all the traffic.
 	shared := mk()
-	sat, err := shared.Saturate(search.WithWorkers(8), search.WithAdmitBatch(16))
+	sat, err := shared.Saturate(search.WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +79,12 @@ func TestSaturationHammerByteIdentical(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			// Each goroutine owns the strided slice i ≡ g (mod 32) and
-			// pushes it through one of the four call shapes.
+			// pushes it through one of the three call shapes.
 			var mine []int
 			for i := g; i < queries; i += goroutines {
 				mine = append(mine, i)
 			}
-			switch g % 4 {
+			switch g % 3 {
 			case 0: // one-shot
 				for _, i := range mine {
 					r, err := shared.Do(context.Background(), qs[i])
@@ -98,30 +97,7 @@ func TestSaturationHammerByteIdentical(t *testing.T) {
 						return
 					}
 				}
-			case 1: // incremental: consume the stream, then fetch counts
-				for _, i := range mine {
-					var streamed []search.Hit
-					for h, serr := range shared.Stream(context.Background(), qs[i]) {
-						if serr != nil {
-							errs <- serr
-							return
-						}
-						streamed = append(streamed, h)
-					}
-					r, err := shared.Do(context.Background(), qs[i])
-					if err != nil {
-						errs <- err
-						return
-					}
-					if len(streamed) != len(r.Hits) {
-						t.Errorf("query %d: Stream yielded %d hits, Do %d", i, len(streamed), len(r.Hits))
-					}
-					if err := record(i, r); err != nil {
-						errs <- err
-						return
-					}
-				}
-			case 2: // bounded-worker batch over the whole stride at once
+			case 1: // a one-call Saturator over the whole stride at once
 				sub := make([]search.Query, len(mine))
 				for k, i := range mine {
 					sub[k] = qs[i]
@@ -137,7 +113,7 @@ func TestSaturationHammerByteIdentical(t *testing.T) {
 						return
 					}
 				}
-			case 3: // saturation traffic through the shared worker shard
+			case 2: // saturation traffic through the shared worker shard
 				sub := make([]search.Query, len(mine))
 				for k, i := range mine {
 					sub[k] = qs[i]

@@ -155,19 +155,9 @@ func TestEngineWithPolicyResolvesRegistry(t *testing.T) {
 	if _, err := search.New(net, search.WithPolicy("digest-guided")); err == nil {
 		t.Error("New(WithPolicy(digest-guided)) without WithDigest succeeded, want error")
 	}
-	eng, err := search.New(net, search.WithPolicy("directed-bft-2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Policy().Name(); got != "directed-bft-2" {
-		t.Errorf("engine policy = %q, want directed-bft-2", got)
-	}
-	// Stochastic families are per-query: no shared instance to expose.
-	eng, err = search.New(net, search.WithPolicy("random-2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Policy() != nil {
-		t.Error("stochastic policy exposed a shared instance")
+	for _, name := range []string{"directed-bft-2", "random-2"} {
+		if _, err := search.New(net, search.WithPolicy(name)); err != nil {
+			t.Errorf("New(WithPolicy(%q)): %v", name, err)
+		}
 	}
 }

@@ -56,8 +56,8 @@ func TestEngineConcurrentByteIdentical(t *testing.T) {
 		}
 	}
 
-	// 32 goroutines share ONE engine, interleaving Do and Stream over
-	// strided disjoint slices of the query list.
+	// 32 goroutines share ONE engine, each over a strided disjoint slice
+	// of the query list.
 	shared := mk()
 	got := make([][]byte, queries)
 	var wg sync.WaitGroup
@@ -67,28 +67,7 @@ func TestEngineConcurrentByteIdentical(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < queries; i += goroutines {
-				var (
-					r   search.Result
-					err error
-				)
-				if i%4 == 3 {
-					// Every fourth query goes through Stream to cover the
-					// incremental path under contention.
-					for h, serr := range shared.Stream(context.Background(), qs[i]) {
-						if serr != nil {
-							err = serr
-							break
-						}
-						r.Hits = append(r.Hits, h)
-					}
-					if err == nil {
-						// Stream carries only hits; fetch the full outcome
-						// for the comparison via Do.
-						r, err = shared.Do(context.Background(), qs[i])
-					}
-				} else {
-					r, err = shared.Do(context.Background(), qs[i])
-				}
+				r, err := shared.Do(context.Background(), qs[i])
 				if err != nil {
 					errs <- err
 					return
@@ -116,15 +95,14 @@ func TestEngineConcurrentByteIdentical(t *testing.T) {
 }
 
 // TestEngineConcurrentBatch drives Batch from multiple goroutines at
-// once (each batch its own bounded worker group) and checks agreement
-// with the sequential reference.
+// once (each batch its own one-call Saturator) and checks agreement
+// with the reference.
 func TestEngineConcurrentBatch(t *testing.T) {
 	net := newTestNet(128, 4)
 	eng, err := search.New(net,
 		search.WithPolicy("random-3"),
 		search.WithSeed(9),
-		search.WithTTL(7),
-		search.WithBatchWorkers(4))
+		search.WithTTL(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,37 +16,35 @@ var ErrSaturatorClosed = errors.New("search: saturator is closed")
 
 // Saturator is the Engine's machine-saturation serving mode: a fixed
 // shard of worker goroutines, each owning one pinned core.Scratch (and
-// therefore its own eventq.Monotone frontier queue), pulling batches of
+// therefore its own eventq.Monotone frontier queue), pulling chunks of
 // queries from a shared admission queue and running every cascade
-// against the Engine's single shared topology view — one frozen
-// *topology.CSR when the Engine was built with WithSnapshot, which is
-// the intended deployment: the snapshot is immutable, so N cores read
-// it with zero synchronization.
+// against the Engine's shared topology view. The intended deployment
+// is an immutable CSR — a *topology.CSR passed through Over, or the
+// pinned epoch of WithSnapshotStore — which N cores read with zero
+// synchronization.
 //
-// Pinning replaces the sync.Pool handshake of Do/Batch on the hot
-// path: a worker's scratch is at its steady-state high-water marks
-// after the first few queries and never migrates between workers, so a
-// saturated query costs no pool traffic, no growth pauses and no
-// cross-core scratch bouncing. Admission is batched (WithAdmitBatch)
-// so one channel operation amortizes over a whole chunk of queries.
+// Pinning replaces Do's sync.Pool handshake on the hot path: a
+// worker's scratch is at its steady-state high-water marks after the
+// first few queries and never migrates between workers, so a saturated
+// query costs no pool traffic, no growth pauses and no cross-core
+// scratch bouncing. Admission is chunked: one channel operation
+// carries 32 queries.
 //
 // Determinism: each query's stochastic-policy stream is derived from
 // the Engine seed and the query's identifying fields alone (the same
-// runner.DeriveSeed derivation Do and Batch use), and scratch reuse is
+// runner.DeriveSeed derivation Do uses), and scratch reuse is
 // invisible to cascade semantics, so Run's results are byte-identical
 // to issuing the same queries sequentially through Do — at any worker
 // count, whichever worker served which chunk. The race-hammer suite
 // (TestSaturationHammerByteIdentical) locks this down under -race.
 //
 // A Saturator is safe for concurrent use: any number of goroutines may
-// call Run at once; their batches interleave on the shared admission
+// call Run at once; their chunks interleave on the shared admission
 // queue. Close must not be called concurrently with itself (concurrent
 // Run calls are fine and fail with ErrSaturatorClosed once closed).
 type Saturator struct {
-	e       *Engine
-	workers int
-	batch   int
-	queue   chan satBatch
+	e     *Engine
+	queue chan satBatch
 
 	mu     sync.RWMutex // guards closed vs in-flight queue sends
 	closed bool
@@ -78,9 +76,12 @@ type ServeOption func(*serveConfig)
 
 type serveConfig struct {
 	workers int
-	batch   int
-	err     error
 }
+
+// admitChunk is how many queries one admission-queue operation carries:
+// large enough to amortize the channel synchronization, small enough to
+// balance load between workers.
+const admitChunk = 32
 
 // WithWorkers sets the worker-shard size; n <= 0 (the default) means
 // GOMAXPROCS — one worker per schedulable core, the saturation point
@@ -93,40 +94,19 @@ func WithWorkers(n int) ServeOption {
 	}
 }
 
-// WithAdmitBatch sets how many queries one admission-queue operation
-// carries (default 32). Larger batches amortize channel synchronization
-// further but coarsen load balancing between workers; the default is
-// far off the contention cliff either way.
-func WithAdmitBatch(n int) ServeOption {
-	return func(c *serveConfig) {
-		if n < 1 {
-			if c.err == nil {
-				c.err = fmt.Errorf("search: admission batch %d < 1", n)
-			}
-			return
-		}
-		c.batch = n
-	}
-}
-
 // Saturate starts the Engine's saturation serving mode and returns its
 // handle. The worker goroutines live until Close; each owns a scratch
-// pre-sized like the Engine's pooled ones (WithSnapshot/WithScratchHint
-// pre-sizing applies). The Engine remains fully usable alongside — Do,
-// Stream and Batch traffic may interleave with saturation traffic on
-// the same shared snapshot.
+// pre-sized like the Engine's pooled ones (the graph's node count or
+// WithScratchHint). The Engine remains fully usable alongside — Do
+// traffic may interleave with saturation traffic on the same shared
+// snapshot. No current option can fail, so the error is always nil.
 func (e *Engine) Saturate(opts ...ServeOption) (*Saturator, error) {
-	cfg := serveConfig{workers: runtime.GOMAXPROCS(0), batch: 32}
+	cfg := serveConfig{workers: runtime.GOMAXPROCS(0)}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.err != nil {
-		return nil, cfg.err
-	}
 	s := &Saturator{
-		e:       e,
-		workers: cfg.workers,
-		batch:   cfg.batch,
+		e: e,
 		// A small buffer keeps admission ahead of the shard without
 		// letting an abandoned Run queue unbounded work.
 		queue: make(chan satBatch, 2*cfg.workers),
@@ -137,9 +117,6 @@ func (e *Engine) Saturate(opts ...ServeOption) (*Saturator, error) {
 	}
 	return s, nil
 }
-
-// Workers returns the shard size the Saturator runs with.
-func (s *Saturator) Workers() int { return s.workers }
 
 // worker is one shard member: it owns its scratch for its whole life.
 func (s *Saturator) worker() {
@@ -152,9 +129,9 @@ func (s *Saturator) worker() {
 				break // a sibling chunk failed; the job is aborted
 			}
 			q := &b.qs[i]
-			r, err := s.e.runWith(job.ctx, q, s.e.querySeed(q), scratch, nil)
+			r, err := s.e.runWith(job.ctx, q, s.e.querySeed(q), scratch)
 			if err != nil {
-				job.fail(fmt.Errorf("search: saturate query %d: %w", b.base+i, err))
+				job.fail(fmt.Errorf("search: query %d: %w", b.base+i, err))
 				break
 			}
 			b.results[i] = r
@@ -174,7 +151,7 @@ func (s *Saturator) Run(ctx context.Context, qs []Query) ([]Result, error) {
 	}
 	results := make([]Result, len(qs))
 	job := &satJob{ctx: ctx}
-	chunks := (len(qs) + s.batch - 1) / s.batch
+	chunks := (len(qs) + admitChunk - 1) / admitChunk
 	job.wg.Add(chunks)
 
 	// The read lock spans every send: Close's write lock therefore
@@ -184,8 +161,8 @@ func (s *Saturator) Run(ctx context.Context, qs []Query) ([]Result, error) {
 		s.mu.RUnlock()
 		return nil, ErrSaturatorClosed
 	}
-	for lo := 0; lo < len(qs); lo += s.batch {
-		hi := lo + s.batch
+	for lo := 0; lo < len(qs); lo += admitChunk {
+		hi := lo + admitChunk
 		if hi > len(qs) {
 			hi = len(qs)
 		}

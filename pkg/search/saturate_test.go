@@ -39,18 +39,17 @@ func marshalResults(t *testing.T, rs []search.Result) []string {
 // TestSaturatorWorkerInvariance is the serving-layer determinism
 // contract: Run's results over a shared CSR snapshot are byte-identical
 // to a sequential Do replay with the same runner.DeriveSeed streams, at
-// every worker count and admission-batch size. CI runs this explicitly
-// as the saturation worker-invariance check.
+// every worker count. CI runs this explicitly as the saturation
+// worker-invariance check.
 func TestSaturatorWorkerInvariance(t *testing.T) {
 	const n = 256
 	net := newTestNet(n, 4)
 	mk := func() *search.Engine {
-		eng, err := search.New(net,
+		eng, err := search.New(frozen(t, net),
 			search.WithPolicy("random-2"),
 			search.WithSeed(42),
 			search.WithTTL(8),
-			search.WithDelay(stepDelay),
-			search.WithSnapshot(n))
+			search.WithDelay(stepDelay))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,23 +72,20 @@ func TestSaturatorWorkerInvariance(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 8} {
-		for _, batch := range []int{1, 7, 64} {
-			eng := mk()
-			sat, err := eng.Saturate(search.WithWorkers(workers), search.WithAdmitBatch(batch))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs, err := sat.Run(context.Background(), qs)
-			sat.Close()
-			if err != nil {
-				t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
-			}
-			got := marshalResults(t, rs)
-			for i := range qs {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d batch=%d query %d diverged:\n  saturated:  %s\n  sequential: %s",
-						workers, batch, i, got[i], want[i])
-				}
+		sat, err := mk().Saturate(search.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := sat.Run(context.Background(), qs)
+		sat.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := marshalResults(t, rs)
+		for i := range qs {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d query %d diverged:\n  saturated:  %s\n  sequential: %s",
+					workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -99,8 +95,7 @@ func TestSaturatorWorkerInvariance(t *testing.T) {
 // one Saturator; every call must independently match the reference.
 func TestSaturatorConcurrentRuns(t *testing.T) {
 	const n = 128
-	net := newTestNet(n, 4)
-	eng, err := search.New(net, search.WithTTL(6), search.WithSnapshot(n))
+	eng, err := search.New(frozen(t, newTestNet(n, 4)), search.WithTTL(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +106,7 @@ func TestSaturatorConcurrentRuns(t *testing.T) {
 	}
 	wantJSON := marshalResults(t, want)
 
-	sat, err := eng.Saturate(search.WithWorkers(4), search.WithAdmitBatch(8))
+	sat, err := eng.Saturate(search.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +138,7 @@ func TestSaturatorConcurrentRuns(t *testing.T) {
 // aborts the call with a positioned error, and a canceled context
 // surfaces.
 func TestSaturatorLifecycle(t *testing.T) {
-	net := newTestNet(64, 4)
-	eng, err := search.New(net, search.WithTTL(4), search.WithSnapshot(64))
+	eng, err := search.New(frozen(t, newTestNet(64, 4)), search.WithTTL(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +146,6 @@ func TestSaturatorLifecycle(t *testing.T) {
 	sat, err := eng.Saturate(search.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := sat.Workers(); got != 2 {
-		t.Fatalf("Workers() = %d, want 2", got)
 	}
 	if _, err := sat.Run(context.Background(), nil); err != nil {
 		t.Fatalf("empty Run: %v", err)
@@ -165,13 +156,13 @@ func TestSaturatorLifecycle(t *testing.T) {
 		t.Fatalf("Run after Close = %v, want ErrSaturatorClosed", err)
 	}
 
-	sat2, err := eng.Saturate(search.WithWorkers(2), search.WithAdmitBatch(2))
+	sat2, err := eng.Saturate(search.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sat2.Close()
-	bad := satQueries(8, 64)
-	bad[5].TTL = -1
+	bad := satQueries(80, 64)
+	bad[50].TTL = -1 // in the second admission chunk
 	if _, err := sat2.Run(context.Background(), bad); err == nil {
 		t.Fatal("Run with an invalid query succeeded")
 	}
@@ -180,9 +171,5 @@ func TestSaturatorLifecycle(t *testing.T) {
 	cancel()
 	if _, err := sat2.Run(ctx, satQueries(8, 64)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run with canceled ctx = %v, want context.Canceled", err)
-	}
-
-	if _, err := eng.Saturate(search.WithAdmitBatch(0)); err == nil {
-		t.Fatal("Saturate with batch 0 succeeded")
 	}
 }

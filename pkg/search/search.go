@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"fmt"
-	"iter"
 	"strconv"
 	"sync"
 
@@ -96,9 +95,6 @@ type Query struct {
 	// OnMessage, when non-nil, observes every query propagation of this
 	// call, replacing the Engine-wide WithOnMessage observer.
 	OnMessage func(from, to NodeID)
-	// OnReplyHop, when non-nil, observes every reverse-route reply hop
-	// of this call, replacing the Engine-wide WithOnReplyHop observer.
-	OnReplyHop func(from, to NodeID)
 }
 
 // Result is everything one search produced. It is owned by the caller:
@@ -140,10 +136,9 @@ type Exploration struct {
 	Origin NodeID
 	// TTL bounds propagation; 0 uses the Engine default.
 	TTL int
-	// OnMessage and OnReplyHop observe this call's traffic (exploration
-	// messages are usually metered separately from queries).
-	OnMessage  func(from, to NodeID)
-	OnReplyHop func(from, to NodeID)
+	// OnMessage observes this call's propagations (exploration messages
+	// are usually metered separately from queries).
+	OnMessage func(from, to NodeID)
 }
 
 // Engine is the concurrency-safe entry point to the cascade core: one
@@ -165,7 +160,6 @@ type Engine struct {
 	maxResults     int
 	forwardWhenHit bool
 	seed           uint64
-	batchWorkers   int
 	hint           int
 	nodes          int // node count when the graph knows one; 0 = unknown
 	store          *topology.SnapshotStore
@@ -192,11 +186,8 @@ type config struct {
 	ledger         func(id NodeID) *stats.Ledger
 	index          core.Index
 	onMessage      func(from, to NodeID)
-	onReplyHop     func(from, to NodeID)
 	seed           uint64
-	batchWorkers   int
 	hint           int
-	snapshot       int
 	store          *topology.SnapshotStore
 
 	err error
@@ -302,35 +293,17 @@ func WithDigest(mayHold func(id NodeID, key Key) bool, fallback core.ForwardPoli
 	return func(c *config) { c.env.MayHold = mayHold; c.env.Fallback = fallback }
 }
 
-// WithBenefit sets the peer-ranking function for history-based registry
-// families; the default is stats.Cumulative (the paper's Σ B/R).
-func WithBenefit(b stats.Benefit) Option {
-	return func(c *config) { c.env.Benefit = b }
-}
-
 // WithOnMessage installs an Engine-wide propagation observer,
 // overridden per call by Query.OnMessage.
 func WithOnMessage(f func(from, to NodeID)) Option {
 	return func(c *config) { c.onMessage = f }
 }
 
-// WithOnReplyHop installs an Engine-wide reply-hop observer, overridden
-// per call by Query.OnReplyHop.
-func WithOnReplyHop(f func(from, to NodeID)) Option {
-	return func(c *config) { c.onReplyHop = f }
-}
-
 // WithSeed sets the base seed from which per-query streams for
-// stochastic policies — and Batch cell seeds — are derived via
-// runner.DeriveSeed. The default is 1.
+// stochastic policies are derived via runner.DeriveSeed. The default
+// is 1.
 func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
-}
-
-// WithBatchWorkers bounds Batch's worker group; <= 0 (the default)
-// means GOMAXPROCS.
-func WithBatchWorkers(n int) Option {
-	return func(c *config) { c.batchWorkers = n }
 }
 
 // WithScratchHint pre-sizes pooled scratches for networks of n nodes,
@@ -339,53 +312,22 @@ func WithScratchHint(n int) Option {
 	return func(c *config) { c.hint = n }
 }
 
-// WithSnapshot freezes the network's adjacency over nodes [0, n) into
-// a read-optimized CSR snapshot (topology.CSR) at construction and
-// runs every search on it, engaging the cascade core's devirtualized
-// fast path: neighbor lookup becomes two loads from flat arrays and
-// the per-arrival liveness call disappears. Queries are ≥2x faster on
-// flood-class cascades (BenchmarkCascadeHotPath) with identical
-// outcomes.
-//
-// The snapshot is immutable: topology changes made to the underlying
-// Network after New are invisible to the Engine — serve from a
-// topology.SnapshotStore (WithSnapshotStore) when the graph must keep
-// changing under live queries — and every node is treated as
-// permanently online. New returns an
-// error if any node is offline at freeze time, because the snapshot
-// could not represent it. WithSnapshot also pre-sizes the scratch pool
-// for n nodes unless WithScratchHint set a different hint.
-//
-// Engines whose Network was built with Over over a *topology.CSR get
-// the fast path automatically; WithSnapshot is for callers holding
-// only a mutable or interface-shaped view.
-func WithSnapshot(n int) Option {
-	return func(c *config) {
-		if n < 1 {
-			c.fail(fmt.Errorf("search: WithSnapshot over %d nodes", n))
-			return
-		}
-		c.snapshot = n
-	}
-}
-
 // WithSnapshotStore serves every search from a live
 // topology.SnapshotStore instead of a fixed graph: each call — Do,
-// Stream, Batch, Explore and every Saturator query — pins the store's
-// current epoch for exactly the duration of its cascade, so a query
-// always runs on one internally-consistent CSR snapshot even while the
-// store's writer publishes churn epochs concurrently. The pin engages
-// the same devirtualized fast path as WithSnapshot; Result.Epoch
-// records which epoch served each query.
+// Explore and every Saturator query — pins the store's current epoch
+// for exactly the duration of its cascade, so a query always runs on
+// one internally-consistent CSR snapshot even while the store's writer
+// publishes churn epochs concurrently. The pin engages the cascade
+// core's devirtualized CSR fast path, as Over does for a caller-held
+// *topology.CSR; Result.Epoch records which epoch served each query.
 //
 // The Network passed to New supplies only the content oracle
 // (HasContent); its topology methods are never consulted — the pinned
-// snapshot is the graph. As with WithSnapshot, snapshots treat every
-// node as online: liveness churn must be expressed as topology deltas
-// (isolate on logoff) applied through the store's writer.
+// snapshot is the graph. Snapshots treat every node as online:
+// liveness churn must be expressed as topology deltas (isolate on
+// logoff) applied through the store's writer.
 //
-// WithSnapshotStore and WithSnapshot are mutually exclusive. Scratch
-// pre-sizing defaults to the store's node count.
+// Scratch pre-sizing defaults to the store's node count.
 func WithSnapshotStore(store *topology.SnapshotStore) Option {
 	return func(c *config) {
 		if store == nil {
@@ -427,14 +369,10 @@ func New(net Network, opts ...Option) (*Engine, error) {
 		maxResults:     cfg.maxResults,
 		forwardWhenHit: cfg.forwardWhenHit,
 		seed:           cfg.seed,
-		batchWorkers:   cfg.batchWorkers,
 		hint:           cfg.hint,
 	}
 	graph := graphOf(net)
 	if cfg.store != nil {
-		if cfg.snapshot > 0 {
-			return nil, fmt.Errorf("search: WithSnapshotStore and WithSnapshot are mutually exclusive")
-		}
 		e.store = cfg.store
 		// The template's graph is a placeholder: runWith and Explore
 		// replace it with the pinned epoch's snapshot on every call.
@@ -444,30 +382,13 @@ func New(net Network, opts ...Option) (*Engine, error) {
 			e.hint = e.nodes
 		}
 	}
-	if cfg.snapshot > 0 {
-		n := cfg.snapshot
-		for i := 0; i < n; i++ {
-			if !net.Online(NodeID(i)) {
-				return nil, fmt.Errorf("search: WithSnapshot: node %d is offline; snapshots freeze fully-online networks", i)
-			}
-		}
-		csr, err := topology.FreezeView(n, net.Out)
-		if err != nil {
-			return nil, fmt.Errorf("search: WithSnapshot: %w", err)
-		}
-		graph = csr
-		if e.hint == 0 {
-			e.hint = n
-		}
-	}
 	e.template = core.Cascade{
-		Graph:      graph,
-		Content:    netContent{net},
-		Forward:    core.Flood{},
-		Index:      cfg.index,
-		Delay:      cfg.delay,
-		OnMessage:  cfg.onMessage,
-		OnReplyHop: cfg.onReplyHop,
+		Graph:     graph,
+		Content:   netContent{net},
+		Forward:   core.Flood{},
+		Index:     cfg.index,
+		Delay:     cfg.delay,
+		OnMessage: cfg.onMessage,
 	}
 	if cfg.ledger != nil {
 		e.template.Ledger = cfg.ledger
@@ -545,23 +466,9 @@ type netContent struct{ n Network }
 
 func (c netContent) HasContent(id NodeID, key Key) bool { return c.n.HasContent(id, key) }
 
-// Store returns the snapshot store the Engine serves from, or nil for
-// fixed-graph Engines. Callers publish churn through it; the Engine
-// only ever reads.
-func (e *Engine) Store() *topology.SnapshotStore { return e.store }
-
-// Policy returns the shared forward policy, or nil when the Engine
-// instantiates a stochastic policy per query.
-func (e *Engine) Policy() core.ForwardPolicy {
-	if e.newPolicy != nil {
-		return nil
-	}
-	return e.template.Forward
-}
-
 // querySeed derives the deterministic per-query seed: a pure function
 // of the Engine seed and the query's identifying fields, so outcomes
-// are independent of call order, goroutine interleaving and Batch
+// are independent of call order, goroutine interleaving and Saturator
 // worker count. Engines with a shared (non-stochastic) policy skip the
 // derivation — it would be dead weight on the zero-alloc hot path.
 func (e *Engine) querySeed(q *Query) uint64 {
@@ -602,21 +509,11 @@ func (e *Engine) coreQuery(q *Query) (core.Query, error) {
 	return cq, nil
 }
 
-// run executes one search on a scratch borrowed from the Engine's
-// pool. onHit, when non-nil, observes hits as they arrive and stops the
-// cascade by returning false. The returned Result is caller-owned.
-func (e *Engine) run(ctx context.Context, q *Query, seed uint64, onHit func(Hit) bool) (Result, error) {
-	s := e.scratch.Get().(*core.Scratch)
-	res, err := e.runWith(ctx, q, seed, s, onHit)
-	e.scratch.Put(s)
-	return res, err
-}
-
-// runWith is run over an explicit Scratch — the pinned-affinity entry
-// point Saturator workers use to bypass the pool on the hot path. The
-// returned Result never aliases s (hits are copied out), so s is free
-// for the next query the moment runWith returns.
-func (e *Engine) runWith(ctx context.Context, q *Query, seed uint64, s *core.Scratch, onHit func(Hit) bool) (Result, error) {
+// runWith executes one search over an explicit Scratch — pooled for
+// Do, pinned for a Saturator worker. The returned Result never aliases
+// s (hits are copied out), so s is free for the next query the moment
+// runWith returns.
+func (e *Engine) runWith(ctx context.Context, q *Query, seed uint64, s *core.Scratch) (Result, error) {
 	cq, err := e.coreQuery(q)
 	if err != nil {
 		return Result{}, err
@@ -639,38 +536,7 @@ func (e *Engine) runWith(ctx context.Context, q *Query, seed uint64, s *core.Scr
 	if q.OnMessage != nil {
 		c.OnMessage = q.OnMessage
 	}
-	if q.OnReplyHop != nil {
-		c.OnReplyHop = q.OnReplyHop
-	}
-	stopped := false
-	if done := ctx.Done(); done != nil || onHit != nil {
-		c.Halt = func() bool {
-			if stopped {
-				return true
-			}
-			if done != nil {
-				select {
-				case <-done:
-					return true
-				default:
-				}
-			}
-			return false
-		}
-	}
-	if onHit != nil {
-		c.OnResult = func(r core.Result) {
-			// One arrival can produce several results back-to-back (index
-			// answers) with no Halt poll in between — once the consumer
-			// stops, it must never be called again.
-			if stopped {
-				return
-			}
-			if !onHit(r) {
-				stopped = true
-			}
-		}
-	}
+	c.Halt = haltOn(ctx)
 
 	var out *core.Outcome
 	if e.deepening != nil {
@@ -685,10 +551,8 @@ func (e *Engine) runWith(ctx context.Context, q *Query, seed uint64, s *core.Scr
 		FirstResultDelay: out.FirstResultDelay,
 		Epoch:            epoch,
 	}
-	// Streaming consumers already received every hit through onHit;
-	// copying the pooled buffer for them would be a dead allocation.
 	// The copy detaches the Result from s (out.Results aliases it).
-	if len(out.Results) > 0 && onHit == nil {
+	if len(out.Results) > 0 {
 		res.Hits = append([]Hit(nil), out.Results...)
 	}
 	if err := ctx.Err(); err != nil {
@@ -697,88 +561,48 @@ func (e *Engine) runWith(ctx context.Context, q *Query, seed uint64, s *core.Scr
 	return res, nil
 }
 
+// haltOn returns the cascade's Halt hook for ctx, or nil when ctx can
+// never be canceled (context.Background costs the cascade nothing).
+func haltOn(ctx context.Context) func() bool {
+	done := ctx.Done()
+	if done == nil {
+		return nil
+	}
+	return func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
 // Do executes one search to completion and returns its outcome. It
 // returns ctx.Err() when the context is canceled mid-cascade (the
 // cascade stops at the next hop) and a validation error for malformed
 // queries; both leave the Engine reusable.
 func (e *Engine) Do(ctx context.Context, q Query) (Result, error) {
-	return e.run(ctx, &q, e.querySeed(&q), nil)
+	s := e.scratch.Get().(*core.Scratch)
+	res, err := e.runWith(ctx, &q, e.querySeed(&q), s)
+	e.scratch.Put(s)
+	return res, err
 }
 
-// Stream executes one search, yielding each hit the moment its reply
-// reaches the origin — hundreds of simulated milliseconds before deep
-// cascades finish. Breaking out of the loop stops the cascade at the
-// next hop. A cancellation or validation error is yielded as the final
-// pair's error; hits always carry a nil error.
-//
-// With WithDeepening the search only knows its final result set after
-// the satisfied iteration, so hits are yielded when the schedule
-// completes rather than incrementally.
-func (e *Engine) Stream(ctx context.Context, q Query) iter.Seq2[Hit, error] {
-	seed := e.querySeed(&q)
-	return func(yield func(Hit, error) bool) {
-		if e.deepening != nil {
-			res, err := e.run(ctx, &q, seed, nil)
-			if err != nil {
-				yield(Hit{}, err)
-				return
-			}
-			for _, h := range res.Hits {
-				if !yield(h, nil) {
-					return
-				}
-			}
-			return
-		}
-		broke := false
-		_, err := e.run(ctx, &q, seed, func(h Hit) bool {
-			if !yield(h, nil) {
-				broke = true
-				return false
-			}
-			return true
-		})
-		if err != nil && !broke {
-			yield(Hit{}, err)
-		}
-	}
-}
-
-// Batch executes the queries concurrently on a bounded worker group
-// (WithBatchWorkers) and returns one Result per query, in input order.
-// Each query's stochastic-policy stream is derived from the Engine seed
-// and the query alone, so results are byte-identical to issuing the
-// same queries sequentially through Do, at any worker count. The first
-// query error aborts the batch; a canceled context returns ctx.Err().
+// Batch is shorthand for Saturate + Run + Close: it runs qs on a
+// Saturator of GOMAXPROCS workers started for this call alone and
+// returns one Result per query, in input order, byte-identical to
+// issuing the same queries sequentially through Do. Each worker
+// allocates its own scratch, so a caller with a steady stream of
+// batches should keep one Saturator instead. The first query error
+// aborts the batch; a canceled context returns ctx.Err().
 func (e *Engine) Batch(ctx context.Context, qs []Query) ([]Result, error) {
-	cells := make([]runner.Cell, len(qs))
-	for i := range qs {
-		q := qs[i]
-		cells[i] = runner.Cell{
-			Experiment: "search",
-			Name:       strconv.Itoa(i),
-			Seed:       e.querySeed(&q),
-			Run: func(ctx context.Context, seed uint64) (any, error) {
-				r, err := e.run(ctx, &q, seed, nil)
-				if err != nil {
-					return nil, err
-				}
-				return r, nil
-			},
-		}
-	}
-	rs, err := runner.Run(ctx, cells, runner.Options{Workers: e.batchWorkers})
+	sat, err := e.Saturate()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(qs))
-	for i, r := range rs {
-		if r.Err != "" {
-			return nil, fmt.Errorf("search: batch query %d: %s", i, r.Err)
-		}
-		out[i] = r.Value.(Result)
-	}
-	return out, nil
+	defer sat.Close()
+	return sat.Run(ctx, qs)
 }
 
 // Explore runs one metadata-only census round (Algo 2) and returns the
@@ -810,19 +634,7 @@ func (e *Engine) Explore(ctx context.Context, x Exploration) (*core.ExploreOutco
 	if x.OnMessage != nil {
 		c.OnMessage = x.OnMessage
 	}
-	if x.OnReplyHop != nil {
-		c.OnReplyHop = x.OnReplyHop
-	}
-	if done := ctx.Done(); done != nil {
-		c.Halt = func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		}
-	}
+	c.Halt = haltOn(ctx)
 
 	s := e.scratch.Get().(*core.Scratch)
 	out := c.ExploreScratch(&core.Exploration{Keys: x.Keys, Origin: x.Origin, TTL: ttl}, s)

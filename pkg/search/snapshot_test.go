@@ -3,7 +3,6 @@ package search_test
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,26 +10,28 @@ import (
 	"repro/pkg/search"
 )
 
-// flakyNet is testNet with one node reported offline.
-type flakyNet struct {
-	*testNet
-	offline search.NodeID
+// frozen freezes net's adjacency into a CSR and pairs it with net's
+// content through Over: the Network that reaches the cascade core's
+// devirtualized CSR fast path.
+func frozen(t testing.TB, net *testNet) search.Network {
+	t.Helper()
+	csr, err := topology.FreezeView(net.n, net.Out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return search.Over(csr, core.ContentFunc(net.HasContent))
 }
 
-func (f *flakyNet) Online(id search.NodeID) bool { return id != f.offline }
-
-// TestWithSnapshotByteIdentical: an Engine running on the frozen CSR
-// snapshot returns exactly what the interface-graph Engine returns, for
-// every call shape the snapshot changes (Do here; the cascade-level
-// differentials live in internal/core).
-func TestWithSnapshotByteIdentical(t *testing.T) {
+// TestOverCSRByteIdentical: passing a frozen *topology.CSR through Over
+// (the zero-copy route the scale experiments take) matches the plain
+// interface network too.
+func TestOverCSRByteIdentical(t *testing.T) {
 	net := newTestNet(60, 4)
 	plain, err := search.New(net, search.WithTTL(5), search.WithDelay(stepDelay))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := search.New(net, search.WithTTL(5), search.WithDelay(stepDelay),
-		search.WithSnapshot(net.n))
+	snap, err := search.New(frozen(t, net), search.WithTTL(5), search.WithDelay(stepDelay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,66 +47,8 @@ func TestWithSnapshotByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("key %d: snapshot %+v != plain %+v", key, b, a)
-		}
-	}
-}
-
-// TestOverCSRByteIdentical: passing a frozen *topology.CSR through Over
-// (the zero-copy route the scale experiments take) matches the plain
-// interface network too.
-func TestOverCSRByteIdentical(t *testing.T) {
-	net := newTestNet(60, 4)
-	csr, err := topology.FreezeView(net.n, net.Out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := search.New(net, search.WithTTL(5), search.WithDelay(stepDelay))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozen, err := search.New(search.Over(csr, core.ContentFunc(net.HasContent)),
-		search.WithTTL(5), search.WithDelay(stepDelay), search.WithScratchHint(net.n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for key := 0; key < 40; key++ {
-		q := search.Query{ID: uint64(key), Key: search.Key(key), Origin: search.NodeID(key % 7)}
-		a, err := plain.Do(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := frozen.Do(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("key %d: CSR-over %+v != plain %+v", key, b, a)
 		}
-	}
-}
-
-// TestWithSnapshotRejectsOffline: snapshots cannot represent liveness,
-// so freezing a network with an offline node must fail loudly at New
-// rather than silently resurrect the node.
-func TestWithSnapshotRejectsOffline(t *testing.T) {
-	net := &flakyNet{testNet: newTestNet(20, 2), offline: 11}
-	_, err := search.New(net, search.WithSnapshot(20))
-	if err == nil || !strings.Contains(err.Error(), "offline") {
-		t.Fatalf("New over an offline node: err = %v, want offline complaint", err)
-	}
-}
-
-func TestWithSnapshotValidates(t *testing.T) {
-	if _, err := search.New(newTestNet(10, 2), search.WithSnapshot(0)); err == nil {
-		t.Fatal("WithSnapshot(0) accepted")
-	}
-	// A freeze over fewer nodes than the network wires to must fail at
-	// New (edges would point outside the snapshot), not panic later.
-	if _, err := search.New(newTestNet(20, 2), search.WithSnapshot(10)); err == nil ||
-		!strings.Contains(err.Error(), "outside") {
-		t.Fatalf("undercounted snapshot: err = %v, want out-of-range complaint", err)
 	}
 }
 
@@ -113,8 +56,7 @@ func TestWithSnapshotValidates(t *testing.T) {
 // is a validation error that leaves the Engine reusable — never an
 // index panic inside the CSR fast path.
 func TestOriginBoundsError(t *testing.T) {
-	net := newTestNet(20, 2)
-	eng, err := search.New(net, search.WithTTL(3), search.WithSnapshot(20))
+	eng, err := search.New(frozen(t, newTestNet(20, 2)), search.WithTTL(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +84,14 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
 	for _, snapshot := range []bool{false, true} {
-		opts := []search.Option{search.WithTTL(4), search.WithDelay(stepDelay)}
+		var net search.Network = newTestNet(60, 4)
 		name := "plain"
 		if snapshot {
-			opts = append(opts, search.WithSnapshot(60))
+			net = frozen(t, newTestNet(60, 4))
 			name = "snapshot"
 		}
 		t.Run(name, func(t *testing.T) {
-			eng, err := search.New(newTestNet(60, 4), opts...)
+			eng, err := search.New(net, search.WithTTL(4), search.WithDelay(stepDelay))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package searchclient
 import (
 	"context"
 	"fmt"
-	"sync"
 )
 
 // BatchQueryRequest is the body of POST /v1/query/batch: a slab of
@@ -42,17 +41,6 @@ type BatchQueryResponse struct {
 	ElapsedMillis float64     `json:"elapsed_ms"`
 }
 
-// Hits counts the items that found at least one answer.
-func (r *BatchQueryResponse) Hits() int {
-	n := 0
-	for i := range r.Results {
-		if r.Results[i].OK() && r.Results[i].Found() {
-			n++
-		}
-	}
-	return n
-}
-
 // QueryBatch runs a slab of queries as one POST /v1/query/batch. The
 // response's Results align 1:1 with reqs. The whole slab shares the
 // client's retry/breaker machinery exactly like a single Query.
@@ -67,82 +55,6 @@ func (c *Client) QueryBatch(ctx context.Context, reqs []QueryRequest) (*BatchQue
 			len(resp.Results), len(reqs))
 	}
 	return &resp, nil
-}
-
-// QueryBatchPipelined splits a large slab into chunks of chunkSize and
-// keeps up to inflight chunk requests on the wire concurrently over
-// the client's pooled connections — bounded pipelining, so a slab
-// larger than the daemon's max_batch still streams through without
-// ever holding more than inflight×chunkSize queries in transit.
-// Results are reassembled in request order. chunkSize and inflight
-// default to 1024 and 4 when non-positive. The first failing chunk
-// aborts the remaining ones and surfaces its error.
-func (c *Client) QueryBatchPipelined(ctx context.Context, reqs []QueryRequest,
-	chunkSize, inflight int) (*BatchQueryResponse, error) {
-	if chunkSize <= 0 {
-		chunkSize = 1024
-	}
-	if inflight <= 0 {
-		inflight = 4
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := &BatchQueryResponse{Results: make([]BatchItem, len(reqs))}
-	ctx, stop := context.WithCancel(ctx)
-	defer stop()
-
-	type chunk struct{ lo, hi int }
-	chunks := make(chan chunk)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	workers := inflight
-	if n := (len(reqs) + chunkSize - 1) / chunkSize; n < workers {
-		workers = n
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ch := range chunks {
-				resp, err := c.QueryBatch(ctx, reqs[ch.lo:ch.hi])
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-						stop() // abort the chunks still queued or in flight
-					}
-					errMu.Unlock()
-					continue
-				}
-				copy(out.Results[ch.lo:ch.hi], resp.Results)
-				errMu.Lock()
-				out.ElapsedMillis += resp.ElapsedMillis
-				errMu.Unlock()
-			}
-		}()
-	}
-feed:
-	for lo := 0; lo < len(reqs); lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		select {
-		case chunks <- chunk{lo, hi}:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(chunks)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
 }
 
 // BatchStatusError summarizes the per-item failures of a batch, for

@@ -76,16 +76,10 @@ func WithRetry(maxRetries int, base time.Duration) Option {
 	}
 }
 
-// WithoutBreaker disables the circuit breaker (tests that hammer a
-// deliberately dead endpoint and want every attempt on the wire).
-func WithoutBreaker() Option {
-	return func(c *Client) { c.br = nil }
-}
-
 // defaultTransport returns the client's tuned connection pool. The
 // stdlib default keeps only 2 idle connections per host — a saturating
-// caller (QueryBatchPipelined, or many goroutines sharing one Client)
-// would churn through fresh TCP handshakes for every burst. Keep-alive
+// caller (many goroutines sharing one Client) would churn through fresh
+// TCP handshakes for every burst. Keep-alive
 // reuse across sequential calls is part of the client's contract
 // (asserted by test).
 func defaultTransport() *http.Transport {
@@ -385,11 +379,12 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
-		if bErr := c.allow(); bErr != nil {
-			return bErr
+		probe, ok := c.br.allow()
+		if !ok {
+			return fmt.Errorf("%w (endpoint %s)", ErrCircuitOpen, c.base)
 		}
 		err = c.once(ctx, method, path, body, out)
-		c.record(err)
+		c.record(ctx, err, probe)
 		if err == nil || attempt >= c.maxRetries || !retryable(err) {
 			return err
 		}
@@ -475,31 +470,23 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(float64(z>>11)/(1<<53)*float64(d/2))
 }
 
-// allow consults the breaker before an attempt.
-func (c *Client) allow() error {
-	if c.br == nil {
-		return nil
-	}
-	if !c.br.allow() {
-		return fmt.Errorf("%w (endpoint %s)", ErrCircuitOpen, c.base)
-	}
-	return nil
-}
-
 // record feeds an attempt's outcome to the breaker. Any HTTP response
 // counts as a success — even a 503 proves the endpoint is up and
 // serving; the breaker guards against unreachable endpoints, not
-// admission refusals (retry handles those).
-func (c *Client) record(err error) {
-	if c.br == nil {
-		return
-	}
+// admission refusals (retry handles those). An attempt cut short by
+// its own context says nothing about the endpoint — the caller gave
+// up, perhaps on a budget shorter than any answer takes — so it counts
+// as neither, and hands back the half-open probe slot if it held it.
+func (c *Client) record(ctx context.Context, err error, probe bool) {
 	var he *Error
-	if err == nil || errors.As(err, &he) {
+	switch {
+	case err == nil || errors.As(err, &he):
 		c.br.success()
-		return
+	case ctx.Err() != nil:
+		c.br.abandon(probe)
+	default:
+		c.br.failure()
 	}
-	c.br.failure()
 }
 
 // breaker is a minimal three-state circuit breaker: closed counts
@@ -519,21 +506,34 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 	return &breaker{threshold: threshold, cooldown: cooldown}
 }
 
-func (b *breaker) allow() bool {
+// allow reports whether an attempt may go on the wire, and whether it
+// is the half-open probe.
+func (b *breaker) allow() (probe, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.openUntil.IsZero() {
-		return true
+		return false, true
 	}
 	if time.Now().Before(b.openUntil) {
-		return false
+		return false, false
 	}
 	// Cooldown over: admit one probe, hold everyone else.
 	if b.probing {
-		return false
+		return false, false
 	}
 	b.probing = true
-	return true
+	return true, true
+}
+
+// abandon records an attempt that ended without a verdict on the
+// endpoint; a probe's slot goes to the next caller.
+func (b *breaker) abandon(probe bool) {
+	if !probe {
+		return
+	}
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
 }
 
 func (b *breaker) success() {

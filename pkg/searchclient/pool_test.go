@@ -84,44 +84,3 @@ func TestKeepAliveReuseConcurrent(t *testing.T) {
 			got, workers*rounds)
 	}
 }
-
-// TestQueryBatchPipelinedReassembly checks chunked pipelined batches
-// come back in request order with per-item integrity, regardless of
-// chunk boundaries and in-flight interleaving.
-func TestQueryBatchPipelinedReassembly(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var breq BatchQueryRequest
-		if err := json.NewDecoder(r.Body).Decode(&breq); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var bresp BatchQueryResponse
-		bresp.Results = make([]BatchItem, len(breq.Queries))
-		for i, q := range breq.Queries {
-			// Echo the key back as the origin so the caller can verify
-			// slot i holds the answer to query i.
-			bresp.Results[i].Origin = int(q.Key)
-		}
-		json.NewEncoder(w).Encode(bresp)
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL)
-	const n = 100
-	reqs := make([]QueryRequest, n)
-	for i := range reqs {
-		reqs[i].Key = uint64(i)
-	}
-	resp, err := c.QueryBatchPipelined(context.Background(), reqs, 7, 3)
-	if err != nil {
-		t.Fatalf("pipelined: %v", err)
-	}
-	if len(resp.Results) != n {
-		t.Fatalf("got %d results, want %d", len(resp.Results), n)
-	}
-	for i, it := range resp.Results {
-		if it.Origin != i {
-			t.Fatalf("result %d reassembled out of order: origin %d", i, it.Origin)
-		}
-	}
-}

@@ -219,6 +219,59 @@ func TestBreakerIgnoresHTTPErrors(t *testing.T) {
 	}
 }
 
+// A caller's own short deadline is not an endpoint failure: a burst of
+// calls that each gave up before a healthy, slow daemon answered must
+// not open the breaker against the next caller.
+func TestBreakerIgnoresCallerTimeouts(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(50 * time.Millisecond)
+		json.NewEncoder(w).Encode(QueryResponse{Origin: 1})
+	}))
+	defer ts.Close()
+
+	c := New(ts.URL)
+	for i := 0; i < 8; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		_, err := c.Query(ctx, QueryRequest{Key: 1})
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: got %v, want context.DeadlineExceeded", i, err)
+		}
+	}
+	if _, err := c.Query(context.Background(), QueryRequest{Key: 1}); err != nil {
+		t.Fatalf("healthy endpoint refused after caller timeouts: %v", err)
+	}
+}
+
+// A half-open probe whose own context ends hands its slot back: the
+// next caller probes, and a success closes the breaker.
+func TestBreakerAbandonedProbeFreesSlot(t *testing.T) {
+	var transportUp atomic.Bool
+	hc := &http.Client{Transport: rtFunc(func(r *http.Request) (*http.Response, error) {
+		if err := r.Context().Err(); err != nil {
+			return nil, err
+		}
+		if !transportUp.Load() {
+			return nil, errors.New("dial tcp: connection refused")
+		}
+		return okResponse(), nil
+	})}
+	c := New("127.0.0.1:1", WithHTTPClient(hc), WithRetry(0, 0))
+	c.br = newBreaker(1, 20*time.Millisecond)
+
+	_ = c.Ready(context.Background()) // opens
+	time.Sleep(30 * time.Millisecond)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := c.Ready(canceled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("probe on a canceled context: got %v, want context.Canceled", err)
+	}
+	transportUp.Store(true)
+	if err := c.Ready(context.Background()); err != nil {
+		t.Fatalf("breaker stuck half-open after an abandoned probe: %v", err)
+	}
+}
+
 // Crash and Restart post the fault-control bodies the daemon expects.
 func TestCrashRestartEndpoints(t *testing.T) {
 	type call struct {
