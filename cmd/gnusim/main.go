@@ -30,44 +30,52 @@ import (
 	"repro/internal/trace"
 )
 
+// flags are the settings buildConfig turns into a simulation config.
+type flags struct {
+	mode, update, benefit, forward                          string
+	users, songs, hours, ttl, neighbors, theta, swaps, reps int
+	localIdx, deepening                                     bool
+	trial, rate                                             float64
+	seed                                                    uint64
+}
+
 func main() {
+	var f flags
+	flag.StringVar(&f.mode, "mode", "dynamic", "protocol variant: static or dynamic")
+	flag.IntVar(&f.users, "users", 2000, "network size (2000 = paper scale)")
+	flag.IntVar(&f.songs, "songs", 0, "catalog size (0 = scale with users)")
+	flag.IntVar(&f.hours, "hours", 96, "simulated hours")
+	flag.IntVar(&f.ttl, "ttl", 2, "search hop limit")
+	flag.IntVar(&f.neighbors, "neighbors", 4, "neighbor capacity")
+	flag.IntVar(&f.theta, "theta", 2, "reconfiguration threshold (requests)")
+	flag.IntVar(&f.swaps, "swaps", 1, "max neighbor swaps per reconfiguration (0 = unlimited)")
+	flag.StringVar(&f.update, "update", "symmetric", "update regime: symmetric or asymmetric")
+	flag.StringVar(&f.benefit, "benefit", "br", "benefit function: br, hits or latency")
+	flag.StringVar(&f.forward, "forward", "flood", "forward policy: flood, directed2 or random2")
+	flag.BoolVar(&f.localIdx, "localindex", false, "enable radius-1 local indices")
+	flag.BoolVar(&f.deepening, "deepening", false, "iterative deepening schedule {1, ttl}")
+	flag.Float64Var(&f.trial, "trial", 0, "invitation trial period in hours (0 = permanent accepts)")
+	flag.Float64Var(&f.rate, "rate", 12, "queries per on-line user per hour")
+	flag.Uint64Var(&f.seed, "seed", 1, "experiment seed")
+	flag.IntVar(&f.reps, "reps", 1, "replicate the run under derived seeds, report mean ± std")
 	var (
-		mode      = flag.String("mode", "dynamic", "protocol variant: static or dynamic")
-		users     = flag.Int("users", 2000, "network size (2000 = paper scale)")
-		songs     = flag.Int("songs", 0, "catalog size (0 = scale with users)")
-		hours     = flag.Int("hours", 96, "simulated hours")
-		ttl       = flag.Int("ttl", 2, "search hop limit")
-		neighbors = flag.Int("neighbors", 4, "neighbor capacity")
-		theta     = flag.Int("theta", 2, "reconfiguration threshold (requests)")
-		swaps     = flag.Int("swaps", 1, "max neighbor swaps per reconfiguration (0 = unlimited)")
-		update    = flag.String("update", "symmetric", "update regime: symmetric or asymmetric")
-		benefit   = flag.String("benefit", "br", "benefit function: br, hits or latency")
-		forward   = flag.String("forward", "flood", "forward policy: flood, directed2 or random2")
-		localIdx  = flag.Bool("localindex", false, "enable radius-1 local indices")
-		deepening = flag.Bool("deepening", false, "iterative deepening schedule {1, ttl}")
-		trial     = flag.Float64("trial", 0, "invitation trial period in hours (0 = permanent accepts)")
-		rate      = flag.Float64("rate", 12, "queries per on-line user per hour")
-		seed      = flag.Uint64("seed", 1, "experiment seed")
-		reps      = flag.Int("reps", 1, "replicate the run under derived seeds, report mean ± std")
 		workers   = flag.Int("workers", 0, "worker pool size for -reps (0 = GOMAXPROCS)")
 		csv       = flag.Bool("csv", false, "emit the hourly series as CSV")
 		traceFile = flag.String("trace", "", "write a JSONL protocol event trace to this file")
 	)
 	flag.Parse()
 
-	cfg, err := buildConfig(*mode, *users, *songs, *hours, *ttl, *neighbors,
-		*theta, *swaps, *update, *benefit, *forward, *localIdx, *deepening, *rate, *seed)
+	cfg, err := buildConfig(f)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gnusim:", err)
 		os.Exit(2)
 	}
-	cfg.Variant.TrialPeriodHours = *trial
-	if *reps > 1 {
+	if f.reps > 1 {
 		if *traceFile != "" || *csv {
 			fmt.Fprintln(os.Stderr, "gnusim: -trace and -csv apply to single runs, not -reps sweeps")
 			os.Exit(2)
 		}
-		os.Exit(runReplicates(cfg, *seed, *reps, *workers))
+		os.Exit(runReplicates(cfg, f.seed, f.reps, *workers))
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -94,7 +102,7 @@ func main() {
 
 	if *csv {
 		t := metrics.NewTable("", "hour", "queries", "hits", "messages")
-		for h := 0; h < *hours; h++ {
+		for h := 0; h < f.hours; h++ {
 			t.AddRow(h, m.Queries.Bucket(h), m.Hits.Bucket(h), m.Meter.Bucket(netsim.MsgQuery, h))
 		}
 		fmt.Print(t.CSV())
@@ -182,52 +190,58 @@ func runReplicates(cfg gnutella.Config, baseSeed uint64, reps, workers int) int 
 }
 
 // buildConfig assembles and validates the gnutella configuration.
-func buildConfig(mode string, users, songs, hours, ttl, neighbors, theta, swaps int,
-	update, benefit, forward string, localIdx, deepening bool, rate float64, seed uint64) (gnutella.Config, error) {
+func buildConfig(f flags) (gnutella.Config, error) {
 	var m gnutella.Mode
-	switch mode {
+	switch f.mode {
 	case "static":
 		m = gnutella.Static
 	case "dynamic":
 		m = gnutella.Dynamic
 	default:
-		return gnutella.Config{}, fmt.Errorf("unknown mode %q", mode)
+		return gnutella.Config{}, fmt.Errorf("unknown mode %q", f.mode)
 	}
-	if users <= 0 {
-		return gnutella.Config{}, fmt.Errorf("users %d must be positive", users)
+	switch {
+	case f.users <= 0:
+		return gnutella.Config{}, fmt.Errorf("users %d must be positive", f.users)
+	case f.songs < 0:
+		return gnutella.Config{}, fmt.Errorf("-songs %d must not be negative", f.songs)
+	case f.reps < 1:
+		return gnutella.Config{}, fmt.Errorf("-reps %d must be at least 1", f.reps)
+	case f.deepening && f.ttl < 2:
+		return gnutella.Config{}, fmt.Errorf("-deepening needs -ttl of at least 2, got %d", f.ttl)
 	}
-	cfg := gnutella.DefaultConfig(m, ttl)
-	if users != 2000 {
-		scale := 2000 / users
+	cfg := gnutella.DefaultConfig(m, f.ttl)
+	if f.users != 2000 {
+		scale := 2000 / f.users
 		if scale < 1 {
 			scale = 1
 		}
 		cfg.Music = cfg.Music.Scaled(scale)
-		cfg.Music.Users = users
+		cfg.Music.Users = f.users
 	}
-	if songs > 0 {
-		if songs%cfg.Music.Categories != 0 {
+	if f.songs > 0 {
+		if f.songs%cfg.Music.Categories != 0 {
 			return gnutella.Config{}, fmt.Errorf("songs %d not divisible by %d categories",
-				songs, cfg.Music.Categories)
+				f.songs, cfg.Music.Categories)
 		}
-		cfg.Music.Songs = songs
+		cfg.Music.Songs = f.songs
 	}
-	cfg.DurationHours = hours
-	cfg.Neighbors = neighbors
-	cfg.ReconfigThreshold = theta
-	cfg.MaxSwaps = swaps
-	cfg.Query.RatePerHour = rate
-	cfg.Seed = seed
+	cfg.DurationHours = f.hours
+	cfg.Neighbors = f.neighbors
+	cfg.ReconfigThreshold = f.theta
+	cfg.MaxSwaps = f.swaps
+	cfg.Query.RatePerHour = f.rate
+	cfg.Seed = f.seed
 
-	switch update {
+	switch f.update {
 	case "symmetric":
 		cfg.Variant.Update = gnutella.SymmetricUpdate
 	case "asymmetric":
 		cfg.Variant.Update = gnutella.AsymmetricUpdate
 	default:
-		return gnutella.Config{}, fmt.Errorf("unknown update regime %q", update)
+		return gnutella.Config{}, fmt.Errorf("unknown update regime %q", f.update)
 	}
-	switch benefit {
+	switch f.benefit {
 	case "br":
 		cfg.Variant.Benefit = gnutella.BenefitBR
 	case "hits":
@@ -235,9 +249,9 @@ func buildConfig(mode string, users, songs, hours, ttl, neighbors, theta, swaps 
 	case "latency":
 		cfg.Variant.Benefit = gnutella.BenefitHitsPerLatency
 	default:
-		return gnutella.Config{}, fmt.Errorf("unknown benefit %q", benefit)
+		return gnutella.Config{}, fmt.Errorf("unknown benefit %q", f.benefit)
 	}
-	switch forward {
+	switch f.forward {
 	case "flood":
 		cfg.Variant.Forward = gnutella.ForwardFlood
 	case "directed2":
@@ -245,12 +259,13 @@ func buildConfig(mode string, users, songs, hours, ttl, neighbors, theta, swaps 
 	case "random2":
 		cfg.Variant.Forward = gnutella.ForwardRandom2
 	default:
-		return gnutella.Config{}, fmt.Errorf("unknown forward policy %q", forward)
+		return gnutella.Config{}, fmt.Errorf("unknown forward policy %q", f.forward)
 	}
-	cfg.Variant.UseLocalIndices = localIdx
-	if deepening && ttl > 1 {
-		cfg.Variant.IterativeDeepening = []int{1, ttl}
+	cfg.Variant.UseLocalIndices = f.localIdx
+	if f.deepening {
+		cfg.Variant.IterativeDeepening = []int{1, f.ttl}
 		cfg.Variant.DeepeningTimeout = 2.0
 	}
+	cfg.Variant.TrialPeriodHours = f.trial
 	return cfg, cfg.Validate()
 }

@@ -50,23 +50,16 @@ type Cascade struct {
 	Halt func() bool
 }
 
-// Run executes the search for query q and returns its outcome. It
-// panics on an invalid query or an incomplete cascade configuration;
-// both are programming errors, not runtime conditions.
+// RunScratch executes the search for query q and returns its outcome.
+// It panics on an invalid query or an incomplete cascade
+// configuration; both are programming errors, not runtime conditions.
 //
-// Run allocates fresh state per call and the caller owns the returned
-// outcome indefinitely. Hot loops that issue many queries should hold a
-// Scratch and call RunScratch instead.
-func (c *Cascade) Run(q *Query) *Outcome {
-	return c.RunScratch(q, nil)
-}
-
-// RunScratch is Run over caller-pooled working memory: the visited set,
-// frontier queue and result buffer all come from s and are reused across
-// cascades, so a steady-state query costs zero heap allocations beyond
-// the Outcome header. The returned outcome (its Results slice) aliases
-// s and is valid until the next RunScratch/ExploreScratch call with the
-// same Scratch. A nil s runs with fresh state, exactly like Run.
+// Working memory comes from s: the visited set, frontier queue and
+// result buffer are reused across cascades, so a steady-state query
+// costs zero heap allocations beyond the Outcome header. The returned
+// outcome (its Results slice) aliases s and is valid until the next
+// RunScratch/ExploreScratch call with the same Scratch. A nil s runs
+// with fresh state, and the caller owns that outcome indefinitely.
 //
 // For identical inputs, RunScratch returns identical outcomes whether s
 // is nil, fresh, or arbitrarily reused — pooling is invisible to the
@@ -264,16 +257,11 @@ type IterativeDeepening struct {
 	CycleTimeout float64
 }
 
-// Run executes the deepening schedule for q over cascade c. The TTL in
-// q is ignored; Depths governs.
-func (d IterativeDeepening) Run(c *Cascade, q *Query) *Outcome {
-	return d.RunScratch(c, q, nil)
-}
-
-// RunScratch is Run over caller-pooled working memory; see
-// Cascade.RunScratch for the aliasing contract. Only the satisfied
-// (final) iteration's results are retained, so intermediate cascades
-// reusing s never clobber returned data.
+// RunScratch executes the deepening schedule for q over cascade c. The
+// TTL in q is ignored; Depths governs. See Cascade.RunScratch for the
+// aliasing contract of s. Only the satisfied (final) iteration's
+// results are retained, so intermediate cascades reusing s never
+// clobber returned data.
 func (d IterativeDeepening) RunScratch(c *Cascade, q *Query, s *Scratch) *Outcome {
 	if len(d.Depths) == 0 {
 		panic("core: IterativeDeepening needs at least one depth")

@@ -46,7 +46,7 @@ func holders(ids ...topology.NodeID) Content {
 func TestCascadeFindsDirectNeighbor(t *testing.T) {
 	g := star(5)
 	c := &Cascade{Graph: g, Content: holders(3), Forward: Flood{}}
-	o := c.Run(&Query{ID: 1, Key: 42, Origin: 0, TTL: 1})
+	o := c.RunScratch(&Query{ID: 1, Key: 42, Origin: 0, TTL: 1}, nil)
 	if !o.Hit() || len(o.Results) != 1 || o.Results[0].Holder != 3 {
 		t.Fatalf("outcome: %+v", o)
 	}
@@ -65,10 +65,10 @@ func TestCascadeTTLBoundsDepth(t *testing.T) {
 	g := chain(6)
 	c := &Cascade{Graph: g, Content: holders(4), Forward: Flood{}}
 	// Holder at distance 4; TTL 3 must miss it.
-	if o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 3}); o.Hit() {
+	if o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 3}, nil); o.Hit() {
 		t.Fatal("TTL 3 reached distance-4 holder")
 	}
-	if o := c.Run(&Query{ID: 2, Key: 1, Origin: 0, TTL: 4}); !o.Hit() {
+	if o := c.RunScratch(&Query{ID: 2, Key: 1, Origin: 0, TTL: 4}, nil); !o.Hit() {
 		t.Fatal("TTL 4 missed distance-4 holder")
 	}
 }
@@ -76,7 +76,7 @@ func TestCascadeTTLBoundsDepth(t *testing.T) {
 func TestCascadeTTLZeroSendsNothing(t *testing.T) {
 	g := star(3)
 	c := &Cascade{Graph: g, Content: holders(1), Forward: Flood{}}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 0})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 0}, nil)
 	// TTL 0: the origin forwards (hop 1 arrivals exceed TTL... the
 	// paper's TTL counts hops; TTL 0 means no propagation at all).
 	if o.Hit() || o.Visited != 0 {
@@ -90,7 +90,7 @@ func TestCascadeStopsAtServingNode(t *testing.T) {
 	// reached.
 	g := chain(3)
 	c := &Cascade{Graph: g, Content: holders(1, 2), Forward: Flood{}}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 5})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 5}, nil)
 	if len(o.Results) != 1 || o.Results[0].Holder != 1 {
 		t.Fatalf("results: %+v", o.Results)
 	}
@@ -102,7 +102,7 @@ func TestCascadeStopsAtServingNode(t *testing.T) {
 func TestCascadeForwardWhenHit(t *testing.T) {
 	g := chain(3)
 	c := &Cascade{Graph: g, Content: holders(1, 2), Forward: Flood{}}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 5, ForwardWhenHit: true})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 5, ForwardWhenHit: true}, nil)
 	if len(o.Results) != 2 {
 		t.Fatalf("results: %+v", o.Results)
 	}
@@ -111,7 +111,7 @@ func TestCascadeForwardWhenHit(t *testing.T) {
 func TestCascadeMaxResults(t *testing.T) {
 	g := star(10)
 	c := &Cascade{Graph: g, Content: holders(1, 2, 3, 4, 5, 6, 7, 8, 9), Forward: Flood{}}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 1, MaxResults: 3})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 1, MaxResults: 3}, nil)
 	if len(o.Results) != 3 {
 		t.Fatalf("MaxResults violated: %d results", len(o.Results))
 	}
@@ -127,7 +127,7 @@ func TestCascadeDuplicateSuppression(t *testing.T) {
 	net.Connect(2, 3)
 	g := &testGraph{net: net, offline: map[topology.NodeID]bool{}}
 	c := &Cascade{Graph: g, Content: holders(3), Forward: Flood{}}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2}, nil)
 	if len(o.Results) != 1 {
 		t.Fatalf("duplicate processing: %d results", len(o.Results))
 	}
@@ -143,7 +143,7 @@ func TestCascadeSkipsOfflineNodes(t *testing.T) {
 	g := chain(3)
 	g.offline[1] = true
 	c := &Cascade{Graph: g, Content: holders(2), Forward: Flood{}}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 5})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 5}, nil)
 	if o.Hit() {
 		t.Fatal("query passed through an off-line node")
 	}
@@ -161,7 +161,7 @@ func TestCascadeDelayAccumulatesForwardAndReverse(t *testing.T) {
 		Graph: g, Content: holders(2), Forward: Flood{},
 		Delay: func(_, _ topology.NodeID) float64 { return 0.1 },
 	}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2}, nil)
 	if !o.Hit() {
 		t.Fatal("no hit")
 	}
@@ -193,7 +193,7 @@ func TestCascadeFirstResultDelayIsMinimum(t *testing.T) {
 			return delays[2] // reverse hops toward origin reuse leaf delay
 		},
 	}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 1})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 1}, nil)
 	if len(o.Results) != 2 {
 		t.Fatalf("results: %+v", o.Results)
 	}
@@ -209,7 +209,7 @@ func TestCascadeMetersMessages(t *testing.T) {
 		Graph: g, Content: holders(2), Forward: Flood{},
 		OnMessage: func(_, _ topology.NodeID) { sent++ },
 	}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 1})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 1}, nil)
 	if uint64(sent) != o.Messages {
 		t.Fatalf("OnMessage count %d != Messages %d", sent, o.Messages)
 	}
@@ -231,7 +231,7 @@ func TestCascadePanicsOnInvalidQuery(t *testing.T) {
 			t.Fatal("negative TTL did not panic")
 		}
 	}()
-	c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: -1})
+	c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: -1}, nil)
 }
 
 func TestCascadePanicsOnMissingPieces(t *testing.T) {
@@ -240,7 +240,7 @@ func TestCascadePanicsOnMissingPieces(t *testing.T) {
 			t.Fatal("incomplete cascade did not panic")
 		}
 	}()
-	(&Cascade{}).Run(&Query{TTL: 1})
+	(&Cascade{}).RunScratch(&Query{TTL: 1}, nil)
 }
 
 func TestQueryValidate(t *testing.T) {
@@ -259,7 +259,7 @@ func TestIterativeDeepeningStopsEarly(t *testing.T) {
 	g := chain(6)
 	c := &Cascade{Graph: g, Content: holders(2), Forward: Flood{}}
 	d := IterativeDeepening{Depths: []int{1, 2, 4}}
-	o := d.Run(c, &Query{ID: 1, Key: 1, Origin: 0})
+	o := d.RunScratch(c, &Query{ID: 1, Key: 1, Origin: 0}, nil)
 	if !o.Hit() {
 		t.Fatal("deepening missed the holder")
 	}
@@ -274,7 +274,7 @@ func TestIterativeDeepeningExhaustsSchedule(t *testing.T) {
 	g := chain(6)
 	c := &Cascade{Graph: g, Content: holders(5), Forward: Flood{}}
 	d := IterativeDeepening{Depths: []int{1, 2}}
-	o := d.Run(c, &Query{ID: 1, Key: 1, Origin: 0})
+	o := d.RunScratch(c, &Query{ID: 1, Key: 1, Origin: 0}, nil)
 	if o.Hit() {
 		t.Fatal("holder at distance 5 found with max depth 2")
 	}
@@ -287,7 +287,7 @@ func TestIterativeDeepeningCycleTimeout(t *testing.T) {
 	g := chain(4)
 	c := &Cascade{Graph: g, Content: holders(2), Forward: Flood{}}
 	d := IterativeDeepening{Depths: []int{1, 2}, CycleTimeout: 1.5}
-	o := d.Run(c, &Query{ID: 1, Key: 1, Origin: 0})
+	o := d.RunScratch(c, &Query{ID: 1, Key: 1, Origin: 0}, nil)
 	if o.FirstResultDelay != 1.5 {
 		t.Fatalf("first-result delay = %v, want 1.5 (one failed cycle)", o.FirstResultDelay)
 	}
@@ -306,7 +306,7 @@ func TestIterativeDeepeningPanicsOnBadSchedule(t *testing.T) {
 					t.Fatalf("%s schedule did not panic", name)
 				}
 			}()
-			IterativeDeepening{Depths: depths}.Run(c, &Query{ID: 1, Origin: 0})
+			IterativeDeepening{Depths: depths}.RunScratch(c, &Query{ID: 1, Origin: 0}, nil)
 		}()
 	}
 }
@@ -331,7 +331,7 @@ func TestDirectedBFTUsedInsideCascade(t *testing.T) {
 			return nil
 		},
 	}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2}, nil)
 	if !o.Hit() || o.Results[0].Holder != 4 {
 		t.Fatalf("directed BFT outcome: %+v", o)
 	}

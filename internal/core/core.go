@@ -100,21 +100,13 @@ type Outcome struct {
 	// FirstResultDelay is the smallest Result.Delay. It is meaningful
 	// iff Hit(): set-ness is len(Results) > 0, not a zero sentinel, so
 	// a genuine zero-delay first result (ZeroDelay networks) is
-	// distinguishable from "no result" — use FirstDelay for the
-	// explicit pair. The field stays 0 when no results, keeping JSON
-	// output identical for the non-zero cases.
+	// distinguishable from "no result". The field stays 0 when no
+	// results, keeping JSON output identical for the non-zero cases.
 	FirstResultDelay float64
 }
 
 // Hit reports whether at least one result was found.
 func (o *Outcome) Hit() bool { return len(o.Results) > 0 }
-
-// FirstDelay returns the delay of the earliest result and whether any
-// result exists — the explicit form of the FirstResultDelay field,
-// immune to the genuine-zero-delay ambiguity.
-func (o *Outcome) FirstDelay() (float64, bool) {
-	return o.FirstResultDelay, len(o.Results) > 0
-}
 
 // Graph is the topology view a search engine walks. The simulator
 // passes the global topology.Network; the live runtime passes each

@@ -44,7 +44,7 @@ func ExampleSymmetricUpdater() {
 	search := &core.Cascade{Graph: e, Content: e, Forward: core.Flood{}}
 	q := &core.Query{ID: 1, Key: hotItem, Origin: 0, TTL: 7}
 
-	out := search.Run(q)
+	out := search.RunScratch(q, nil)
 	fmt.Printf("before: holder %d at %d hops, %d messages\n",
 		out.Results[0].Holder, out.Results[0].Hops, out.Messages)
 
@@ -58,7 +58,7 @@ func ExampleSymmetricUpdater() {
 	fmt.Printf("reconfigured: accepted %v, evicted %v; node 0 now links %v (symmetric: %v)\n",
 		rep.Accepted, rep.Evicted, e.net.Out(0), e.net.Consistent())
 
-	out = search.Run(q)
+	out = search.RunScratch(q, nil)
 	fmt.Printf("after: holder %d at %d hops, %d messages\n",
 		out.Results[0].Holder, out.Results[0].Hops, out.Messages)
 	// Output:

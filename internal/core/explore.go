@@ -49,33 +49,14 @@ type ExploreOutcome struct {
 	ReplyMessages uint64
 }
 
-// Holders returns the nodes that reported holding key.
-func (o *ExploreOutcome) Holders(key Key) []topology.NodeID {
-	var out []topology.NodeID
-	for _, f := range o.Findings {
-		for _, k := range f.Held {
-			if k == key {
-				out = append(out, f.Node)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Explore runs one exploration round over the cascade's topology view.
-// The cascade's Forward policy selects propagation targets exactly as
-// in search; OnMessage metering is the caller's (exploration traffic is
-// usually metered as netsim.MsgExplore). The caller owns the returned
-// outcome; hot loops should use ExploreScratch.
-func (c *Cascade) Explore(x *Exploration) *ExploreOutcome {
-	return c.ExploreScratch(x, nil)
-}
-
-// ExploreScratch is Explore over caller-pooled working memory. The
+// ExploreScratch runs one exploration round over the cascade's
+// topology view. The cascade's Forward policy selects propagation
+// targets exactly as in search; OnMessage metering is the caller's
+// (exploration traffic is usually metered as netsim.MsgExplore). The
 // returned outcome (its Findings and their Held slices) aliases s and
 // is valid until the next RunScratch/ExploreScratch call with the same
-// Scratch. A nil s runs with fresh state, exactly like Explore.
+// Scratch. A nil s runs with fresh state, and the caller owns that
+// outcome indefinitely.
 func (c *Cascade) ExploreScratch(x *Exploration, s *Scratch) *ExploreOutcome {
 	if c.Graph == nil || c.Content == nil || c.Forward == nil {
 		panic("core: Cascade requires Graph, Content and Forward")

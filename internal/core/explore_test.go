@@ -13,7 +13,7 @@ func TestExploreCensusesNeighborhood(t *testing.T) {
 		return id == 2 && k == 7
 	})
 	c := &Cascade{Graph: g, Content: content, Forward: Flood{}}
-	o := c.Explore(&Exploration{Keys: []Key{7, 8}, Origin: 0, TTL: 2})
+	o := c.ExploreScratch(&Exploration{Keys: []Key{7, 8}, Origin: 0, TTL: 2}, nil)
 	if len(o.Findings) != 2 {
 		t.Fatalf("findings: %+v", o.Findings)
 	}
@@ -35,7 +35,7 @@ func TestExploreDoesNotStopAtHolders(t *testing.T) {
 	g := chain(4)
 	content := ContentFunc(func(id topology.NodeID, k Key) bool { return true })
 	c := &Cascade{Graph: g, Content: content, Forward: Flood{}}
-	o := c.Explore(&Exploration{Keys: []Key{1}, Origin: 0, TTL: 3})
+	o := c.ExploreScratch(&Exploration{Keys: []Key{1}, Origin: 0, TTL: 3}, nil)
 	if len(o.Findings) != 3 {
 		t.Fatalf("exploration stopped early: %d findings", len(o.Findings))
 	}
@@ -47,20 +47,22 @@ func TestExploreHolders(t *testing.T) {
 		return (id == 2 || id == 4) && k == 9
 	})
 	c := &Cascade{Graph: g, Content: content, Forward: Flood{}}
-	o := c.Explore(&Exploration{Keys: []Key{9}, Origin: 0, TTL: 1})
-	h := o.Holders(9)
-	if len(h) != 2 {
-		t.Fatalf("holders: %v", h)
+	o := c.ExploreScratch(&Exploration{Keys: []Key{9}, Origin: 0, TTL: 1}, nil)
+	var h []topology.NodeID
+	for _, f := range o.Findings {
+		if len(f.Held) > 0 {
+			h = append(h, f.Node)
+		}
 	}
-	if len(o.Holders(1234)) != 0 {
-		t.Fatal("holders of unprobed key must be empty")
+	if len(h) != 2 || h[0] != 2 || h[1] != 4 {
+		t.Fatalf("holders: %v, want [2 4]", h)
 	}
 }
 
 func TestExploreTTLZero(t *testing.T) {
 	g := star(3)
 	c := &Cascade{Graph: g, Content: holders(1), Forward: Flood{}}
-	o := c.Explore(&Exploration{Keys: []Key{1}, Origin: 0, TTL: 0})
+	o := c.ExploreScratch(&Exploration{Keys: []Key{1}, Origin: 0, TTL: 0}, nil)
 	if len(o.Findings) != 0 || o.Messages != 0 {
 		t.Fatalf("TTL 0 exploration did work: %+v", o)
 	}
@@ -74,7 +76,7 @@ func TestExploreNegativeTTLPanics(t *testing.T) {
 			t.Fatal("negative TTL did not panic")
 		}
 	}()
-	c.Explore(&Exploration{Origin: 0, TTL: -1})
+	c.ExploreScratch(&Exploration{Origin: 0, TTL: -1}, nil)
 }
 
 func TestExploreCountsMessages(t *testing.T) {
@@ -84,7 +86,7 @@ func TestExploreCountsMessages(t *testing.T) {
 		Graph: g, Content: holders(), Forward: Flood{},
 		OnMessage: func(_, _ topology.NodeID) { metered++ },
 	}
-	o := c.Explore(&Exploration{Keys: []Key{1}, Origin: 0, TTL: 1})
+	o := c.ExploreScratch(&Exploration{Keys: []Key{1}, Origin: 0, TTL: 1}, nil)
 	if o.Messages != 3 || metered != 3 {
 		t.Fatalf("messages = %d, metered = %d", o.Messages, metered)
 	}
@@ -100,7 +102,7 @@ func TestExploreDelays(t *testing.T) {
 		Graph: g, Content: holders(), Forward: Flood{},
 		Delay: func(_, _ topology.NodeID) float64 { return 0.1 },
 	}
-	o := c.Explore(&Exploration{Keys: []Key{1}, Origin: 0, TTL: 2})
+	o := c.ExploreScratch(&Exploration{Keys: []Key{1}, Origin: 0, TTL: 2}, nil)
 	for _, f := range o.Findings {
 		want := 0.2 * float64(f.Hops) // forward + reverse
 		if f.Delay < want-1e-9 || f.Delay > want+1e-9 {
@@ -113,7 +115,7 @@ func TestExploreSkipsOffline(t *testing.T) {
 	g := star(4)
 	g.offline[2] = true
 	c := &Cascade{Graph: g, Content: holders(), Forward: Flood{}}
-	o := c.Explore(&Exploration{Keys: []Key{1}, Origin: 0, TTL: 1})
+	o := c.ExploreScratch(&Exploration{Keys: []Key{1}, Origin: 0, TTL: 1}, nil)
 	if len(o.Findings) != 2 {
 		t.Fatalf("findings: %+v", o.Findings)
 	}

@@ -142,19 +142,16 @@ func TestFirstResultDelayGenuineZero(t *testing.T) {
 			return 0
 		},
 	}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2, ForwardWhenHit: true})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2, ForwardWhenHit: true}, nil)
 	if len(o.Results) != 2 {
 		t.Fatalf("want 2 results, got %+v", o.Results)
 	}
 	if o.FirstResultDelay != 0 {
 		t.Fatalf("FirstResultDelay = %v, want the genuine 0 of the first result", o.FirstResultDelay)
 	}
-	if d, ok := o.FirstDelay(); !ok || d != 0 {
-		t.Fatalf("FirstDelay() = (%v, %v), want (0, true)", d, ok)
-	}
-	// And set-ness is explicit: a miss reports ok=false, not delay 0.
-	miss := c.Run(&Query{ID: 2, Key: 99, Origin: 0, TTL: 2})
-	if d, ok := miss.FirstDelay(); ok || d != 0 {
-		t.Fatalf("miss FirstDelay() = (%v, %v), want (0, false)", d, ok)
+	// And set-ness is explicit: a miss reports Hit() false, not delay 0.
+	miss := c.RunScratch(&Query{ID: 2, Key: 99, Origin: 0, TTL: 2}, nil)
+	if miss.Hit() || miss.FirstResultDelay != 0 {
+		t.Fatalf("miss: Hit() = %v, FirstResultDelay = %v, want false, 0", miss.Hit(), miss.FirstResultDelay)
 	}
 }

@@ -27,7 +27,7 @@ func TestIndexOriginAnswersWithZeroMessages(t *testing.T) {
 		Index: neighborIndex(g, content)}
 	// TTL 0: with the radius-1 index, the origin still covers its
 	// direct neighbors without a single message.
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 0})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 0}, nil)
 	if !o.Hit() || o.Results[0].Holder != 3 {
 		t.Fatalf("outcome: %+v", o)
 	}
@@ -43,12 +43,12 @@ func TestIndexShortensEffectiveSearch(t *testing.T) {
 	g := chain(4)
 	content := holders(3)
 	plain := &Cascade{Graph: g, Content: content, Forward: Flood{}}
-	if o := plain.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2}); o.Hit() {
+	if o := plain.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2}, nil); o.Hit() {
 		t.Fatal("plain TTL 2 should miss the 3-hop holder")
 	}
 	indexed := &Cascade{Graph: g, Content: content, Forward: Flood{},
 		Index: neighborIndex(g, content)}
-	o := indexed.Run(&Query{ID: 2, Key: 1, Origin: 0, TTL: 2})
+	o := indexed.RunScratch(&Query{ID: 2, Key: 1, Origin: 0, TTL: 2}, nil)
 	if !o.Hit() || o.Results[0].Holder != 3 {
 		t.Fatalf("indexed TTL 2 outcome: %+v", o)
 	}
@@ -69,7 +69,7 @@ func TestIndexDeduplicatesHolders(t *testing.T) {
 	content := holders(3)
 	c := &Cascade{Graph: g, Content: content, Forward: Flood{},
 		Index: neighborIndex(g, content)}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2, ForwardWhenHit: true})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2, ForwardWhenHit: true}, nil)
 	count := 0
 	for _, r := range o.Results {
 		if r.Holder == 3 {
@@ -89,7 +89,7 @@ func TestIndexDoesNotDoubleReportVisitedHolder(t *testing.T) {
 	content := holders(1, 2)
 	c := &Cascade{Graph: g, Content: content, Forward: Flood{},
 		Index: neighborIndex(g, content)}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2, ForwardWhenHit: true})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 2, ForwardWhenHit: true}, nil)
 	seen := map[topology.NodeID]int{}
 	for _, r := range o.Results {
 		seen[r.Holder]++
@@ -106,7 +106,7 @@ func TestIndexStopsPropagationOnHit(t *testing.T) {
 	content := holders(2)
 	c := &Cascade{Graph: g, Content: content, Forward: Flood{},
 		Index: neighborIndex(g, content)}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 3})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 3}, nil)
 	// Node 1's index answers for node 2; the query must not travel
 	// further (1 message: 0->1).
 	if !o.Hit() {
@@ -122,7 +122,7 @@ func TestIndexRespectsMaxResults(t *testing.T) {
 	content := holders(1, 2, 3, 4, 5)
 	c := &Cascade{Graph: g, Content: content, Forward: Flood{},
 		Index: neighborIndex(g, content)}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 1, MaxResults: 2})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 1, MaxResults: 2}, nil)
 	if len(o.Results) != 2 {
 		t.Fatalf("MaxResults violated: %+v", o.Results)
 	}
@@ -145,7 +145,7 @@ func TestIndexDelayChargesExtraHop(t *testing.T) {
 		Index: neighborIndex(g, content),
 		Delay: func(_, _ topology.NodeID) float64 { return 0.1 },
 	}
-	o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 1})
+	o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 1}, nil)
 	if !o.Hit() {
 		t.Fatal("no hit")
 	}

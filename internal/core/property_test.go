@@ -40,7 +40,7 @@ func TestQuickCascadeStructuralInvariants(t *testing.T) {
 		g, content, _ := randomCase(seed, nodes, 4)
 		c := &Cascade{Graph: g, Content: content, Forward: Flood{},
 			Delay: func(_, _ topology.NodeID) float64 { return 0.05 }}
-		o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: ttl})
+		o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: ttl}, nil)
 		if o.Visited >= nodes {
 			return false
 		}
@@ -74,7 +74,7 @@ func TestQuickCascadeTTLMonotone(t *testing.T) {
 		c := &Cascade{Graph: g, Content: content, Forward: Flood{}}
 		prev := 0
 		for ttl := 1; ttl <= 5; ttl++ {
-			o := c.Run(&Query{ID: QueryID(ttl), Key: 1, Origin: 0, TTL: ttl, ForwardWhenHit: true})
+			o := c.RunScratch(&Query{ID: QueryID(ttl), Key: 1, Origin: 0, TTL: ttl, ForwardWhenHit: true}, nil)
 			if len(o.Results) < prev {
 				return false
 			}
@@ -94,8 +94,8 @@ func TestQuickStopAtServerSafe(t *testing.T) {
 		ttl := int(ttlRaw)%5 + 1
 		g, content, _ := randomCase(seed, 40, 4)
 		c := &Cascade{Graph: g, Content: content, Forward: Flood{}}
-		stop := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: ttl})
-		flood := c.Run(&Query{ID: 2, Key: 1, Origin: 0, TTL: ttl, ForwardWhenHit: true})
+		stop := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: ttl}, nil)
+		flood := c.RunScratch(&Query{ID: 2, Key: 1, Origin: 0, TTL: ttl, ForwardWhenHit: true}, nil)
 		if stop.Messages > flood.Messages {
 			return false
 		}
@@ -114,7 +114,7 @@ func TestQuickCascadeMessageBound(t *testing.T) {
 		ttl := int(ttlRaw)%8 + 1
 		g, content, _ := randomCase(seed, 30, 3)
 		c := &Cascade{Graph: g, Content: content, Forward: Flood{}}
-		o := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: ttl, ForwardWhenHit: true})
+		o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: ttl, ForwardWhenHit: true}, nil)
 		return o.Messages <= uint64(g.net.EdgeCount())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -132,8 +132,8 @@ func TestQuickDirectedBFTDegeneratesToFlood(t *testing.T) {
 		flood := &Cascade{Graph: g, Content: content, Forward: Flood{}}
 		directed := &Cascade{Graph: g, Content: content,
 			Forward: DirectedBFT{K: 64, Benefit: stats.Cumulative{}}, Ledger: ledger}
-		a := flood.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: 3})
-		b := directed.Run(&Query{ID: 2, Key: 1, Origin: 0, TTL: 3})
+		a := flood.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: 3}, nil)
+		b := directed.RunScratch(&Query{ID: 2, Key: 1, Origin: 0, TTL: 3}, nil)
 		return a.Messages == b.Messages && len(a.Results) == len(b.Results)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -150,8 +150,8 @@ func TestQuickExploreCensusComplete(t *testing.T) {
 		g, _, _ := randomCase(seed, 30, 3)
 		none := ContentFunc(func(topology.NodeID, Key) bool { return false })
 		c := &Cascade{Graph: g, Content: none, Forward: Flood{}}
-		search := c.Run(&Query{ID: 1, Key: 1, Origin: 0, TTL: ttl})
-		explore := c.Explore(&Exploration{Keys: []Key{1}, Origin: 0, TTL: ttl})
+		search := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: ttl}, nil)
+		explore := c.ExploreScratch(&Exploration{Keys: []Key{1}, Origin: 0, TTL: ttl}, nil)
 		return len(explore.Findings) == search.Visited
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

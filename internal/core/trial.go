@@ -51,9 +51,6 @@ func (t *TrialTracker) Begin(now float64, host, guest topology.NodeID) {
 	t.trials = append(t.trials, trial{host: host, guest: guest, deadline: now + t.Threshold})
 }
 
-// Pending returns the number of unresolved trials.
-func (t *TrialTracker) Pending() int { return len(t.trials) }
-
 // Expire resolves every trial whose deadline passed: the guest stays if
 // its benefit score at the host outranks zero AND it is still a
 // neighbor; otherwise the host evicts it. It returns how many trials

@@ -28,7 +28,7 @@ func TestTrialKeepsBeneficialGuest(t *testing.T) {
 	if !e.net.Node(0).Out.Contains(1) {
 		t.Fatal("beneficial guest evicted")
 	}
-	if tr.Pending() != 0 {
+	if len(tr.trials) != 0 {
 		t.Fatal("resolved trial still pending")
 	}
 }
@@ -61,7 +61,7 @@ func TestTrialNotDueYet(t *testing.T) {
 	if kept != 0 || evicted != 0 {
 		t.Fatalf("early expiry resolved a trial: kept=%d evicted=%d", kept, evicted)
 	}
-	if tr.Pending() != 1 {
+	if len(tr.trials) != 1 {
 		t.Fatal("pending trial lost")
 	}
 }
@@ -83,8 +83,8 @@ func TestTrialDuplicateBeginIgnored(t *testing.T) {
 	tr := newTrialTracker(e)
 	tr.Begin(0, 0, 1)
 	tr.Begin(10, 0, 1)
-	if tr.Pending() != 1 {
-		t.Fatalf("duplicate trial registered: %d pending", tr.Pending())
+	if len(tr.trials) != 1 {
+		t.Fatalf("duplicate trial registered: %d pending", len(tr.trials))
 	}
 }
 
@@ -94,8 +94,8 @@ func TestTrialDrop(t *testing.T) {
 	tr.Begin(0, 0, 1)
 	tr.Begin(0, 2, 3)
 	tr.Drop(1) // node 1 went off-line
-	if tr.Pending() != 1 {
-		t.Fatalf("Drop left %d trials", tr.Pending())
+	if len(tr.trials) != 1 {
+		t.Fatalf("Drop left %d trials", len(tr.trials))
 	}
 }
 

@@ -397,7 +397,7 @@ func TestQuickReconfigurePreservesConsistency(t *testing.T) {
 				return false
 			}
 			for i := 0; i < n; i++ {
-				out, in := e.net.Degree(topology.NodeID(i))
+				out, in := e.net.Node(topology.NodeID(i)).Out.Len(), e.net.Node(topology.NodeID(i)).In.Len()
 				if out > capacity || in > capacity {
 					return false
 				}

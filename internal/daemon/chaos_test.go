@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -38,11 +39,11 @@ func TestChaosScheduleByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aj, err := a.MarshalCanonical()
+	aj, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bj, err := b.MarshalCanonical()
+	bj, err := json.Marshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestChaosScheduleByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cj, err := c.MarshalCanonical()
+	cj, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,11 +113,6 @@ type FaultsConfig struct {
 	DelayMaxMillis int `json:"delay_max_ms"`
 }
 
-// Enabled reports whether any message fault can fire.
-func (f FaultsConfig) Enabled() bool {
-	return f.Drop > 0 || f.Dup > 0 || f.Reorder > 0 || f.DelayMaxMillis > 0
-}
-
 // ApplyDefaults fills unset optional fields in place.
 func (c *Config) ApplyDefaults() {
 	if c.Transport == "" {

@@ -145,17 +145,6 @@ func (g *Gossip) statusLocked(name string) MemberStatus {
 	}
 }
 
-// Status returns the detector's verdict on one member. Unknown,
-// untombstoned names report Dead (we have no evidence they live).
-func (g *Gossip) Status(name string) MemberStatus {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.view[name]; !ok {
-		return StatusDead
-	}
-	return g.statusLocked(name)
-}
-
 // Statuses returns the verdict for every member currently in the view.
 func (g *Gossip) Statuses() map[string]MemberStatus {
 	g.mu.Lock()

@@ -61,7 +61,7 @@ func TestDetectorSuspectsThenEvicts(t *testing.T) {
 		m.dirRound([]string{"m00"}, 2, stream, nil, true)
 	}
 	for _, g := range alive {
-		if got := g.Status(silent); got != StatusAlive {
+		if got := status(g, silent); got != StatusAlive {
 			t.Fatalf("%s sees %s as %s before silence", g.Self().Name, silent, got)
 		}
 	}
@@ -73,7 +73,7 @@ func TestDetectorSuspectsThenEvicts(t *testing.T) {
 	for r := uint64(1); r <= det.EvictAfter+1; r++ {
 		live.dirRound([]string{"m00"}, 2, stream, nil, true)
 		if r >= det.SuspectAfter && r < det.EvictAfter {
-			if got := alive[0].Status(silent); got == StatusSuspect {
+			if got := status(alive[0], silent); got == StatusSuspect {
 				sawSuspect = true
 			}
 		}
@@ -85,7 +85,7 @@ func TestDetectorSuspectsThenEvicts(t *testing.T) {
 		if _, ok := g.Snapshot()[silent]; ok {
 			t.Fatalf("%s still holds the dead member in view", g.Self().Name)
 		}
-		if got := g.Status(silent); got != StatusDead {
+		if got := status(g, silent); got != StatusDead {
 			t.Fatalf("%s reports dead member as %s", g.Self().Name, got)
 		}
 	}
@@ -128,7 +128,7 @@ func TestDetectorRejoinAmnestyAfterPartition(t *testing.T) {
 			t.Fatalf("%s sees %d/%d members after heal", g.Self().Name, got, n)
 		}
 		for name := range g.Snapshot() {
-			if got := g.Status(name); got != StatusAlive {
+			if got := status(g, name); got != StatusAlive {
 				t.Fatalf("%s sees %s as %s after heal", g.Self().Name, name, got)
 			}
 		}
@@ -185,7 +185,7 @@ func TestGossipAsymmetricPartitionConverges(t *testing.T) {
 			t.Fatalf("%s sees %d/%d members under one-way loss", g.Self().Name, got, n)
 		}
 	}
-	if got := m.byName["m04"].Status("m03"); got != StatusAlive {
+	if got := status(m.byName["m04"], "m03"); got != StatusAlive {
 		t.Fatalf("relayed heartbeats left m03 %s at m04", got)
 	}
 
@@ -195,7 +195,7 @@ func TestGossipAsymmetricPartitionConverges(t *testing.T) {
 	}
 	for _, g := range m.gs {
 		for name := range g.Snapshot() {
-			if got := g.Status(name); got != StatusAlive {
+			if got := status(g, name); got != StatusAlive {
 				t.Fatalf("%s sees %s as %s after heal", g.Self().Name, name, got)
 			}
 		}
@@ -238,7 +238,7 @@ func TestGossipAsymmetricSeedLossHeals(t *testing.T) {
 			t.Fatalf("%s sees %d/%d members after heal", g.Self().Name, got, n)
 		}
 		for name := range g.Snapshot() {
-			if got := g.Status(name); got != StatusAlive {
+			if got := status(g, name); got != StatusAlive {
 				t.Fatalf("%s sees %s as %s after heal", g.Self().Name, name, got)
 			}
 		}
@@ -296,9 +296,18 @@ func TestStatusesAndSuspects(t *testing.T) {
 	if s := g.Suspects(); len(s) != 1 || s[0] != "b" {
 		t.Fatalf("Suspects() = %v, want [b]", s)
 	}
-	if got := g.Status("nobody"); got != StatusDead {
-		t.Fatalf("unknown member reported %s, want dead", got)
+	if got, ok := st["nobody"]; ok {
+		t.Fatalf("unknown member reported %s, want no verdict", got)
 	}
+}
+
+// status is one member's verdict as g.Statuses reports it; a member
+// gone from the view is dead.
+func status(g *Gossip, name string) MemberStatus {
+	if s, ok := g.Statuses()[name]; ok {
+		return s
+	}
+	return StatusDead
 }
 
 // Sanity: fmt of statuses used in cluster JSON stays stable.

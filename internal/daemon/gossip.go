@@ -104,18 +104,6 @@ func (g *Gossip) Beat() {
 	g.version++
 }
 
-// UpdateSelf mutates the self entry (a node listener that just bound,
-// for instance) and bumps its heartbeat.
-func (g *Gossip) UpdateSelf(f func(*Member)) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	m := g.view[g.self]
-	f(&m)
-	m.Beat++
-	g.view[g.self] = m
-	g.version++
-}
-
 // Exchange is one push-pull step from the receiving side: merge the
 // remote view, return a snapshot of the (possibly updated) local view
 // for the caller to merge in turn.

@@ -24,7 +24,6 @@ type Bloom struct {
 	bits  []uint64
 	nbits uint64
 	k     int
-	count uint64 // inserted keys (approximate set size)
 }
 
 // NewBloom sizes a filter for the expected number of keys n at the
@@ -69,7 +68,6 @@ func (b *Bloom) Add(key Key) {
 		bit := (h1 + uint64(i)*h2) % b.nbits
 		b.bits[bit/64] |= 1 << (bit % 64)
 	}
-	b.count++
 }
 
 // Contains reports whether key may be present. False positives are
@@ -83,32 +81,4 @@ func (b *Bloom) Contains(key Key) bool {
 		}
 	}
 	return true
-}
-
-// Count returns the number of Add calls (with multiplicity).
-func (b *Bloom) Count() uint64 { return b.count }
-
-// Bits returns the filter size in bits.
-func (b *Bloom) Bits() uint64 { return b.nbits }
-
-// K returns the number of hash probes per key.
-func (b *Bloom) K() int { return b.k }
-
-// FillRatio returns the fraction of set bits; the expected false
-// positive rate is FillRatio^k.
-func (b *Bloom) FillRatio() float64 {
-	ones := 0
-	for _, w := range b.bits {
-		ones += popcount(w)
-	}
-	return float64(ones) / float64(b.nbits)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

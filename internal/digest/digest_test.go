@@ -42,32 +42,6 @@ func TestBloomEmpty(t *testing.T) {
 	if b.Contains(42) {
 		t.Fatal("empty filter claims membership")
 	}
-	if b.Count() != 0 {
-		t.Fatal("empty filter count != 0")
-	}
-}
-
-func TestBloomCount(t *testing.T) {
-	b := NewBloom(100, 0.01)
-	b.Add(1)
-	b.Add(2)
-	if b.Count() != 2 {
-		t.Fatalf("Count = %d", b.Count())
-	}
-}
-
-func TestBloomFillRatioGrows(t *testing.T) {
-	b := NewBloom(1000, 0.01)
-	before := b.FillRatio()
-	for i := 0; i < 500; i++ {
-		b.Add(Key(i))
-	}
-	if b.FillRatio() <= before {
-		t.Fatal("fill ratio did not grow")
-	}
-	if b.FillRatio() > 1 {
-		t.Fatal("fill ratio above 1")
-	}
 }
 
 func TestBloomPanicsOnBadArgs(t *testing.T) {

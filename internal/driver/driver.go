@@ -125,24 +125,6 @@ type Spec struct {
 	// Trace, when non-nil, receives login/logoff events from the
 	// session and is available to the application via Emit.
 	Trace trace.Sink
-
-	// SnapshotServe dispatches every query from a
-	// topology.SnapshotStore epoch instead of the live OnlineView:
-	// churn and reconfiguration mutate the build-side network as usual,
-	// the session marks the topology dirty, and the next dispatch
-	// publishes one fresh epoch — so any number of topology events
-	// between two queries coalesce into a single O(nodes+edges)
-	// re-freeze instead of pausing dispatch per event, and concurrent
-	// consumers of Searcher() (a Saturator feeding on the same engine)
-	// keep serving the previous epoch throughout.
-	//
-	// Snapshots treat every node as online, so under churn the
-	// application's OnLogoff hook must fully isolate departing nodes
-	// (the Gnutella-style sessions do); otherwise offline nodes keep
-	// answering. Applications that mutate topology outside the login/
-	// logoff hooks (reconfiguration tickers) must call
-	// Session.TopologyChanged after doing so.
-	SnapshotServe bool
 }
 
 // Validate reports Spec errors. New calls it; exported so experiment
@@ -187,8 +169,6 @@ type Session struct {
 	delayStream  *rng.Stream
 
 	searcher *search.Engine
-	store    *topology.SnapshotStore
-	dirty    bool // topology mutated since the last published epoch
 	resume   []func()
 	queryID  uint64
 
@@ -238,10 +218,6 @@ func New(spec Spec, root *rng.Stream) (*Session, error) {
 	if spec.Search != nil {
 		opts = append(opts, spec.Search(s)...)
 	}
-	if spec.SnapshotServe {
-		s.store = topology.NewSnapshotStore(s.net)
-		opts = append(opts, search.WithSnapshotStore(s.store))
-	}
 	eng, err := search.New(search.Over(s.view, spec.Content), opts...)
 	if err != nil {
 		return nil, err
@@ -255,31 +231,6 @@ func (s *Session) Engine() *sim.Engine { return s.engine }
 
 // Network exposes the neighbor graph.
 func (s *Session) Network() *topology.Network { return s.net }
-
-// Searcher exposes the pooled search engine for call shapes Do and
-// Explore do not cover. Under SnapshotServe, callers going through it
-// directly should call TopologyChanged-aware dispatch via Do/Explore,
-// or accept serving the last published epoch.
-func (s *Session) Searcher() *search.Engine { return s.searcher }
-
-// Store exposes the snapshot store under SnapshotServe, nil otherwise.
-func (s *Session) Store() *topology.SnapshotStore { return s.store }
-
-// TopologyChanged records that the network was mutated outside the
-// session's own hooks (application reconfiguration tickers). The next
-// dispatch publishes a fresh epoch; without SnapshotServe it is a
-// no-op, so applications may call it unconditionally.
-func (s *Session) TopologyChanged() { s.dirty = true }
-
-// publishIfDirty coalesces every topology mutation since the last
-// dispatch into one published epoch. Called on the dispatch paths, so
-// a burst of churn events between two queries costs one re-freeze.
-func (s *Session) publishIfDirty() {
-	if s.store != nil && s.dirty {
-		s.dirty = false
-		s.store.Publish()
-	}
-}
 
 // Now returns the current simulated time in seconds.
 func (s *Session) Now() float64 { return s.engine.Now() }
@@ -312,20 +263,6 @@ func (s *Session) SampleDelay(from, to topology.NodeID) float64 {
 // churn every node always does.
 func (s *Session) IsOnline(id topology.NodeID) bool { return s.view.Online(id) }
 
-// OnlineCount returns the number of currently online nodes.
-func (s *Session) OnlineCount() int {
-	if s.view.Mask == nil {
-		return s.spec.Nodes
-	}
-	n := 0
-	for _, on := range s.view.Mask {
-		if on {
-			n++
-		}
-	}
-	return n
-}
-
 // Logins and Logoffs count churn transitions so far.
 func (s *Session) Logins() uint64  { return s.logins }
 func (s *Session) Logoffs() uint64 { return s.logoffs }
@@ -341,7 +278,6 @@ func (s *Session) NextQueryID() uint64 {
 // any error is a programming bug and panics rather than silently
 // skewing metrics.
 func (s *Session) Do(q search.Query) search.Result {
-	s.publishIfDirty()
 	out, err := s.searcher.Do(context.Background(), q)
 	if err != nil {
 		panic(err)
@@ -352,7 +288,6 @@ func (s *Session) Do(q search.Query) search.Result {
 // Explore dispatches one metadata-only census round (Algo 2); errors
 // panic for the same reason as in Do.
 func (s *Session) Explore(x search.Exploration) *core.ExploreOutcome {
-	s.publishIfDirty()
 	out, err := s.searcher.Explore(context.Background(), x)
 	if err != nil {
 		panic(err)
@@ -378,11 +313,9 @@ func (s *Session) Emit(e trace.Event) {
 func (s *Session) Start() {
 	if s.spec.Place != nil {
 		s.spec.Place(s)
-		s.dirty = true
 	}
 	if s.spec.Before != nil {
 		s.spec.Before()
-		s.dirty = true
 	}
 	for i := 0; i < s.spec.Nodes; i++ {
 		id := topology.NodeID(i)
@@ -421,7 +354,6 @@ func (s *Session) setOnline(id topology.NodeID, on bool, now float64) {
 		s.logins++
 		if s.spec.OnLogin != nil {
 			s.spec.OnLogin(id)
-			s.dirty = true
 		}
 		s.resume[id]()
 		s.Emit(trace.Event{Kind: trace.KindLogin, Node: id})
@@ -430,7 +362,6 @@ func (s *Session) setOnline(id topology.NodeID, on bool, now float64) {
 	s.logoffs++
 	if s.spec.OnLogoff != nil {
 		s.spec.OnLogoff(id, now)
-		s.dirty = true
 	}
 	s.Emit(trace.Event{Kind: trace.KindLogoff, Node: id})
 }

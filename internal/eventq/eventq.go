@@ -91,21 +91,6 @@ func (q *Queue) Cancel(it *Item) bool {
 	return true
 }
 
-// Reschedule moves a pending item to a new time, preserving its
-// identity. It returns false if the item is no longer pending.
-func (q *Queue) Reschedule(it *Item, t float64) bool {
-	if it == nil || it.index < 0 {
-		return false
-	}
-	it.Time = t
-	it.Seq = q.seq
-	q.seq++
-	if !q.down(it.index) {
-		q.up(it.index)
-	}
-	return true
-}
-
 func (q *Queue) less(i, j int) bool {
 	a, b := q.heap[i], q.heap[j]
 	if a.Time != b.Time {
@@ -132,7 +117,7 @@ func (q *Queue) up(i int) {
 }
 
 // down sifts index i toward the leaves; it reports whether the item
-// moved (used by Cancel/Reschedule to decide whether to sift up).
+// moved (used by Cancel to decide whether to sift up).
 func (q *Queue) down(i int) bool {
 	moved := false
 	n := len(q.heap)

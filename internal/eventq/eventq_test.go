@@ -93,40 +93,6 @@ func TestCancelNil(t *testing.T) {
 	}
 }
 
-func TestReschedule(t *testing.T) {
-	q := New()
-	a := q.Push(1, "a")
-	q.Push(2, "b")
-	if !q.Reschedule(a, 5) {
-		t.Fatal("Reschedule of pending item failed")
-	}
-	if got := q.Pop().Value; got != "b" {
-		t.Fatalf("after reschedule, first pop = %v, want b", got)
-	}
-	if got := q.Pop().Value; got != "a" {
-		t.Fatalf("second pop = %v, want a", got)
-	}
-}
-
-func TestRescheduleEarlier(t *testing.T) {
-	q := New()
-	q.Push(1, "a")
-	b := q.Push(10, "b")
-	q.Reschedule(b, 0.5)
-	if got := q.Pop().Value; got != "b" {
-		t.Fatalf("reschedule-earlier: first pop = %v, want b", got)
-	}
-}
-
-func TestReschedulePopped(t *testing.T) {
-	q := New()
-	a := q.Push(1, "a")
-	q.Pop()
-	if q.Reschedule(a, 2) {
-		t.Fatal("Reschedule of popped item returned true")
-	}
-}
-
 func TestRandomizedHeapProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	q := New()
@@ -139,8 +105,6 @@ func TestRandomizedHeapProperty(t *testing.T) {
 			i := r.Intn(len(live))
 			q.Cancel(live[i])
 			live = append(live[:i], live[i+1:]...)
-		case op < 8 && len(live) > 0: // reschedule random
-			q.Reschedule(live[r.Intn(len(live))], r.Float64()*1000)
 		default: // pop
 			it := q.Pop()
 			if it == nil {

@@ -59,9 +59,6 @@ func NewMonotone[T any](hint int) *Monotone[T] {
 	return q
 }
 
-// Len returns the number of pending items.
-func (q *Monotone[T]) Len() int { return len(q.items) - q.head }
-
 // Grow ensures the queue can hold at least hint items without
 // reallocating — the pre-sizing hook for pooled owners (core.Scratch).
 func (q *Monotone[T]) Grow(hint int) {

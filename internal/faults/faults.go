@@ -32,7 +32,6 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,9 +183,6 @@ func Wrap(inner live.Transport, cfg Config) *Transport {
 // Stats exposes the fault counters.
 func (t *Transport) Stats() *Stats { return &t.stats }
 
-// Config returns the fault configuration.
-func (t *Transport) Config() Config { return t.cfg }
-
 // Crash makes a node unreachable: every message to or from it is
 // blocked until Restart. Idempotent.
 func (t *Transport) Crash(id topology.NodeID) {
@@ -211,18 +207,6 @@ func (t *Transport) updateRestrictedLocked() {
 	} else {
 		t.restricted.Store(0)
 	}
-}
-
-// Crashed returns the currently crashed nodes, sorted.
-func (t *Transport) Crashed() []topology.NodeID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]topology.NodeID, 0, len(t.crashed))
-	for id := range t.crashed {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Partition splits the network into the given groups: messages between

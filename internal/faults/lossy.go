@@ -74,11 +74,3 @@ func (p *LossyPolicy) Select(q *core.Query, at, from topology.NodeID, out []topo
 func (p *LossyPolicy) Name() string {
 	return fmt.Sprintf("lossy(%s,%g)", p.Inner.Name(), p.Rate)
 }
-
-// Reset rewinds every link's decision stream to the beginning, so one
-// policy value can replay identical loss across repeated plans.
-func (p *LossyPolicy) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.links = make(map[linkKey]*linkState)
-}

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -36,13 +35,6 @@ type Event struct {
 type Schedule struct {
 	Seed   uint64  `json:"seed"`
 	Events []Event `json:"events"`
-}
-
-// MarshalCanonical renders the schedule as canonical indented JSON —
-// the byte-for-byte artifact the reproducibility criterion is checked
-// against.
-func (s Schedule) MarshalCanonical() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }
 
 // Target is the surface a schedule plays against: the in-process

@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -19,8 +20,8 @@ func TestCrashScheduleByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, _ := a.MarshalCanonical()
-	jb, _ := b.MarshalCanonical()
+	ja, _ := json.Marshal(a)
+	jb, _ := json.Marshal(b)
 	if !bytes.Equal(ja, jb) {
 		t.Fatalf("same seed produced different schedules:\n%s\n%s", ja, jb)
 	}
@@ -28,7 +29,7 @@ func TestCrashScheduleByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jc, _ := c.MarshalCanonical(); bytes.Equal(ja, jc) {
+	if jc, _ := json.Marshal(c); bytes.Equal(ja, jc) {
 		t.Fatal("different seed reproduced the schedule bytes")
 	}
 }

@@ -27,11 +27,11 @@ func TestChurnStormKeepsNetworkConsistent(t *testing.T) {
 	}
 	for i := 0; i < c.Music.Users; i++ {
 		id := topology.NodeID(i)
-		out, in := s.Network().Degree(id)
+		out, in := s.Network().Node(id).Out.Len(), s.Network().Node(id).In.Len()
 		if out > c.Neighbors || in > c.Neighbors {
 			t.Fatalf("node %d degree (%d,%d) exceeds cap", i, out, in)
 		}
-		if !s.IsOnline(id) && (out != 0 || in != 0) {
+		if !s.sess.IsOnline(id) && (out != 0 || in != 0) {
 			t.Fatalf("offline node %d still wired", i)
 		}
 	}

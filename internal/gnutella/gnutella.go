@@ -19,6 +19,7 @@ package gnutella
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -150,6 +151,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gnutella: TTL %d < 1", c.TTL)
 	case c.Mode == Dynamic && c.ReconfigThreshold < 1:
 		return fmt.Errorf("gnutella: reconfiguration threshold %d < 1", c.ReconfigThreshold)
+	case c.MaxSwaps < 0:
+		return fmt.Errorf("gnutella: negative max swaps %d (0 = unlimited)", c.MaxSwaps)
+	case !(c.Variant.TrialPeriodHours >= 0) || math.IsInf(c.Variant.TrialPeriodHours, 1):
+		return fmt.Errorf("gnutella: trial period %v hours is not finite and non-negative", c.Variant.TrialPeriodHours)
 	case c.DurationHours < 1:
 		return fmt.Errorf("gnutella: duration %d hours", c.DurationHours)
 	case c.DriftFraction < 0 || c.DriftFraction > 1:
@@ -286,20 +291,8 @@ func (s *Sim) hasContent(id topology.NodeID, key core.Key) bool {
 	return s.users[id].Has(key)
 }
 
-// Engine exposes the underlying simulator (tests drive partial runs).
-func (s *Sim) Engine() *sim.Engine { return s.sess.Engine() }
-
 // Network exposes the neighbor graph.
 func (s *Sim) Network() *topology.Network { return s.sess.Network() }
-
-// Metrics returns the collected measurements.
-func (s *Sim) Metrics() *Metrics { return s.met }
-
-// OnlineCount returns the number of currently on-line users.
-func (s *Sim) OnlineCount() int { return s.sess.OnlineCount() }
-
-// IsOnline reports whether a node is currently on-line.
-func (s *Sim) IsOnline(id topology.NodeID) bool { return s.sess.IsOnline(id) }
 
 // Run executes the full configured duration and returns the metrics.
 func (s *Sim) Run() *Metrics {

@@ -83,13 +83,13 @@ func TestNetworkStaysConsistentDuringRun(t *testing.T) {
 	for _, mode := range []Mode{Static, Dynamic} {
 		s := New(tinyConfig(mode, 2))
 		horizon := 6 * 3600.0
-		s.Engine().SetHorizon(horizon)
+		s.sess.Engine().SetHorizon(horizon)
 		s.Run()
 		if !s.Network().Consistent() {
 			t.Fatalf("%v network inconsistent after run", mode)
 		}
 		for i := 0; i < 100; i++ {
-			out, in := s.Network().Degree(topology.NodeID(i))
+			out, in := s.Network().Node(topology.NodeID(i)).Out.Len(), s.Network().Node(topology.NodeID(i)).In.Len()
 			if out > 4 || in > 4 {
 				t.Fatalf("%v node %d degree (%d,%d) exceeds cap", mode, i, out, in)
 			}
@@ -102,8 +102,8 @@ func TestOfflineNodesAreIsolated(t *testing.T) {
 	s.Run()
 	for i := 0; i < 100; i++ {
 		id := topology.NodeID(i)
-		out, in := s.Network().Degree(id)
-		if !s.IsOnline(id) && (out != 0 || in != 0) {
+		out, in := s.Network().Node(id).Out.Len(), s.Network().Node(id).In.Len()
+		if !s.sess.IsOnline(id) && (out != 0 || in != 0) {
 			t.Fatalf("offline node %d still wired (%d,%d)", i, out, in)
 		}
 	}
@@ -112,7 +112,13 @@ func TestOfflineNodesAreIsolated(t *testing.T) {
 func TestOnlineFractionNearHalf(t *testing.T) {
 	s := New(tinyConfig(Static, 2))
 	s.Run()
-	frac := float64(s.OnlineCount()) / 100
+	online := 0
+	for id := topology.NodeID(0); id < 100; id++ {
+		if s.sess.IsOnline(id) {
+			online++
+		}
+	}
+	frac := float64(online) / 100
 	if frac < 0.25 || frac > 0.75 {
 		t.Fatalf("online fraction %v far from stationary 0.5", frac)
 	}

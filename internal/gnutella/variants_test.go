@@ -1,6 +1,7 @@
 package gnutella
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/topology"
@@ -32,7 +33,7 @@ func TestAsymmetricUpdateRuns(t *testing.T) {
 	}
 	// Pure asymmetric: incoming lists are unbounded, outgoing capped.
 	for i := 0; i < 100; i++ {
-		out, _ := s.Network().Degree(topology.NodeID(i))
+		out := s.Network().Node(topology.NodeID(i)).Out.Len()
 		if out > c.Neighbors {
 			t.Fatalf("node %d out-degree %d exceeds cap", i, out)
 		}
@@ -210,10 +211,10 @@ func TestTrialPeriodResolvesTrials(t *testing.T) {
 	if invites == 0 {
 		t.Fatal("no invitations, trials never started")
 	}
-	// Most probations must have been resolved (kept or evicted); only
-	// the last hour's accepts may still be pending.
-	if pending := s.trials.Pending(); uint64(pending)*4 > invites {
-		t.Fatalf("%d of %d trials still pending at run end", pending, invites)
+	// Most probations must have been resolved (kept or evicted) during
+	// the run; only the last hour's accepts may still be open.
+	if kept, evicted := s.trials.Expire((*updateEnv)(s), math.Inf(1)); uint64(kept+evicted)*4 > invites {
+		t.Fatalf("%d of %d trials still open at run end", kept+evicted, invites)
 	}
 }
 
@@ -222,23 +223,27 @@ func TestTraceCapturesProtocolEvents(t *testing.T) {
 	var buf trace.Buffer
 	c.Trace = &buf
 	m := New(c).Run()
-	if buf.Count(trace.KindQuery) != int(m.Queries.Total()) {
+	count := map[trace.Kind]int{}
+	for _, e := range buf.Events() {
+		count[e.Kind]++
+	}
+	if count[trace.KindQuery] != int(m.Queries.Total()) {
 		t.Fatalf("traced %d queries, metrics counted %v",
-			buf.Count(trace.KindQuery), m.Queries.Total())
+			count[trace.KindQuery], m.Queries.Total())
 	}
-	if buf.Count(trace.KindHit) != int(m.Hits.Total()) {
+	if count[trace.KindHit] != int(m.Hits.Total()) {
 		t.Fatalf("traced %d hits, metrics counted %v",
-			buf.Count(trace.KindHit), m.Hits.Total())
+			count[trace.KindHit], m.Hits.Total())
 	}
-	if uint64(buf.Count(trace.KindLogin)) != m.LoginCount {
+	if uint64(count[trace.KindLogin]) != m.LoginCount {
 		t.Fatalf("traced %d logins, metrics counted %d",
-			buf.Count(trace.KindLogin), m.LoginCount)
+			count[trace.KindLogin], m.LoginCount)
 	}
-	if uint64(buf.Count(trace.KindReconfig)) != m.Reconfigurations {
+	if uint64(count[trace.KindReconfig]) != m.Reconfigurations {
 		t.Fatalf("traced %d reconfigs, metrics counted %d",
-			buf.Count(trace.KindReconfig), m.Reconfigurations)
+			count[trace.KindReconfig], m.Reconfigurations)
 	}
-	if buf.Count(trace.KindInvite) == 0 || buf.Count(trace.KindEvict) == 0 {
+	if count[trace.KindInvite] == 0 || count[trace.KindEvict] == 0 {
 		t.Fatal("control events not traced")
 	}
 	// Event times must be non-decreasing (simulator order).

@@ -30,7 +30,7 @@ func cluster(t *testing.T, n, neighbors, ttl, threshold int) ([]*Node, *ChanTran
 	}
 	t.Cleanup(func() {
 		for _, nd := range nodes {
-			nd.Stop()
+			nd.Close()
 		}
 	})
 	return nodes, tr
@@ -321,8 +321,8 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 
 	a.Start()
 	b.Start()
-	defer a.Stop()
-	defer b.Stop()
+	defer a.Close()
+	defer b.Close()
 	a.AddNeighbor(1)
 	b.AddNeighbor(0)
 
@@ -392,9 +392,8 @@ func TestCloseDrainsQueuedEnvelopes(t *testing.T) {
 	if got := stats.HitsServed.Load(); got != queued {
 		t.Fatalf("drained queries served %d of %d hits", got, queued)
 	}
-	// Idempotent, and Stop after Close is a no-op.
+	// Idempotent.
 	served.Close()
-	served.Stop()
 }
 
 func TestCloseThenDeliverDrops(t *testing.T) {

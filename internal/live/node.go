@@ -116,7 +116,6 @@ type Node struct {
 	closing chan struct{}
 	wg      sync.WaitGroup
 
-	stopOnce  sync.Once
 	closeOnce sync.Once
 
 	// nextQID numbers originated queries; guarded by mu.
@@ -202,28 +201,14 @@ func (n *Node) Start() {
 	go n.loop()
 }
 
-// Stop terminates the actor loop immediately and waits for it; queued
-// envelopes are abandoned. Use Close for a draining shutdown.
-func (n *Node) Stop() {
-	n.markDone()
-	n.wake()
-	n.wg.Wait()
-}
-
 // Close drains the node before stopping: delivery of new envelopes
 // ceases, every envelope already queued in the inbox (and every queued
 // control function) is processed, and only then does the actor loop
-// exit. Close returns once the loop is fully gone; like Stop it is
-// idempotent, and Stop/Close may be combined in any order.
+// exit. Close returns once the loop is fully gone, and is idempotent.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() { close(n.closing) })
 	n.wake()
 	n.wg.Wait()
-}
-
-// markDone closes the done channel exactly once.
-func (n *Node) markDone() {
-	n.stopOnce.Do(func() { close(n.done) })
 }
 
 // msgWake is the inbox token that makes the actor look at its control
@@ -286,7 +271,7 @@ func (n *Node) loop() {
 		n.handle(st, env)
 		// Drain what else is already queued with cheap non-blocking
 		// receives — one wake-up usually finds a burst. Bounded so a
-		// Stop takes effect under load.
+		// Close takes effect under load.
 	drain:
 		for i := 0; i < 256; i++ {
 			select {
@@ -298,11 +283,6 @@ func (n *Node) loop() {
 		}
 		n.drainCtl()
 		n.mu.Unlock()
-		select {
-		case <-n.done:
-			return
-		default:
-		}
 		select {
 		case <-n.closing:
 			// Drain mode: consume whatever is already queued, then
@@ -316,7 +296,7 @@ func (n *Node) loop() {
 				case env := <-n.inbox:
 					n.handle(st, env)
 				default:
-					n.markDone()
+					close(n.done)
 					return
 				}
 			}

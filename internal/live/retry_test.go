@@ -74,7 +74,7 @@ func TestQueryInfoCancelAndFanout(t *testing.T) {
 	origin := NewNode(Config{ID: 1, Neighbors: 4, TTL: 3, Transport: tr, Store: MapStore{}})
 	tr.Attach(origin)
 	origin.Start()
-	defer origin.Stop()
+	defer origin.Close()
 	// The peer never runs: the copy sent to it sits in its inbox, no ack
 	// comes back, and only Cancel or the window can end the query.
 	peer := NewNode(Config{ID: 2, Neighbors: 4, TTL: 3, Transport: tr, Store: MapStore{}})
@@ -119,7 +119,7 @@ func TestQueryInfoZeroFanoutWhenIsolated(t *testing.T) {
 	n := NewNode(Config{ID: 1, Neighbors: 4, TTL: 3, Transport: tr, Store: MapStore{}})
 	tr.Attach(n)
 	n.Start()
-	defer n.Stop()
+	defer n.Close()
 	_, info := n.QueryInfo(QueryOpts{Key: 7, Timeout: 5 * time.Millisecond})
 	if info.Fanout != 0 {
 		t.Fatalf("Fanout = %d for an isolated node", info.Fanout)

@@ -94,7 +94,7 @@ func TestExactSetsUnderDuplicationAndReordering(t *testing.T) {
 	}
 	defer func() {
 		for _, nd := range nodes {
-			nd.Stop()
+			nd.Close()
 		}
 	}()
 	for a := range adj {

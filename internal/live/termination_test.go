@@ -48,7 +48,7 @@ func hookCluster(t *testing.T, n, ttl int, edges [][2]int, holders ...int) ([]*N
 	}
 	t.Cleanup(func() {
 		for _, nd := range nodes {
-			nd.Stop()
+			nd.Close()
 		}
 	})
 	for _, e := range edges {

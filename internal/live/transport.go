@@ -327,19 +327,6 @@ func (d *tcpDest) flushLocked() {
 	}
 }
 
-// Addrs returns a snapshot of the registered peer address book.
-func (t *TCPTransport) Addrs() map[topology.NodeID]string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[topology.NodeID]string, len(t.dests))
-	for id, d := range t.dests {
-		d.mu.Lock()
-		out[id] = d.addr
-		d.mu.Unlock()
-	}
-	return out
-}
-
 // Send implements Transport.
 func (t *TCPTransport) Send(to topology.NodeID, env Envelope) error {
 	t.mu.Lock()

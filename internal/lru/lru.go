@@ -20,8 +20,6 @@ type LRU struct {
 	items    map[digest.Key]*lruNode
 	head     *lruNode // most recently used
 	tail     *lruNode // least recently used
-	// evicted, when non-nil, observes evictions (digest maintenance).
-	evicted func(digest.Key)
 }
 
 type lruNode struct {
@@ -36,15 +34,6 @@ func New(capacity int) *LRU {
 	}
 	return &LRU{capacity: capacity, items: make(map[digest.Key]*lruNode, capacity)}
 }
-
-// OnEvict registers an eviction observer (may be nil).
-func (c *LRU) OnEvict(f func(digest.Key)) { c.evicted = f }
-
-// Len returns the number of cached keys.
-func (c *LRU) Len() int { return len(c.items) }
-
-// Cap returns the capacity.
-func (c *LRU) Cap() int { return c.capacity }
 
 // Contains reports presence without refreshing recency.
 func (c *LRU) Contains(key digest.Key) bool {
@@ -73,9 +62,6 @@ func (c *LRU) Put(key digest.Key) bool {
 		lru := c.tail
 		c.unlink(lru)
 		delete(c.items, lru.key)
-		if c.evicted != nil {
-			c.evicted(lru.key)
-		}
 	}
 	n := &lruNode{key: key}
 	c.items[key] = n

@@ -9,7 +9,7 @@ import (
 
 func TestLRUBasics(t *testing.T) {
 	c := New(2)
-	if c.Len() != 0 || c.Cap() != 2 {
+	if len(c.items) != 0 || c.capacity != 2 {
 		t.Fatal("new LRU wrong")
 	}
 	if !c.Put(1) || !c.Put(2) {
@@ -77,17 +77,6 @@ func TestLRUGetMiss(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionObserver(t *testing.T) {
-	c := New(1)
-	var evicted []digest.Key
-	c.OnEvict(func(k digest.Key) { evicted = append(evicted, k) })
-	c.Put(1)
-	c.Put(2)
-	if len(evicted) != 1 || evicted[0] != 1 {
-		t.Fatalf("evictions: %v", evicted)
-	}
-}
-
 func TestLRUKeysOrder(t *testing.T) {
 	c := New(3)
 	c.Put(1)
@@ -104,7 +93,7 @@ func TestLRUSingleCapacity(t *testing.T) {
 	c := New(1)
 	c.Put(1)
 	c.Put(2)
-	if c.Contains(1) || !c.Contains(2) || c.Len() != 1 {
+	if c.Contains(1) || !c.Contains(2) || len(c.items) != 1 {
 		t.Fatal("capacity-1 LRU wrong")
 	}
 }
@@ -118,7 +107,7 @@ func TestLRUZeroCapacityPanics(t *testing.T) {
 	New(0)
 }
 
-// Property: Len never exceeds capacity and a just-inserted key is
+// Property: the size never exceeds capacity and a just-inserted key is
 // always present.
 func TestQuickLRUInvariants(t *testing.T) {
 	f := func(keys []uint16, capacity uint8) bool {
@@ -126,14 +115,14 @@ func TestQuickLRUInvariants(t *testing.T) {
 		c := New(capN)
 		for _, k := range keys {
 			c.Put(digest.Key(k))
-			if c.Len() > capN {
+			if len(c.items) > capN {
 				return false
 			}
 			if !c.Contains(digest.Key(k)) {
 				return false
 			}
 		}
-		return len(c.Keys()) == c.Len()
+		return len(c.Keys()) == len(c.items)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -24,7 +24,6 @@ const latencyBuckets = 28
 type LatencyHistogram struct {
 	buckets [latencyBuckets]atomic.Uint64
 	count   atomic.Uint64
-	sumUS   atomic.Uint64
 }
 
 // latencyBucket maps a duration to its bucket index.
@@ -48,20 +47,10 @@ func (h *LatencyHistogram) Observe(d time.Duration) {
 	}
 	h.buckets[latencyBucket(d)].Add(1)
 	h.count.Add(1)
-	h.sumUS.Add(uint64(d.Microseconds()))
 }
 
 // N returns the number of recorded samples.
 func (h *LatencyHistogram) N() uint64 { return h.count.Load() }
-
-// MeanMicros returns the mean sample in microseconds (0 when empty).
-func (h *LatencyHistogram) MeanMicros() uint64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.sumUS.Load() / n
-}
 
 // QuantileMicros returns an approximate q-quantile (q in [0,1]) in
 // microseconds, assuming uniform density within each power-of-two

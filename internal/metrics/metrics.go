@@ -49,9 +49,6 @@ func (s *Series) Bucket(b int) float64 {
 	return s.counts[b]
 }
 
-// Len returns the number of buckets touched.
-func (s *Series) Len() int { return len(s.counts) }
-
 // Total returns the sum over all buckets.
 func (s *Series) Total() float64 {
 	t := 0.0

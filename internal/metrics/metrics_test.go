@@ -18,8 +18,8 @@ func TestSeriesBuckets(t *testing.T) {
 	if s.Bucket(-1) != 0 || s.Bucket(99) != 0 {
 		t.Fatal("out-of-range buckets must read 0")
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.counts) != 2 {
+		t.Fatalf("touched %d buckets, want 2", len(s.counts))
 	}
 	if s.Total() != 4 {
 		t.Fatalf("Total = %v", s.Total())

@@ -93,15 +93,6 @@ func (m *Meter) Total(kind MessageKind) uint64 {
 	return t
 }
 
-// TotalAll returns the sum over all buckets and kinds.
-func (m *Meter) TotalAll() uint64 {
-	var t uint64
-	for k := MessageKind(0); k < numMessageKinds; k++ {
-		t += m.Total(k)
-	}
-	return t
-}
-
 // Bucket returns the count of one kind in one bucket (0 when the bucket
 // was never touched).
 func (m *Meter) Bucket(kind MessageKind, b int) uint64 {
@@ -109,15 +100,4 @@ func (m *Meter) Bucket(kind MessageKind, b int) uint64 {
 		return 0
 	}
 	return m.counts[kind][b]
-}
-
-// Buckets returns the number of buckets touched so far across kinds.
-func (m *Meter) Buckets() int {
-	n := 0
-	for k := MessageKind(0); k < numMessageKinds; k++ {
-		if len(m.counts[k]) > n {
-			n = len(m.counts[k])
-		}
-	}
-	return n
 }

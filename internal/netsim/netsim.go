@@ -102,12 +102,6 @@ func OneWayDelay(s Sampler, a, b BandwidthClass) float64 {
 	return s.BoundedNormal(mean, DelaySigma, mean-delayBound, mean+delayBound)
 }
 
-// MeanOneWayDelay returns the analytic mean delay between classes a and
-// b (useful for closed-form sanity checks in tests).
-func MeanOneWayDelay(a, b BandwidthClass) float64 {
-	return Govern(a, b).meanDelaySec()
-}
-
 // AssignClasses returns n bandwidth classes, each drawn equally likely
 // among the three classes (Section 4.2: "each user is equally likely to
 // be connected through a 56K modem, a cable modem or a LAN").

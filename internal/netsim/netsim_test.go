@@ -68,7 +68,7 @@ func TestOneWayDelayMeans(t *testing.T) {
 		if math.Abs(got-tc.want) > 0.002 {
 			t.Fatalf("%v-%v mean delay %v, want ~%v", tc.a, tc.b, got, tc.want)
 		}
-		if MeanOneWayDelay(tc.a, tc.b) != tc.want {
+		if Govern(tc.a, tc.b).meanDelaySec() != tc.want {
 			t.Fatalf("analytic mean mismatch for %v-%v", tc.a, tc.b)
 		}
 	}
@@ -133,9 +133,6 @@ func TestMeterBuckets(t *testing.T) {
 	if got := m.Bucket(MsgReply, 0); got != 0 {
 		t.Fatalf("untouched bucket = %d, want 0", got)
 	}
-	if m.Buckets() != 3 {
-		t.Fatalf("Buckets() = %d, want 3", m.Buckets())
-	}
 }
 
 func TestMeterTotals(t *testing.T) {
@@ -145,9 +142,6 @@ func TestMeterTotals(t *testing.T) {
 	m.Count(MsgInvite, 5, 1)
 	if m.Total(MsgQuery) != 7 {
 		t.Fatalf("Total(query) = %d", m.Total(MsgQuery))
-	}
-	if m.TotalAll() != 8 {
-		t.Fatalf("TotalAll = %d", m.TotalAll())
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -224,15 +223,6 @@ func New(cfg Config) *Sim {
 func (s *Sim) hasChunk(id topology.NodeID, key core.Key) bool {
 	return s.caches[id].Contains(key)
 }
-
-// Engine exposes the simulator.
-func (s *Sim) Engine() *sim.Engine { return s.sess.Engine() }
-
-// Network exposes the neighbor graph.
-func (s *Sim) Network() *topology.Network { return s.sess.Network() }
-
-// Metrics returns the collected measurements.
-func (s *Sim) Metrics() *Metrics { return s.met }
 
 // Run executes the configured duration.
 func (s *Sim) Run() *Metrics {

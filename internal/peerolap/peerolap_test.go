@@ -110,7 +110,7 @@ func TestCachesWarmOverTime(t *testing.T) {
 func TestNetworkRemainsConsistent(t *testing.T) {
 	s := New(tinyConfig(Dynamic))
 	s.Run()
-	if !s.Network().Consistent() {
+	if !s.sess.Network().Consistent() {
 		t.Fatal("network inconsistent after run")
 	}
 }

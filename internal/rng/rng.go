@@ -105,11 +105,6 @@ func bits128(v, bound uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Int63 returns a uniform non-negative int64.
-func (s *Stream) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (s *Stream) Perm(n int) []int {
 	p := make([]int, n)
@@ -191,35 +186,4 @@ func (s *Stream) BoundedNormal(mean, stddev, lo, hi float64) float64 {
 // Bernoulli returns true with probability p.
 func (s *Stream) Bernoulli(p float64) bool {
 	return s.Float64() < p
-}
-
-// Pick returns a uniformly chosen element of xs. It panics on an empty
-// slice.
-func Pick[T any](s *Stream, xs []T) T {
-	return xs[s.Intn(len(xs))]
-}
-
-// Sample returns k distinct elements drawn uniformly without
-// replacement from xs (reservoir sampling; order is random). If
-// k >= len(xs) a shuffled copy of xs is returned.
-func Sample[T any](s *Stream, xs []T, k int) []T {
-	if k < 0 {
-		panic("rng: Sample with negative k")
-	}
-	if k >= len(xs) {
-		out := make([]T, len(xs))
-		copy(out, xs)
-		s.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-		return out
-	}
-	out := make([]T, k)
-	copy(out, xs[:k])
-	for i := k; i < len(xs); i++ {
-		j := s.Intn(i + 1)
-		if j < k {
-			out[j] = xs[i]
-		}
-	}
-	s.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
 }

@@ -214,68 +214,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSampleDistinct(t *testing.T) {
-	s := New(43)
-	xs := make([]int, 100)
-	for i := range xs {
-		xs[i] = i
-	}
-	got := Sample(s, xs, 10)
-	if len(got) != 10 {
-		t.Fatalf("Sample returned %d items, want 10", len(got))
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		if seen[v] {
-			t.Fatalf("Sample returned duplicate %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSampleAllWhenKTooLarge(t *testing.T) {
-	s := New(47)
-	xs := []int{1, 2, 3}
-	got := Sample(s, xs, 10)
-	if len(got) != 3 {
-		t.Fatalf("Sample(k>len) returned %d items, want 3", len(got))
-	}
-}
-
-func TestSampleUniform(t *testing.T) {
-	// Every element should appear in a k-sample with probability k/n.
-	s := New(53)
-	const n, k, trials = 20, 5, 40000
-	counts := make([]int, n)
-	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = i
-	}
-	for t := 0; t < trials; t++ {
-		for _, v := range Sample(s, xs, k) {
-			counts[v]++
-		}
-	}
-	want := float64(trials) * k / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-			t.Fatalf("element %d sampled %d times, want ~%v", i, c, want)
-		}
-	}
-}
-
-func TestPick(t *testing.T) {
-	s := New(59)
-	xs := []string{"a", "b", "c"}
-	seen := map[string]bool{}
-	for i := 0; i < 1000; i++ {
-		seen[Pick(s, xs)] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("Pick never chose some elements: %v", seen)
-	}
-}
-
 func TestBernoulli(t *testing.T) {
 	s := New(61)
 	const p, n = 0.3, 100000

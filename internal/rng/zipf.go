@@ -54,12 +54,6 @@ func pow(x, y float64) float64 {
 	return math.Pow(x, y)
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return z.n }
-
-// Theta returns the skew exponent.
-func (z *Zipf) Theta() float64 { return z.theta }
-
 // Rank draws a rank in [1, N], rank 1 being the most popular.
 func (z *Zipf) Rank(s *Stream) int {
 	u := s.Float64()

@@ -36,7 +36,6 @@ type Engine struct {
 	queue     *eventq.Queue
 	now       float64
 	processed uint64
-	stopped   bool
 	horizon   float64 // events past this time are silently dropped; 0 = none
 }
 
@@ -96,10 +95,6 @@ func (e *Engine) Cancel(ev *Event) bool {
 	return e.queue.Cancel(ev.item)
 }
 
-// Stop makes Run return after the current handler completes. Pending
-// events remain queued; a subsequent Run call resumes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step fires the single earliest event. It reports whether an event was
 // available.
 func (e *Engine) Step() bool {
@@ -113,10 +108,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 
@@ -126,15 +120,14 @@ func (e *Engine) RunUntil(t float64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now=%v", t, e.now))
 	}
-	e.stopped = false
-	for !e.stopped {
+	for {
 		next := e.queue.Peek()
 		if next == nil || next.Time > t {
 			break
 		}
 		e.Step()
 	}
-	if !e.stopped && e.now < t {
+	if e.now < t {
 		e.now = t
 	}
 }

@@ -114,27 +114,6 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func(en *Engine) {
-			count++
-			if count == 3 {
-				en.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
-	}
-	e.Run() // resume
-	if count != 10 {
-		t.Fatalf("resume ran to %d, want 10", count)
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New()
 	var fired []float64

@@ -117,19 +117,6 @@ func (l *Ledger) Reset(peer topology.NodeID) {
 	}
 }
 
-// Len returns the number of peers with records.
-func (l *Ledger) Len() int { return len(l.entries) }
-
-// Peers returns all recorded peer IDs in ascending order (deterministic
-// iteration for the simulator).
-func (l *Ledger) Peers() []topology.NodeID {
-	out := make([]topology.NodeID, len(l.entries))
-	for i, e := range l.entries {
-		out[i] = e.peer
-	}
-	return out
-}
-
 // Decay multiplies every record's cumulative fields by factor in
 // [0, 1]. Periodic decay lets the neighborhood track drifting access
 // patterns ("exploration methods continuously update the neighborhoods

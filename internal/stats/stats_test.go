@@ -15,8 +15,8 @@ func TestTouchCreatesOnce(t *testing.T) {
 	if a != b {
 		t.Fatal("Touch must return the same record")
 	}
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d", l.Len())
+	if len(l.entries) != 1 {
+		t.Fatalf("%d records, want 1", len(l.entries))
 	}
 }
 
@@ -52,11 +52,10 @@ func TestPeersSorted(t *testing.T) {
 	for _, id := range []topology.NodeID{5, 1, 9, 3} {
 		l.Touch(id)
 	}
-	got := l.Peers()
 	want := []topology.NodeID{1, 3, 5, 9}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Peers = %v", got)
+		if got := l.entries[i].peer; got != want[i] {
+			t.Fatalf("record %d is peer %d, want %d", i, got, want[i])
 		}
 	}
 }

@@ -60,14 +60,3 @@ func RandomWire(net *Network, k int, intn IntSource) {
 		}
 	}
 }
-
-// OnlineFilter returns the subset of ids for which online(id) is true.
-func OnlineFilter(ids []NodeID, online func(NodeID) bool) []NodeID {
-	out := make([]NodeID, 0, len(ids))
-	for _, id := range ids {
-		if online(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}

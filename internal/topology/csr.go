@@ -136,8 +136,3 @@ func (c *CSR) Out(id NodeID) []NodeID {
 // Liveness churn belongs to the mutable layer above; re-freeze (or keep
 // the Network view) when it matters.
 func (c *CSR) Online(NodeID) bool { return true }
-
-// Degree returns the outgoing degree of id.
-func (c *CSR) Degree(id NodeID) int {
-	return int(c.offsets[id+1] - c.offsets[id])
-}

@@ -85,9 +85,9 @@ func FuzzFreezeRoundTrip(f *testing.F) {
 			for id := NodeID(0); int(id) < n; id++ {
 				want := net.Out(id)
 				got := csr.Out(id)
-				if len(got) != len(want) || csr.Degree(id) != len(want) {
+				if len(got) != len(want) || len(csr.Out(id)) != len(want) {
 					t.Fatalf("%s: node %d degree %d (Degree %d), want %d",
-						label, id, len(got), csr.Degree(id), len(want))
+						label, id, len(got), len(csr.Out(id)), len(want))
 				}
 				for k := range want {
 					if got[k] != want[k] {

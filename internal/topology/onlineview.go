@@ -26,6 +26,3 @@ func (v *OnlineView) Out(id NodeID) []NodeID { return v.Net.Out(id) }
 
 // Online reports whether id currently participates.
 func (v *OnlineView) Online(id NodeID) bool { return v.Mask == nil || v.Mask[id] }
-
-// Len returns the node count (lets engines pre-size per-query state).
-func (v *OnlineView) Len() int { return v.Net.Len() }

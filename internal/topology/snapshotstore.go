@@ -18,12 +18,11 @@ import (
 //     and Release the pin. A pinned snapshot is immutable for the whole
 //     pin lifetime, no matter how many epochs the writer publishes
 //     meanwhile — a cascade can never observe a half-frozen graph.
-//   - The writer mutates the build-side Network (directly, or through
-//     delta batches via Apply) and calls Publish, which freezes the
-//     network into an off-duty buffer (recycled from a fully-drained
-//     retired epoch when one exists, freshly allocated otherwise) and
-//     installs it with one atomic pointer swap. The swap is the
-//     linearization point: queries pinned before it run to completion
+//   - The writer hands delta batches to Apply, which applies them to
+//     the build-side Network, freezes it into an off-duty buffer
+//     (recycled from a fully-drained retired epoch when one exists,
+//     freshly allocated otherwise) and installs it with one atomic
+//     pointer swap. The swap is the linearization point: queries pinned before it run to completion
 //     on the old adjacency, queries pinned after it see the new one,
 //     and no query sees anything in between.
 //   - A retired epoch's buffer is reclaimed (pushed onto the free
@@ -35,13 +34,11 @@ import (
 //     rather than blocking the writer or, worse, being overwritten
 //     under the reader.
 //
-// Writer methods (Publish, Apply) serialize on an internal mutex, so
-// multiple writer goroutines are safe, but the intended shape is a
-// single writer: the mutation of the build-side Network itself is the
-// caller's to serialize, and interleaved half-applied batches from two
-// writers would publish half-applied epochs. Readers never take the
-// writer lock — Acquire/Release are a handful of atomic operations —
-// and the writer never waits for readers.
+// Apply serializes on an internal mutex, so multiple writer goroutines
+// are safe and never publish an epoch holding half of another call's
+// batch. Readers never take the writer lock — Acquire/Release are a
+// handful of atomic operations — and the writer never waits for
+// readers.
 type SnapshotStore struct {
 	net *Network
 	cur atomic.Pointer[storeEpoch]
@@ -87,7 +84,7 @@ type Pin struct {
 func (p Pin) Graph() *CSR { return p.ep.csr }
 
 // Epoch returns the pinned epoch's sequence number (1 for the epoch
-// NewSnapshotStore froze, +1 per Publish).
+// NewSnapshotStore froze, +1 per Apply).
 func (p Pin) Epoch() uint64 { return p.ep.seq }
 
 // Release drops the pin. The last release of a retired epoch recycles
@@ -96,11 +93,9 @@ func (p Pin) Epoch() uint64 { return p.ep.seq }
 func (p Pin) Release() { p.ep.unref() }
 
 // NewSnapshotStore freezes net into epoch 1 and returns the store
-// serving it. The store takes over snapshot production for net: the
-// caller keeps mutating net (it remains the build representation) but
-// must route all freezing through Publish so buffer recycling stays
-// sound — a concurrent caller-side FreezeInto onto a CSR the store
-// owns would corrupt pinned readers.
+// serving it. The store takes over net: from here on it changes only
+// through Apply, so buffer recycling stays sound — a caller-side
+// mutation or FreezeInto would race pinned readers.
 func NewSnapshotStore(net *Network) *SnapshotStore {
 	s := &SnapshotStore{net: net}
 	ep := &storeEpoch{store: s, csr: net.Freeze(), seq: 1}
@@ -110,10 +105,6 @@ func NewSnapshotStore(net *Network) *SnapshotStore {
 	return s
 }
 
-// Network returns the build-side network. Only the writer may mutate
-// it, and mutations are invisible to readers until Publish.
-func (s *SnapshotStore) Network() *Network { return s.net }
-
 // Len returns the node count (fixed for the store's lifetime).
 func (s *SnapshotStore) Len() int { return s.net.Len() }
 
@@ -122,7 +113,7 @@ func (s *SnapshotStore) Epoch() uint64 { return s.cur.Load().seq }
 
 // Acquire pins the current epoch and returns the lease. The
 // increment-then-re-check loop closes the race with a concurrent
-// Publish: if the epoch pointer moved between the load and the
+// Apply: if the epoch pointer moved between the load and the
 // increment, the pin may have landed on a retired (even drained)
 // epoch, so it is dropped and the acquire retried on the fresh
 // pointer. The transient reference is harmless — unref recycles a
@@ -142,7 +133,7 @@ func (s *SnapshotStore) Acquire() Pin {
 
 // unref drops one reference; the reference that retires *and* drains
 // the epoch hands its buffer to the free list. The store's own
-// reference (dropped in Publish after retired flips) guarantees that
+// reference (dropped in Apply after retired flips) guarantees that
 // whoever takes refs to zero observes retired == true.
 func (ep *storeEpoch) unref() {
 	if ep.refs.Add(-1) == 0 && ep.retired.Load() &&
@@ -154,54 +145,35 @@ func (ep *storeEpoch) unref() {
 	}
 }
 
-// Publish freezes the network's current adjacency into the next epoch
-// and atomically swaps it in, returning the new sequence number. The
-// freeze itself runs on the writer's goroutine against an off-duty
-// buffer, so readers are never paused: the only reader-visible effect
-// is the pointer swap at the end.
-func (s *SnapshotStore) Publish() uint64 {
-	s.mu.Lock()
-	seq, old := s.publishLocked()
-	s.mu.Unlock()
-	old.unref() // drop the store's reference; recycles if already drained
-	return seq
-}
-
 // Apply applies one delta batch to the build-side network and
 // publishes the resulting epoch — the single call a churn consumer
 // needs. Batch application and the freeze happen under one writer
 // critical section, so concurrent Apply calls never publish an epoch
 // holding half of another call's batch. It returns the new epoch's
-// sequence number.
+// sequence number. The freeze runs on the writer's goroutine against
+// an off-duty buffer, so readers are never paused: the only
+// reader-visible effect is the pointer swap at the end.
 func (s *SnapshotStore) Apply(ds []Delta) uint64 {
 	s.mu.Lock()
 	s.net.ApplyAll(ds)
-	seq, old := s.publishLocked()
-	s.mu.Unlock()
-	old.unref()
-	return seq
-}
-
-// publishLocked is the freeze-and-swap core, called with mu held. It
-// returns the new sequence number plus the retired epoch, whose
-// store-held reference the caller must drop *after* releasing mu —
-// unref's reclamation edge takes mu itself, and dropping the reference
-// inside the critical section would deadlock exactly when no reader
-// holds the retired epoch (the common case).
-func (s *SnapshotStore) publishLocked() (uint64, *storeEpoch) {
 	var buf *CSR
 	if n := len(s.free); n > 0 {
 		buf, s.free = s.free[n-1], s.free[:n-1]
 	} else {
 		s.allocs.Add(1)
 	}
-	csr := s.net.FreezeInto(buf)
 	old := s.cur.Load()
-	ep := &storeEpoch{store: s, csr: csr, seq: old.seq + 1}
+	ep := &storeEpoch{store: s, csr: s.net.FreezeInto(buf), seq: old.seq + 1}
 	ep.refs.Store(1)
 	s.cur.Store(ep) // linearization point: new pins land here
 	old.retired.Store(true)
-	return ep.seq, old
+	s.mu.Unlock()
+	// Drop the store's reference to the retired epoch only after
+	// releasing mu: unref's reclamation edge takes mu itself, so
+	// dropping it inside the critical section would deadlock exactly
+	// when no reader holds the retired epoch (the common case).
+	old.unref()
+	return ep.seq
 }
 
 // Buffers reports how many CSR buffers the store owns in total: the

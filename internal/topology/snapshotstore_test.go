@@ -167,8 +167,7 @@ func TestAcquireRelease(t *testing.T) {
 	if a.Epoch() != 1 || b.Epoch() != 1 {
 		t.Fatalf("pins on epochs %d/%d, want 1/1", a.Epoch(), b.Epoch())
 	}
-	net.Connect(1, 2)
-	if got := store.Publish(); got != 2 {
+	if got := store.Apply([]Delta{{Op: OpConnect, Src: 1, Dst: 2}}); got != 2 {
 		t.Fatalf("publish returned %d, want 2", got)
 	}
 	c := store.Acquire()
@@ -222,7 +221,7 @@ func TestSnapshotStoreConcurrentReaders(t *testing.T) {
 							return
 						}
 					}
-					edges += csr.Degree(NodeID(i))
+					edges += len(csr.Out(NodeID(i)))
 				}
 				if edges != csr.EdgeCount() {
 					t.Errorf("degree sum %d != edge count %d", edges, csr.EdgeCount())

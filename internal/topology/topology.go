@@ -66,15 +66,6 @@ type NeighborList struct {
 	cap int
 }
 
-// NewNeighborList returns an empty list with the given capacity.
-// capacity <= 0 means unbounded.
-func NewNeighborList(capacity int) *NeighborList {
-	return &NeighborList{cap: capacity}
-}
-
-// Cap returns the capacity (0 = unbounded).
-func (l *NeighborList) Cap() int { return l.cap }
-
 // Len returns the number of members.
 func (l *NeighborList) Len() int { return len(l.ids) }
 
@@ -128,9 +119,6 @@ func (l *NeighborList) Snapshot() []NodeID {
 	copy(out, l.ids)
 	return out
 }
-
-// Clear removes all members.
-func (l *NeighborList) Clear() { l.ids = l.ids[:0] }
 
 // Node is one repository's neighborhood state: the outgoing list L_i
 // (where its own requests go) and the incoming list I_i (who may send
@@ -186,9 +174,6 @@ func NewNetwork(relation Relation, n, outCap, inCap int) *Network {
 	return net
 }
 
-// Relation returns the regime the network was built with.
-func (net *Network) Relation() Relation { return net.relation }
-
 // Len returns the number of nodes.
 func (net *Network) Len() int { return len(net.nodes) }
 
@@ -200,9 +185,6 @@ func (net *Network) Node(id NodeID) *Node {
 
 // Out returns node id's outgoing neighbor IDs (shared backing array).
 func (net *Network) Out(id NodeID) []NodeID { return net.nodes[id].Out.IDs() }
-
-// In returns node id's incoming neighbor IDs (shared backing array).
-func (net *Network) In(id NodeID) []NodeID { return net.nodes[id].In.IDs() }
 
 // Connect makes dst an outgoing neighbor of src, updating dst's
 // incoming list to preserve consistency. It reports whether the edge
@@ -259,11 +241,6 @@ func (net *Network) Isolate(id NodeID) {
 	for _, in := range n.In.Snapshot() {
 		net.Disconnect(in, id)
 	}
-}
-
-// Degree returns len(out), len(in) for a node.
-func (net *Network) Degree(id NodeID) (out, in int) {
-	return net.nodes[id].Out.Len(), net.nodes[id].In.Len()
 }
 
 // InconsistentEdge describes a violation of the consistency invariant.

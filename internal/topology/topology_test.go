@@ -8,7 +8,7 @@ import (
 )
 
 func TestNeighborListBasics(t *testing.T) {
-	l := NewNeighborList(3)
+	l := &NeighborList{cap: 3}
 	if l.Len() != 0 || l.Full() {
 		t.Fatal("new list must be empty and not full")
 	}
@@ -30,14 +30,10 @@ func TestNeighborListBasics(t *testing.T) {
 	if got := l.Snapshot(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("order not preserved: %v", got)
 	}
-	l.Clear()
-	if l.Len() != 0 {
-		t.Fatal("Clear failed")
-	}
 }
 
 func TestNeighborListUnbounded(t *testing.T) {
-	l := NewNeighborList(0)
+	l := &NeighborList{}
 	for i := 0; i < 1000; i++ {
 		if !l.Add(NodeID(i)) {
 			t.Fatalf("unbounded list refused add %d", i)
@@ -49,7 +45,7 @@ func TestNeighborListUnbounded(t *testing.T) {
 }
 
 func TestSnapshotIsCopy(t *testing.T) {
-	l := NewNeighborList(2)
+	l := &NeighborList{cap: 2}
 	l.Add(1)
 	s := l.Snapshot()
 	s[0] = 99
@@ -69,7 +65,7 @@ func TestRelationString(t *testing.T) {
 func TestAllToAllConstruction(t *testing.T) {
 	net := NewNetwork(AllToAll, 5, 4, 4) // caps ignored for all-to-all
 	for i := 0; i < 5; i++ {
-		out, in := net.Degree(NodeID(i))
+		out, in := net.Node(NodeID(i)).Out.Len(), net.Node(NodeID(i)).In.Len()
 		if out != 4 || in != 4 {
 			t.Fatalf("node %d degree (%d,%d), want (4,4)", i, out, in)
 		}
@@ -115,7 +111,7 @@ func TestPureAsymmetricUnboundedIncoming(t *testing.T) {
 			t.Fatalf("node %d could not attach to hub", i)
 		}
 	}
-	if _, in := net.Degree(0); in != 9 {
+	if in := net.Node(0).In.Len(); in != 9 {
 		t.Fatalf("hub in-degree %d, want 9", in)
 	}
 }
@@ -140,7 +136,7 @@ func TestConnectSymmetricRespectsPeerCapacity(t *testing.T) {
 	if net.Connect(3, 0) {
 		t.Fatal("connect to full symmetric peer succeeded")
 	}
-	out, in := net.Degree(3)
+	out, in := net.Node(3).Out.Len(), net.Node(3).In.Len()
 	if out != 0 || in != 0 {
 		t.Fatal("failed connect must not leave partial edges")
 	}
@@ -159,7 +155,7 @@ func TestDisconnect(t *testing.T) {
 		t.Fatal("double disconnect succeeded")
 	}
 	for _, n := range []NodeID{0, 1} {
-		out, in := net.Degree(n)
+		out, in := net.Node(n).Out.Len(), net.Node(n).In.Len()
 		if out != 0 || in != 0 {
 			t.Fatalf("node %d still has edges after disconnect", n)
 		}
@@ -175,7 +171,7 @@ func TestIsolate(t *testing.T) {
 	net.Connect(0, 2)
 	net.Connect(3, 0)
 	net.Isolate(0)
-	out, in := net.Degree(0)
+	out, in := net.Node(0).Out.Len(), net.Node(0).In.Len()
 	if out != 0 || in != 0 {
 		t.Fatalf("isolated node has degree (%d,%d)", out, in)
 	}
@@ -250,7 +246,7 @@ func TestRandomWireDegreesAndConsistency(t *testing.T) {
 		t.Fatalf("random wiring inconsistent: %v", net.AuditConsistency()[:3])
 	}
 	for i := 0; i < 100; i++ {
-		out, in := net.Degree(NodeID(i))
+		out, in := net.Node(NodeID(i)).Out.Len(), net.Node(NodeID(i)).In.Len()
 		if out > 4 || in > 4 {
 			t.Fatalf("node %d degree (%d,%d) exceeds cap", i, out, in)
 		}
@@ -261,7 +257,7 @@ func TestRandomWireDegreesAndConsistency(t *testing.T) {
 	// Most nodes should have reached full degree.
 	full := 0
 	for i := 0; i < 100; i++ {
-		if out, _ := net.Degree(NodeID(i)); out == 4 {
+		if out := net.Node(NodeID(i)).Out.Len(); out == 4 {
 			full++
 		}
 	}
@@ -288,14 +284,6 @@ func TestRandomAttachZeroK(t *testing.T) {
 	net := NewNetwork(PureAsymmetric, 3, 2, 0)
 	if RandomAttach(net, 0, []NodeID{1, 2}, 0, s.Intn) != 0 {
 		t.Fatal("k=0 must attach nothing")
-	}
-}
-
-func TestOnlineFilter(t *testing.T) {
-	ids := []NodeID{0, 1, 2, 3}
-	got := OnlineFilter(ids, func(id NodeID) bool { return id%2 == 0 })
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("OnlineFilter = %v", got)
 	}
 }
 

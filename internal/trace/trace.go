@@ -80,13 +80,6 @@ func (b *Buffer) Record(e Event) {
 	b.mu.Unlock()
 }
 
-// Len returns the number of recorded events.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.events)
-}
-
 // Events returns a snapshot of all recorded events.
 func (b *Buffer) Events() []Event {
 	b.mu.Lock()
@@ -94,32 +87,6 @@ func (b *Buffer) Events() []Event {
 	out := make([]Event, len(b.events))
 	copy(out, b.events)
 	return out
-}
-
-// Filter returns the recorded events of one kind.
-func (b *Buffer) Filter(kind Kind) []Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var out []Event
-	for _, e := range b.events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Count returns how many events of one kind were recorded.
-func (b *Buffer) Count(kind Kind) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, e := range b.events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // JSONL streams events as JSON lines to a writer.

@@ -14,26 +14,12 @@ func TestBufferRecordsInOrder(t *testing.T) {
 	var b Buffer
 	b.Record(Event{T: 1, Kind: KindQuery, Node: 1})
 	b.Record(Event{T: 2, Kind: KindHit, Node: 1, Peer: 2})
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d", b.Len())
-	}
 	ev := b.Events()
+	if len(ev) != 2 {
+		t.Fatalf("%d events, want 2", len(ev))
+	}
 	if ev[0].Kind != KindQuery || ev[1].Kind != KindHit {
 		t.Fatalf("events: %v", ev)
-	}
-}
-
-func TestBufferFilterAndCount(t *testing.T) {
-	var b Buffer
-	for i := 0; i < 5; i++ {
-		b.Record(Event{Kind: KindQuery})
-	}
-	b.Record(Event{Kind: KindEvict})
-	if b.Count(KindQuery) != 5 || b.Count(KindEvict) != 1 || b.Count(KindLogin) != 0 {
-		t.Fatal("counts wrong")
-	}
-	if len(b.Filter(KindQuery)) != 5 {
-		t.Fatal("filter wrong")
 	}
 }
 

@@ -244,15 +244,6 @@ func (s *Sim) hasPage(id topology.NodeID, key core.Key) bool {
 	return s.caches[id].Contains(key)
 }
 
-// Engine exposes the simulator.
-func (s *Sim) Engine() *sim.Engine { return s.sess.Engine() }
-
-// Network exposes the neighbor graph.
-func (s *Sim) Network() *topology.Network { return s.sess.Network() }
-
-// Metrics returns the collected measurements.
-func (s *Sim) Metrics() *Metrics { return s.met }
-
 // Run executes the configured duration.
 func (s *Sim) Run() *Metrics {
 	s.sess.Run()

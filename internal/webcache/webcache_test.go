@@ -130,7 +130,7 @@ func TestDigestGuidanceReducesQueryTraffic(t *testing.T) {
 func TestNetworkRemainsConsistent(t *testing.T) {
 	s := New(tinyConfig(Dynamic))
 	s.Run()
-	if !s.Network().Consistent() {
+	if !s.sess.Network().Consistent() {
 		t.Fatal("asymmetric network inconsistent after run")
 	}
 }

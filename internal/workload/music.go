@@ -117,12 +117,6 @@ func NewCatalog(cfg MusicConfig) *Catalog {
 	}
 }
 
-// Config returns the generating configuration.
-func (c *Catalog) Config() MusicConfig { return c.cfg }
-
-// SongsPerCategory returns the category size.
-func (c *Catalog) SongsPerCategory() int { return c.perCat }
-
 // Song maps (category, rank) to a SongID. rank is 1-based.
 func (c *Catalog) Song(category, rank int) SongID {
 	if category < 0 || category >= c.cfg.Categories || rank < 1 || rank > c.perCat {
@@ -130,9 +124,6 @@ func (c *Catalog) Song(category, rank int) SongID {
 	}
 	return SongID(category*c.perCat + rank - 1)
 }
-
-// Category returns the category of a song.
-func (c *Catalog) Category(s SongID) int { return int(s) / c.perCat }
 
 // SampleSong draws a song from the given category by popularity.
 func (c *Catalog) SampleSong(s *rng.Stream, category int) SongID {
@@ -164,9 +155,6 @@ func (u *User) Has(s SongID) bool {
 	_, ok := u.Library[s]
 	return ok
 }
-
-// LibrarySize returns the number of songs shared.
-func (u *User) LibrarySize() int { return len(u.Library) }
 
 // GenerateUsers builds the full population per Section 4.2. The stream
 // fully determines the result.
@@ -262,14 +250,4 @@ func SampleQuery(cat *Catalog, s *rng.Stream, u *User) SongID {
 		song = cat.SampleSong(s, category)
 	}
 	return song
-}
-
-// TotalSongs returns the summed library sizes (the paper reports
-// "approximately a total of 400,000 songs in the whole network").
-func TotalSongs(users []*User) int {
-	n := 0
-	for _, u := range users {
-		n += u.LibrarySize()
-	}
-	return n
 }

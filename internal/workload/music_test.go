@@ -69,12 +69,12 @@ func TestScaled(t *testing.T) {
 
 func TestCatalogSongMapping(t *testing.T) {
 	cat := NewCatalog(smallConfig())
-	if cat.SongsPerCategory() != 100 {
-		t.Fatalf("songs per category = %d", cat.SongsPerCategory())
+	if cat.perCat != 100 {
+		t.Fatalf("songs per category = %d", cat.perCat)
 	}
 	s := cat.Song(3, 1)
-	if cat.Category(s) != 3 {
-		t.Fatalf("category round trip failed: song %d -> cat %d", s, cat.Category(s))
+	if int(s)/cat.perCat != 3 {
+		t.Fatalf("category round trip failed: song %d -> cat %d", s, int(s)/cat.perCat)
 	}
 	if cat.Song(0, 1) != 0 {
 		t.Fatal("first song must be ID 0")
@@ -103,8 +103,8 @@ func TestSampleSongRespectsCategory(t *testing.T) {
 	s := rng.New(1)
 	for i := 0; i < 1000; i++ {
 		song := cat.SampleSong(s, 7)
-		if cat.Category(song) != 7 {
-			t.Fatalf("sampled song %d in category %d", song, cat.Category(song))
+		if int(song)/cat.perCat != 7 {
+			t.Fatalf("sampled song %d in category %d", song, int(song)/cat.perCat)
 		}
 	}
 }
@@ -131,10 +131,10 @@ func TestGenerateUsersLibraryShape(t *testing.T) {
 	}
 	var sizes float64
 	for _, u := range users {
-		if u.LibrarySize() == 0 {
+		if len(u.Library) == 0 {
 			t.Fatal("user with empty library")
 		}
-		sizes += float64(u.LibrarySize())
+		sizes += float64(len(u.Library))
 		if len(u.Others) != cfg.OtherCategories {
 			t.Fatalf("user has %d other categories", len(u.Others))
 		}
@@ -160,11 +160,11 @@ func TestGenerateUsersFavoriteShare(t *testing.T) {
 	for _, u := range users {
 		fav := 0
 		for s := range u.Library {
-			if cat.Category(s) == u.Favorite {
+			if int(s)/cat.perCat == u.Favorite {
 				fav++
 			}
 		}
-		favFrac += float64(fav) / float64(u.LibrarySize())
+		favFrac += float64(fav) / float64(len(u.Library))
 	}
 	favFrac /= float64(len(users))
 	if math.Abs(favFrac-0.5) > 0.1 {
@@ -193,7 +193,7 @@ func TestGenerateUsersDeterministic(t *testing.T) {
 	a := GenerateUsers(cat, rng.New(7))
 	b := GenerateUsers(cat, rng.New(7))
 	for i := range a {
-		if a[i].Favorite != b[i].Favorite || a[i].LibrarySize() != b[i].LibrarySize() {
+		if a[i].Favorite != b[i].Favorite || len(a[i].Library) != len(b[i].Library) {
 			t.Fatalf("generation not deterministic at user %d", i)
 		}
 		for s := range a[i].Library {
@@ -210,7 +210,10 @@ func TestTotalSongsApproximation(t *testing.T) {
 	cfg := smallConfig()
 	cat := NewCatalog(cfg)
 	users := GenerateUsers(cat, rng.New(8))
-	total := TotalSongs(users)
+	total := 0
+	for _, u := range users {
+		total += len(u.Library)
+	}
 	want := float64(cfg.Users) * cfg.LibraryMean
 	if math.Abs(float64(total)-want) > want*0.15 {
 		t.Fatalf("total songs %d, want ~%v", total, want)
@@ -227,7 +230,7 @@ func TestSampleQueryCategories(t *testing.T) {
 	const n = 20000
 	for i := 0; i < n; i++ {
 		q := SampleQuery(cat, s, u)
-		c := cat.Category(q)
+		c := int(q) / cat.perCat
 		if c == u.Favorite {
 			favorite++
 			continue

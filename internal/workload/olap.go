@@ -80,12 +80,6 @@ func NewCube(cfg OlapConfig) *Cube {
 	return &Cube{cfg: cfg, perRegion: per, pop: rng.NewZipf(per, cfg.PopularityTheta)}
 }
 
-// Config returns the generating configuration.
-func (c *Cube) Config() OlapConfig { return c.cfg }
-
-// ChunksPerRegion returns the region partition size.
-func (c *Cube) ChunksPerRegion() int { return c.perRegion }
-
 // Chunk maps (region, rank) to a ChunkID; rank is 1-based.
 func (c *Cube) Chunk(region, rank int) ChunkID {
 	if region < 0 || region >= c.cfg.Regions || rank < 1 || rank > c.perRegion {
@@ -93,9 +87,6 @@ func (c *Cube) Chunk(region, rank int) ChunkID {
 	}
 	return ChunkID(region*c.perRegion + rank - 1)
 }
-
-// Region returns the region of a chunk.
-func (c *Cube) Region(ch ChunkID) int { return int(ch) / c.perRegion }
 
 // AssignRegions gives each peer a home region, uniformly.
 func (c *Cube) AssignRegions(s *rng.Stream) []int {

@@ -40,11 +40,11 @@ func TestOlapConfigValidation(t *testing.T) {
 
 func TestCubeMapping(t *testing.T) {
 	c := NewCube(smallOlapConfig())
-	if c.ChunksPerRegion() != 200 {
-		t.Fatalf("chunks per region = %d", c.ChunksPerRegion())
+	if c.perRegion != 200 {
+		t.Fatalf("chunks per region = %d", c.perRegion)
 	}
 	ch := c.Chunk(5, 7)
-	if c.Region(ch) != 5 {
+	if int(ch)/c.perRegion != 5 {
 		t.Fatalf("region round trip failed for chunk %d", ch)
 	}
 }
@@ -101,9 +101,9 @@ func TestOlapQuerySingleRegion(t *testing.T) {
 	s := rng.New(3)
 	for i := 0; i < 2000; i++ {
 		q := c.SampleQuery(s, 3)
-		region := c.Region(q[0])
+		region := int(q[0]) / c.perRegion
 		for _, ch := range q[1:] {
-			if c.Region(ch) != region {
+			if int(ch)/c.perRegion != region {
 				t.Fatalf("query spans regions: %v", q)
 			}
 		}
@@ -130,7 +130,7 @@ func TestOlapQueryLocalFraction(t *testing.T) {
 	local := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if c.Region(c.SampleQuery(s, 7)[0]) == 7 {
+		if int(c.SampleQuery(s, 7)[0])/c.perRegion == 7 {
 			local++
 		}
 	}

@@ -76,12 +76,6 @@ func NewWebSpace(cfg WebConfig) *WebSpace {
 	return &WebSpace{cfg: cfg, perInterest: per, pop: rng.NewZipf(per, cfg.PopularityTheta)}
 }
 
-// Config returns the generating configuration.
-func (w *WebSpace) Config() WebConfig { return w.cfg }
-
-// PagesPerInterest returns the community partition size.
-func (w *WebSpace) PagesPerInterest() int { return w.perInterest }
-
 // Page maps (interest, rank) to a PageID; rank is 1-based.
 func (w *WebSpace) Page(interest, rank int) PageID {
 	if interest < 0 || interest >= w.cfg.Interests || rank < 1 || rank > w.perInterest {
@@ -89,9 +83,6 @@ func (w *WebSpace) Page(interest, rank int) PageID {
 	}
 	return PageID(interest*w.perInterest + rank - 1)
 }
-
-// Interest returns the community of a page.
-func (w *WebSpace) Interest(p PageID) int { return int(p) / w.perInterest }
 
 // AssignInterests gives each proxy an interest community, uniformly.
 func (w *WebSpace) AssignInterests(s *rng.Stream) []int {

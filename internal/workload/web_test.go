@@ -38,11 +38,11 @@ func TestWebConfigValidation(t *testing.T) {
 
 func TestWebSpaceMapping(t *testing.T) {
 	w := NewWebSpace(smallWebConfig())
-	if w.PagesPerInterest() != 200 {
-		t.Fatalf("pages per interest = %d", w.PagesPerInterest())
+	if w.perInterest != 200 {
+		t.Fatalf("pages per interest = %d", w.perInterest)
 	}
 	p := w.Page(3, 1)
-	if w.Interest(p) != 3 {
+	if int(p)/w.perInterest != 3 {
 		t.Fatalf("interest round trip failed for page %d", p)
 	}
 	if w.Page(0, 1) != 0 || w.Page(9, 200) != 1999 {
@@ -83,7 +83,7 @@ func TestWebSampleRequestLocalFraction(t *testing.T) {
 	local := 0
 	const n = 40000
 	for i := 0; i < n; i++ {
-		if w.Interest(w.SampleRequest(s, 4)) == 4 {
+		if int(w.SampleRequest(s, 4))/w.perInterest == 4 {
 			local++
 		}
 	}
@@ -101,7 +101,7 @@ func TestWebSampleRequestRemoteExcludesOwn(t *testing.T) {
 	w := NewWebSpace(cfg)
 	s := rng.New(3)
 	for i := 0; i < 5000; i++ {
-		if w.Interest(w.SampleRequest(s, 4)) == 4 {
+		if int(w.SampleRequest(s, 4))/w.perInterest == 4 {
 			t.Fatal("remote request landed on own interest")
 		}
 	}

@@ -88,7 +88,7 @@ func TestDoMatchesRawCascade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := raw.Run(&core.Query{ID: core.QueryID(key), Key: q.Key, Origin: q.Origin, TTL: 5})
+		want := raw.RunScratch(&core.Query{ID: core.QueryID(key), Key: q.Key, Origin: q.Origin, TTL: 5}, nil)
 		if got.Messages != want.Messages || got.ReplyMessages != want.ReplyMessages ||
 			got.Visited != want.Visited || got.FirstResultDelay != want.FirstResultDelay ||
 			!reflect.DeepEqual(got.Hits, want.Results) {
@@ -276,9 +276,14 @@ func TestExplore(t *testing.T) {
 	if len(out.Findings) != 4 {
 		t.Fatalf("explored %d nodes, want 4: %+v", len(out.Findings), out.Findings)
 	}
-	holders := out.Holders(2)
+	var holders []search.NodeID
+	for _, f := range out.Findings {
+		if len(f.Held) > 0 {
+			holders = append(holders, f.Node)
+		}
+	}
 	if len(holders) != 1 || holders[0] != 2 {
-		t.Errorf("Holders(2) = %v, want [2]", holders)
+		t.Errorf("holders = %v, want [2]", holders)
 	}
 	// The outcome is caller-owned: a subsequent search through the same
 	// engine must not clobber it.
