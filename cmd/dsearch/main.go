@@ -35,6 +35,9 @@ func main() {
 		timeout = flag.Duration("timeout", 2*time.Second, "search collection window")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fatalf("unexpected argument %q", flag.Arg(0))
+	}
 	if *addr == "" {
 		fatalf("-addr is required: the HTTP address of a running dsearchd")
 	}

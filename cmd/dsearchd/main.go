@@ -90,6 +90,9 @@ func main() {
 		faultDelayMax = flag.Int("fault-delay-max", 0, "injected per-message delay upper bound (ms)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fatalf("unexpected argument %q", flag.Arg(0))
+	}
 
 	var cfg daemon.Config
 	if *cfgPath != "" {

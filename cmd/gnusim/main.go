@@ -32,11 +32,13 @@ import (
 
 // flags are the settings buildConfig turns into a simulation config.
 type flags struct {
-	mode, update, benefit, forward                          string
-	users, songs, hours, ttl, neighbors, theta, swaps, reps int
-	localIdx, deepening                                     bool
-	trial, rate                                             float64
-	seed                                                    uint64
+	mode, update, benefit, forward                                   string
+	users, songs, hours, ttl, neighbors, theta, swaps, reps, workers int
+	localIdx, deepening                                              bool
+	trial, rate                                                      float64
+	seed                                                             uint64
+	// args are the positional arguments, of which gnusim takes none.
+	args []string
 }
 
 func main() {
@@ -58,12 +60,13 @@ func main() {
 	flag.Float64Var(&f.rate, "rate", 12, "queries per on-line user per hour")
 	flag.Uint64Var(&f.seed, "seed", 1, "experiment seed")
 	flag.IntVar(&f.reps, "reps", 1, "replicate the run under derived seeds, report mean ± std")
+	flag.IntVar(&f.workers, "workers", 0, "worker pool size for -reps (0 = GOMAXPROCS)")
 	var (
-		workers   = flag.Int("workers", 0, "worker pool size for -reps (0 = GOMAXPROCS)")
 		csv       = flag.Bool("csv", false, "emit the hourly series as CSV")
 		traceFile = flag.String("trace", "", "write a JSONL protocol event trace to this file")
 	)
 	flag.Parse()
+	f.args = flag.Args()
 
 	cfg, err := buildConfig(f)
 	if err != nil {
@@ -75,7 +78,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gnusim: -trace and -csv apply to single runs, not -reps sweeps")
 			os.Exit(2)
 		}
-		os.Exit(runReplicates(cfg, f.seed, f.reps, *workers))
+		os.Exit(runReplicates(cfg, f.seed, f.reps, f.workers))
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -201,12 +204,16 @@ func buildConfig(f flags) (gnutella.Config, error) {
 		return gnutella.Config{}, fmt.Errorf("unknown mode %q", f.mode)
 	}
 	switch {
+	case len(f.args) > 0:
+		return gnutella.Config{}, fmt.Errorf("unexpected argument %q", f.args[0])
 	case f.users <= 0:
 		return gnutella.Config{}, fmt.Errorf("users %d must be positive", f.users)
 	case f.songs < 0:
 		return gnutella.Config{}, fmt.Errorf("-songs %d must not be negative", f.songs)
 	case f.reps < 1:
 		return gnutella.Config{}, fmt.Errorf("-reps %d must be at least 1", f.reps)
+	case f.workers < 0:
+		return gnutella.Config{}, fmt.Errorf("-workers %d must not be negative (0 = GOMAXPROCS)", f.workers)
 	case f.deepening && f.ttl < 2:
 		return gnutella.Config{}, fmt.Errorf("-deepening needs -ttl of at least 2, got %d", f.ttl)
 	}

@@ -7,7 +7,9 @@ import (
 
 // TestBuildConfigRejectsBadInput: every flag value that used to panic
 // the simulation (a zero network size in the catalog scaling, a NaN or
-// infinite query rate in the samplers) comes back as a validation error.
+// infinite query rate in the samplers) or to be silently ignored (a
+// negative worker count, a stray positional argument) comes back as a
+// validation error.
 func TestBuildConfigRejectsBadInput(t *testing.T) {
 	valid := flags{mode: "dynamic", users: 200, hours: 6, ttl: 2, neighbors: 4, theta: 2, swaps: 1, reps: 1,
 		update: "symmetric", benefit: "br", forward: "flood", rate: 12, seed: 1}
@@ -29,6 +31,8 @@ func TestBuildConfigRejectsBadInput(t *testing.T) {
 		{"zero reps", func(f *flags) { f.reps = 0 }},
 		{"negative reps", func(f *flags) { f.reps = -2 }},
 		{"deepening at ttl 1", func(f *flags) { f.deepening, f.ttl = true, 1 }},
+		{"negative workers", func(f *flags) { f.reps, f.workers = 2, -3 }},
+		{"stray argument", func(f *flags) { f.args = []string{"bogus"} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := valid

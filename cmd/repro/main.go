@@ -13,9 +13,8 @@
 // registry swept over one network; -list-policies prints the
 // registry), skew (the session-driver grid: Zipf skew × churn ×
 // policy plus a flash-crowd cell), and churnserve (saturated serving
-// under churn: stop-the-world re-freeze vs zero-downtime epoch swaps,
-// emitting BENCH_churnserve.json). -list prints every family with a
-// one-line description.
+// under churn: stop-the-world re-freeze vs zero-downtime epoch swaps).
+// -list prints every family with a one-line description.
 //
 // -cpuprofile/-memprofile write pprof profiles of the selected run, so
 // hot-path work is measurable without editing code:
@@ -27,19 +26,17 @@
 // are bit-for-bit identical at any -workers value. With -json, the
 // per-cell outputs land in <out>/<name>/cells.json (deterministic —
 // diff it across commits) and <out>/<name>/summary.json (timing and
-// failure metadata); experiments with wall-clock side measurements
-// (scale, skew, churnserve, faults) additionally write
-// <out>/<name>/BENCH_<exp>.json (machine-dependent — never diffed,
-// never checked in).
+// failure metadata).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -52,62 +49,79 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is main behind an exit code so the profiling defers below fire
-// before the process exits (os.Exit skips deferred functions).
-func run() int {
+// before the process exits (os.Exit skips deferred functions). Bad
+// flags exit 2 before any cell runs.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment family (see -list): fig1 ... scale policies skew, or all")
-		only     = flag.String("only", "", "comma-separated experiment subset (overrides -exp)")
-		scale    = flag.String("scale", "ci", "scale: full (paper, minutes) or ci (reduced, seconds)")
-		seed     = flag.Uint64("seed", 1, "experiment seed")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut  = flag.Bool("json", false, "write runs/<name>/{cells,summary}.json artifacts")
-		outRoot  = flag.String("out", "runs", "artifact root directory (with -json)")
-		runName  = flag.String("name", "", "artifact run name (default <exp>-<scale>-s<seed>)")
-		progress = flag.Bool("progress", false, "report per-cell progress and ETA on stderr")
-		list     = flag.Bool("list", false, "list the experiment families with descriptions and exit")
-		policies = flag.Bool("list-policies", false, "list the pkg/search forward-policy registry and exit")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run here")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile (post-run) here")
+		exp      = fs.String("exp", "all", "experiment family (see -list): fig1 ... scale policies skew, or all")
+		only     = fs.String("only", "", "comma-separated experiment subset (overrides -exp)")
+		scale    = fs.String("scale", "ci", "scale: full (paper, minutes) or ci (reduced, seconds)")
+		seed     = fs.Uint64("seed", 1, "experiment seed")
+		workers  = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		csv      = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		jsonOut  = fs.Bool("json", false, "write runs/<name>/{cells,summary}.json artifacts")
+		outRoot  = fs.String("out", "runs", "artifact root directory (with -json)")
+		runName  = fs.String("name", "", "artifact run name (default <exp>-<scale>-s<seed>)")
+		progress = fs.Bool("progress", false, "report per-cell progress and ETA on stderr")
+		list     = fs.Bool("list", false, "list the experiment families with descriptions and exit")
+		policies = fs.Bool("list-policies", false, "list the pkg/search forward-policy registry and exit")
+		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run here")
+		memProf  = fs.String("memprofile", "", "write a pprof heap profile (post-run) here")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	switch {
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "repro: unexpected argument %q (select experiments with -exp or -only)\n", fs.Arg(0))
+		return 2
+	case *workers < 0:
+		fmt.Fprintf(stderr, "repro: -workers %d must not be negative (0 = GOMAXPROCS)\n", *workers)
+		return 2
+	}
 
 	// Profiling hooks: the hot-path work of this repository is driven
-	// through repro, so make it measurable without editing code.
+	// through repro, so make it measurable without editing code. Both
+	// files are created before the run, so a bad path fails at once.
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
+			fmt.Fprintln(stderr, "repro:", err)
 			return 2
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
+			fmt.Fprintln(stderr, "repro:", err)
 			return 2
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			fmt.Fprintf(os.Stderr, "cpuprofile: %s\n", *cpuProf)
+			fmt.Fprintf(stderr, "cpuprofile: %s\n", *cpuProf)
 		}()
 	}
 	if *memProf != "" {
+		f, err := os.Create(*memProf)
+		if err != nil {
+			fmt.Fprintln(stderr, "repro:", err)
+			return 2
+		}
 		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "repro:", err)
-				return
-			}
 			defer f.Close()
 			runtime.GC() // materialize the live set before snapshotting
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "repro:", err)
+				fmt.Fprintln(stderr, "repro:", err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "memprofile: %s\n", *memProf)
+			fmt.Fprintf(stderr, "memprofile: %s\n", *memProf)
 		}()
 	}
 
@@ -115,31 +129,31 @@ func run() int {
 		// The registry is the single source of truth for what -exp
 		// accepts; scale and seed only affect cell contents, not the
 		// set of families.
-		w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
+		w := tabwriter.NewWriter(stdout, 2, 8, 2, ' ', 0)
 		for _, d := range experiments.Registry(experiments.CI, 1) {
 			fmt.Fprintf(w, "%s\t%d cells\t%s\n", d.Name, len(d.Cells), d.About)
 		}
 		w.Flush()
-		fmt.Println("aliases: fig1a fig1b fig2a fig2b (single tables of fig1/fig2)")
+		fmt.Fprintln(stdout, "aliases: fig1a fig1b fig2a fig2b (single tables of fig1/fig2)")
 		return 0
 	}
 
 	if *policies {
 		// The policies experiment sweeps these; dsearchd selects them by
 		// its policy setting and per query. One registry backs both.
-		fmt.Println(strings.Join(search.PolicyNames(), "\n"))
+		fmt.Fprintln(stdout, strings.Join(search.PolicyNames(), "\n"))
 		return 0
 	}
 
 	sc, err := experiments.ParseScale(*scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
 	defs, label, err := selectDefs(*exp, *only, sc, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -170,7 +184,7 @@ func run() int {
 	opts := runner.Options{Workers: *workers, Retries: 1}
 	if *progress {
 		opts.OnProgress = func(p runner.Progress) {
-			fmt.Fprintf(os.Stderr, "repro: %d/%d cells (%s/%s done), elapsed %.1fs, eta %.1fs\n",
+			fmt.Fprintf(stderr, "repro: %d/%d cells (%s/%s done), elapsed %.1fs, eta %.1fs\n",
 				p.Done, p.Total, p.Experiment, p.Cell, p.Elapsed.Seconds(), p.ETA.Seconds())
 		}
 	}
@@ -195,36 +209,14 @@ func run() int {
 			WallSeconds: elapsed.Seconds(),
 		}, results)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
+			fmt.Fprintln(stderr, "repro:", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "artifacts: %s\n", dir)
-
-		// Wall-clock side measurements (BENCH_<exp>.json) ride along
-		// with the deterministic artifacts but are never diffed. An
-		// interrupted run skips them (its cells never finished); the
-		// deterministic artifacts above are always written.
-		for _, j := range jobs {
-			if j.def.Sidecar == nil || runErr != nil {
-				continue
-			}
-			rep, err := j.def.Sidecar(results[j.off : j.off+j.len])
-			if err == nil {
-				benchPath := filepath.Join(dir, "BENCH_"+j.def.Name+".json")
-				err = rep.Write(benchPath)
-				if err == nil {
-					fmt.Fprintf(os.Stderr, "bench: %s\n", benchPath)
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "repro: %s sidecar: %v\n", j.def.Name, err)
-				return 1
-			}
-		}
+		fmt.Fprintf(stderr, "artifacts: %s\n", dir)
 	}
 
 	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "repro: run interrupted:", runErr)
+		fmt.Fprintln(stderr, "repro: run interrupted:", runErr)
 		return 1
 	}
 
@@ -232,19 +224,19 @@ func run() int {
 	for _, j := range jobs {
 		tables, err := j.def.Tables(results[j.off : j.off+j.len])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %s: %v\n", j.def.Name, err)
+			fmt.Fprintf(stderr, "repro: %s: %v\n", j.def.Name, err)
 			exitCode = 1
 			continue
 		}
 		for _, t := range tables {
 			if *csv {
-				fmt.Print(t.CSV())
+				fmt.Fprint(stdout, t.CSV())
 			} else {
-				fmt.Println(t.String())
+				fmt.Fprintln(stdout, t.String())
 			}
 		}
 	}
-	fmt.Fprintf(os.Stderr, "[%s scale, seed %d, %d cells, %.1fs]\n",
+	fmt.Fprintf(stderr, "[%s scale, seed %d, %d cells, %.1fs]\n",
 		sc, *seed, len(cells), elapsed.Seconds())
 	return exitCode
 }

@@ -50,8 +50,8 @@ func TestDocsQuoteOnlyWhatExists(t *testing.T) {
 	// (Some names are spelled in two halves so that a grep of the tree
 	// for them comes back empty, this file included.)
 	gone := []string{
-		"bench_test.go", "perf" + "check", "BENCH_" + "baseline", "BENCH_" + "history",
-		"BENCH_daemon", "BENCH_ci", "BENCH_saturation", "perf/parse.go",
+		"bench_test.go", "perf" + "check", "BENCH" + "_baseline", "BENCH" + "_history",
+		"BENCH" + "_daemon", "BENCH" + "_ci", "BENCH" + "_saturation", "perf/parse.go",
 		"trajectory.go", "core/visited.go", "localindex.go",
 		"Force" + "Visited", "ForceHeapQueue", "metrics.Histogram",
 		"dsearch -id", "dsearch -policy",
@@ -72,6 +72,10 @@ func TestDocsQuoteOnlyWhatExists(t *testing.T) {
 		"MeanOneWay" + "Delay", "Mean" + "Micros", "First" + "Delay", "On" + "Evict",
 		"Update" + "Self", "Marshal" + "Canonical", "Fill" + "Ratio", "Re" + "schedule",
 		"SongsPer" + "Category", "Library" + "Size", "ChunksPer" + "Region", "PagesPer" + "Interest",
+		// The stress families' wall-clock sidecars: single samples with
+		// no spread and no stamp, which dbench replaces.
+		"Wall" + "Sample", "experiments." + "Report", "saturate-under" + "-churn", "repro-bench" + "/v1",
+		"BENCH" + "_scale.json", "BENCH" + "_skew.json", "BENCH" + "_churnserve.json", "BENCH" + "_faults.json",
 	}
 	goBench := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	ticked := regexp.MustCompile("`([^`\n]+)`")

@@ -3,9 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -36,10 +34,10 @@ import (
 // final adjacency size (the delta stream is a pure function of the
 // seed), and a sequential post-quiesce probe batch — byte-identical
 // between the two modes because both end on the same adjacency
-// (TestChurnServeModesAgree locks this down). Queries/sec, downtime
-// and publish cost are wall-clock side measurements: they ride in the
-// value's WallSample and land in BENCH_churnserve.json, plus a
-// cross-mode "saturate-under-churn" headline entry.
+// (TestChurnServeModesAgree locks this down). The family reports no
+// wall-clock numbers: serving under churn is timed by benchmarks/dbench
+// (the engine-churn workload's throughput_per_s, with
+// topology.publish_ms_p50 for the writer's freeze-and-swap cost).
 
 // Churnserve cell shape: epochs of n/100 rewires each, a probe batch
 // one quarter of the query budget, at the two sizes where the refreeze
@@ -65,15 +63,15 @@ func churnServeQueries(s Scale) int {
 }
 
 // ChurnServeSummary is the deterministic cells.json value of one
-// churnserve cell, plus its wall-clock sample. Identical between the
-// stopworld and epochswap cells of one size apart from Mode and Wall.
+// churnserve cell. Identical between the stopworld and epochswap cells
+// of one size apart from Mode.
 type ChurnServeSummary struct {
 	Nodes          int    `json:"nodes"`
 	Mode           string `json:"mode"` // "stopworld" or "epochswap"
 	Epochs         int    `json:"epochs"`
 	DeltasPerEpoch int    `json:"deltas_per_epoch"`
 	// ChurnQueries is how many saturated queries drained during churn;
-	// their outcomes are schedule-dependent and live in Wall only.
+	// their outcomes are schedule-dependent and are not reported.
 	ChurnQueries int `json:"churn_queries"`
 	// FinalEdges is the adjacency size after the last epoch — a pure
 	// function of the seed, and the first cross-mode identity check.
@@ -85,62 +83,6 @@ type ChurnServeSummary struct {
 	ProbeHitRate      float64 `json:"probe_hit_rate"`
 	ProbeMessages     uint64  `json:"probe_messages"`
 	ProbeMsgsPerQuery float64 `json:"probe_msgs_per_query"`
-
-	Wall WallSample `json:"-"`
-}
-
-// churnServeMetrics is the BENCH_churnserve.json entry of one cell.
-func churnServeMetrics(s *ChurnServeSummary) map[string]float64 {
-	m := map[string]float64{
-		"probe_hit_rate":   s.ProbeHitRate,
-		"probe_msgs/query": s.ProbeMsgsPerQuery,
-	}
-	if w := s.Wall; w.WallSeconds > 0 {
-		m["queries/sec"] = float64(w.Queries) / w.WallSeconds
-		m["downtime_ms"] = w.DowntimeSeconds * 1000
-		m["wall_seconds"] = w.WallSeconds
-		m["workers"] = float64(w.Workers)
-		if w.Publishes > 0 {
-			m["publish_ms"] = w.PublishSeconds / float64(w.Publishes) * 1000
-		}
-	}
-	return m
-}
-
-// churnServeSidecar is the family's sidecar: one entry per cell, plus
-// the "saturate-under-churn" headline comparing epochswap against
-// stopworld at the largest measured size.
-func churnServeSidecar(rs []runner.Result) (*Report, error) {
-	rep, err := sidecar("churnserve", churnServeMetrics)(rs)
-	if err != nil {
-		return nil, err
-	}
-	sums, _ := collect[*ChurnServeSummary](rs) // checked by sidecar
-	largest := 0
-	for _, s := range sums {
-		if s.Wall.WallSeconds > 0 {
-			largest = max(largest, s.Nodes)
-		}
-	}
-	qps := map[string]float64{}
-	down := map[string]float64{}
-	for _, s := range sums {
-		if s.Nodes == largest && s.Wall.WallSeconds > 0 {
-			qps[s.Mode] = float64(s.Wall.Queries) / s.Wall.WallSeconds
-			down[s.Mode] = s.Wall.DowntimeSeconds * 1000
-		}
-	}
-	if qps["stopworld"] > 0 && qps["epochswap"] > 0 {
-		rep.Entries = append(rep.Entries, Entry{Name: "saturate-under-churn", Metrics: map[string]float64{
-			"nodes":                 float64(largest),
-			"epochswap_qps":         qps["epochswap"],
-			"stopworld_qps":         qps["stopworld"],
-			"qps_ratio":             qps["epochswap"] / qps["stopworld"],
-			"epochswap_downtime_ms": down["epochswap"],
-			"stopworld_downtime_ms": down["stopworld"],
-		}})
-	}
-	return rep, nil
 }
 
 // ChurnServeCells returns the stopworld/epochswap pair per size.
@@ -154,7 +96,7 @@ func ChurnServeCells(experiment string, scale Scale, seed uint64) []runner.Cell 
 				runner.DeriveSeed(seed, experiment, fmt.Sprintf("n%d", n)))
 			cells = append(cells, cell(experiment, fmt.Sprintf("%s-n%d", mode, n), cfg, scaleSeed,
 				func(c ScaleConfig) (*ChurnServeSummary, error) {
-					return RunChurnServe(c, churnServeEpochs, c.Nodes/churnServeDenom, c.Queries/4, 0, mode == "epochswap")
+					return RunChurnServe(c, churnServeEpochs, c.Nodes/churnServeDenom, c.Queries/4, mode == "epochswap")
 				}))
 		}
 	}
@@ -216,10 +158,10 @@ func keyOf(fx *scaleFixture, s *rng.Stream) search.Key {
 
 // RunChurnServe executes one churnserve cell: epochs delta batches of
 // deltasPerEpoch rewires each, cfg.Queries saturated queries drained
-// across them (workers <= 0 means GOMAXPROCS), then probeQueries
+// across them by a GOMAXPROCS-wide Saturator, then probeQueries
 // sequential post-quiesce queries for the deterministic summary.
 // epochSwap selects the serving mode (see the package comment above).
-func RunChurnServe(cfg ScaleConfig, epochs, deltasPerEpoch, probeQueries, workers int, epochSwap bool) (*ChurnServeSummary, error) {
+func RunChurnServe(cfg ScaleConfig, epochs, deltasPerEpoch, probeQueries int, epochSwap bool) (*ChurnServeSummary, error) {
 	if epochs < 1 || deltasPerEpoch < 1 || probeQueries < 1 {
 		return nil, fmt.Errorf("experiments: churnserve with %d epochs, %d deltas, %d probes",
 			epochs, deltasPerEpoch, probeQueries)
@@ -235,9 +177,6 @@ func RunChurnServe(cfg ScaleConfig, epochs, deltasPerEpoch, probeQueries, worker
 	churnQs := drawChurnQueries(fx, 1, cfg.Queries)
 	probeQs := drawChurnQueries(fx, uint64(cfg.Queries)+1, probeQueries)
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	policy := cfg.Policy
 	if policy == "" {
 		policy = "flood"
@@ -260,14 +199,13 @@ func RunChurnServe(cfg ScaleConfig, epochs, deltasPerEpoch, probeQueries, worker
 		DeltasPerEpoch: deltasPerEpoch,
 		ChurnQueries:   cfg.Queries,
 		ProbeQueries:   probeQueries,
-		Wall:           WallSample{Queries: cfg.Queries, Workers: workers},
 	}
 
 	var eng *search.Engine
 	if epochSwap {
-		eng, err = serveEpochSwap(fx, churnStream, churnQs, epochs, deltasPerEpoch, workers, baseOpts, &sum.Wall)
+		eng, err = serveEpochSwap(fx, churnStream, churnQs, epochs, deltasPerEpoch, baseOpts)
 	} else {
-		eng, err = serveStopWorld(fx, churnStream, churnQs, epochs, deltasPerEpoch, workers, baseOpts, &sum.Wall)
+		eng, err = serveStopWorld(fx, churnStream, churnQs, epochs, deltasPerEpoch, baseOpts)
 	}
 	if err != nil {
 		return nil, err
@@ -312,13 +250,13 @@ func epochChunks(qs []search.Query, epochs int) [][]search.Query {
 // the single CSR in place with the shard fully drained (the whole
 // freeze is downtime), then drain that epoch's chunk.
 func serveStopWorld(fx *scaleFixture, churn *rng.Stream, qs []search.Query,
-	epochs, deltasPerEpoch, workers int, opts []search.Option, sample *WallSample) (*search.Engine, error) {
+	epochs, deltasPerEpoch int, opts []search.Option) (*search.Engine, error) {
 	csr := fx.net.Freeze()
 	eng, err := search.New(search.Over(csr, fx.content()), opts...)
 	if err != nil {
 		return nil, err
 	}
-	sat, err := eng.Saturate(search.WithWorkers(workers))
+	sat, err := eng.Saturate()
 	if err != nil {
 		return nil, err
 	}
@@ -326,21 +264,17 @@ func serveStopWorld(fx *scaleFixture, churn *rng.Stream, qs []search.Query,
 
 	ctx := context.Background()
 	chunks := epochChunks(qs, epochs)
-	start := time.Now()
 	for e := 0; e < epochs; e++ {
 		ds := churnServeDeltas(fx.net, deltasPerEpoch, churn)
 		fx.net.ApplyAll(ds)
 		// The shard is idle here by construction — re-freezing in place
 		// under live readers would tear their cascades. This wait is the
 		// stop-the-world window the epochswap mode eliminates.
-		t0 := time.Now()
 		fx.net.FreezeInto(csr)
-		sample.DowntimeSeconds += time.Since(t0).Seconds()
 		if _, err := sat.Run(ctx, chunks[e]); err != nil {
 			return nil, err
 		}
 	}
-	sample.WallSeconds = time.Since(start).Seconds()
 	return eng, nil
 }
 
@@ -349,23 +283,21 @@ func serveStopWorld(fx *scaleFixture, churn *rng.Stream, qs []search.Query,
 // draining the epoch's chunk on whatever epoch its queries pinned.
 // The handoff channel is buffered to the epoch count, so the pipeline
 // never waits on a publish — if the writer lags, queries simply keep
-// serving an older epoch, which is the whole point of the store. The
-// handoff cost is still measured into DowntimeSeconds rather than
-// assumed away; it should read as zero.
+// serving an older epoch, which is the whole point of the store.
 //
 // Determinism is unaffected by the buffering: the writer consumes
 // handoffs serially in FIFO order, so delta batch k is always drawn
 // against the adjacency left by batches 1..k-1 — the identical stream
 // the stopworld mode applies.
 func serveEpochSwap(fx *scaleFixture, churn *rng.Stream, qs []search.Query,
-	epochs, deltasPerEpoch, workers int, opts []search.Option, sample *WallSample) (*search.Engine, error) {
+	epochs, deltasPerEpoch int, opts []search.Option) (*search.Engine, error) {
 	store := topology.NewSnapshotStore(fx.net)
 	eng, err := search.New(search.OverContent(fx.content()),
 		append(opts, search.WithSnapshotStore(store))...)
 	if err != nil {
 		return nil, err
 	}
-	sat, err := eng.Saturate(search.WithWorkers(workers))
+	sat, err := eng.Saturate()
 	if err != nil {
 		return nil, err
 	}
@@ -377,28 +309,19 @@ func serveEpochSwap(fx *scaleFixture, churn *rng.Stream, qs []search.Query,
 	go func() {
 		defer wg.Done()
 		for range epochCh {
-			ds := churnServeDeltas(fx.net, deltasPerEpoch, churn)
-			t0 := time.Now()
-			store.Apply(ds)
-			sample.PublishSeconds += time.Since(t0).Seconds()
-			sample.Publishes++
+			store.Apply(churnServeDeltas(fx.net, deltasPerEpoch, churn))
 		}
 	}()
 
 	ctx := context.Background()
 	chunks := epochChunks(qs, epochs)
-	start := time.Now()
 	for e := 0; e < epochs; e++ {
-		t0 := time.Now()
 		epochCh <- struct{}{}
-		sample.DowntimeSeconds += time.Since(t0).Seconds()
 		if _, err := sat.Run(ctx, chunks[e]); err != nil {
 			return nil, err
 		}
 	}
-	// Wall covers serving the full query budget; the trailing publishes
-	// below are quiescence for the probe, not serving time.
-	sample.WallSeconds = time.Since(start).Seconds()
+	// The trailing publishes are quiescence for the probe.
 	close(epochCh)
 	wg.Wait()
 	return eng, nil

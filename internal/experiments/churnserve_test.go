@@ -1,17 +1,19 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
+
+	"repro/internal/rng"
+	"repro/pkg/search"
 )
 
 // TestChurnServeModesAgree is the differential check backing the
 // churnserve family's determinism contract: the stopworld baseline and
 // the epochswap store path consume the identical delta stream, end on
 // the identical adjacency, and produce byte-identical deterministic
-// summaries — only the Mode tag differs. The during-churn throughput
-// numbers are wall-clock side measurements (the Wall sample) and are
-// not compared.
+// summaries — only the Mode tag differs.
 func TestChurnServeModesAgree(t *testing.T) {
 	cfg := DefaultScaleConfig(3000, 300, 7)
 	const (
@@ -19,11 +21,11 @@ func TestChurnServeModesAgree(t *testing.T) {
 		deltas = 30
 		probes = 200
 	)
-	stop, err := RunChurnServe(cfg, epochs, deltas, probes, 2, false)
+	stop, err := RunChurnServe(cfg, epochs, deltas, probes, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	swap, err := RunChurnServe(cfg, epochs, deltas, probes, 2, true)
+	swap, err := RunChurnServe(cfg, epochs, deltas, probes, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +35,6 @@ func TestChurnServeModesAgree(t *testing.T) {
 	}
 	a, b := *stop, *swap
 	a.Mode, b.Mode = "", ""
-	a.Wall, b.Wall = WallSample{}, WallSample{}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("deterministic summaries diverged:\nstopworld: %+v\nepochswap: %+v", a, b)
 	}
@@ -44,34 +45,50 @@ func TestChurnServeModesAgree(t *testing.T) {
 		t.Fatalf("probe batch did not run: %+v", stop)
 	}
 
-	// The store path publishes exactly one epoch per delta batch; the
-	// baseline never publishes (its freezes are all downtime).
-	if swap.Wall.Publishes != epochs {
-		t.Fatalf("epochswap published %d epochs, want %d", swap.Wall.Publishes, epochs)
-	}
-	if stop.Wall.Publishes != 0 {
-		t.Fatalf("stopworld published %d epochs, want 0", stop.Wall.Publishes)
-	}
-	if stop.Wall.Queries != cfg.Queries || swap.Wall.Queries != cfg.Queries {
-		t.Fatalf("samples drained %d/%d queries, want %d",
-			stop.Wall.Queries, swap.Wall.Queries, cfg.Queries)
+	// The store path publishes exactly one epoch per delta batch on top
+	// of the store's initial epoch 1; the baseline has no store, so its
+	// queries carry epoch 0 (its freezes are all downtime).
+	for _, tc := range []struct {
+		mode  string
+		serve func(*scaleFixture, *rng.Stream, []search.Query, int, int, []search.Option) (*search.Engine, error)
+		want  uint64
+	}{
+		{"stopworld", serveStopWorld, 0},
+		{"epochswap", serveEpochSwap, epochs + 1},
+	} {
+		fx, err := buildScaleFixture(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := drawChurnQueries(fx, 1, cfg.Queries)
+		eng, err := tc.serve(fx, fx.root.Split(), qs, epochs, deltas, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := eng.Do(context.Background(), qs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Epoch != tc.want {
+			t.Fatalf("%s: probe served by epoch %d, want %d", tc.mode, out.Epoch, tc.want)
+		}
 	}
 }
 
 func TestChurnServeValidates(t *testing.T) {
 	cfg := DefaultScaleConfig(3000, 300, 7)
-	if _, err := RunChurnServe(cfg, 0, 30, 200, 2, false); err == nil {
+	if _, err := RunChurnServe(cfg, 0, 30, 200, false); err == nil {
 		t.Fatal("zero epochs accepted")
 	}
-	if _, err := RunChurnServe(cfg, 4, 0, 200, 2, false); err == nil {
+	if _, err := RunChurnServe(cfg, 4, 0, 200, false); err == nil {
 		t.Fatal("zero deltas accepted")
 	}
-	if _, err := RunChurnServe(cfg, 4, 30, 0, 2, false); err == nil {
+	if _, err := RunChurnServe(cfg, 4, 30, 0, false); err == nil {
 		t.Fatal("zero probes accepted")
 	}
 	small := cfg
 	small.Queries = 2
-	if _, err := RunChurnServe(small, 4, 30, 200, 2, false); err == nil {
+	if _, err := RunChurnServe(small, 4, 30, 200, false); err == nil {
 		t.Fatal("fewer queries than epochs accepted")
 	}
 }

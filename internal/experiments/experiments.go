@@ -5,11 +5,9 @@
 // Every experiment family is one Registry entry: runner.Cells — one
 // isolated simulation per cell, built by the family's *Cells
 // constructor through cell — plus a renderer that checks the finished
-// results with collect and shapes them into paper-style tables, plus
-// (for the stress families) a sidecar of wall-clock metrics read off
-// the cell values. The CLI (cmd/repro) merges the cells of many
-// experiments into one pooled runner.Run so the whole evaluation
-// shards across cores. See EXPERIMENTS.md for the experiment ↔
+// results with collect and shapes them into paper-style tables. The
+// CLI (cmd/repro) merges the cells of many experiments into one pooled
+// runner.Run so the whole evaluation shards across cores. See EXPERIMENTS.md for the experiment ↔
 // paper-figure map and the artifact schema.
 //
 // Seeding: all cells of one experiment share the experiment seed, so

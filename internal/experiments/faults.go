@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -24,9 +23,7 @@ import (
 // link-by-link, and a crash mask removes a seed-chosen fraction of
 // nodes from routing and serving. Every cell is a pure function of its
 // config: the summaries land in cells.json byte-identically at any
-// worker count, while wall-clock throughput (the degraded-mode
-// queries/sec headline) rides in each value's WallSample and lands in
-// the BENCH_faults.json sidecar.
+// worker count.
 
 // FaultsConfig parameterizes one faults cell.
 type FaultsConfig struct {
@@ -105,7 +102,7 @@ func (c FaultsConfig) Validate() error {
 }
 
 // FaultsSummary is the deterministic (JSON-stable) output of one
-// faults cell, plus its wall-clock sample.
+// faults cell.
 type FaultsSummary struct {
 	Nodes  int     `json:"nodes"`
 	Policy string  `json:"policy"`
@@ -117,7 +114,6 @@ type FaultsSummary struct {
 	LiveClients int `json:"live_clients"`
 	// QueryStats covers the stream under the cell's faults.
 	QueryStats
-	Wall WallSample `json:"-"`
 }
 
 // The faults grid: every policy at every drop × crash combination.
@@ -267,14 +263,8 @@ func RunFaults(cfg FaultsConfig) (*FaultsSummary, error) {
 		Crashed:     crashed,
 		LiveClients: len(liveClients),
 	}
-	start := time.Now()
 	if err := fx.runQueries(eng, liveClients, &sum.QueryStats, 0, cfg.Queries); err != nil {
 		return nil, err
-	}
-	sum.Wall = WallSample{
-		WallSeconds: time.Since(start).Seconds(),
-		Queries:     cfg.Queries,
-		Events:      sum.Messages + sum.ReplyMessages,
 	}
 	sum.finish()
 	return sum, nil

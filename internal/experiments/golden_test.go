@@ -11,18 +11,14 @@ import (
 )
 
 // TestGoldenCellsByteIdentity pins the deterministic artifact of every
-// pre-driver experiment family: testdata/golden_cells_ci_s1.json is
-// the cells.json of `repro -exp all -scale ci -seed 1` captured before
-// the three applications were rewired onto internal/driver. The
-// session-layer refactor (and any future one) must keep these bytes
-// exactly — the driver owns stream splitting and event scheduling now,
-// and any reordering of draws or same-time events shows up here
-// immediately.
-//
-// The skew, churnserve and faults families postdate the capture, so
-// they are excluded; their determinism is covered by
-// TestSkewWorkerCountInvariance, TestChurnServeModesAgree and
-// TestFaultsWorkerCountInvariance.
+// experiment family: testdata/golden_cells_ci_s1.json is the cells.json
+// of `repro -exp all -scale ci -seed 1`. Its entries for the families
+// that predate internal/driver were captured before the three
+// applications were rewired onto it; the skew, churnserve and faults
+// entries were added later without changing those bytes. Any refactor
+// must keep every byte — the driver owns stream splitting and event
+// scheduling, and any reordering of draws or same-time events shows up
+// here immediately.
 func TestGoldenCellsByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full CI-scale registry run")
@@ -34,9 +30,6 @@ func TestGoldenCellsByteIdentity(t *testing.T) {
 
 	var cells []runner.Cell
 	for _, d := range Registry(CI, 1) {
-		if d.Name == "skew" || d.Name == "churnserve" || d.Name == "faults" {
-			continue
-		}
 		cells = append(cells, d.Cells...)
 	}
 	rs, err := runner.Run(context.Background(), cells, runner.Options{})
@@ -82,7 +75,7 @@ func TestGoldenCellsByteIdentity(t *testing.T) {
 				i, gotCells[i].Experiment, gotCells[i].Cell, wantCells[i].Experiment, wantCells[i].Cell)
 		}
 		if string(gotCells[i].Value) != string(wantCells[i].Value) {
-			t.Fatalf("cell %s/%s value diverged from the pre-driver golden:\ngot:    %.200s\ngolden: %.200s",
+			t.Fatalf("cell %s/%s value diverged from the golden:\ngot:    %.200s\ngolden: %.200s",
 				gotCells[i].Experiment, gotCells[i].Cell, gotCells[i].Value, wantCells[i].Value)
 		}
 	}

@@ -2,11 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/metrics"
@@ -29,11 +25,6 @@ type Definition struct {
 	// Tables renders this definition's slice of the results (same
 	// order and length as Cells).
 	Tables func(rs []runner.Result) ([]*metrics.Table, error)
-	// Sidecar, when non-nil, renders the experiment's wall-clock side
-	// measurements as its BENCH_<name>.json document (see Report). The
-	// stress families (scale, skew, churnserve, faults) set it; figure
-	// experiments are fully described by their deterministic cells.
-	Sidecar func(rs []runner.Result) (*Report, error)
 }
 
 // Registry returns every canonical experiment in presentation order —
@@ -133,11 +124,10 @@ func Registry(scale Scale, seed uint64) []Definition {
 			Tables: table(collect[*PeerOlapRow], PeerOlapTable),
 		},
 		{
-			Name:    "scale",
-			About:   "Engine stress: 1k-1M-node cascade sweeps plus the CSR re-freeze cell",
-			Cells:   ScaleCells("scale", scale, seed),
-			Tables:  table(collect[*ScaleSummary], ScaleTable),
-			Sidecar: sidecar("scale", scaleMetrics),
+			Name:   "scale",
+			About:  "Engine stress: 1k-1M-node cascade sweeps plus the CSR re-freeze cell",
+			Cells:  ScaleCells("scale", scale, seed),
+			Tables: table(collect[*ScaleSummary], ScaleTable),
 		},
 		{
 			Name:   "policies",
@@ -156,25 +146,18 @@ func Registry(scale Scale, seed uint64) []Definition {
 				}
 				return []*metrics.Table{SkewTable(rs, sums)}, nil
 			},
-			Sidecar: sidecar("skew", func(s *SkewSummary) map[string]float64 {
-				return queryMetrics(&s.QueryStats, s.Wall)
-			}),
 		},
 		{
-			Name:    "churnserve",
-			About:   "Serving under churn: stop-the-world re-freeze vs zero-downtime epoch swaps",
-			Cells:   ChurnServeCells("churnserve", scale, seed),
-			Tables:  table(collect[*ChurnServeSummary], ChurnServeTable),
-			Sidecar: churnServeSidecar,
+			Name:   "churnserve",
+			About:  "Serving under churn: stop-the-world re-freeze vs zero-downtime epoch swaps",
+			Cells:  ChurnServeCells("churnserve", scale, seed),
+			Tables: table(collect[*ChurnServeSummary], ChurnServeTable),
 		},
 		{
 			Name:   "faults",
 			About:  "Robustness: hit-rate retention under drop-rate x crash-rate x policy",
 			Cells:  FaultsCells("faults", scale, seed),
 			Tables: table(collect[*FaultsSummary], FaultsTable),
-			Sidecar: sidecar("faults", func(s *FaultsSummary) map[string]float64 {
-				return queryMetrics(&s.QueryStats, s.Wall)
-			}),
 		},
 	}
 }
@@ -195,7 +178,7 @@ func cell[C, V any](experiment, name string, cfg C, seed func(*C) *uint64, run f
 	}
 }
 
-// collect is the one check every renderer and sidecar applies to a
+// collect is the one check every renderer applies to a
 // family's results: there are some, every cell succeeded, and every
 // value is a T. It returns the values in cell order.
 func collect[T any](rs []runner.Result) ([]T, error) {
@@ -227,69 +210,6 @@ func table[T any](shape func([]runner.Result) (T, error), render func(T) *metric
 		}
 		return []*metrics.Table{render(v)}, nil
 	}
-}
-
-// Report is a BENCH_<exp>.json document: the wall-clock side an
-// experiment family writes next to its deterministic artifacts (`repro
-// -exp scale|skew|faults|churnserve -json` leaves runs/<name>/BENCH_<exp>.json
-// beside cells.json). Unlike cells.json these files are NOT
-// byte-deterministic — they carry throughput, downtime and allocation
-// measurements of one machine at one moment — so they are never checked
-// in and never diffed.
-type Report struct {
-	// Schema versions the document layout (SchemaVersion).
-	Schema string `json:"schema"`
-	// Source names the producer ("scale-experiment", ...).
-	Source string `json:"source"`
-	// Entries is sorted by Name when written.
-	Entries []Entry `json:"entries"`
-}
-
-// Entry is one measured unit: one cell ("scale/n100000") or a
-// cross-cell headline ("saturate-under-churn").
-type Entry struct {
-	Name    string             `json:"name"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// SchemaVersion is the current value of Report.Schema.
-const SchemaVersion = "repro-bench/v1"
-
-// sidecar builds a family's Definition.Sidecar: one entry per cell,
-// named "<family>/<cell>", holding what metrics reads off the cell's
-// value — its deterministic summary and the wall-clock sample inside it.
-func sidecar[T any](family string, metrics func(T) map[string]float64) func([]runner.Result) (*Report, error) {
-	return func(rs []runner.Result) (*Report, error) {
-		vs, err := collect[T](rs)
-		if err != nil {
-			return nil, err
-		}
-		rep := &Report{Schema: SchemaVersion, Source: family + "-experiment"}
-		for i, v := range vs {
-			rep.Entries = append(rep.Entries, Entry{Name: family + "/" + rs[i].Cell, Metrics: metrics(v)})
-		}
-		return rep, nil
-	}
-}
-
-// Write marshals the report (entries sorted by name, so reports diff
-// cleanly regardless of production order) to path, creating parent
-// directories as needed.
-func (r *Report) Write(path string) error {
-	sort.Slice(r.Entries, func(i, j int) bool { return r.Entries[i].Name < r.Entries[j].Name })
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: marshal %s: %w", filepath.Base(path), err)
-	}
-	data = append(data, '\n')
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // aliases maps single-table shortcuts to (canonical experiment, which

@@ -1,12 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"encoding/json"
-	"maps"
-	"os"
-	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -98,88 +92,5 @@ func TestAssembleRejectsWrongShape(t *testing.T) {
 	}
 	if _, err := d.Tables(nil); err == nil {
 		t.Fatal("empty result slice accepted")
-	}
-}
-
-// TestScalePerfReport runs small cells of each stress family through
-// runner.Run and writes the family's sidecar: every entry carries
-// exactly the metric keys BENCH_<exp>.json always had (sorted names
-// below), wall-clock ones included, while the marshaled results — what
-// cells.json holds — carry none of the wall-clock keys.
-func TestScalePerfReport(t *testing.T) {
-	const (
-		scaleKeys = "allocs/query delay_p50_ms delay_p95_ms delay_p99_ms events/sec hit-rate msgs/query "
-		queryKeys = "delay_p95_ms events/sec hit-rate msgs/query queries/sec wall_seconds"
-		churnKeys = "downtime_ms probe_hit_rate probe_msgs/query "
-	)
-	faultsCfg := ciFaultsConfig(3)
-	faultsCfg.Drop, faultsCfg.CrashFraction = 0.05, 0.1
-	churn := func(mode string) runner.Cell {
-		return cell("churnserve", mode+"-n3000", DefaultScaleConfig(3000, 300, 7), scaleSeed,
-			func(c ScaleConfig) (*ChurnServeSummary, error) {
-				return RunChurnServe(c, 4, 30, 200, 2, mode == "epochswap")
-			})
-	}
-	for _, tc := range []struct {
-		family string
-		cells  []runner.Cell
-		want   map[string]string
-	}{
-		{"scale", []runner.Cell{
-			cell("scale", "n400", smallScaleConfig(5), scaleSeed, RunScale),
-			cell("scale", "refreeze-n400", smallScaleConfig(5), scaleSeed, func(c ScaleConfig) (*ScaleSummary, error) {
-				return RunRefreeze(c, 4, 50)
-			}),
-		}, map[string]string{
-			"scale/n400":          scaleKeys + "wall_seconds",
-			"scale/refreeze-n400": scaleKeys + "refreeze_ms wall_seconds",
-		}},
-		{"skew", []runner.Cell{cell("skew", "stable", ciSkewConfig(3),
-			func(c *SkewConfig) *uint64 { return &c.Seed }, RunSkew)},
-			map[string]string{"skew/stable": queryKeys}},
-		{"faults", []runner.Cell{cell("faults", "flood-d05-c10", faultsCfg,
-			func(c *FaultsConfig) *uint64 { return &c.Seed }, RunFaults)},
-			map[string]string{"faults/flood-d05-c10": queryKeys}},
-		{"churnserve", []runner.Cell{churn("stopworld"), churn("epochswap")}, map[string]string{
-			"churnserve/stopworld-n3000": churnKeys + "queries/sec wall_seconds workers",
-			"churnserve/epochswap-n3000": churnKeys + "publish_ms queries/sec wall_seconds workers",
-			"saturate-under-churn": "epochswap_downtime_ms epochswap_qps nodes qps_ratio " +
-				"stopworld_downtime_ms stopworld_qps",
-		}},
-	} {
-		t.Run(tc.family, func(t *testing.T) {
-			rs, _ := runner.Run(context.Background(), tc.cells, runner.Options{})
-			d, _ := Find(tc.family, CI, 1)
-			rep, err := d.Sidecar(rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "sub", "BENCH_"+tc.family+".json")
-			var got Report
-			if err := rep.Write(path); err != nil {
-				t.Fatal(err)
-			}
-			if data, err := os.ReadFile(path); err != nil || json.Unmarshal(data, &got) != nil {
-				t.Fatalf("written report unreadable: %v", err)
-			}
-			if got.Schema != SchemaVersion || got.Source != tc.family+"-experiment" || len(got.Entries) != len(tc.want) {
-				t.Fatalf("report header or size wrong: %+v", got)
-			}
-			for i, e := range got.Entries {
-				if i > 0 && got.Entries[i-1].Name >= e.Name {
-					t.Errorf("entries not sorted by name at %s", e.Name)
-				}
-				if keys := strings.Join(slices.Sorted(maps.Keys(e.Metrics)), " "); keys != tc.want[e.Name] {
-					t.Errorf("%s metrics %q, want %q", e.Name, keys, tc.want[e.Name])
-				}
-			}
-			cells, _ := json.Marshal(rs)
-			for _, k := range strings.Fields("Wall wall_seconds events/sec queries/sec allocs/query " +
-				"refreeze_ms downtime_ms publish_ms workers") {
-				if strings.Contains(string(cells), k) {
-					t.Errorf("results JSON carries wall-clock key %q", k)
-				}
-			}
-		})
 	}
 }

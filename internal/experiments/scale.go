@@ -3,9 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -31,11 +29,9 @@ import (
 //
 // Each cell's deterministic outcome (message counts, hit rate, delay
 // percentiles) lands in runs/<name>/cells.json like every other
-// experiment; the wall-clock measurements (events/sec, allocs/query)
-// ride in the same value as its WallSample, which cells.json never
-// sees and the family's sidecar writes as BENCH_scale.json — they
-// depend on the machine and on how many sibling cells run concurrently.
-// For clean allocs/query, run with -workers 1.
+// experiment. The family carries no wall-clock numbers: the engine's
+// speed is measured by benchmarks/dbench (core.cascade_us_per_query,
+// topology.freeze_ms, ...), with samples and an environment stamp.
 
 // ScaleConfig parameterizes one scale cell.
 type ScaleConfig struct {
@@ -104,8 +100,7 @@ func (c ScaleConfig) Validate() error {
 }
 
 // ScaleSummary is the deterministic (JSON-stable) output of one scale
-// cell — the `value` schema of scale cells in cells.json — plus its
-// wall-clock sample, which stays out of the JSON.
+// cell — the `value` schema of scale cells in cells.json.
 type ScaleSummary struct {
 	Nodes      int `json:"nodes"`
 	Clients    int `json:"clients"`
@@ -113,7 +108,6 @@ type ScaleSummary struct {
 	Bystanders int `json:"bystanders"`
 	Edges      int `json:"edges"`
 	QueryStats
-	Wall WallSample `json:"-"`
 }
 
 // QueryStats tallies a stream of searches: the block of cells.json that
@@ -169,78 +163,6 @@ func (s *QueryStats) finish() {
 	s.DelayP95Ms = quantileMs(s.delays, 0.95)
 	s.DelayP99Ms = quantileMs(s.delays, 0.99)
 	s.delays = nil
-}
-
-// WallSample is the wall-clock side of one stress cell (scale, skew,
-// faults, churnserve): measurements of one machine at one moment. It
-// rides in the cell's value under `json:"-"` — the idiom of
-// runner.Result.Wall — so cells.json stays byte-comparable while the
-// family's sidecar reads it. Each family fills what it measures; the
-// rest stays zero.
-type WallSample struct {
-	// WallSeconds times the cell's serving or query loop (world build
-	// and post-quiesce probes excluded).
-	WallSeconds float64
-	// Queries and Events (messages plus reply hops) count the loop's
-	// work.
-	Queries int
-	Events  uint64
-	// Allocs counts heap allocations during the loop (runtime.MemStats
-	// deltas: an upper bound when sibling cells run concurrently).
-	Allocs uint64
-	// RefreezeSeconds totals the in-place CSR re-freezes of the scale
-	// refreeze cell; Refreezes counts them.
-	RefreezeSeconds float64
-	Refreezes       int
-	// DowntimeSeconds totals time the churnserve query pipeline was
-	// blocked with no query able to run: the whole FreezeInto for
-	// stopworld; for epochswap the time spent enqueueing epoch handoffs
-	// to the writer (observed near-zero — the handoff never waits on a
-	// publish) — measured, not assumed, so the zero-downtime claim is an
-	// observation.
-	DowntimeSeconds float64
-	// PublishSeconds totals off-thread freeze+swap cost over Publishes
-	// epochs (epochswap only — stopworld's freezes are all downtime).
-	PublishSeconds float64
-	Publishes      int
-	// Workers is the churnserve saturation shard size.
-	Workers int
-}
-
-// scaleMetrics is the BENCH_scale.json entry of one cell.
-func scaleMetrics(s *ScaleSummary) map[string]float64 {
-	m := map[string]float64{
-		"msgs/query":   s.MsgsPerQuery,
-		"hit-rate":     s.HitRate,
-		"delay_p50_ms": s.DelayP50Ms,
-		"delay_p95_ms": s.DelayP95Ms,
-		"delay_p99_ms": s.DelayP99Ms,
-	}
-	if w := s.Wall; w.WallSeconds > 0 && w.Queries > 0 {
-		m["events/sec"] = float64(w.Events) / w.WallSeconds
-		m["allocs/query"] = float64(w.Allocs) / float64(w.Queries)
-		m["wall_seconds"] = w.WallSeconds
-		if w.Refreezes > 0 {
-			m["refreeze_ms"] = w.RefreezeSeconds / float64(w.Refreezes) * 1000
-		}
-	}
-	return m
-}
-
-// queryMetrics is the BENCH_<exp>.json entry of one skew or faults
-// cell: the stream's deterministic headline plus its throughput.
-func queryMetrics(s *QueryStats, w WallSample) map[string]float64 {
-	m := map[string]float64{
-		"hit-rate":     s.HitRate,
-		"msgs/query":   s.MsgsPerQuery,
-		"delay_p95_ms": s.DelayP95Ms,
-	}
-	if w.WallSeconds > 0 && w.Queries > 0 {
-		m["events/sec"] = float64(w.Events) / w.WallSeconds
-		m["queries/sec"] = float64(w.Queries) / w.WallSeconds
-		m["wall_seconds"] = w.WallSeconds
-	}
-	return m
 }
 
 // scaleSizes is the sweep of the scale experiment family.
@@ -434,8 +356,7 @@ func (fx *scaleFixture) runQueries(eng *search.Engine, origins []topology.NodeID
 // RunScale executes one scale cell: build the role-partitioned network,
 // freeze its CSR snapshot, drive the configured number of cascades
 // through the pooled engine, and summarize. The summary is a pure
-// function of the config; its Wall sample carries the wall-clock side
-// measurements.
+// function of the config.
 func RunScale(cfg ScaleConfig) (*ScaleSummary, error) { return runScale(cfg, 0, 0) }
 
 // RunRefreeze executes the refreeze cell: the same world as RunScale,
@@ -443,8 +364,7 @@ func RunScale(cfg ScaleConfig) (*ScaleSummary, error) { return runScale(cfg, 0, 
 // churn edges of the mutable network and re-freezes the CSR snapshot
 // in place (topology.FreezeInto — zero allocations at steady state)
 // before its queries run. The summary is a pure function of (cfg,
-// epochs, churn); the sample's RefreezeSeconds/Refreezes record what a
-// reconfiguration epoch costs the hot path.
+// epochs, churn).
 func RunRefreeze(cfg ScaleConfig, epochs, churn int) (*ScaleSummary, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -471,17 +391,11 @@ func runScale(cfg ScaleConfig, epochs, churn int) (*ScaleSummary, error) {
 	chunks := max(epochs, 1)
 	perChunk := cfg.Queries / chunks
 
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
 	done := 0
 	for e := 0; e < chunks; e++ {
 		if epochs > 0 {
 			scaleChurn(w.net, churn, churnStream)
-			t0 := time.Now()
 			w.net.FreezeInto(w.csr)
-			sum.Wall.RefreezeSeconds += time.Since(t0).Seconds()
-			sum.Wall.Refreezes++
 		}
 		count := perChunk
 		if e == chunks-1 {
@@ -492,15 +406,9 @@ func runScale(cfg ScaleConfig, epochs, churn int) (*ScaleSummary, error) {
 		}
 		done += count
 	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms1)
 
 	sum.Edges = w.csr.EdgeCount() // post-churn: the snapshot the last epoch searched
 	sum.finish()
-	sum.Wall.WallSeconds = wall.Seconds()
-	sum.Wall.Events = sum.Messages + sum.ReplyMessages
-	sum.Wall.Allocs = ms1.Mallocs - ms0.Mallocs
-	sum.Wall.Queries = cfg.Queries
 	return sum, nil
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -44,8 +43,7 @@ import (
 // the cell name (runner.DeriveSeed), every draw comes from the cell's
 // own stream tree, and stochastic policies use the engine's per-query
 // derived streams — cells.json is byte-identical at any -workers
-// count. Wall-clock measurements ride in each value's WallSample and
-// land in the BENCH_skew.json sidecar, never in the comparable artifact.
+// count.
 
 // SkewConfig parameterizes one skew cell.
 type SkewConfig struct {
@@ -145,8 +143,7 @@ func DefaultSkewConfig(nodes int, seed uint64) SkewConfig {
 }
 
 // SkewSummary is the deterministic (JSON-stable) output of one skew
-// cell — the `value` schema of skew cells in cells.json — plus its
-// wall-clock sample.
+// cell — the `value` schema of skew cells in cells.json.
 type SkewSummary struct {
 	Nodes     int     `json:"nodes"`
 	Providers int     `json:"providers"`
@@ -162,8 +159,6 @@ type SkewSummary struct {
 	// across cells and a measured zero hit rate stays visible.
 	FlashQueries int     `json:"flash_queries"`
 	FlashHitRate float64 `json:"flash_hit_rate"`
-
-	Wall WallSample `json:"-"`
 }
 
 // Grid axes. Policies come from the pkg/search registry; churn levels
@@ -247,8 +242,7 @@ type skewWorld struct {
 
 // RunSkew executes one skew cell: generate the world (roles, holdings,
 // classes), hand the timeline to a driver session, drive it to the
-// horizon, summarize. The summary is a pure function of the config;
-// its Wall sample carries the wall-clock side measurements.
+// horizon, summarize. The summary is a pure function of the config.
 func RunSkew(cfg SkewConfig) (*SkewSummary, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -326,13 +320,7 @@ func RunSkew(cfg SkewConfig) (*SkewSummary, error) {
 	}
 	w.sess = sess
 
-	start := time.Now()
 	sess.Run()
-	w.sum.Wall = WallSample{
-		WallSeconds: time.Since(start).Seconds(),
-		Events:      w.sum.Messages + w.sum.ReplyMessages,
-		Queries:     w.sum.Queries,
-	}
 
 	s := &w.sum
 	s.Logins = sess.Logins()
