@@ -41,18 +41,17 @@ var apiExempt = map[string]string{
 // that stay without a non-test caller, each with the reason it stays.
 // Names are spelled as in apiExempt.
 var internalExempt = map[string]string{
-	"core.SymmetricUpdater.DeliverInvitation": "the invitee half of Algo 4, for a runtime that delivers invitations as messages; its tests pin the protocol",
-	"daemon.Server.FaultStats":                "test harness: the chaos tests read the fault plane's counters through it",
-	"daemon.World.QueryPlan":                  "test harness: the deterministic query plan the daemon tests replay against a cluster",
-	"faults.GenCrashSchedule":                 "test harness: the seeded crash scripts the chaos tests play",
-	"faults.Schedule.Run":                     "test harness: plays a crash script against a daemon in wall-clock time",
-	"faults.Transport.DecisionTrace":          "test harness: renders a link's seeded fault decisions for the determinism tests",
-	"live.ChanTransport.Unregister":           "test harness: removes an inbox to make a peer unreachable",
-	"rng.Zipf.CDF":                            "reference: the closed-form distribution the sampler's tests compare against",
-	"rng.Zipf.P":                              "reference: the closed-form probabilities the sampler's tests compare against",
-	"topology.FreezeView":                     "reference: the generic freeze the CSR and snapshot tests compare against",
-	"trace.Buffer.Events":                     "test harness: what tests read back from the in-memory sink",
-	"trace.ReadJSONL":                         "reference: decodes the JSONL sink's output for the round-trip tests",
+	"daemon.Server.FaultStats":       "test harness: the chaos tests read the fault plane's counters through it",
+	"daemon.World.QueryPlan":         "test harness: the deterministic query plan the daemon tests replay against a cluster",
+	"faults.GenCrashSchedule":        "test harness: the seeded crash scripts the chaos tests play",
+	"faults.Schedule.Run":            "test harness: plays a crash script against a daemon in wall-clock time",
+	"faults.Transport.DecisionTrace": "test harness: renders a link's seeded fault decisions for the determinism tests",
+	"live.ChanTransport.Unregister":  "test harness: removes an inbox to make a peer unreachable",
+	"rng.Zipf.CDF":                   "reference: the closed-form distribution the sampler's tests compare against",
+	"rng.Zipf.P":                     "reference: the closed-form probabilities the sampler's tests compare against",
+	"topology.FreezeView":            "reference: the generic freeze the CSR and snapshot tests compare against",
+	"trace.Buffer.Events":            "test harness: what tests read back from the in-memory sink",
+	"trace.ReadJSONL":                "reference: decodes the JSONL sink's output for the round-trip tests",
 }
 
 // TestPublicAPIHasCallers applies the repository's deletion rule to its

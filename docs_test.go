@@ -76,6 +76,9 @@ func TestDocsQuoteOnlyWhatExists(t *testing.T) {
 		// no spread and no stamp, which dbench replaces.
 		"Wall" + "Sample", "experiments." + "Report", "saturate-under" + "-churn", "repro-bench" + "/v1",
 		"BENCH" + "_scale.json", "BENCH" + "_skew.json", "BENCH" + "_churnserve.json", "BENCH" + "_faults.json",
+		// The second copies of Algos 2 and 4: exploration now runs on the
+		// search walk, and the invitee's half is SymmetricUpdater.Accepting.
+		"Deliver" + "Invitation", "decide" + "Invitation", "make" + "Room",
 	}
 	goBench := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	ticked := regexp.MustCompile("`([^`\n]+)`")

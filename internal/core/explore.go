@@ -50,94 +50,37 @@ type ExploreOutcome struct {
 }
 
 // ExploreScratch runs one exploration round over the cascade's
-// topology view. The cascade's Forward policy selects propagation
-// targets exactly as in search; OnMessage metering is the caller's
-// (exploration traffic is usually metered as netsim.MsgExplore). The
-// returned outcome (its Findings and their Held slices) aliases s and
-// is valid until the next RunScratch/ExploreScratch call with the same
-// Scratch. A nil s runs with fresh state, and the caller owns that
-// outcome indefinitely.
+// topology view. It is the search walk of RunScratch with every visited
+// repository answering: the cascade's Forward policy selects
+// propagation targets exactly as in search, and each reply carries the
+// subset of x.Keys the repository holds. OnMessage metering is the
+// caller's (exploration traffic is usually metered as
+// netsim.MsgExplore). The returned outcome (its Findings and their Held
+// slices) aliases s and is valid until the next RunScratch/
+// ExploreScratch call with the same Scratch. A nil s runs with fresh
+// state, and the caller owns that outcome indefinitely.
 func (c *Cascade) ExploreScratch(x *Exploration, s *Scratch) *ExploreOutcome {
-	if c.Graph == nil || c.Content == nil || c.Forward == nil {
+	if c.Content == nil {
 		panic("core: Cascade requires Graph, Content and Forward")
-	}
-	if x.TTL < 0 {
-		panic("core: negative exploration TTL")
 	}
 	if s == nil {
 		s = NewScratch(0)
 	}
-	delay := c.Delay
-	if delay == nil {
-		delay = ZeroDelay
-	}
-	ledger := func(topology.NodeID) *stats.Ledger { return nil }
-	if c.Ledger != nil {
-		ledger = c.Ledger
-	}
-	// Exploration reuses the query-shaped forward policies; the pseudo
-	// query carries no key semantics (policies only inspect Origin).
-	pseudo := &Query{Origin: x.Origin, TTL: x.TTL}
+	// Every node answers and keeps forwarding; the pseudo query carries
+	// no key semantics (policies only inspect Origin).
+	walk := *c
+	walk.Content, walk.Index = answerAll{}, nil
+	res := walk.RunScratch(&Query{Origin: x.Origin, TTL: x.TTL, ForwardWhenHit: true}, s)
 
-	s.begin()
-	out := &ExploreOutcome{Findings: s.findings[:0]}
+	out := &ExploreOutcome{Findings: s.findings[:0], Messages: res.Messages, ReplyMessages: res.ReplyMessages}
+	// Each finding keeps its own sub-slice of the pooled backing (growth
+	// reallocates the backing, which leaves earlier findings pointing at
+	// the old array — still valid, just no longer contiguous).
 	held := s.heldBuf[:0]
-	defer func() {
-		// As in RunScratch: retain buffers, normalize empty to nil.
-		s.findings = out.Findings[:0]
-		s.heldBuf = held[:0]
-		if len(out.Findings) == 0 {
-			out.Findings = nil
-		}
-	}()
-
-	origin := s.slot(x.Origin)
-	origin.epoch = s.epoch
-	origin.parent = topology.None
-
-	send := func(from, to topology.NodeID, t float64, hops int32) {
-		out.Messages++
-		if c.OnMessage != nil {
-			c.OnMessage(from, to)
-		}
-		s.pushArrival(t+delay(from, to), to, from, hops)
-	}
-
-	if x.TTL >= 1 {
-		s.fwd = c.Forward.Select(pseudo, x.Origin, topology.None, c.Graph.Out(x.Origin), ledger(x.Origin), s.fwd[:0])
-		for _, n := range s.fwd {
-			send(x.Origin, n, 0, 1)
-		}
-	}
-
-	for {
-		if c.Halt != nil && c.Halt() {
-			break
-		}
-		a, ok := s.popArrival()
-		if !ok {
-			break
-		}
-		now := a.time
-		if s.visited(a.node) {
-			continue
-		}
-		if !c.Graph.Online(a.node) {
-			continue
-		}
-		st := s.slot(a.node)
-		st.epoch = s.epoch
-		st.parent = a.from
-		st.forwardDelay = now
-		st.hops = a.hops
-
-		// Collect the held subset into the pooled backing; each finding
-		// keeps its own sub-slice (growth reallocates the backing, which
-		// leaves earlier findings pointing at the old array — still
-		// valid, just no longer contiguous with later ones).
+	for _, r := range res.Results {
 		start := len(held)
 		for _, k := range x.Keys {
-			if c.Content.HasContent(a.node, k) {
+			if c.Content.HasContent(r.Holder, k) {
 				held = append(held, k)
 			}
 		}
@@ -145,33 +88,22 @@ func (c *Cascade) ExploreScratch(x *Exploration, s *Scratch) *ExploreOutcome {
 		if len(held) > start {
 			heldView = held[start:len(held):len(held)]
 		}
-
-		// The report travels the reverse route regardless of outcome.
-		replyDelay := 0.0
-		node := a.node
-		for node != x.Origin {
-			parent := s.visits[node].parent
-			replyDelay += delay(node, parent)
-			out.ReplyMessages++
-			node = parent
-		}
-		out.Findings = append(out.Findings, Finding{
-			Node:  a.node,
-			Held:  heldView,
-			Hops:  int(a.hops),
-			Delay: now + replyDelay,
-		})
-
-		if int(a.hops) >= x.TTL {
-			continue
-		}
-		s.fwd = c.Forward.Select(pseudo, a.node, a.from, c.Graph.Out(a.node), ledger(a.node), s.fwd[:0])
-		for _, n := range s.fwd {
-			send(a.node, n, now, a.hops+1)
-		}
+		out.Findings = append(out.Findings, Finding{Node: r.Holder, Held: heldView, Hops: r.Hops, Delay: r.Delay})
+	}
+	// As in RunScratch: retain buffers, normalize empty to nil.
+	s.findings, s.heldBuf = out.Findings[:0], held[:0]
+	if len(out.Findings) == 0 {
+		out.Findings = nil
 	}
 	return out
 }
+
+// answerAll is the content of an exploration walk: every repository
+// replies, whatever it holds.
+type answerAll struct{}
+
+// HasContent implements Content.
+func (answerAll) HasContent(topology.NodeID, Key) bool { return true }
 
 // RecordFindings folds an exploration outcome into the initiator's
 // ledger ("obtain results and update statistics"): every reporting node

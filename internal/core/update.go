@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/stats"
@@ -150,9 +151,10 @@ func (r *ReconfigReport) Changed() bool {
 }
 
 // Reconfigure runs Algo 4 (equivalently Algo 5's Reconfigure) for node
-// id: compute the most beneficial eligible peers, invite the best
-// non-neighbors (evicting the least beneficial current neighbors to
-// make room), and reset the node's reconfiguration counter.
+// id over a network the runtime sees whole: invite the most beneficial
+// eligible non-neighbors (Invitation), let each invitee decide
+// (Accepting), make room on both sides of every accepted invitation,
+// and reset the node's reconfiguration counter.
 func (u *SymmetricUpdater) Reconfigure(env SymmetricEnv, id topology.NodeID) ReconfigReport {
 	if u.Capacity <= 0 {
 		panic(fmt.Sprintf("core: SymmetricUpdater capacity %d", u.Capacity))
@@ -160,65 +162,97 @@ func (u *SymmetricUpdater) Reconfigure(env SymmetricEnv, id topology.NodeID) Rec
 	var rep ReconfigReport
 	net := env.Net()
 	led := env.Ledger(id)
-	self := net.Node(id)
-
-	// Rank candidates: online peers, excluding self.
-	ranked := led.Rank(u.Benefit, func(p topology.NodeID) bool {
-		return p == id || !env.Online(p)
-	})
-
-	// Lnew = the top-capacity peers; invitations go to those not
-	// currently neighbors (Algo 5: "invitation messages are sent to the
-	// ones that do not belong to the current list of neighbors").
-	// Following the Algo 4 ordering, eviction of the node's own worst
-	// neighbor happens only after a positive reply.
+	// Off-line peers are never invited, and a peer is invited at most
+	// once per reconfiguration.
+	skip := func(p topology.NodeID) bool { return !env.Online(p) || slices.Contains(rep.Invited, p) }
 	swaps := 0
-	for _, cand := range ranked {
-		if u.MaxSwaps > 0 && swaps >= u.MaxSwaps {
+	for (u.MaxSwaps == 0 || swaps < u.MaxSwaps) && len(rep.Invited) < u.Capacity {
+		peer, displace, ok := u.Invitation(led, id, net.Out(id), skip)
+		if !ok {
 			break
 		}
-		if len(rep.Invited) >= u.Capacity {
-			break
-		}
-		if self.Out.Contains(cand.Peer) {
-			continue
-		}
-		// If the outgoing list is full, the candidate must actually
-		// outrank the least beneficial current neighbor; ranked is
-		// sorted, so once one candidate fails this test none can pass.
-		var worst topology.NodeID = topology.None
-		if self.Out.Full() {
-			worst = led.Least(u.Benefit, self.Out.IDs())
-			worstScore := 0.0
-			if r := led.Get(worst); r != nil {
-				worstScore = u.Benefit.Score(r)
-			}
-			if cand.Score <= worstScore {
-				break
-			}
-		}
-		rep.Invited = append(rep.Invited, cand.Peer)
-		env.Control(netsim.MsgInvite, id, cand.Peer)
-		if !u.decideInvitation(env, id, cand.Peer) {
-			env.Control(netsim.MsgInviteReply, cand.Peer, id)
+		rep.Invited = append(rep.Invited, peer)
+		env.Control(netsim.MsgInvite, id, peer)
+		evict, accept := u.Accepting(env.Ledger(peer), peer, net.Out(peer), id)
+		if !accept {
+			env.Control(netsim.MsgInviteReply, peer, id)
 			continue
 		}
 		// Positive reply: make room on both sides, then connect.
-		if worst != topology.None && self.Out.Full() {
-			u.evict(env, id, worst)
-			rep.Evicted = append(rep.Evicted, worst)
+		// Following the Algo 4 ordering, the inviter evicts only now.
+		if displace != topology.None {
+			u.evict(env, id, displace)
+			rep.Evicted = append(rep.Evicted, displace)
 		}
-		u.makeRoom(env, cand.Peer)
-		ok := net.Connect(id, cand.Peer)
-		env.Control(netsim.MsgInviteReply, cand.Peer, id)
+		if evict != topology.None {
+			u.evict(env, peer, evict)
+		}
+		ok = net.Connect(id, peer)
+		env.Control(netsim.MsgInviteReply, peer, id)
 		if ok {
-			rep.Accepted = append(rep.Accepted, cand.Peer)
-			env.ResetCounter(cand.Peer)
+			rep.Accepted = append(rep.Accepted, peer)
+			env.ResetCounter(peer)
 			swaps++
 		}
 	}
 	env.ResetCounter(id)
 	return rep
+}
+
+// Invitation is the inviter's half of Algo 4, decided from the node's
+// own ledger and neighbor list: the most beneficial peer that is
+// neither self, listed, nor skipped (skip may be nil), and the neighbor
+// a positive reply would displace — topology.None while the list has
+// room. ok is false when there is no such peer, or when the list is
+// full and the peer does not outrank its least beneficial neighbor
+// (Algo 5: "invitation messages are sent to the ones that do not belong
+// to the current list of neighbors").
+func (u *SymmetricUpdater) Invitation(led *stats.Ledger, self topology.NodeID, neighbors []topology.NodeID, skip func(topology.NodeID) bool) (peer, displace topology.NodeID, ok bool) {
+	ranked := led.Rank(u.Benefit, func(p topology.NodeID) bool {
+		return p == self || slices.Contains(neighbors, p) || (skip != nil && skip(p))
+	})
+	if len(ranked) == 0 {
+		return topology.None, topology.None, false
+	}
+	best := ranked[0]
+	if len(neighbors) < u.Capacity {
+		return best.Peer, topology.None, true
+	}
+	displace = led.Least(u.Benefit, neighbors)
+	return best.Peer, displace, best.Score > u.score(led, displace)
+}
+
+// Accepting is the invitee's half of Algo 4 ("On Neighboring
+// Invitation Arrival", Algo 5 Process_Invitation), decided from the
+// invitee's own ledger and neighbor list: whether to accept inviter and
+// which neighbor to evict to make room — topology.None while the list
+// has room. It refuses self and any peer already listed. Under
+// AlwaysAccept the least beneficial neighbor makes room; under
+// BenefitBased a full list accepts only an inviter that outranks it.
+func (u *SymmetricUpdater) Accepting(led *stats.Ledger, self topology.NodeID, neighbors []topology.NodeID, inviter topology.NodeID) (evict topology.NodeID, ok bool) {
+	if inviter == self || slices.Contains(neighbors, inviter) {
+		return topology.None, false
+	}
+	if len(neighbors) < u.Capacity {
+		return topology.None, true
+	}
+	evict = led.Least(u.Benefit, neighbors)
+	switch u.Invite {
+	case AlwaysAccept:
+		return evict, true
+	case BenefitBased:
+		return evict, u.score(led, inviter) > u.score(led, evict)
+	default:
+		panic(fmt.Sprintf("core: unknown invite policy %d", u.Invite))
+	}
+}
+
+// score is a peer's benefit in led; a peer with no record scores 0.
+func (u *SymmetricUpdater) score(led *stats.Ledger, p topology.NodeID) float64 {
+	if r := led.Get(p); r != nil {
+		return u.Benefit.Score(r)
+	}
+	return 0
 }
 
 // evict implements the eviction message: the edge disappears in both
@@ -228,69 +262,4 @@ func (u *SymmetricUpdater) evict(env SymmetricEnv, from, victim topology.NodeID)
 	env.Control(netsim.MsgEvict, from, victim)
 	env.Net().Disconnect(from, victim)
 	env.Ledger(victim).Reset(from)
-}
-
-// decideInvitation evaluates Algo 4's "On Neighboring Invitation
-// Arrival" decision at the invited node, without side effects.
-func (u *SymmetricUpdater) decideInvitation(env SymmetricEnv, inviter, invited topology.NodeID) bool {
-	if !env.Online(invited) || inviter == invited {
-		return false
-	}
-	node := env.Net().Node(invited)
-	if node.Out.Contains(inviter) {
-		return false // already neighbors; nothing to do
-	}
-	switch u.Invite {
-	case AlwaysAccept:
-		return true
-	case BenefitBased:
-		if !node.In.Full() {
-			return true
-		}
-		led := env.Ledger(invited)
-		worst := led.Least(u.Benefit, node.In.IDs())
-		worstScore := 0.0
-		if r := led.Get(worst); r != nil {
-			worstScore = u.Benefit.Score(r)
-		}
-		inviterScore := 0.0
-		if r := led.Get(inviter); r != nil {
-			inviterScore = u.Benefit.Score(r)
-		}
-		return inviterScore > worstScore
-	default:
-		panic(fmt.Sprintf("core: unknown invite policy %d", u.Invite))
-	}
-}
-
-// makeRoom evicts the invited node's least beneficial neighbor if its
-// outgoing list is full (Algo 5 Process_Invitation: "evict least
-// beneficial neighbor according to statistics").
-func (u *SymmetricUpdater) makeRoom(env SymmetricEnv, invited topology.NodeID) {
-	node := env.Net().Node(invited)
-	if node.Out.Full() {
-		worst := env.Ledger(invited).Least(u.Benefit, node.Out.IDs())
-		u.evict(env, invited, worst)
-	}
-}
-
-// DeliverInvitation processes an invitation at the invited node and
-// reports acceptance (Algo 4 "On Neighboring Invitation Arrival" /
-// Algo 5 Process_Invitation). On acceptance the invited node makes
-// room, the symmetric edge is created, and the invited node's
-// reconfiguration counter resets. The inviter must have room in its own
-// outgoing list (the Reconfigure loop guarantees this; external callers
-// such as the live runtime check before inviting).
-func (u *SymmetricUpdater) DeliverInvitation(env SymmetricEnv, inviter, invited topology.NodeID) bool {
-	if !u.decideInvitation(env, inviter, invited) {
-		env.Control(netsim.MsgInviteReply, invited, inviter)
-		return false
-	}
-	u.makeRoom(env, invited)
-	ok := env.Net().Connect(invited, inviter)
-	env.Control(netsim.MsgInviteReply, invited, inviter)
-	if ok {
-		env.ResetCounter(invited)
-	}
-	return ok
 }

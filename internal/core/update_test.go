@@ -252,6 +252,10 @@ func TestReconfigureSkipsExistingNeighbors(t *testing.T) {
 	}
 }
 
+// The TestDeliverInvitation tests pin the invitee's half of Algo 4,
+// Accepting: the decision a node takes when an invitation is delivered
+// to it.
+
 func TestDeliverInvitationAlwaysAcceptEvicts(t *testing.T) {
 	e := newTestEnv(5, 2)
 	// Node 3 is full with 1 and 2; it values 1 less.
@@ -260,8 +264,13 @@ func TestDeliverInvitationAlwaysAcceptEvicts(t *testing.T) {
 	e.ledgers[3].Touch(1).Benefit = 1
 	e.ledgers[3].Touch(2).Benefit = 5
 	u := &SymmetricUpdater{Benefit: stats.Cumulative{}, Capacity: 2, Invite: AlwaysAccept}
-	if !u.DeliverInvitation(e, 0, 3) {
-		t.Fatal("always-accept refused")
+	if evict, ok := u.Accepting(e.ledgers[3], 3, e.net.Out(3), 0); !ok || evict != 1 {
+		t.Fatalf("Accepting = %d, %v; want evict 1, accept", evict, ok)
+	}
+	// Delivered by a reconfiguration of node 0, the decision takes effect.
+	e.ledgers[0].Touch(3).Benefit = 1
+	if rep := u.Reconfigure(e, 0); len(rep.Accepted) != 1 {
+		t.Fatalf("always-accept refused: %+v", rep)
 	}
 	if !e.net.Node(3).Out.Contains(0) {
 		t.Fatal("edge to inviter missing")
@@ -285,9 +294,11 @@ func TestDeliverInvitationBenefitBasedRejects(t *testing.T) {
 	e.ledgers[3].Touch(2).Benefit = 6
 	e.ledgers[3].Touch(0).Benefit = 1 // inviter is worse than both
 	u := &SymmetricUpdater{Benefit: stats.Cumulative{}, Capacity: 2, Invite: BenefitBased}
-	if u.DeliverInvitation(e, 0, 3) {
+	if _, ok := u.Accepting(e.ledgers[3], 3, e.net.Out(3), 0); ok {
 		t.Fatal("benefit-based accepted an inferior inviter")
 	}
+	e.ledgers[0].Touch(3).Benefit = 1
+	u.Reconfigure(e, 0)
 	if e.net.Node(3).Out.Len() != 2 {
 		t.Fatal("rejection must not change edges")
 	}
@@ -304,35 +315,39 @@ func TestDeliverInvitationBenefitBasedAcceptsWhenBetter(t *testing.T) {
 	e.ledgers[3].Touch(2).Benefit = 6
 	e.ledgers[3].Touch(0).Benefit = 4 // better than neighbor 1
 	u := &SymmetricUpdater{Benefit: stats.Cumulative{}, Capacity: 2, Invite: BenefitBased}
-	if !u.DeliverInvitation(e, 0, 3) {
+	evict, ok := u.Accepting(e.ledgers[3], 3, e.net.Out(3), 0)
+	if !ok {
 		t.Fatal("benefit-based refused a superior inviter")
 	}
-	if e.net.Node(3).Out.Contains(1) {
-		t.Fatal("inferior incoming neighbor not evicted")
+	if evict != 1 {
+		t.Fatalf("evicts %d, want the inferior neighbor 1", evict)
 	}
 }
 
 func TestDeliverInvitationBenefitBasedAcceptsWhenRoom(t *testing.T) {
 	e := newTestEnv(3, 2)
 	u := &SymmetricUpdater{Benefit: stats.Cumulative{}, Capacity: 2, Invite: BenefitBased}
-	if !u.DeliverInvitation(e, 0, 1) {
-		t.Fatal("refused despite free slots")
+	if evict, ok := u.Accepting(e.ledgers[1], 1, e.net.Out(1), 0); !ok || evict != topology.None {
+		t.Fatalf("Accepting = %d, %v despite free slots", evict, ok)
 	}
 }
 
 func TestDeliverInvitationOfflineRefuses(t *testing.T) {
+	// Liveness is the runtime's to know, not the invitee's: Reconfigure
+	// never delivers an invitation to an off-line node.
 	e := newTestEnv(3, 2)
 	e.offline[1] = true
+	e.ledgers[0].Touch(1).Benefit = 10
 	u := &SymmetricUpdater{Benefit: stats.Cumulative{}, Capacity: 2, Invite: AlwaysAccept}
-	if u.DeliverInvitation(e, 0, 1) {
-		t.Fatal("offline node accepted")
+	if rep := u.Reconfigure(e, 0); len(rep.Invited) != 0 || e.net.Node(1).Out.Len() != 0 {
+		t.Fatalf("offline node invited: %+v", rep)
 	}
 }
 
 func TestDeliverInvitationSelfRefuses(t *testing.T) {
 	e := newTestEnv(3, 2)
 	u := &SymmetricUpdater{Benefit: stats.Cumulative{}, Capacity: 2, Invite: AlwaysAccept}
-	if u.DeliverInvitation(e, 1, 1) {
+	if _, ok := u.Accepting(e.ledgers[1], 1, e.net.Out(1), 1); ok {
 		t.Fatal("self-invitation accepted")
 	}
 }
@@ -340,9 +355,47 @@ func TestDeliverInvitationSelfRefuses(t *testing.T) {
 func TestDeliverInvitationExistingNeighborRefuses(t *testing.T) {
 	e := newTestEnv(3, 2)
 	e.net.Connect(0, 1)
+	e.net.Connect(1, 2)
+	e.ledgers[1].Touch(2).Benefit = 5 // a full list must not evict 2 for 0
 	u := &SymmetricUpdater{Benefit: stats.Cumulative{}, Capacity: 2, Invite: AlwaysAccept}
-	if u.DeliverInvitation(e, 0, 1) {
-		t.Fatal("re-invitation of an existing neighbor accepted")
+	if evict, ok := u.Accepting(e.ledgers[1], 1, e.net.Out(1), 0); ok || evict != topology.None {
+		t.Fatalf("re-invitation of an existing neighbor: Accepting = %d, %v", evict, ok)
+	}
+}
+
+func TestInvitationDisplacesLeastBeneficial(t *testing.T) {
+	led := stats.NewLedger()
+	led.Touch(1).Benefit = 3
+	led.Touch(2).Benefit = 1
+	led.Touch(3).Benefit = 0.5
+	led.Touch(4).Benefit = 9
+	u := &SymmetricUpdater{Benefit: stats.Cumulative{}, Capacity: 2}
+	if peer, displace, ok := u.Invitation(led, 0, ids(1, 2), nil); !ok || peer != 4 || displace != 2 {
+		t.Fatalf("Invitation = %d, %d, %v; want 4 displacing 2", peer, displace, ok)
+	}
+	skip4 := func(p topology.NodeID) bool { return p == 4 }
+	if _, _, ok := u.Invitation(led, 0, ids(1, 2), skip4); ok {
+		t.Fatal("invited a peer that does not outrank the least beneficial neighbor")
+	}
+	if peer, displace, ok := u.Invitation(led, 0, ids(1), skip4); !ok || peer != 2 || displace != topology.None {
+		t.Fatalf("Invitation with room = %d, %d, %v; want 2, no displacement", peer, displace, ok)
+	}
+	if _, _, ok := u.Invitation(stats.NewLedger(), 0, nil, nil); ok {
+		t.Fatal("invited with an empty ledger")
+	}
+}
+
+// deliver is a message-driven runtime's invitee: it takes the decision
+// from its own ledger and list, makes room, and links.
+func deliver(u *SymmetricUpdater, e *testEnv, inviter, invitee topology.NodeID) {
+	if !e.Online(invitee) {
+		return
+	}
+	if evict, ok := u.Accepting(e.ledgers[invitee], invitee, e.net.Out(invitee), inviter); ok {
+		if evict != topology.None {
+			u.evict(e, invitee, evict)
+		}
+		e.net.Connect(invitee, inviter)
 	}
 }
 
@@ -390,7 +443,7 @@ func TestQuickReconfigurePreservesConsistency(t *testing.T) {
 				}
 			case 4:
 				if !e.net.Node(id).Out.Full() {
-					u.DeliverInvitation(e, id, peer)
+					deliver(u, e, id, peer)
 				}
 			}
 			if !e.net.Consistent() {

@@ -2,11 +2,14 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -199,7 +202,7 @@ func TestDrainCompletesInflightQueries(t *testing.T) {
 	// the copy sent there vanishes, its ack never comes, and collection
 	// runs to the end of the window.
 	origin := 0
-	if err := srv.CrashNode(int(srv.world.Net.Out(0)[0])); err != nil {
+	if err := srv.Crash(int(srv.world.Net.Out(0)[0])); err != nil {
 		t.Fatal(err)
 	}
 
@@ -276,6 +279,86 @@ func TestPauseResume(t *testing.T) {
 	}
 	if _, err := client.Query(ctx, searchclient.QueryRequest{Key: 1, MaxHits: 1}); err != nil {
 		t.Fatalf("query after resume: %v", err)
+	}
+}
+
+// TestReconfigKeepsListsSymmetric drives POST /v1/control/reconfig on
+// a 16-node cluster (World seed 11) whose ledgers a query plan has
+// warmed: every hosted node reconfigures, and once the invitations
+// settle, every list is listed back, within capacity and free of self —
+// and at least one list changed, so the check is not vacuous.
+func TestReconfigKeepsListsSymmetric(t *testing.T) {
+	srv, err := New(Config{Nodes: 16, Degree: 2, TTL: 3, Keys: 32, Replicas: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Drain(context.Background())
+	client := searchclient.New(srv.Addr())
+	ctx := context.Background()
+
+	lists := func() map[int][]topology.NodeID {
+		out := map[int][]topology.NodeID{}
+		for _, n := range srv.nodes {
+			out[int(n.ID())] = n.Neighbors()
+		}
+		return out
+	}
+	// settle waits until three snapshots 20 ms apart agree.
+	settle := func() map[int][]topology.NodeID {
+		prev, same := lists(), 0
+		for same < 2 {
+			time.Sleep(20 * time.Millisecond)
+			cur := lists()
+			if maps.EqualFunc(prev, cur, slices.Equal) {
+				same++
+			} else {
+				same = 0
+			}
+			prev = cur
+		}
+		return prev
+	}
+	before := lists()
+
+	for _, q := range srv.world.QueryPlan(300) {
+		origin := int(q.Origin)
+		if _, err := client.Query(ctx, searchclient.QueryRequest{Key: uint64(q.Key), Origin: &origin}); err != nil {
+			t.Fatalf("warm-up query: %v", err)
+		}
+	}
+	if err := client.Reconfig(ctx); err != nil {
+		t.Fatalf("reconfig: %v", err)
+	}
+	// The client drops the response body; a second round reads the
+	// count off the wire.
+	resp, err := http.Post("http://"+srv.Addr()+"/v1/control/reconfig", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Reconfigured int }
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil || body.Reconfigured != len(srv.nodes) {
+		t.Fatalf("reconfigured = %d (%v), want %d hosted nodes", body.Reconfigured, err, len(srv.nodes))
+	}
+
+	after := settle()
+	capacity := srv.world.MaxDegree
+	for id, l := range after {
+		if len(l) > capacity {
+			t.Errorf("node %d lists %v, over capacity %d", id, l, capacity)
+		}
+		for _, p := range l {
+			if int(p) == id {
+				t.Errorf("node %d lists itself: %v", id, l)
+			} else if !slices.Contains(after[int(p)], topology.NodeID(id)) {
+				t.Errorf("node %d lists %d, which lists %v", id, p, after[int(p)])
+			}
+		}
+	}
+	if maps.EqualFunc(before, after, slices.Equal) {
+		t.Fatal("no list changed: reconfiguration did nothing")
 	}
 }
 

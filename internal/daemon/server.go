@@ -399,12 +399,15 @@ func (s *Server) pickLive() *live.Node {
 	return nil
 }
 
-// CrashNode fault-injects a locally hosted node down: its transport
+// Crash fault-injects a locally hosted node down: its transport
 // traffic is blocked both ways, TCP deliveries are discarded, and
-// query admission routes around it until RestartNode. The node's
-// actor keeps running — a crash here is a network death, which is all
-// the protocol can observe anyway.
-func (s *Server) CrashNode(id int) error {
+// query admission routes around it until Restart. The node's actor
+// keeps running — a crash here is a network death, which is all the
+// protocol can observe anyway.
+//
+// Crash, Restart, Partition and Heal make *Server a faults.Target, so
+// a faults.Schedule can play directly against an in-process cluster.
+func (s *Server) Crash(id int) error {
 	i := id - s.cfg.BaseID
 	if i < 0 || i >= len(s.nodes) {
 		return fmt.Errorf("daemon: node %d not hosted here (shard [%d,%d))",
@@ -415,8 +418,8 @@ func (s *Server) CrashNode(id int) error {
 	return nil
 }
 
-// RestartNode lifts a CrashNode.
-func (s *Server) RestartNode(id int) error {
+// Restart lifts a Crash.
+func (s *Server) Restart(id int) error {
 	i := id - s.cfg.BaseID
 	if i < 0 || i >= len(s.nodes) {
 		return fmt.Errorf("daemon: node %d not hosted here (shard [%d,%d))",
@@ -426,11 +429,6 @@ func (s *Server) RestartNode(id int) error {
 	s.faultT.Restart(topology.NodeID(id))
 	return nil
 }
-
-// Crash, Restart, Partition and Heal make *Server a faults.Target, so
-// a faults.Schedule can play directly against an in-process cluster.
-func (s *Server) Crash(node int) error   { return s.CrashNode(node) }
-func (s *Server) Restart(node int) error { return s.RestartNode(node) }
 
 // Partition splits this process's transport into isolated groups
 // (node IDs); traffic across groups is blocked until Heal. In TCP
@@ -729,11 +727,11 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 // POST {"node": N} marks a locally hosted node network-dead (crash) or
 // lifts it (restart). Remote node IDs are the caller's routing error.
 func (s *Server) handleCrash(w http.ResponseWriter, r *http.Request) {
-	s.handleNodeFault(w, r, s.CrashNode, "crashed")
+	s.handleNodeFault(w, r, s.Crash, "crashed")
 }
 
 func (s *Server) handleRestart(w http.ResponseWriter, r *http.Request) {
-	s.handleNodeFault(w, r, s.RestartNode, "restarted")
+	s.handleNodeFault(w, r, s.Restart, "restarted")
 }
 
 func (s *Server) handleNodeFault(w http.ResponseWriter, r *http.Request,

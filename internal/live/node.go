@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -118,6 +119,10 @@ type Node struct {
 
 	closeOnce sync.Once
 
+	// upd takes both halves of the node's Algo 4 decisions with the
+	// paper's case-study constants.
+	upd core.SymmetricUpdater
+
 	// nextQID numbers originated queries; guarded by mu.
 	nextQID core.QueryID
 }
@@ -139,6 +144,9 @@ type state struct {
 	acts      actTable
 	pending   map[core.QueryID]*collector
 	searches  int
+	// invited is the one peer this node's last invitation went to
+	// (topology.None when none is outstanding).
+	invited topology.NodeID
 	// fwdBuf and fwdQuery are scratch reused across handle calls so the
 	// hot path stops allocating per forwarded query: the target slice
 	// keeps its grown capacity, and the query escapes through the
@@ -169,6 +177,13 @@ func NewNode(cfg Config) *Node {
 			ledger:  stats.NewLedger(),
 			seen:    newSeenSet(),
 			pending: make(map[core.QueryID]*collector),
+			invited: topology.None,
+		},
+		upd: core.SymmetricUpdater{
+			Benefit:  stats.Cumulative{},
+			Capacity: cfg.Neighbors,
+			Invite:   core.AlwaysAccept,
+			MaxSwaps: 1,
 		},
 		inbox:   make(chan Envelope, inboxCap),
 		ctl:     make(chan ctlMsg, 64),
@@ -408,40 +423,20 @@ func (n *Node) Reconfigure() {
 	n.do(n.reconfigureLocked)
 }
 
-// reconfigureLocked runs under the node's lock: invite the single most
-// beneficial known non-neighbor, evicting the worst neighbor when full
-// (MaxSwaps = 1, as in the paper's case study).
+// reconfigureLocked runs the inviter's half of Algo 4 under the node's
+// lock: invite the most beneficial known non-neighbor worth a slot. The
+// neighbor list changes only when the invitee accepts (MsgInviteReply).
 func (n *Node) reconfigureLocked(st *state) {
-	ranked := st.ledger.Rank(stats.Cumulative{}, func(p topology.NodeID) bool {
-		return p == n.cfg.ID
-	})
-	for _, cand := range ranked {
-		isNeighbor := false
-		for _, v := range st.neighbors {
-			if v == cand.Peer {
-				isNeighbor = true
-				break
-			}
-		}
-		if isNeighbor {
-			continue
-		}
-		if len(st.neighbors) >= n.cfg.Neighbors {
-			worst := st.ledger.Least(stats.Cumulative{}, st.neighbors)
-			worstScore := 0.0
-			if r := st.ledger.Get(worst); r != nil {
-				worstScore = stats.Cumulative{}.Score(r)
-			}
-			if cand.Score <= worstScore {
-				return // nothing better than the current set
-			}
-			removeNeighbor(st, worst)
-			n.send(worst, Envelope{Type: MsgEvict, From: n.cfg.ID})
-		}
-		addNeighbor(st, n.cfg.Neighbors, cand.Peer)
-		n.send(cand.Peer, Envelope{Type: MsgInvite, From: n.cfg.ID})
-		return
+	peer, _, ok := n.upd.Invitation(st.ledger, n.cfg.ID, st.neighbors, nil)
+	if ok && n.send(peer, Envelope{Type: MsgInvite, From: n.cfg.ID}) {
+		st.invited = peer
 	}
+}
+
+// evict drops id from the neighbor list and tells it to do the same.
+func (n *Node) evict(st *state, id topology.NodeID) {
+	removeNeighbor(st, id)
+	n.send(id, Envelope{Type: MsgEvict, From: n.cfg.ID})
 }
 
 // handle processes one incoming envelope; the caller holds mu.
@@ -476,20 +471,41 @@ func (n *Node) handle(st *state, env Envelope) {
 			}
 		}
 	case MsgInvite:
-		// Always accept (Algo 5), evicting the least beneficial
-		// neighbor when full.
-		if len(st.neighbors) >= n.cfg.Neighbors {
-			worst := st.ledger.Least(stats.Cumulative{}, st.neighbors)
-			removeNeighbor(st, worst)
-			n.send(worst, Envelope{Type: MsgEvict, From: n.cfg.ID})
-		}
-		addNeighbor(st, n.cfg.Neighbors, env.From)
-		n.send(env.From, Envelope{Type: MsgInviteReply, From: n.cfg.ID, Accept: true})
-		st.searches = 0 // reset the reconfiguration counter
-	case MsgInviteReply:
-		if env.Accept {
+		// The invitee's half of Algo 4: the link is made here, and
+		// undone if the inviter cannot be told.
+		evict, ok := n.upd.Accepting(st.ledger, n.cfg.ID, st.neighbors, env.From)
+		if ok {
+			if evict != topology.None {
+				n.evict(st, evict)
+			}
 			addNeighbor(st, n.cfg.Neighbors, env.From)
+			st.searches = 0 // reset the reconfiguration counter
 		}
+		if !n.send(env.From, Envelope{Type: MsgInviteReply, From: n.cfg.ID, Accept: ok}) && ok {
+			removeNeighbor(st, env.From)
+		}
+	case MsgInviteReply:
+		asked := env.From == st.invited
+		if asked {
+			st.invited = topology.None
+		}
+		if !env.Accept || slices.Contains(st.neighbors, env.From) {
+			return
+		}
+		// The inviter links only on an accepted reply it asked for and can
+		// still honour — the peer still earns a slot — and otherwise tells
+		// the invitee to drop the link it made.
+		if asked {
+			others := func(p topology.NodeID) bool { return p != env.From }
+			if peer, displace, ok := n.upd.Invitation(st.ledger, n.cfg.ID, st.neighbors, others); ok {
+				if displace != topology.None {
+					n.evict(st, displace)
+				}
+				addNeighbor(st, n.cfg.Neighbors, peer)
+				return
+			}
+		}
+		n.evict(st, env.From)
 	case MsgEvict:
 		removeNeighbor(st, env.From)
 		// Process_Eviction: reset statistics about the evictor so we do

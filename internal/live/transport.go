@@ -10,8 +10,11 @@
 // Gnutella Ping-Pong protocol does), every query copy is acknowledged
 // once the part of the flood behind it is exhausted (so the origin
 // knows when a search is finished instead of waiting out a window),
-// and neighbor updates use invitation/eviction messages with the
-// always-accept policy.
+// and neighbor updates carry core's Algo 4 over invitation, reply and
+// eviction messages: each node takes the inviter's and the invitee's
+// decisions (core.SymmetricUpdater, always-accept, one swap per
+// reconfiguration) from its own ledger and list, and a link is made
+// only on an accepted reply.
 package live
 
 import (

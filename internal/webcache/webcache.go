@@ -119,6 +119,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("webcache: dynamic mode needs positive periods, got %+v", c)
 	case c.Mode == Dynamic && c.ExploreTTL < 1:
 		return fmt.Errorf("webcache: exploration TTL %d < 1", c.ExploreTTL)
+	case c.Mode == Dynamic && c.ExploreProbes < 1:
+		return fmt.Errorf("webcache: ExploreProbes %d < 1", c.ExploreProbes)
 	case c.OriginDelayMean <= 0:
 		return fmt.Errorf("webcache: non-positive origin delay %v", c.OriginDelayMean)
 	case c.DurationHours < 1:

@@ -37,6 +37,8 @@ func TestConfigValidation(t *testing.T) {
 		"zero cache":        func(c *Config) { c.CacheCapacity = 0 },
 		"zero explore":      func(c *Config) { c.ExplorePeriodHours = 0 },
 		"zero explore TTL":  func(c *Config) { c.ExploreTTL = 0 },
+		"zero probes":       func(c *Config) { c.ExploreProbes = 0 },
+		"negative probes":   func(c *Config) { c.ExploreProbes = -1 },
 		"zero origin delay": func(c *Config) { c.OriginDelayMean = 0 },
 		"zero duration":     func(c *Config) { c.DurationHours = 0 },
 	} {
