@@ -34,6 +34,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -47,170 +48,24 @@ import (
 )
 
 func main() {
-	var (
-		cfgPath = flag.String("config", "", "JSON config file (flags override it)")
-		name    = flag.String("name", "", "cluster-unique member name (default d<base>)")
-		httpA   = flag.String("http", "127.0.0.1:0", "HTTP listen address (:0 = ephemeral)")
-		trans   = flag.String("transport", daemon.TransportChan, "envelope transport: chan or tcp")
-		host    = flag.String("node-host", "127.0.0.1", "host node listeners bind on (tcp)")
-
-		nodes  = flag.Int("nodes", 8, "local node count")
-		baseID = flag.Int("base", 0, "first local node ID")
-		total  = flag.Int("total", 0, "cluster node count (0 = nodes)")
-
-		seed     = flag.Uint64("seed", 1, "world seed (cluster-wide)")
-		degree   = flag.Int("degree", 4, "overlay wiring degree")
-		keys     = flag.Int("keys", 256, "catalog size")
-		replicas = flag.Int("replicas", 3, "copies per key")
-
-		ttl    = flag.Int("ttl", 4, "default search hop limit")
-		policy = flag.String("policy", "flood", "forward policy registry name")
-		class  = flag.String("class", "cable", "bandwidth class: 56k, cable or lan")
-
-		join    = flag.String("join", "", "seed daemon HTTP addresses, comma-separated")
-		gossipI = flag.Int("gossip-interval", 500, "gossip round interval (ms)")
-		gossipF = flag.Int("gossip-fanout", 2, "peers contacted per gossip round")
-		window  = flag.Int("query-window", 100, "fallback hit-collection window (ms): a search ends when its flood terminates, and on this window only if an ack was lost")
-		drainT  = flag.Int("drain-timeout", 10_000, "graceful drain bound (ms)")
-
-		batchW   = flag.Int("batch-workers", 64, "goroutines draining one /v1/query/batch slab (floods in flight per slab)")
-		maxBatch = flag.Int("max-batch", 16_384, "largest query slab one batch request may carry")
-
-		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty)")
-
-		fdSuspect = flag.Int("fd-suspect-rounds", 3, "gossip rounds without a heartbeat before suspecting a member")
-		fdEvict   = flag.Int("fd-evict-rounds", 6, "gossip rounds without a heartbeat before evicting a member")
-		fdAmnesty = flag.Int("fd-amnesty-rounds", 12, "gossip rounds an eviction tombstone blocks rejoin")
-
-		faultSeed     = flag.Uint64("fault-seed", 0, "fault decision-stream seed (0 = derive from -seed)")
-		faultDrop     = flag.Float64("fault-drop", 0, "per-message drop probability [0,1)")
-		faultDup      = flag.Float64("fault-dup", 0, "per-message duplication probability [0,1)")
-		faultReorder  = flag.Float64("fault-reorder", 0, "per-message reorder probability [0,1)")
-		faultDelayMin = flag.Int("fault-delay-min", 0, "injected per-message delay lower bound (ms)")
-		faultDelayMax = flag.Int("fault-delay-max", 0, "injected per-message delay upper bound (ms)")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fatalf("unexpected argument %q", flag.Arg(0))
-	}
-
-	var cfg daemon.Config
-	if *cfgPath != "" {
-		var err error
-		if cfg, err = daemon.LoadConfig(*cfgPath); err != nil {
-			fatalf("%v", err)
-		}
-	}
-
-	// Explicitly set flags override the file; otherwise flags only fill
-	// fields the file left zero (so file values survive the defaults
-	// baked into flag declarations).
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if cfg.Name == "" || set["name"] {
-		cfg.Name = *name
-	}
-	if cfg.HTTPAddr == "" || set["http"] {
-		cfg.HTTPAddr = *httpA
-	}
-	if cfg.Transport == "" || set["transport"] {
-		cfg.Transport = *trans
-	}
-	if cfg.NodeHost == "" || set["node-host"] {
-		cfg.NodeHost = *host
-	}
-	if cfg.Nodes == 0 || set["nodes"] {
-		cfg.Nodes = *nodes
-	}
-	if cfg.BaseID == 0 || set["base"] {
-		cfg.BaseID = *baseID
-	}
-	if cfg.Total == 0 || set["total"] {
-		cfg.Total = *total
-	}
-	if cfg.Seed == 0 || set["seed"] {
-		cfg.Seed = *seed
-	}
-	if cfg.Degree == 0 || set["degree"] {
-		cfg.Degree = *degree
-	}
-	if cfg.Keys == 0 || set["keys"] {
-		cfg.Keys = *keys
-	}
-	if cfg.Replicas == 0 || set["replicas"] {
-		cfg.Replicas = *replicas
-	}
-	if cfg.TTL == 0 || set["ttl"] {
-		cfg.TTL = *ttl
-	}
-	if cfg.Policy == "" || set["policy"] {
-		cfg.Policy = *policy
-	}
-	if cfg.Class == "" || set["class"] {
-		cfg.Class = *class
-	}
-	if *join != "" {
-		cfg.Join = nil
-		for _, a := range strings.Split(*join, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				cfg.Join = append(cfg.Join, a)
-			}
-		}
-	}
-	if cfg.GossipIntervalMillis == 0 || set["gossip-interval"] {
-		cfg.GossipIntervalMillis = *gossipI
-	}
-	if cfg.GossipFanout == 0 || set["gossip-fanout"] {
-		cfg.GossipFanout = *gossipF
-	}
-	if cfg.QueryWindowMillis == 0 || set["query-window"] {
-		cfg.QueryWindowMillis = *window
-	}
-	if cfg.DrainTimeoutMillis == 0 || set["drain-timeout"] {
-		cfg.DrainTimeoutMillis = *drainT
-	}
-	if cfg.BatchWorkers == 0 || set["batch-workers"] {
-		cfg.BatchWorkers = *batchW
-	}
-	if cfg.MaxBatch == 0 || set["max-batch"] {
-		cfg.MaxBatch = *maxBatch
-	}
-	if cfg.FDSuspectRounds == 0 || set["fd-suspect-rounds"] {
-		cfg.FDSuspectRounds = *fdSuspect
-	}
-	if cfg.FDEvictRounds == 0 || set["fd-evict-rounds"] {
-		cfg.FDEvictRounds = *fdEvict
-	}
-	if cfg.FDAmnestyRounds == 0 || set["fd-amnesty-rounds"] {
-		cfg.FDAmnestyRounds = *fdAmnesty
-	}
-	if cfg.Faults.Seed == 0 || set["fault-seed"] {
-		cfg.Faults.Seed = *faultSeed
-	}
-	if cfg.Faults.Drop == 0 || set["fault-drop"] {
-		cfg.Faults.Drop = *faultDrop
-	}
-	if cfg.Faults.Dup == 0 || set["fault-dup"] {
-		cfg.Faults.Dup = *faultDup
-	}
-	if cfg.Faults.Reorder == 0 || set["fault-reorder"] {
-		cfg.Faults.Reorder = *faultReorder
-	}
-	if cfg.Faults.DelayMinMillis == 0 || set["fault-delay-min"] {
-		cfg.Faults.DelayMinMillis = *faultDelayMin
-	}
-	if cfg.Faults.DelayMaxMillis == 0 || set["fault-delay-max"] {
-		cfg.Faults.DelayMaxMillis = *faultDelayMax
+	cfg, pprofAddr, err := buildConfig(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case errors.Is(err, errFlags):
+		os.Exit(2)
+	case err != nil:
+		fatalf("%v", err)
 	}
 
 	// Optional profiling plane, off by default and never on the query
 	// listener. Capture a CPU profile of a running daemon with:
 	//
 	//	go tool pprof "http://127.0.0.1:6060/debug/pprof/profile?seconds=10"
-	if *pprofAddr != "" {
+	if pprofAddr != "" {
 		go func() {
 			// net/http/pprof registers on http.DefaultServeMux.
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "dsearchd: pprof: %v\n", err)
 			}
 		}()
@@ -240,4 +95,101 @@ func main() {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "dsearchd: "+format+"\n", args...)
 	os.Exit(2)
+}
+
+// errFlags is a command-line error the flag set has already printed,
+// together with the usage text.
+var errFlags = errors.New("dsearchd: bad flags")
+
+// buildConfig parses the command line into a daemon configuration and
+// the optional pprof listen address. Each flag is bound to its Config
+// field with the ApplyDefaults value as its default, so the defaults
+// live in one place. Fields derived at boot (Total, Name, Faults.Seed)
+// keep their zero value, which means "derive". With -config, the file
+// is decoded over the defaults and the flags given on the command line
+// are applied again on top, so an explicit flag overrides the file and
+// an unset one leaves the file's value alone.
+func buildConfig(args []string) (daemon.Config, string, error) {
+	cfg := daemon.Config{Nodes: 8}
+	cfg.ApplyDefaults()
+	cfg.Total, cfg.Name, cfg.Faults.Seed = 0, "", 0
+
+	fs := flag.NewFlagSet("dsearchd", flag.ContinueOnError)
+	cfgPath := fs.String("config", "", "JSON config file (flags override it)")
+	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty)")
+
+	fs.StringVar(&cfg.Name, "name", cfg.Name, "cluster-unique member name (default d<base>)")
+	fs.StringVar(&cfg.HTTPAddr, "http", cfg.HTTPAddr, "HTTP listen address (:0 = ephemeral)")
+	fs.StringVar(&cfg.Transport, "transport", cfg.Transport, "envelope transport: chan or tcp")
+	fs.StringVar(&cfg.NodeHost, "node-host", cfg.NodeHost, "host node listeners bind on (tcp)")
+
+	fs.IntVar(&cfg.Nodes, "nodes", cfg.Nodes, "local node count")
+	fs.IntVar(&cfg.BaseID, "base", cfg.BaseID, "first local node ID")
+	fs.IntVar(&cfg.Total, "total", cfg.Total, "cluster node count (0 = nodes)")
+
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "world seed (cluster-wide)")
+	fs.IntVar(&cfg.Degree, "degree", cfg.Degree, "overlay wiring degree")
+	fs.IntVar(&cfg.Keys, "keys", cfg.Keys, "catalog size")
+	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "copies per key")
+
+	fs.IntVar(&cfg.TTL, "ttl", cfg.TTL, "default search hop limit")
+	fs.StringVar(&cfg.Policy, "policy", cfg.Policy, "forward policy registry name")
+	fs.StringVar(&cfg.Class, "class", cfg.Class, "bandwidth class: 56k, cable or lan")
+
+	fs.Func("join", "seed daemon HTTP addresses, comma-separated", func(v string) error {
+		cfg.Join = nil
+		for _, a := range strings.Split(v, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				cfg.Join = append(cfg.Join, a)
+			}
+		}
+		return nil
+	})
+	fs.IntVar(&cfg.GossipIntervalMillis, "gossip-interval", cfg.GossipIntervalMillis, "gossip round interval (ms)")
+	fs.IntVar(&cfg.GossipFanout, "gossip-fanout", cfg.GossipFanout, "peers contacted per gossip round")
+	fs.IntVar(&cfg.QueryWindowMillis, "query-window", cfg.QueryWindowMillis, "fallback hit-collection window (ms): a search ends when its flood terminates, and on this window only if an ack was lost")
+	fs.IntVar(&cfg.DrainTimeoutMillis, "drain-timeout", cfg.DrainTimeoutMillis, "graceful drain bound (ms)")
+
+	fs.IntVar(&cfg.BatchWorkers, "batch-workers", cfg.BatchWorkers, "goroutines draining one /v1/query/batch slab (floods in flight per slab)")
+	fs.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "largest query slab one batch request may carry")
+
+	fs.IntVar(&cfg.FDSuspectRounds, "fd-suspect-rounds", cfg.FDSuspectRounds, "gossip rounds without a heartbeat before suspecting a member")
+	fs.IntVar(&cfg.FDEvictRounds, "fd-evict-rounds", cfg.FDEvictRounds, "gossip rounds without a heartbeat before evicting a member")
+	fs.IntVar(&cfg.FDAmnestyRounds, "fd-amnesty-rounds", cfg.FDAmnestyRounds, "gossip rounds an eviction tombstone blocks rejoin")
+
+	fs.Uint64Var(&cfg.Faults.Seed, "fault-seed", cfg.Faults.Seed, "fault decision-stream seed (0 = derive from -seed)")
+	fs.Float64Var(&cfg.Faults.Drop, "fault-drop", cfg.Faults.Drop, "per-message drop probability [0,1)")
+	fs.Float64Var(&cfg.Faults.Dup, "fault-dup", cfg.Faults.Dup, "per-message duplication probability [0,1)")
+	fs.Float64Var(&cfg.Faults.Reorder, "fault-reorder", cfg.Faults.Reorder, "per-message reorder probability [0,1)")
+	fs.IntVar(&cfg.Faults.DelayMinMillis, "fault-delay-min", cfg.Faults.DelayMinMillis, "injected per-message delay lower bound (ms)")
+	fs.IntVar(&cfg.Faults.DelayMaxMillis, "fault-delay-max", cfg.Faults.DelayMaxMillis, "injected per-message delay upper bound (ms)")
+
+	if err := parse(fs, args); err != nil {
+		return cfg, "", err
+	}
+	if fs.NArg() > 0 {
+		return cfg, "", fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if *cfgPath != "" {
+		var err error
+		if cfg, err = daemon.LoadConfig(*cfgPath, cfg); err != nil {
+			return cfg, "", err
+		}
+		// Parsing the same arguments again re-sets exactly the flags
+		// given on the command line, over the file's values.
+		if err := parse(fs, args); err != nil {
+			return cfg, "", err
+		}
+	}
+	return cfg, *pprofAddr, nil
+}
+
+// parse is fs.Parse with every error but a help request folded into
+// errFlags, because fs has printed it already.
+func parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return errFlags
 }

@@ -8,12 +8,11 @@
 // Experiments: fig1 fig2 fig3a fig3b all (plus the single-table
 // aliases fig1a fig1b fig2a fig2b), the ablations: directed iterdeep
 // localindex asym benefit drift webcache peerolap, and the engine
-// stress families: scale (1k/10k/100k/1M-node cascade sweeps plus the
-// CSR re-freeze cell), policies (the pkg/search forward-policy
-// registry swept over one network; -list-policies prints the
-// registry), skew (the session-driver grid: Zipf skew × churn ×
-// policy plus a flash-crowd cell), and churnserve (saturated serving
-// under churn: stop-the-world re-freeze vs zero-downtime epoch swaps).
+// stress families: scale (1k/10k/100k/1M-node cascade sweeps),
+// policies (the pkg/search forward-policy registry swept over one
+// network; -list-policies prints the registry), skew (the
+// session-driver grid: Zipf skew × churn × policy plus a flash-crowd
+// cell), and faults (hit-rate retention under drop × crash × policy).
 // -list prints every family with a one-line description.
 //
 // -cpuprofile/-memprofile write pprof profiles of the selected run, so

@@ -79,6 +79,12 @@ func TestDocsQuoteOnlyWhatExists(t *testing.T) {
 		// The second copies of Algos 2 and 4: exploration now runs on the
 		// search walk, and the invitee's half is SymmetricUpdater.Accepting.
 		"Deliver" + "Invitation", "decide" + "Invitation", "make" + "Room",
+		// The second way to serve through churn (the SnapshotStore tests
+		// and dbench's engine-churn cover it) and the per-request budget
+		// that only restated timeout_ms.
+		"churn" + "serve", "Churn" + "Serve", "serveStop" + "World", "serveEpoch" + "Swap",
+		"Run" + "Refreeze", "scale" + "Churn", "refreeze" + "-n", "Network.Edge" + "Count",
+		"Deadline" + "Millis", "deadline" + "_ms",
 	}
 	goBench := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	ticked := regexp.MustCompile("`([^`\n]+)`")

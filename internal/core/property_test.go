@@ -115,7 +115,7 @@ func TestQuickCascadeMessageBound(t *testing.T) {
 		g, content, _ := randomCase(seed, 30, 3)
 		c := &Cascade{Graph: g, Content: content, Forward: Flood{}}
 		o := c.RunScratch(&Query{ID: 1, Key: 1, Origin: 0, TTL: ttl, ForwardWhenHit: true}, nil)
-		return o.Messages <= uint64(g.net.EdgeCount())
+		return o.Messages <= uint64(g.net.Freeze().EdgeCount())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

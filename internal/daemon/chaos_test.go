@@ -67,7 +67,7 @@ func TestChaosScheduleByteIdentity(t *testing.T) {
 // in-process cluster with 10% deterministic message drop serves the
 // deterministic query plan while a scripted schedule crashes and
 // restarts five nodes. At least 95% of queries must be answered within
-// their deadline, every answered response must be internally coherent
+// their window, every answered response must be internally coherent
 // (Degraded iff it declares reasons, reasons from the documented set),
 // responses produced while nodes were down must say so, and the
 // cluster must come back clean once the schedule ends.
@@ -77,12 +77,12 @@ func TestChaosQueriesSurviveFaults(t *testing.T) {
 		keys, replicas     = 200, 3
 		seed               = 42
 		workers            = 32
-		deadlineMillis     = 1000
+		windowMillis       = 50
 	)
 	srv, err := New(Config{
 		Nodes: nodes, Degree: degree, TTL: ttl,
 		Keys: keys, Replicas: replicas, Seed: seed,
-		QueryWindowMillis: 50,
+		QueryWindowMillis: windowMillis,
 		Faults:            FaultsConfig{Drop: 0.10},
 	})
 	if err != nil {
@@ -126,10 +126,10 @@ func TestChaosQueriesSurviveFaults(t *testing.T) {
 				defer func() { <-sem }()
 				origin := int(q.Origin)
 				resp, err := client.Query(ctx, searchclient.QueryRequest{
-					Key:            uint64(q.Key),
-					Origin:         &origin,
-					MaxHits:        1,
-					DeadlineMillis: deadlineMillis,
+					Key:           uint64(q.Key),
+					Origin:        &origin,
+					MaxHits:       1,
+					TimeoutMillis: windowMillis,
 				})
 				if err != nil {
 					failed.Add(1)
@@ -182,7 +182,7 @@ schedOver:
 		t.Fatal("no queries ran")
 	}
 	if coverage := float64(answered.Load()) / float64(total); coverage < 0.95 {
-		t.Fatalf("only %.1f%% of %d queries answered within deadline (want >= 95%%)",
+		t.Fatalf("only %.1f%% of %d queries answered within their window (want >= 95%%)",
 			coverage*100, total)
 	}
 	if len(incoherent) > 0 {
@@ -330,29 +330,29 @@ func TestCrashRestartControlPlane(t *testing.T) {
 		}
 	}
 
-	// A deadline budget degrades only what it cuts. A flood that finishes
-	// inside the budget is complete; one that cannot finish (node 0's
-	// neighbour is down, so an ack never comes) is cut off at the budget
-	// and says so, instead of erroring or waiting out the window.
+	// A query's window degrades only what it cuts. A flood that finishes
+	// inside the window is complete; one that cannot finish (node 0's
+	// neighbour is down, so an ack never comes) is cut off at the window
+	// and says so, instead of erroring.
 	origin = 0
 	resp, err = client.Query(ctx, searchclient.QueryRequest{
-		Key: 1, Origin: &origin, TimeoutMillis: 500, DeadlineMillis: 250,
+		Key: 1, Origin: &origin, TimeoutMillis: 250,
 	})
 	if err != nil || resp.Degraded {
-		t.Fatalf("budgeted query on a healthy cluster: err %v, reasons %v", err, resp.DegradedReasons)
+		t.Fatalf("windowed query on a healthy cluster: err %v, reasons %v", err, resp.DegradedReasons)
 	}
 	if err := client.Crash(ctx, int(srv.world.Net.Out(0)[0])); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	resp, err = client.Query(ctx, searchclient.QueryRequest{
-		Key: 1, Origin: &origin, TimeoutMillis: 5000, DeadlineMillis: 20,
+		Key: 1, Origin: &origin, TimeoutMillis: 20,
 	})
 	if err != nil {
 		t.Fatalf("deadline query: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("20ms budget held the query for %v", elapsed)
+		t.Fatalf("20ms window held the query for %v", elapsed)
 	}
 	sawDeadline := false
 	for _, r := range resp.DegradedReasons {
@@ -361,7 +361,7 @@ func TestCrashRestartControlPlane(t *testing.T) {
 		}
 	}
 	if !sawDeadline {
-		t.Fatalf("20ms budget not declared: degraded=%v reasons=%v",
+		t.Fatalf("20ms window not declared: degraded=%v reasons=%v",
 			resp.Degraded, resp.DegradedReasons)
 	}
 }

@@ -237,24 +237,24 @@ func (c *Config) DrainTimeout() time.Duration {
 	return time.Duration(c.DrainTimeoutMillis) * time.Millisecond
 }
 
-// LoadConfig reads a JSON config file; unknown fields are errors so a
-// typo fails the boot instead of silently defaulting.
-func LoadConfig(path string) (Config, error) {
+// LoadConfig reads a JSON config file over base: fields the file names
+// replace base's, the rest keep base's values. Unknown fields are errors
+// so a typo fails the boot instead of silently defaulting.
+func LoadConfig(path string, base Config) (Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, fmt.Errorf("daemon: read config: %w", err)
 	}
-	c, err := parseConfig(data)
+	c, err := parseConfig(data, base)
 	if err != nil {
 		return c, fmt.Errorf("daemon: parse config %s: %w", path, err)
 	}
 	return c, nil
 }
 
-// parseConfig decodes exactly one JSON object; anything after it is an
-// error, not a silently ignored second config.
-func parseConfig(data []byte) (Config, error) {
-	var c Config
+// parseConfig decodes exactly one JSON object over c; anything after
+// it is an error, not a silently ignored second config.
+func parseConfig(data []byte, c Config) (Config, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {

@@ -64,11 +64,12 @@ func TestLoadConfig(t *testing.T) {
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := LoadConfig(path)
+	c, err := LoadConfig(path, Config{Nodes: 8, TTL: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Nodes != 12 || c.Seed != 9 || c.Policy != "random-2" {
+	// The file's fields replace the base's; the base's others survive.
+	if c.Nodes != 12 || c.Seed != 9 || c.Policy != "random-2" || c.TTL != 7 {
 		t.Fatalf("unexpected config: %+v", c)
 	}
 
@@ -81,7 +82,7 @@ func TestLoadConfig(t *testing.T) {
 		if err := os.WriteFile(bad, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadConfig(bad); err == nil {
+		if _, err := LoadConfig(bad, Config{}); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

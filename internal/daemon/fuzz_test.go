@@ -18,7 +18,7 @@ import (
 // reading of it.
 func FuzzDecodeBody(f *testing.F) {
 	f.Add([]byte(`{"key":7}`))
-	f.Add([]byte(`{"key":7,"ttl":3,"policy":"random-2","origin":4,"timeout_ms":50,"deadline_ms":20,"max_hits":1}`))
+	f.Add([]byte(`{"key":7,"ttl":3,"policy":"random-2","origin":4,"timeout_ms":50,"max_hits":1}`))
 	f.Add([]byte(`{"queries":[{"key":1,"max_hits":1},{"key":2,"origin":0}]}`))
 	f.Add([]byte(`{"queries":[]}`))
 	f.Add([]byte(`{"key":-1}`))
@@ -58,7 +58,7 @@ func FuzzDecodeBody(f *testing.F) {
 func FuzzLoadConfig(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := parseConfig(data)
+		c, err := parseConfig(data, Config{})
 		if err != nil {
 			return
 		}
@@ -70,7 +70,7 @@ func FuzzLoadConfig(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted %q but cannot encode it: %v", data, err)
 		}
-		again, err := parseConfig(enc)
+		again, err := parseConfig(enc, Config{})
 		if err != nil {
 			t.Fatalf("accepted %q, rejected its own encoding %q: %v", data, enc, err)
 		}

@@ -491,11 +491,11 @@ func (s *Server) timed(name string, h http.HandlerFunc) http.HandlerFunc {
 func noRelease() (func(), bool) { return func() {}, true }
 
 // runQuery executes one query end to end — validation, origin
-// selection with crashed-node reroute, per-request policy, deadline
-// clamping, admission and the live search — and returns either the
-// response or the HTTP status and message the caller should answer
-// with (code 0 means success). Both the single and the batch endpoint
-// funnel through here, so the two planes cannot drift semantically.
+// selection with crashed-node reroute, per-request policy, admission
+// and the live search — and returns either the response or the HTTP
+// status and message the caller should answer with (code 0 means
+// success). Both the single and the batch endpoint funnel through
+// here, so the two planes cannot drift semantically.
 func (s *Server) runQuery(ctx context.Context, req *searchclient.QueryRequest,
 	admit func() (func(), bool), settle bool) (searchclient.QueryResponse, int, string) {
 	var zero searchclient.QueryResponse
@@ -550,23 +550,6 @@ func (s *Server) runQuery(ctx context.Context, req *searchclient.QueryRequest,
 		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
 	}
 
-	// The deadline is a hard budget for the whole request: the
-	// collection window is clamped under it, and a Cancel channel cuts
-	// the query off mid-collection if it is exhausted anyway — the
-	// client gets whatever arrived, flagged Degraded, instead of a
-	// timeout error with nothing. A flood that finishes inside the
-	// budget was cut short by nothing and is not degraded by it.
-	cancel := ctx.Done()
-	if req.DeadlineMillis > 0 {
-		budget := time.Duration(req.DeadlineMillis) * time.Millisecond
-		if timeout > budget {
-			timeout = budget
-		}
-		dctx, stop := context.WithTimeout(ctx, budget)
-		defer stop()
-		cancel = dctx.Done()
-	}
-
 	release, ok := admit()
 	if !ok {
 		s.qRejected.Inc()
@@ -583,7 +566,7 @@ func (s *Server) runQuery(ctx context.Context, req *searchclient.QueryRequest,
 		MaxHits: req.MaxHits,
 		Settle:  settle,
 		Forward: forward,
-		Cancel:  cancel,
+		Cancel:  ctx.Done(),
 	})
 	s.qTotal.Inc()
 	if len(hits) > 0 {
@@ -594,10 +577,10 @@ func (s *Server) runQuery(ctx context.Context, req *searchclient.QueryRequest,
 	// completeness is declared, so a caller can always distinguish "no
 	// replica holds this key" from "the cluster could not look
 	// everywhere". A flood that terminated with nothing lost is exact
-	// and adds no reason; one that ended on the window or the budget
-	// instead (an ack or a message it waited for never came) is
-	// "deadline"; one that terminated but could not hand some copy to
-	// the transport is "overload".
+	// and adds no reason; one that ended on the window (an ack or a
+	// message it waited for never came) or on the request's
+	// cancellation instead is "deadline"; one that terminated but could
+	// not hand some copy to the transport is "overload".
 	if info.Expired || info.Stopped {
 		reasons = append(reasons, searchclient.ReasonDeadline)
 	}

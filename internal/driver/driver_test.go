@@ -231,7 +231,7 @@ func TestSessionTimeline(t *testing.T) {
 	if uint64(logins) != s.Logins() {
 		t.Fatalf("trace has %d logins, session counted %d", logins, s.Logins())
 	}
-	if s.Network().EdgeCount() == 0 {
+	if s.Network().Freeze().EdgeCount() == 0 {
 		t.Fatal("placement wired nothing")
 	}
 }

@@ -14,8 +14,8 @@ import (
 // experiment family: testdata/golden_cells_ci_s1.json is the cells.json
 // of `repro -exp all -scale ci -seed 1`. Its entries for the families
 // that predate internal/driver were captured before the three
-// applications were rewired onto it; the skew, churnserve and faults
-// entries were added later without changing those bytes. Any refactor
+// applications were rewired onto it; the skew and faults entries
+// were added later without changing those bytes. Any refactor
 // must keep every byte — the driver owns stream splitting and event
 // scheduling, and any reordering of draws or same-time events shows up
 // here immediately.

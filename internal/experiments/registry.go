@@ -125,7 +125,7 @@ func Registry(scale Scale, seed uint64) []Definition {
 		},
 		{
 			Name:   "scale",
-			About:  "Engine stress: 1k-1M-node cascade sweeps plus the CSR re-freeze cell",
+			About:  "Engine stress: 1k-1M-node cascade sweeps",
 			Cells:  ScaleCells("scale", scale, seed),
 			Tables: table(collect[*ScaleSummary], ScaleTable),
 		},
@@ -146,12 +146,6 @@ func Registry(scale Scale, seed uint64) []Definition {
 				}
 				return []*metrics.Table{SkewTable(rs, sums)}, nil
 			},
-		},
-		{
-			Name:   "churnserve",
-			About:  "Serving under churn: stop-the-world re-freeze vs zero-downtime epoch swaps",
-			Cells:  ChurnServeCells("churnserve", scale, seed),
-			Tables: table(collect[*ChurnServeSummary], ChurnServeTable),
 		},
 		{
 			Name:   "faults",

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/runner"
@@ -9,7 +8,7 @@ import (
 
 func TestRegistryWellFormed(t *testing.T) {
 	defs := Registry(CI, 1)
-	if len(defs) != 17 {
+	if len(defs) != 16 {
 		t.Fatalf("registry has %d definitions", len(defs))
 	}
 	seenDef := map[string]bool{}
@@ -42,23 +41,14 @@ func TestRegistryWellFormed(t *testing.T) {
 			// Cells of paired-comparison experiments (the policies
 			// sweep included) share the experiment seed so variant
 			// comparisons run identical workload streams; only the
-			// scale and skew families (independent cells, nothing
-			// paired) derive one stable seed per cell from its labels.
-			// Churnserve is paired the other way around: both modes of
-			// one size share the seed derived from the size label, so
-			// their worlds — and deterministic summaries — agree.
-			// Either way the seed is fixed at construction time, never
-			// at run time.
+			// scale, skew and faults families (independent cells,
+			// nothing paired) derive one stable seed per cell from its
+			// labels. Either way the seed is fixed at construction
+			// time, never at run time.
 			want := uint64(1)
 			switch d.Name {
 			case "scale", "skew", "faults":
 				want = runner.DeriveSeed(1, d.Name, c.Name)
-			case "churnserve":
-				_, size, ok := strings.Cut(c.Name, "-")
-				if !ok {
-					t.Fatalf("churnserve cell %q not mode-n<size> shaped", c.Name)
-				}
-				want = runner.DeriveSeed(1, d.Name, size)
 			}
 			if c.Seed != want {
 				t.Fatalf("cell %s/%s has seed %d, want %d", d.Name, c.Name, c.Seed, want)

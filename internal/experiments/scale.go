@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -22,10 +23,7 @@ import (
 // has no churn or reconfiguration — it isolates the per-query hot path
 // (CSR topology snapshots, flat-slice visited sets, pooled Scratch,
 // the monotone event queue) so its numbers move only when the
-// engine does. The refreeze cell is the exception that proves the
-// snapshot contract: it churns edges between epochs and re-freezes the
-// CSR in place, measuring what a reconfiguration epoch costs the hot
-// path.
+// engine does.
 //
 // Each cell's deterministic outcome (message counts, hit rate, delay
 // percentiles) lands in runs/<name>/cells.json like every other
@@ -85,12 +83,19 @@ func (c ScaleConfig) Validate() error {
 		return fmt.Errorf("experiments: scale with %d nodes", c.Nodes)
 	case c.Degree < 1:
 		return fmt.Errorf("experiments: scale degree %d", c.Degree)
-	case c.ProviderFraction <= 0 || c.ClientFraction <= 0 ||
-		c.ProviderFraction+c.ClientFraction > 1:
+	case !(c.ProviderFraction > 0) || !(c.ClientFraction > 0) ||
+		!(c.ProviderFraction+c.ClientFraction <= 1):
 		return fmt.Errorf("experiments: scale fractions %v+%v invalid",
 			c.ProviderFraction, c.ClientFraction)
 	case c.Keys < 1 || c.KeysPerProvider < 1:
 		return fmt.Errorf("experiments: scale key space %d/%d", c.Keys, c.KeysPerProvider)
+	case c.KeysPerProvider > c.Keys:
+		// The holdings sampler collects distinct keys; more holdings
+		// than keys could never terminate.
+		return fmt.Errorf("experiments: scale holdings %d exceed the %d-key space",
+			c.KeysPerProvider, c.Keys)
+	case badTheta(c.Theta):
+		return fmt.Errorf("experiments: scale theta %v", c.Theta)
 	case c.Queries < 1:
 		return fmt.Errorf("experiments: scale with %d queries", c.Queries)
 	case c.TTL < 1:
@@ -98,6 +103,12 @@ func (c ScaleConfig) Validate() error {
 	}
 	return nil
 }
+
+// badTheta reports a Zipf exponent the samplers cannot use: negative
+// panics rng.NewZipf, and NaN or +Inf collapses every draw onto one
+// key, so a distinct-key holdings loop never ends. Written so that NaN
+// is bad.
+func badTheta(theta float64) bool { return !(theta >= 0) || math.IsInf(theta, 1) }
 
 // ScaleSummary is the deterministic (JSON-stable) output of one scale
 // cell — the `value` schema of scale cells in cells.json.
@@ -177,39 +188,25 @@ func scaleQueries(s Scale) int {
 	return 2_000
 }
 
-// Refreeze-cell shape: the 100k network re-frozen after churn epochs.
-// Each epoch rewires refreezeChurn edges, re-freezes the CSR snapshot
-// in place, and drives its share of the cell's queries over the fresh
-// snapshot.
-const (
-	refreezeNodes  = 100_000
-	refreezeEpochs = 8
-	refreezeChurn  = 1_000
-)
-
-// ScaleCells returns one cell per network size, plus the refreeze cell.
+// ScaleCells returns one cell per network size.
 func ScaleCells(experiment string, scale Scale, seed uint64) []runner.Cell {
-	cells := make([]runner.Cell, 0, len(scaleSizes)+1)
+	cells := make([]runner.Cell, 0, len(scaleSizes))
 	for _, n := range scaleSizes {
 		name := fmt.Sprintf("n%d", n)
 		cfg := DefaultScaleConfig(n, scaleQueries(scale), runner.DeriveSeed(seed, experiment, name))
 		cells = append(cells, cell(experiment, name, cfg, scaleSeed, RunScale))
 	}
-	refreeze := fmt.Sprintf("refreeze-n%d", refreezeNodes)
-	cfg := DefaultScaleConfig(refreezeNodes, scaleQueries(scale), runner.DeriveSeed(seed, experiment, refreeze))
-	return append(cells, cell(experiment, refreeze, cfg, scaleSeed, func(c ScaleConfig) (*ScaleSummary, error) {
-		return RunRefreeze(c, refreezeEpochs, refreezeChurn)
-	}))
+	return cells
 }
 
 // scaleSeed points cell at a ScaleConfig's seed.
 func scaleSeed(c *ScaleConfig) *uint64 { return &c.Seed }
 
 // scaleFixture is the engine-less part of a scale world: the wired
-// network, roles, holdings and streams. The churnserve family shares it
-// (with its own engines); buildScaleWorld layers the delay model and
-// CSR engine on top. The stream-split order here is load-bearing: it
-// must not change, or every scale cells.json shifts.
+// network, roles, holdings and streams. RunFaults builds its own
+// engine on it; buildScaleWorld layers the delay model and CSR engine
+// on top. The stream-split order here is load-bearing: it must not
+// change, or every scale and faults cells.json shifts.
 type scaleFixture struct {
 	net       *topology.Network
 	clientIDs []topology.NodeID
@@ -311,8 +308,6 @@ func buildScaleWorld(cfg ScaleConfig) (*scaleWorld, error) {
 	}
 	// The engine searches the frozen CSR snapshot, not the mutable
 	// network: the cascade core devirtualizes neighbor lookup on it.
-	// RunRefreeze re-freezes the same *CSR in place after churn epochs,
-	// which the engine sees through the shared pointer.
 	csr := fx.net.Freeze()
 	eng, err := search.New(
 		search.Over(csr, fx.content()),
@@ -357,81 +352,23 @@ func (fx *scaleFixture) runQueries(eng *search.Engine, origins []topology.NodeID
 // freeze its CSR snapshot, drive the configured number of cascades
 // through the pooled engine, and summarize. The summary is a pure
 // function of the config.
-func RunScale(cfg ScaleConfig) (*ScaleSummary, error) { return runScale(cfg, 0, 0) }
-
-// RunRefreeze executes the refreeze cell: the same world as RunScale,
-// but the query budget is split across epochs and every epoch rewires
-// churn edges of the mutable network and re-freezes the CSR snapshot
-// in place (topology.FreezeInto — zero allocations at steady state)
-// before its queries run. The summary is a pure function of (cfg,
-// epochs, churn).
-func RunRefreeze(cfg ScaleConfig, epochs, churn int) (*ScaleSummary, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if epochs < 1 || cfg.Queries < epochs {
-		return nil, fmt.Errorf("experiments: refreeze with %d epochs over %d queries", epochs, cfg.Queries)
-	}
-	return runScale(cfg, epochs, churn)
-}
-
-// runScale is RunScale (epochs == 0: one static chunk) and RunRefreeze.
-func runScale(cfg ScaleConfig, epochs, churn int) (*ScaleSummary, error) {
+func RunScale(cfg ScaleConfig) (*ScaleSummary, error) {
 	w, err := buildScaleWorld(cfg)
 	if err != nil {
 		return nil, err
 	}
-	churnStream := w.root.Split()
 	sum := &ScaleSummary{
 		Nodes:      cfg.Nodes,
 		Clients:    len(w.clientIDs),
 		Providers:  w.providers,
 		Bystanders: cfg.Nodes - len(w.clientIDs) - w.providers,
+		Edges:      w.csr.EdgeCount(),
 	}
-	chunks := max(epochs, 1)
-	perChunk := cfg.Queries / chunks
-
-	done := 0
-	for e := 0; e < chunks; e++ {
-		if epochs > 0 {
-			scaleChurn(w.net, churn, churnStream)
-			w.net.FreezeInto(w.csr)
-		}
-		count := perChunk
-		if e == chunks-1 {
-			count = cfg.Queries - done // remainder rides the last chunk
-		}
-		if err := w.runQueries(w.eng, w.clientIDs, &sum.QueryStats, done, count); err != nil {
-			return nil, err
-		}
-		done += count
+	if err := w.runQueries(w.eng, w.clientIDs, &sum.QueryStats, 0, cfg.Queries); err != nil {
+		return nil, err
 	}
-
-	sum.Edges = w.csr.EdgeCount() // post-churn: the snapshot the last epoch searched
 	sum.finish()
 	return sum, nil
-}
-
-// scaleChurn rewires up to count edges: each step disconnects one
-// random existing edge and reconnects its source to a random peer (the
-// unilateral neighbor change of a reconfiguration epoch, without the
-// benefit machinery). All randomness comes from s.
-func scaleChurn(net *topology.Network, count int, s *rng.Stream) {
-	n := net.Len()
-	for i := 0; i < count; i++ {
-		src := topology.NodeID(s.Intn(n))
-		out := net.Out(src)
-		if len(out) == 0 {
-			continue
-		}
-		net.Disconnect(src, out[s.Intn(len(out))])
-		for attempts := 8; attempts > 0; attempts-- {
-			dst := topology.NodeID(s.Intn(n))
-			if dst != src && net.Connect(src, dst) {
-				break
-			}
-		}
-	}
 }
 
 // quantileMs returns the q-quantile of sorted (ascending) delays, in

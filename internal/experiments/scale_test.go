@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -68,6 +69,14 @@ func TestScaleConfigValidate(t *testing.T) {
 		func(c *ScaleConfig) { c.Keys = 0 },
 		func(c *ScaleConfig) { c.Queries = 0 },
 		func(c *ScaleConfig) { c.TTL = 0 },
+		// Each of these passed Validate once and then hung in the
+		// distinct-key holdings loop or panicked in rng.NewZipf.
+		func(c *ScaleConfig) { c.KeysPerProvider = c.Keys + 1 },
+		func(c *ScaleConfig) { c.Theta = math.NaN() },
+		func(c *ScaleConfig) { c.Theta = -1 },
+		func(c *ScaleConfig) { c.Theta = math.Inf(1) },
+		func(c *ScaleConfig) { c.ProviderFraction = math.NaN() },
+		func(c *ScaleConfig) { c.ClientFraction = math.NaN() },
 	}
 	for i, mutate := range bad {
 		cfg := smallScaleConfig(1)
@@ -114,7 +123,7 @@ func TestScaleWire(t *testing.T) {
 	if !a.Consistent() {
 		t.Fatal("wired network violates the consistency invariant")
 	}
-	if a.EdgeCount() == 0 {
+	if a.Freeze().EdgeCount() == 0 {
 		t.Fatal("no edges wired")
 	}
 }

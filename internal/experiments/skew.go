@@ -93,7 +93,7 @@ func (c SkewConfig) Validate() error {
 		return fmt.Errorf("experiments: skew with %d nodes", c.Nodes)
 	case c.Degree < 1:
 		return fmt.Errorf("experiments: skew degree %d", c.Degree)
-	case c.ProviderFraction <= 0 || c.ProviderFraction > 1:
+	case !(c.ProviderFraction > 0 && c.ProviderFraction <= 1):
 		return fmt.Errorf("experiments: skew provider fraction %v", c.ProviderFraction)
 	case c.Keys < 1 || c.KeysPerProvider < 1:
 		return fmt.Errorf("experiments: skew key space %d/%d", c.Keys, c.KeysPerProvider)
@@ -102,17 +102,18 @@ func (c SkewConfig) Validate() error {
 		// than keys could never terminate.
 		return fmt.Errorf("experiments: skew holdings %d exceed the %d-key space",
 			c.KeysPerProvider, c.Keys)
-	case c.Theta < 0:
+	case badTheta(c.Theta):
 		return fmt.Errorf("experiments: skew theta %v", c.Theta)
 	case c.Policy == "":
 		return fmt.Errorf("experiments: skew without a policy")
 	case c.TTL < 1:
 		return fmt.Errorf("experiments: skew TTL %d", c.TTL)
-	case c.RatePerHour <= 0:
+	case !(c.RatePerHour > 0):
 		return fmt.Errorf("experiments: skew rate %v/h", c.RatePerHour)
-	case c.DurationHours <= 0:
+	case !(c.DurationHours > 0):
+		// Written so that NaN is bad: a NaN horizon never ends the run.
 		return fmt.Errorf("experiments: skew duration %vh", c.DurationHours)
-	case c.ChurnMean < 0:
+	case !(c.ChurnMean >= 0):
 		return fmt.Errorf("experiments: skew churn mean %v", c.ChurnMean)
 	case c.Flash != nil && (c.Flash.HotKeys < 1 || c.Flash.HotKeys > c.Keys):
 		// Hot keys index the head of the popularity order; a hot set

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/runner"
@@ -32,12 +33,23 @@ func TestSkewConfigValidation(t *testing.T) {
 		"too-wide flash": func(c *SkewConfig) {
 			c.Flash = &FlashSpec{Peak: 2, DurationHours: 1, HotKeys: c.Keys + 1}
 		},
+		"NaN theta":     func(c *SkewConfig) { c.Theta = math.NaN() },
+		"+Inf theta":    func(c *SkewConfig) { c.Theta = math.Inf(1) },
+		"NaN providers": func(c *SkewConfig) { c.ProviderFraction = math.NaN() },
+		"NaN rate":      func(c *SkewConfig) { c.RatePerHour = math.NaN() },
+		"NaN duration":  func(c *SkewConfig) { c.DurationHours = math.NaN() },
+		"NaN churn":     func(c *SkewConfig) { c.ChurnMean = math.NaN() },
 	} {
 		c := ciSkewConfig(1)
 		mutate(&c)
-		if _, err := RunSkew(c); err == nil {
-			t.Fatalf("%s accepted", name)
+		// RunSkew validates before it builds anything, so Validate is
+		// the whole check — and a bad row fails here instead of hanging.
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
 		}
+	}
+	if err := ciSkewConfig(1).Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
 	}
 }
 

@@ -71,6 +71,31 @@ func TestUnsolicitedAcceptIsEvicted(t *testing.T) {
 	}
 }
 
+// TestStaleAcceptAfterEvictionMakesNoLink: node 0 has invited 1 and 1
+// has accepted, but before 1's accept arrives, crossing invitations
+// link the two and a third node's invitation makes 0 evict 1. The
+// accept predates the eviction, so it must not link 0 to 1 again: 1
+// drops its half when the eviction reaches it.
+func TestStaleAcceptAfterEvictionMakesNoLink(t *testing.T) {
+	nodes, _ := cluster(t, 3, 1, 2, 0)
+	nodes[1].AddNeighbor(0) // 1 accepted 0's invitation; its reply is in flight
+	nodes[0].do(func(st *state) {
+		st.invited = 1
+		st.ledger.Touch(1).Benefit = 5
+		nodes[0].handle(st, Envelope{Type: MsgInvite, From: 1}) // crossing invite: 0 links 1
+		nodes[0].handle(st, Envelope{Type: MsgInvite, From: 2}) // full: 0 evicts 1 for 2
+		nodes[0].handle(st, Envelope{Type: MsgInviteReply, From: 1, Accept: true})
+	})
+	lists := settle(nodes)
+	for i, l := range lists {
+		for _, p := range l {
+			if !slices.Contains(lists[p], topology.NodeID(i)) {
+				t.Fatalf("node %d lists %d, which lists %v", i, p, lists[p])
+			}
+		}
+	}
+}
+
 // TestQuickReconfigureKeepsLinksSymmetric is the live twin of core's
 // TestQuickReconfigurePreservesConsistency: on a small ChanTransport
 // cluster, queries (which feed the ledgers and, past θ, reconfigure

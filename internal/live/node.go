@@ -434,7 +434,12 @@ func (n *Node) reconfigureLocked(st *state) {
 }
 
 // evict drops id from the neighbor list and tells it to do the same.
+// An accept id sent before it sees this eviction is stale, so an
+// invitation still open to id no longer counts as asked.
 func (n *Node) evict(st *state, id topology.NodeID) {
+	if st.invited == id {
+		st.invited = topology.None
+	}
 	removeNeighbor(st, id)
 	n.send(id, Envelope{Type: MsgEvict, From: n.cfg.ID})
 }

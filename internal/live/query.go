@@ -34,9 +34,9 @@ type QueryOpts struct {
 	// Config.Forward.
 	Forward core.ForwardPolicy
 	// Cancel, when non-nil, ends hit collection early when it becomes
-	// receivable — the hook a serving frontend uses to enforce a total
-	// per-request deadline budget tighter than Timeout. Hits already
-	// collected are returned; QueryInfo.Stopped records the early end.
+	// receivable — the hook a serving frontend uses to stop a query
+	// whose request went away. Hits already collected are returned;
+	// QueryInfo.Stopped records the early end.
 	Cancel <-chan struct{}
 }
 

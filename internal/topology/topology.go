@@ -289,12 +289,3 @@ func (net *Network) AuditConsistency() []InconsistentEdge {
 
 // Consistent reports whether the network satisfies the invariant.
 func (net *Network) Consistent() bool { return len(net.AuditConsistency()) == 0 }
-
-// EdgeCount returns the total number of directed edges.
-func (net *Network) EdgeCount() int {
-	n := 0
-	for i := range net.nodes {
-		n += net.nodes[i].Out.Len()
-	}
-	return n
-}

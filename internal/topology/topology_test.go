@@ -224,8 +224,8 @@ func TestEdgeCount(t *testing.T) {
 	net.Connect(0, 1)
 	net.Connect(0, 2)
 	net.Connect(3, 0)
-	if net.EdgeCount() != 3 {
-		t.Fatalf("EdgeCount = %d, want 3", net.EdgeCount())
+	if got := net.Freeze().EdgeCount(); got != 3 {
+		t.Fatalf("EdgeCount = %d, want 3", got)
 	}
 }
 

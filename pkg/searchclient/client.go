@@ -132,12 +132,6 @@ type QueryRequest struct {
 	// when its flood has terminated; a response that ran into it is
 	// Degraded ("deadline").
 	TimeoutMillis int `json:"timeout_ms,omitempty"`
-	// DeadlineMillis is a hard total budget for the request: the daemon
-	// clamps the collection window to what remains of it and, if the
-	// budget expires mid-collection, returns the hits gathered so far
-	// marked Degraded instead of hanging. 0 means no budget beyond the
-	// collection window.
-	DeadlineMillis int `json:"deadline_ms,omitempty"`
 	// MaxHits ends collection early after that many hits (1 turns the
 	// query into an existence probe that returns at its first hit);
 	// 0 collects every hit of the flood.
@@ -183,9 +177,9 @@ func (r *QueryResponse) Found() bool { return len(r.Hits) > 0 }
 
 // Degradation reasons carried in QueryResponse.DegradedReasons.
 const (
-	// ReasonDeadline: collection ended on the query window or the
-	// deadline budget, not because the flood was known to be finished —
-	// a message of the search was lost, or the budget ran out first.
+	// ReasonDeadline: collection ended on the query window, not because
+	// the flood was known to be finished — a message of the search was
+	// lost, or the window ran out first.
 	ReasonDeadline = "deadline"
 	// ReasonOverload: the flood finished, but some node could not hand
 	// a copy of the query on (a full inbox, a dead peer), so the nodes
