@@ -85,6 +85,10 @@ func TestDocsQuoteOnlyWhatExists(t *testing.T) {
 		"churn" + "serve", "Churn" + "Serve", "serveStop" + "World", "serveEpoch" + "Swap",
 		"Run" + "Refreeze", "scale" + "Churn", "refreeze" + "-n", "Network.Edge" + "Count",
 		"Deadline" + "Millis", "deadline" + "_ms",
+		// The simulator's second event queue: the timeline runs on
+		// eventq.Monotone, and the cancellation nothing called is gone.
+		"Engine." + "Cancel", "sim." + "Event", "Queue." + "Cancel", "Queue." + "Peek",
+		"Queue." + "Len", "cancellable" + " heap", "needs " + "cancel",
 	}
 	goBench := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	ticked := regexp.MustCompile("`([^`\n]+)`")

@@ -30,9 +30,9 @@ type Scratch struct {
 	epoch  uint32
 	visits []visitSlot
 
-	// queue orders in-flight query copies by (arrival time, push seq):
-	// the exact total order of eventq.Queue, whichever representation
-	// of eventq.Monotone serves a cascade.
+	// queue orders in-flight query copies by (arrival time, push seq),
+	// an exact total order whichever representation of eventq.Monotone
+	// serves a cascade.
 	queue eventq.Monotone[arrivalPayload]
 
 	// Pooled result and working buffers, reused across cascades.

@@ -2,10 +2,7 @@ package daemon
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"time"
 )
@@ -238,30 +235,16 @@ func (c *Config) DrainTimeout() time.Duration {
 }
 
 // LoadConfig reads a JSON config file over base: fields the file names
-// replace base's, the rest keep base's values. Unknown fields are errors
-// so a typo fails the boot instead of silently defaulting.
+// replace base's, the rest keep base's values. Unknown fields and
+// trailing data are errors (decodeStrict), so a typo fails the boot
+// instead of silently defaulting.
 func LoadConfig(path string, base Config) (Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, fmt.Errorf("daemon: read config: %w", err)
 	}
-	c, err := parseConfig(data, base)
-	if err != nil {
-		return c, fmt.Errorf("daemon: parse config %s: %w", path, err)
+	if err := decodeStrict(bytes.NewBuffer(data), &base); err != nil {
+		return base, fmt.Errorf("daemon: parse config %s: %w", path, err)
 	}
-	return c, nil
-}
-
-// parseConfig decodes exactly one JSON object over c; anything after
-// it is an error, not a silently ignored second config.
-func parseConfig(data []byte, c Config) (Config, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
-		return c, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return c, errors.New("trailing data after the config object")
-	}
-	return c, nil
+	return base, nil
 }

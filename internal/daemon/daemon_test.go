@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -397,6 +401,98 @@ func TestQueryValidation(t *testing.T) {
 		Key: 1, Policy: "random-1", MaxHits: 1, TimeoutMillis: 30,
 	}); err != nil {
 		t.Fatalf("policy override query: %v", err)
+	}
+}
+
+// TestBodiesRejectUnknownFields: a body field the daemon does not
+// declare — a retired one, a misspelt one — is a 400 that names it on
+// every endpoint that reads a body, and so is data after the object.
+func TestBodiesRejectUnknownFields(t *testing.T) {
+	srv, err := New(Config{Nodes: 4, Degree: 2, TTL: 2, Keys: 32, Replicas: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Drain(context.Background())
+
+	base := peerURL(srv.Addr())
+	for _, tc := range []struct{ path, body, want string }{
+		{"/v1/query", `{"key":17,"deadline_ms":5,"timeuot_ms":1}`, `"deadline_ms"`},
+		{"/v1/query", `{"key":17,"timeuot_ms":1}`, `"timeuot_ms"`},
+		{"/v1/query", `{"key":17} {"key":18}`, "trailing data"},
+		{"/v1/query/batch", `{"queries":[{"key":1},{"key":2,"ttll":3}]}`, `"ttll"`},
+		{"/v1/control/crash", `{"node":1,"force":true}`, `"force"`},
+	} {
+		resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("POST %s %s: %d %q, want 400 naming %s", tc.path, tc.body, resp.StatusCode, e.Error, tc.want)
+		}
+	}
+	// Without the stray fields the same query is answered.
+	if _, err := searchclient.New(srv.Addr()).Query(context.Background(),
+		searchclient.QueryRequest{Key: 17, TimeoutMillis: 50}); err != nil {
+		t.Fatalf("clean query: %v", err)
+	}
+}
+
+// TestClientBodiesDecodeStrictly: every body pkg/searchclient sends
+// decodes through decodeBody into the type its endpoint reads, to the
+// value the client meant — the client sends nothing the daemon does not
+// declare.
+func TestClientBodiesDecodeStrictly(t *testing.T) {
+	origin := 3
+	query := searchclient.QueryRequest{
+		Key: 7, TTL: 3, Policy: "random-2", Origin: &origin, TimeoutMillis: 50, MaxHits: 1,
+	}
+	batch := []searchclient.QueryRequest{query, {Key: 9}}
+	got := make(chan any, 4)
+	mux := http.NewServeMux()
+	route := func(pattern string, v func() any, answer string) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			body := v()
+			if err := decodeBody(r, body); err != nil {
+				t.Errorf("%s: %v", pattern, err)
+			}
+			got <- body
+			_, _ = io.WriteString(w, answer)
+		})
+	}
+	route("POST /v1/query", func() any { return new(searchclient.QueryRequest) }, `{}`)
+	route("POST /v1/query/batch", func() any { return new(searchclient.BatchQueryRequest) },
+		`{"results":[{},{}]}`)
+	route("POST /v1/control/crash", func() any { return new(nodeFaultRequest) }, `{}`)
+	route("POST /v1/control/restart", func() any { return new(nodeFaultRequest) }, `{}`)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	c, ctx := searchclient.New(ts.URL), context.Background()
+	if _, err := c.Query(ctx, query); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.QueryBatch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Crash(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart(ctx, 6); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []any{
+		&query, &searchclient.BatchQueryRequest{Queries: batch},
+		&nodeFaultRequest{Node: 5}, &nodeFaultRequest{Node: 6},
+	} {
+		if body := <-got; !reflect.DeepEqual(body, want) {
+			t.Errorf("decoded %+v, the client sent %+v", body, want)
+		}
 	}
 }
 

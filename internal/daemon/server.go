@@ -717,12 +717,15 @@ func (s *Server) handleRestart(w http.ResponseWriter, r *http.Request) {
 	s.handleNodeFault(w, r, s.Restart, "restarted")
 }
 
+// nodeFaultRequest is the body of POST /v1/control/{crash,restart}.
+type nodeFaultRequest struct {
+	Node int `json:"node"`
+}
+
 func (s *Server) handleNodeFault(w http.ResponseWriter, r *http.Request,
 	apply func(int) error, verb string) {
-	var req struct {
-		Node int `json:"node"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var req nodeFaultRequest
+	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return
 	}
@@ -918,13 +921,14 @@ func classFor(name string) (netsim.BandwidthClass, error) {
 	}
 }
 
-// bufPool recycles body buffers across requests: query bodies are
-// slurped into a pooled buffer and decoded with Unmarshal (cheaper than
-// a fresh Decoder), responses are encoded into a pooled buffer and
-// written in one shot with Content-Length set (no chunked framing).
+// bufPool recycles body buffers across requests: request bodies are
+// slurped into a pooled buffer and decoded from it, responses are
+// encoded into a pooled buffer and written in one shot with
+// Content-Length set (no chunked framing).
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// decodeBody slurps and unmarshals a request body through the pool.
+// decodeBody slurps a request body through the pool and decodes it as
+// strictly as a config file (decodeStrict).
 func decodeBody(r *http.Request, v any) error {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -932,7 +936,24 @@ func decodeBody(r *http.Request, v any) error {
 	if _, err := buf.ReadFrom(io.LimitReader(r.Body, 64<<20)); err != nil {
 		return err
 	}
-	return json.Unmarshal(buf.Bytes(), v)
+	return decodeStrict(buf, v)
+}
+
+// decodeStrict decodes exactly one JSON object from buf into v: an
+// unknown field is an error that names it, and so is anything but
+// whitespace after the object, so a misspelt or retired field is
+// refused instead of silently ignored.
+func decodeStrict(buf *bytes.Buffer, v any) error {
+	data := buf.Bytes() // reading buf leaves its bytes in place
+	dec := json.NewDecoder(buf)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		return errors.New("trailing data after the JSON object")
+	}
+	return nil
 }
 
 // writeJSON answers with v as compact JSON: pooled encode buffer, one

@@ -32,7 +32,10 @@ type World struct {
 	// as their neighbor capacity so no world edge is ever dropped.
 	MaxDegree int
 
-	holders []map[core.Key]struct{}
+	// holders[i] is node i's content. The live node hosting i reads
+	// the same set as its store (StoreFor), so a process holds the
+	// placement once.
+	holders []live.MapStore
 	plan    *rng.Stream
 }
 
@@ -55,19 +58,19 @@ func BuildWorld(seed uint64, nodes, degree, keys, replicas int) *World {
 		Nodes: nodes, Degree: degree, Keys: keys, Replicas: replicas,
 		Seed:    seed,
 		Net:     topology.NewNetwork(topology.Symmetric, nodes, 0, 0),
-		holders: make([]map[core.Key]struct{}, nodes),
+		holders: make([]live.MapStore, nodes),
 		plan:    planStream,
 	}
 	topology.RandomWire(w.Net, degree, topoStream.Intn)
 	for i := range w.holders {
-		w.holders[i] = make(map[core.Key]struct{})
+		w.holders[i] = live.MapStore{}
 		if l := len(w.Net.Out(topology.NodeID(i))); l > w.MaxDegree {
 			w.MaxDegree = l
 		}
 	}
 	for k := 0; k < keys; k++ {
 		for r := 0; r < replicas; r++ {
-			w.holders[placeStream.Intn(nodes)][core.Key(k)] = struct{}{}
+			w.holders[placeStream.Intn(nodes)].Add(core.Key(k))
 		}
 	}
 	return w
@@ -75,18 +78,13 @@ func BuildWorld(seed uint64, nodes, degree, keys, replicas int) *World {
 
 // HasContent implements core.Content.
 func (w *World) HasContent(id topology.NodeID, key core.Key) bool {
-	_, ok := w.holders[id][key]
-	return ok
+	return w.holders[id].Has(key)
 }
 
-// StoreFor returns node id's live content store.
-func (w *World) StoreFor(id topology.NodeID) live.MapStore {
-	s := live.MapStore{}
-	for k := range w.holders[id] {
-		s.Add(k)
-	}
-	return s
-}
+// StoreFor returns node id's live content store: the world's own set,
+// not a copy. A live node only reads its store, so the node and the
+// world share it.
+func (w *World) StoreFor(id topology.NodeID) live.MapStore { return w.holders[id] }
 
 // WireInto replays the world's adjacency into a fresh network (the
 // simulated twin's). dst must be Symmetric with room for MaxDegree

@@ -1,27 +1,26 @@
-// Package eventq implements the timed priority queue that backs the
-// discrete-event simulation engine in internal/sim.
+// Package eventq implements the repository's timed priority queue,
+// Monotone, and the reference order it is held to.
 //
-// It is a classic indexed binary min-heap keyed on (time, sequence):
-// ties in simulated time break by insertion order so that the engine is
-// fully deterministic regardless of map iteration or scheduling
-// artifacts. Cancellation is O(log n) via the index kept inside each
-// item.
+// Every event stream in the repository — a cascade's arrival frontier
+// (core.Scratch) and the simulator's timeline (internal/sim) — runs on
+// Monotone. Both pop in one total order on (time, sequence): ties in
+// simulated time break by insertion order, so a run is fully
+// deterministic regardless of map iteration or scheduling artifacts.
+//
+// Queue is the plain binary min-heap on that order, kept only as the
+// reference: the differential tests pop a Monotone and a Queue fed the
+// same pushes and require the same sequence.
 package eventq
 
-import "fmt"
-
-// Item is a scheduled entry. The zero value is not useful; items are
-// created by Queue.Push, which returns a handle usable with Cancel.
+// Item is a scheduled entry of a Queue.
 type Item struct {
 	Time  float64 // simulated seconds
-	Seq   uint64  // tiebreaker: insertion order
-	Value any     // payload interpreted by the engine
-	index int     // position in the heap, -1 when popped/cancelled
+	Value any     // payload
+	seq   uint64  // tiebreaker: insertion order
 }
 
-// Queue is a deterministic time-ordered priority queue. It is not safe
-// for concurrent use; the simulation engine is single-threaded by
-// design (determinism first).
+// Queue is the reference (time, seq) priority queue: a binary min-heap
+// of pointers. It is not safe for concurrent use.
 type Queue struct {
 	heap []*Item
 	seq  uint64
@@ -30,25 +29,18 @@ type Queue struct {
 // New returns an empty queue.
 func New() *Queue { return &Queue{} }
 
-// Len returns the number of pending items.
-func (q *Queue) Len() int { return len(q.heap) }
-
-// Push schedules value at time t and returns a cancellable handle.
-func (q *Queue) Push(t float64, value any) *Item {
-	it := &Item{Time: t, Seq: q.seq, Value: value, index: len(q.heap)}
+// Push schedules value at time t.
+func (q *Queue) Push(t float64, value any) {
+	q.heap = append(q.heap, &Item{Time: t, Value: value, seq: q.seq})
 	q.seq++
-	q.heap = append(q.heap, it)
-	q.up(it.index)
-	return it
-}
-
-// Peek returns the earliest item without removing it, or nil when the
-// queue is empty.
-func (q *Queue) Peek() *Item {
-	if len(q.heap) == 0 {
-		return nil
+	for i := len(q.heap) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q.swap(i, parent)
+		i = parent
 	}
-	return q.heap[0]
 }
 
 // Pop removes and returns the earliest item, or nil when empty.
@@ -61,73 +53,12 @@ func (q *Queue) Pop() *Item {
 	q.swap(0, last)
 	q.heap[last] = nil
 	q.heap = q.heap[:last]
-	if last > 0 {
-		q.down(0)
-	}
-	top.index = -1
-	return top
-}
-
-// Cancel removes a previously pushed item. It returns false if the item
-// was already popped or cancelled.
-func (q *Queue) Cancel(it *Item) bool {
-	if it == nil || it.index < 0 {
-		return false
-	}
-	i := it.index
-	if q.heap[i] != it {
-		panic(fmt.Sprintf("eventq: corrupted heap index %d", i))
-	}
-	last := len(q.heap) - 1
-	q.swap(i, last)
-	q.heap[last] = nil
-	q.heap = q.heap[:last]
-	if i < last {
-		if !q.down(i) {
-			q.up(i)
-		}
-	}
-	it.index = -1
-	return true
-}
-
-func (q *Queue) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	return a.Seq < b.Seq
-}
-
-func (q *Queue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.heap[i].index = i
-	q.heap[j].index = j
-}
-
-func (q *Queue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+	for i, n := 0, last; ; {
+		smallest := 2*i + 1
+		if smallest >= n {
 			break
 		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-// down sifts index i toward the leaves; it reports whether the item
-// moved (used by Cancel to decide whether to sift up).
-func (q *Queue) down(i int) bool {
-	moved := false
-	n := len(q.heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
+		if right := smallest + 1; right < n && q.less(right, smallest) {
 			smallest = right
 		}
 		if !q.less(smallest, i) {
@@ -135,7 +66,16 @@ func (q *Queue) down(i int) bool {
 		}
 		q.swap(i, smallest)
 		i = smallest
-		moved = true
 	}
-	return moved
+	return top
 }
+
+func (q *Queue) less(i, j int) bool {
+	a, b := q.heap[i], q.heap[j]
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	return a.seq < b.seq
+}
+
+func (q *Queue) swap(i, j int) { q.heap[i], q.heap[j] = q.heap[j], q.heap[i] }

@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,15 +9,8 @@ import (
 )
 
 func TestEmptyQueue(t *testing.T) {
-	q := New()
-	if q.Len() != 0 {
-		t.Fatal("new queue not empty")
-	}
-	if q.Pop() != nil {
+	if New().Pop() != nil {
 		t.Fatal("Pop on empty queue must return nil")
-	}
-	if q.Peek() != nil {
-		t.Fatal("Peek on empty queue must return nil")
 	}
 }
 
@@ -48,78 +42,28 @@ func TestFIFOTieBreaking(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotRemove(t *testing.T) {
-	q := New()
-	q.Push(1, "a")
-	if q.Peek().Value != "a" || q.Len() != 1 {
-		t.Fatal("Peek modified the queue")
-	}
-}
-
-func TestCancel(t *testing.T) {
-	q := New()
-	a := q.Push(1, "a")
-	b := q.Push(2, "b")
-	c := q.Push(3, "c")
-	if !q.Cancel(b) {
-		t.Fatal("Cancel of pending item returned false")
-	}
-	if q.Cancel(b) {
-		t.Fatal("double Cancel returned true")
-	}
-	if got := q.Pop(); got != a {
-		t.Fatalf("got %v, want a", got.Value)
-	}
-	if got := q.Pop(); got != c {
-		t.Fatalf("got %v, want c", got.Value)
-	}
-	if q.Pop() != nil {
-		t.Fatal("queue should be empty")
-	}
-}
-
-func TestCancelPopped(t *testing.T) {
-	q := New()
-	a := q.Push(1, "a")
-	q.Pop()
-	if q.Cancel(a) {
-		t.Fatal("Cancel of popped item returned true")
-	}
-}
-
-func TestCancelNil(t *testing.T) {
-	if New().Cancel(nil) {
-		t.Fatal("Cancel(nil) returned true")
-	}
-}
-
 func TestRandomizedHeapProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	q := New()
-	var live []*Item
+	pending := 0
+	prev := -1.0 // pushes land at or after the last pop, as on a timeline
 	for step := 0; step < 20000; step++ {
-		switch op := r.Intn(10); {
-		case op < 5: // push
-			live = append(live, q.Push(r.Float64()*1000, step))
-		case op < 7 && len(live) > 0: // cancel random
-			i := r.Intn(len(live))
-			q.Cancel(live[i])
-			live = append(live[:i], live[i+1:]...)
-		default: // pop
-			it := q.Pop()
-			if it == nil {
-				continue
-			}
-			for i, l := range live {
-				if l == it {
-					live = append(live[:i], live[i+1:]...)
-					break
-				}
-			}
+		if r.Intn(10) < 6 {
+			q.Push(math.Max(prev, 0)+r.Float64()*1000, step)
+			pending++
+			continue
 		}
+		it := q.Pop()
+		if it == nil {
+			continue
+		}
+		if it.Time < prev {
+			t.Fatalf("heap order violated: %v after %v", it.Time, prev)
+		}
+		prev = it.Time
+		pending--
 	}
 	// Drain and verify total order.
-	prev := -1.0
 	for {
 		it := q.Pop()
 		if it == nil {
@@ -129,6 +73,10 @@ func TestRandomizedHeapProperty(t *testing.T) {
 			t.Fatalf("heap order violated: %v after %v", it.Time, prev)
 		}
 		prev = it.Time
+		pending--
+	}
+	if pending != 0 {
+		t.Fatalf("%d pushed items never popped", pending)
 	}
 }
 
@@ -150,7 +98,7 @@ func TestQuickDrainIsSorted(t *testing.T) {
 			}
 			prev, first = it.Time, false
 		}
-		return q.Len() == 0
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -158,23 +106,16 @@ func TestQuickDrainIsSorted(t *testing.T) {
 }
 
 func TestQuickLenMatchesPushPop(t *testing.T) {
-	f := func(times []float64, cancels uint8) bool {
+	f := func(times []float64) bool {
 		q := New()
-		items := make([]*Item, 0, len(times))
 		for _, tm := range times {
-			items = append(items, q.Push(tm, nil))
-		}
-		n := len(times)
-		for i := 0; i < int(cancels) && i < len(items); i++ {
-			if q.Cancel(items[i]) {
-				n--
-			}
+			q.Push(tm, nil)
 		}
 		got := 0
 		for q.Pop() != nil {
 			got++
 		}
-		return got == n
+		return got == len(times)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -186,7 +127,7 @@ func BenchmarkPushPop(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
 		q.Push(r.Float64(), nil)
-		if q.Len() > 1024 {
+		if i >= 1024 {
 			q.Pop()
 		}
 	}

@@ -16,16 +16,23 @@ func (r *fuzzRef) push(t float64, v uint32) {
 	r.seq++
 }
 
-func (r *fuzzRef) pop() (float64, uint32, bool) {
-	if len(r.entries) == 0 {
-		return 0, 0, false
-	}
+// least returns the index of the least pending entry; entries must be
+// non-empty.
+func (r *fuzzRef) least() int {
 	best := 0
 	for i := 1; i < len(r.entries); i++ {
 		if entryLess(r.entries[i], r.entries[best]) {
 			best = i
 		}
 	}
+	return best
+}
+
+func (r *fuzzRef) pop() (float64, uint32, bool) {
+	if len(r.entries) == 0 {
+		return 0, 0, false
+	}
+	best := r.least()
 	e := r.entries[best]
 	r.entries = append(r.entries[:best], r.entries[best+1:]...)
 	return e.time, e.v, true
@@ -43,10 +50,10 @@ var delayScales = [4]float64{0.001, 0.13, 37, 1e7}
 // FuzzMonotoneOrder feeds one arbitrary (but contract-respecting)
 // push/pop/reset sequence to a Monotone and to the naive reference, and
 // requires both to pop identical (time, value) sequences, mid-stream
-// and on the final drain. This is the fuzz extension of the
-// differential suite: whichever representation an arbitrary delay
-// distribution lands the queue in, the exact (time, seq) total order
-// must survive.
+// and on the final drain, with Len and PeekTime agreeing before every
+// pop. This is the fuzz extension of the differential suite: whichever
+// representation an arbitrary delay distribution lands the queue in,
+// the exact (time, seq) total order must survive.
 //
 // Input grammar: two bytes per operation. Low two bits of the first
 // byte select the op (0/1 push, 2 reset, 3 pop); bits 2-3 select the
@@ -86,6 +93,13 @@ func FuzzMonotoneOrder(f *testing.F) {
 		var nextVal uint32
 
 		popCheck := func(where string) {
+			if n := adaptive.Len(); n != len(ref.entries) {
+				t.Fatalf("%s: Len = %d, ref holds %d", where, n, len(ref.entries))
+			}
+			pt, pok := adaptive.PeekTime()
+			if pok != (len(ref.entries) > 0) || pok && pt != ref.entries[ref.least()].time {
+				t.Fatalf("%s: PeekTime = (%v, %v) with %d pending", where, pt, pok, len(ref.entries))
+			}
 			at, av, aok := adaptive.Pop()
 			rt, rv, rok := ref.pop()
 			if aok != rok {
@@ -118,7 +132,7 @@ func FuzzMonotoneOrder(f *testing.F) {
 			}
 		}
 
-		if n := len(adaptive.items) - adaptive.head; n != len(ref.entries) {
+		if n := adaptive.Len(); n != len(ref.entries) {
 			t.Fatalf("pending diverged: adaptive=%d ref=%d", n, len(ref.entries))
 		}
 		for len(ref.entries) > 0 {

@@ -1,21 +1,23 @@
 package eventq
 
-// Monotone is the cascade's frontier queue: a value-typed priority
+// Monotone is the event queue of every timeline in the repository — a
+// cascade's frontier and the simulator's clock: a value-typed priority
 // queue tuned for *monotone* event streams, where every Push time is >=
-// the time of the last Pop (delays are non-negative, so a cascade's
-// arrival times never run backwards). It implements exactly the
-// (time, seq) total order of Queue — ties in time break by insertion
-// order — so a consumer popping from a Monotone sees the same sequence
-// it would from Queue, without an allocation per item and, on the
-// common path, without sift work.
+// the time of the last Pop (delays are non-negative, so arrival times
+// never run backwards). It implements exactly the (time, seq) total
+// order of Queue — ties in time break by insertion order — so a
+// consumer popping from a Monotone sees the same sequence it would from
+// Queue, without an allocation per item and, on the common path,
+// without sift work.
 //
-// The queue has two internal representations, moving forward only,
-// reset per use:
+// The queue has two internal representations, moving forward only
+// until Reset:
 //
 //   - sorted run: pending items live in one sorted slice, appended at
 //     the tail (zero and constant delay models always append — pure
 //     FIFO) or binary-inserted while the frontier is small, popped from
-//     the head in O(1).
+//     the head in O(1). A run that never drains (a simulation timeline)
+//     reclaims its popped prefix before the slice would grow.
 //   - heap: when an out-of-order push finds more than runInsertMax
 //     items pending, the run — sorted, hence already a valid binary
 //     heap — carries on as a min-heap on (time, seq) for the rest of
@@ -80,6 +82,19 @@ func (q *Monotone[T]) Reset() {
 	q.head = 0
 }
 
+// Len returns the number of pending items.
+func (q *Monotone[T]) Len() int { return len(q.items) - q.head }
+
+// PeekTime returns the least pending time without removing its item,
+// reporting ok=false when the queue is empty.
+func (q *Monotone[T]) PeekTime() (t float64, ok bool) {
+	if q.head == len(q.items) {
+		return 0, false
+	}
+	// The run's head and the heap's root both hold the least entry.
+	return q.items[q.head].time, true
+}
+
 // Push schedules v at time t.
 func (q *Monotone[T]) Push(t float64, v T) {
 	e := monoEntry[T]{time: t, seq: q.seq, v: v}
@@ -90,12 +105,19 @@ func (q *Monotone[T]) Push(t float64, v T) {
 	}
 	n := len(q.items)
 	if n == q.head || t >= q.items[n-1].time {
+		if n == cap(q.items) {
+			q.reclaim()
+		}
 		q.items = append(q.items, e)
 		return
 	}
 	if n-q.head <= runInsertMax {
 		// Small frontier: a binary insert into the sorted run beats any
 		// sift work — one short memmove, O(1) pops.
+		if n == cap(q.items) {
+			q.reclaim()
+			n = len(q.items)
+		}
 		lo, hi := q.head, n
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
@@ -185,5 +207,15 @@ func (q *Monotone[T]) siftDown(i int) {
 		}
 		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
 		i = smallest
+	}
+}
+
+// reclaim slides the pending run to the front of a full slice when at
+// least half of it is popped, rather than carry the dead entries into a
+// grown slice; the half bound keeps the slides amortized O(1) per pop.
+func (q *Monotone[T]) reclaim() {
+	if q.head > 0 && 2*q.head >= len(q.items) {
+		q.items = q.items[:copy(q.items, q.items[q.head:])]
+		q.head = 0
 	}
 }

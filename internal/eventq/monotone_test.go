@@ -195,7 +195,7 @@ func TestMonotoneModes(t *testing.T) {
 	push(math.Inf(-1), v+2)
 	push(math.Inf(1), v+3)
 	sort.SliceStable(want, func(i, j int) bool { return want[i].t < want[j].t })
-	if n := len(q.items) - q.head; n != len(want) {
+	if n := q.Len(); n != len(want) {
 		t.Fatalf("%d pending, want %d", n, len(want))
 	}
 	for i, w := range want {
@@ -228,7 +228,7 @@ func TestMonotoneNaNDegrades(t *testing.T) {
 	}
 	q.Push(1, -3)
 	q.Push(math.NaN(), -4) // into the heap
-	if n := len(q.items) - q.head; n != runInsertMax+5 {
+	if n := q.Len(); n != runInsertMax+5 {
 		t.Fatalf("%d pending, want %d", n, runInsertMax+5)
 	}
 	seen := map[int]bool{}
@@ -272,5 +272,48 @@ func TestMonotoneGrow(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("sorted-run cycle allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestMonotoneRunReclaimsPrefix: a sorted run that never drains — two
+// interleaved tickers on a simulation timeline, or one ticker beside a
+// far-off event — keeps its slice at the size of what is pending, not
+// of everything ever pushed, on the append and the binary-insert path
+// alike, and Len and PeekTime read the pending head.
+func TestMonotoneRunReclaimsPrefix(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		far, step float64 // the second item's time; the time between pops
+	}{
+		{"append", 0.5, 0.5}, // every push lands after the pending tail
+		{"insert", 1e9, 1},   // every push lands before the far event
+	} {
+		name := c.name
+		q := NewMonotone[int](0)
+		q.Push(0, 0)
+		q.Push(c.far, 1)
+		for i := 0; i < 100_000; i++ {
+			if n := q.Len(); n != 2 {
+				t.Fatalf("%s step %d: Len = %d, want 2", name, i, n)
+			}
+			next, _ := q.PeekTime()
+			tm, v, ok := q.Pop()
+			if want := float64(i) * c.step; !ok || tm != want || next != want {
+				t.Fatalf("%s step %d: popped (%v, %v), PeekTime said %v, want %v", name, i, tm, ok, next, want)
+			}
+			q.Push(tm+1, v)
+		}
+		if q.heaped {
+			t.Fatalf("%s: a two-item frontier left the run", name)
+		}
+		if c := cap(q.items); c > 16 {
+			t.Fatalf("%s: run grew to cap %d holding 2 pending items", name, c)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+		if _, ok := q.PeekTime(); ok {
+			t.Fatalf("%s: PeekTime on an empty queue reported ok", name)
+		}
 	}
 }

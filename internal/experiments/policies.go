@@ -20,10 +20,11 @@ import (
 // seed) and cells.json stays byte-comparable at any worker count.
 
 // policySweep lists the registry names the sweep compares. directed-bft
-// degenerates to flooding here (no ledgers accumulate in the stateless
-// scale harness) and is deliberately included: the sweep pins that
-// equivalence down.
-var policySweep = []string{"flood", "random-3", "random-2", "random-1", "directed-bft-2"}
+// is left out: no ledgers accumulate in the stateless scale harness, so
+// it forwards to every candidate and its cell would equal flood's by
+// construction (TestQuickDirectedBFTDegeneratesToFlood asserts that);
+// the directed ablation is where its history pays.
+var policySweep = []string{"flood", "random-3", "random-2", "random-1"}
 
 // PolicySummary is the deterministic output of one policies cell.
 type PolicySummary struct {

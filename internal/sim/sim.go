@@ -1,6 +1,14 @@
 // Package sim provides the discrete-event simulation engine on which
 // every experiment in this repository runs.
 //
+// An Engine is a clock plus a timeline of pending handlers, held by
+// value in an eventq.Monotone — the queue a cascade's frontier runs on.
+// Handlers fire in non-decreasing time order with FIFO tie-breaking,
+// each observing Now() equal to its scheduled time. There is no
+// cancellation: a scheduled event fires unless the horizon dropped it
+// when it was scheduled, and a Ticker runs until the horizon cuts it
+// off.
+//
 // The engine is deliberately single-threaded: the paper's experiments
 // need bit-for-bit reproducibility across runs and machines, and the
 // per-event work (a query cascade over at most a few hundred nodes) is
@@ -10,9 +18,7 @@
 // internal/live runtime, which executes the same framework code on real
 // goroutines.
 //
-// Time is a float64 number of simulated seconds. The engine guarantees
-// that events fire in non-decreasing time order with FIFO tie-breaking,
-// and that handlers observe Now() equal to their scheduled time.
+// Time is a float64 number of simulated seconds.
 package sim
 
 import (
@@ -25,23 +31,17 @@ import (
 // Handler is the callback type invoked when an event fires.
 type Handler func(e *Engine)
 
-// Event is a cancellable handle to a scheduled handler.
-type Event struct {
-	item    *eventq.Item
-	handler Handler
-}
-
 // Engine is a discrete-event simulator clock plus pending-event set.
 type Engine struct {
-	queue     *eventq.Queue
+	queue     *eventq.Monotone[Handler]
 	now       float64
 	processed uint64
-	horizon   float64 // events past this time are silently dropped; 0 = none
+	horizon   float64 // events scheduled after this time are dropped; +Inf = none
 }
 
 // New returns an engine with the clock at 0 and no horizon.
 func New() *Engine {
-	return &Engine{queue: eventq.New(), horizon: math.Inf(1)}
+	return &Engine{queue: eventq.NewMonotone[Handler](0), horizon: math.Inf(1)}
 }
 
 // Now returns the current simulated time in seconds.
@@ -61,9 +61,8 @@ func (e *Engine) SetHorizon(t float64) { e.horizon = t }
 
 // At schedules h at absolute time t. Scheduling in the past (t < Now)
 // panics: it is always a model bug and silently reordering the past
-// would corrupt causality. Events beyond the horizon return a nil
-// handle and are dropped.
-func (e *Engine) At(t float64, h Handler) *Event {
+// would corrupt causality. Events beyond the horizon are dropped.
+func (e *Engine) At(t float64, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at t=%v before now=%v", t, e.now))
 	}
@@ -71,40 +70,29 @@ func (e *Engine) At(t float64, h Handler) *Event {
 		panic("sim: nil handler")
 	}
 	if t > e.horizon {
-		return nil
+		return
 	}
-	ev := &Event{handler: h}
-	ev.item = e.queue.Push(t, ev)
-	return ev
+	e.queue.Push(t, h)
 }
 
 // In schedules h after a relative delay d >= 0.
-func (e *Engine) In(d float64, h Handler) *Event {
+func (e *Engine) In(d float64, h Handler) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.At(e.now+d, h)
-}
-
-// Cancel removes a pending event; it reports whether the event was
-// still pending. Cancelling a nil or already-fired event is a no-op.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil {
-		return false
-	}
-	return e.queue.Cancel(ev.item)
+	e.At(e.now+d, h)
 }
 
 // Step fires the single earliest event. It reports whether an event was
 // available.
 func (e *Engine) Step() bool {
-	it := e.queue.Pop()
-	if it == nil {
+	t, h, ok := e.queue.Pop()
+	if !ok {
 		return false
 	}
-	e.now = it.Time
+	e.now = t
 	e.processed++
-	it.Value.(*Event).handler(e)
+	h(e)
 	return true
 }
 
@@ -121,8 +109,8 @@ func (e *Engine) RunUntil(t float64) {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now=%v", t, e.now))
 	}
 	for {
-		next := e.queue.Peek()
-		if next == nil || next.Time > t {
+		next, ok := e.queue.PeekTime()
+		if !ok || next > t {
 			break
 		}
 		e.Step()
@@ -132,27 +120,17 @@ func (e *Engine) RunUntil(t float64) {
 	}
 }
 
-// Ticker invokes h every period seconds starting at start, until cancel
-// is called or the horizon cuts it off. It returns a cancel function.
-func (e *Engine) Ticker(start, period float64, h Handler) (cancel func()) {
+// Ticker invokes h every period seconds starting at start, until the
+// horizon cuts it off. Without a horizon it never stops, so Run does
+// not return; RunUntil bounds it.
+func (e *Engine) Ticker(start, period float64, h Handler) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive ticker period %v", period))
 	}
-	var ev *Event
-	stopped := false
 	var tick Handler
 	tick = func(en *Engine) {
-		if stopped {
-			return
-		}
 		h(en)
-		if !stopped {
-			ev = en.In(period, tick)
-		}
+		en.In(period, tick)
 	}
-	ev = e.At(start, tick)
-	return func() {
-		stopped = true
-		e.Cancel(ev)
-	}
+	e.At(start, tick)
 }
