@@ -24,7 +24,6 @@ var apiPackages = []string{"repro/pkg/search", "repro/pkg/searchclient"}
 // "<package>.<Func|Var>" or "<package>.<Type>.<Method>".
 var apiExempt = map[string]string{
 	"search.ErrSaturatorClosed":                        "the sentinel callers test Saturator.Run against after Close",
-	"search.RegisterPolicy":                            "the registry's extension point, which the built-in families register through",
 	"searchclient.ErrCircuitOpen":                      "the sentinel callers test for a fast-failed call",
 	"searchclient.Error.Error":                         "implements error; callers reach it through the interface",
 	"searchclient.Error.Temporary":                     "how a caller that retries on its own classifies a daemon refusal",

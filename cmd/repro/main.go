@@ -9,8 +9,8 @@
 // aliases fig1a fig1b fig2a fig2b), the ablations: directed iterdeep
 // localindex asym benefit drift webcache peerolap, and the engine
 // stress families: scale (1k/10k/100k/1M-node cascade sweeps),
-// policies (the pkg/search forward-policy registry swept over one
-// network; -list-policies prints the registry), skew (the
+// policies (the pkg/search forward policies swept over one network;
+// -list-policies prints their names), skew (the
 // session-driver grid: Zipf skew × churn × policy plus a flash-crowd
 // cell), and faults (hit-rate retention under drop × crash × policy).
 // -list prints every family with a one-line description.
@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runName  = fs.String("name", "", "artifact run name (default <exp>-<scale>-s<seed>)")
 		progress = fs.Bool("progress", false, "report per-cell progress and ETA on stderr")
 		list     = fs.Bool("list", false, "list the experiment families with descriptions and exit")
-		policies = fs.Bool("list-policies", false, "list the pkg/search forward-policy registry and exit")
+		policies = fs.Bool("list-policies", false, "list the pkg/search forward policy names and exit")
 		cpuProf  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run here")
 		memProf  = fs.String("memprofile", "", "write a pprof heap profile (post-run) here")
 	)
@@ -138,8 +138,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *policies {
-		// The policies experiment sweeps these; dsearchd selects them by
-		// its policy setting and per query. One registry backs both.
+		// The policies experiment sweeps these; dsearchd selects one by
+		// its policy setting. PolicyByName backs both.
 		fmt.Fprintln(stdout, strings.Join(search.PolicyNames(), "\n"))
 		return 0
 	}

@@ -4,7 +4,7 @@
 //
 // The public API is pkg/search: a pooled, context-aware, streaming
 // query facade (Do/Stream/Batch/Saturate) over the cascade core, with
-// a string-keyed forward-policy registry and zero-downtime serving
+// forward policies selected by name and zero-downtime serving
 // under churn (WithSnapshotStore: queries pin immutable snapshot
 // epochs that a writer swaps atomically). The implementation lives
 // under internal/: the framework core (search, exploration, neighbor

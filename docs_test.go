@@ -89,6 +89,9 @@ func TestDocsQuoteOnlyWhatExists(t *testing.T) {
 		// eventq.Monotone, and the cancellation nothing called is gone.
 		"Engine." + "Cancel", "sim." + "Event", "Queue." + "Cancel", "Queue." + "Peek",
 		"Queue." + "Len", "cancellable" + " heap", "needs " + "cancel",
+		// The policy registry nothing extended: the forward policies are
+		// a fixed set, and every hop forwards with the node's own.
+		"Register" + "Policy", "Policy" + "Spec",
 	}
 	goBench := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	ticked := regexp.MustCompile("`([^`\n]+)`")

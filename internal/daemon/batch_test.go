@@ -279,7 +279,7 @@ func TestBatchValidation(t *testing.T) {
 	resp, err := client.QueryBatch(ctx, []searchclient.QueryRequest{
 		{Key: 3, MaxHits: 1},                     // fine
 		{Key: 999},                               // outside the catalog
-		{Key: 3, Policy: "no-such-policy"},       // unknown policy
+		{Key: 3, TTL: 256},                       // deeper than a message can carry
 		{Key: 3, Origin: &badOrigin, MaxHits: 1}, // not hosted here
 	})
 	if err != nil {
@@ -296,6 +296,20 @@ func TestBatchValidation(t *testing.T) {
 	}
 	if err := resp.BatchStatusError(); err == nil {
 		t.Fatal("BatchStatusError missed the failing items")
+	}
+
+	// A field out of range fails its item with a 400 that names it.
+	fields := []string{"ttl", "ttl", "max_hits", "timeout_ms"}
+	resp, err = client.QueryBatch(ctx, []searchclient.QueryRequest{
+		{Key: 3, TTL: -1}, {Key: 3, TTL: 1000}, {Key: 3, MaxHits: -1}, {Key: 3, TimeoutMillis: -5},
+	})
+	if err != nil {
+		t.Fatalf("out-of-range batch: %v", err)
+	}
+	for i, it := range resp.Results {
+		if it.Status != 400 || !strings.Contains(it.Error, fields[i]) {
+			t.Errorf("item %d: want per-item 400 naming %s, got %d %q", i, fields[i], it.Status, it.Error)
+		}
 	}
 }
 

@@ -48,9 +48,9 @@ type Config struct {
 	Keys     int    `json:"keys"`
 	Replicas int    `json:"replicas"`
 
-	// TTL is the default search depth; Policy the pkg/search registry
-	// name each node forwards with; Class the advertised bandwidth
-	// class ("56k", "cable", "lan").
+	// TTL is the default search depth; Policy the pkg/search policy
+	// name (PolicyByName) each node forwards with at every hop; Class
+	// the advertised bandwidth class ("56k", "cable", "lan").
 	TTL    int    `json:"ttl"`
 	Policy string `json:"policy"`
 	Class  string `json:"class"`

@@ -371,8 +371,9 @@ func asError(err error, target **searchclient.Error) bool {
 	return errors.As(err, target)
 }
 
-// TestQueryValidation: out-of-catalog keys, remote origins and unknown
-// policies are 400s, not daemon crashes.
+// TestQueryValidation: out-of-catalog keys, remote origins and request
+// fields out of range are 400s that name what is wrong, not daemon
+// crashes or silently substituted defaults.
 func TestQueryValidation(t *testing.T) {
 	srv, err := New(Config{Nodes: 4, Degree: 2, TTL: 2, Keys: 16, Replicas: 1, Seed: 2})
 	if err != nil {
@@ -383,24 +384,29 @@ func TestQueryValidation(t *testing.T) {
 
 	client := searchclient.New(srv.Addr())
 	ctx := context.Background()
-	bad := func(req searchclient.QueryRequest, why string) {
-		t.Helper()
-		_, err := client.Query(ctx, req)
+	remote := 77
+	for _, tc := range []struct {
+		req  searchclient.QueryRequest
+		want string
+	}{
+		{searchclient.QueryRequest{Key: 999}, "key"},
+		{searchclient.QueryRequest{Key: 1, Origin: &remote}, "origin"},
+		{searchclient.QueryRequest{Key: 1, TTL: -3}, "ttl"},
+		{searchclient.QueryRequest{Key: 1, TTL: 256}, "ttl"},
+		{searchclient.QueryRequest{Key: 1, TTL: 1000}, "ttl"},
+		{searchclient.QueryRequest{Key: 1, MaxHits: -1}, "max_hits"},
+		{searchclient.QueryRequest{Key: 1, TimeoutMillis: -5}, "timeout_ms"},
+	} {
+		_, err := client.Query(ctx, tc.req)
 		var se *searchclient.Error
-		if !asError(err, &se) || se.Status != http.StatusBadRequest {
-			t.Fatalf("%s: got %v, want 400", why, err)
+		if !asError(err, &se) || se.Status != http.StatusBadRequest || !strings.Contains(se.Message, tc.want) {
+			t.Errorf("%+v: got %v, want 400 naming %s", tc.req, err, tc.want)
 		}
 	}
-	bad(searchclient.QueryRequest{Key: 999}, "out-of-catalog key")
-	remote := 77
-	bad(searchclient.QueryRequest{Key: 1, Origin: &remote}, "remote origin")
-	bad(searchclient.QueryRequest{Key: 1, Policy: "no-such-policy"}, "unknown policy")
 
-	// A per-request policy override on a valid request must work.
-	if _, err := client.Query(ctx, searchclient.QueryRequest{
-		Key: 1, Policy: "random-1", MaxHits: 1, TimeoutMillis: 30,
-	}); err != nil {
-		t.Fatalf("policy override query: %v", err)
+	// The edges of each range are served.
+	if _, err := client.Query(ctx, searchclient.QueryRequest{Key: 1, TTL: 255, MaxHits: 1, TimeoutMillis: 30}); err != nil {
+		t.Fatalf("in-range query: %v", err)
 	}
 }
 
@@ -420,7 +426,9 @@ func TestBodiesRejectUnknownFields(t *testing.T) {
 		{"/v1/query", `{"key":17,"deadline_ms":5,"timeuot_ms":1}`, `"deadline_ms"`},
 		{"/v1/query", `{"key":17,"timeuot_ms":1}`, `"timeuot_ms"`},
 		{"/v1/query", `{"key":17} {"key":18}`, "trailing data"},
+		{"/v1/query", `{"key":1,"policy":"random-1"}`, `"policy"`},
 		{"/v1/query/batch", `{"queries":[{"key":1},{"key":2,"ttll":3}]}`, `"ttll"`},
+		{"/v1/query/batch", `{"queries":[{"key":1,"policy":"flood"}]}`, `"policy"`},
 		{"/v1/control/crash", `{"node":1,"force":true}`, `"force"`},
 	} {
 		resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
@@ -450,7 +458,7 @@ func TestBodiesRejectUnknownFields(t *testing.T) {
 func TestClientBodiesDecodeStrictly(t *testing.T) {
 	origin := 3
 	query := searchclient.QueryRequest{
-		Key: 7, TTL: 3, Policy: "random-2", Origin: &origin, TimeoutMillis: 50, MaxHits: 1,
+		Key: 7, TTL: 3, Origin: &origin, TimeoutMillis: 50, MaxHits: 1,
 	}
 	batch := []searchclient.QueryRequest{query, {Key: 9}}
 	got := make(chan any, 4)

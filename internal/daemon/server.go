@@ -109,8 +109,6 @@ type Server struct {
 
 	// nextOrigin round-robins unpinned queries over the local shard.
 	nextOrigin atomic.Uint64
-	// policySeq salts per-request stochastic policy streams.
-	policySeq atomic.Uint64
 
 	gossipStop chan struct{}
 	gossipDone chan struct{}
@@ -491,17 +489,25 @@ func (s *Server) timed(name string, h http.HandlerFunc) http.HandlerFunc {
 func noRelease() (func(), bool) { return func() {}, true }
 
 // runQuery executes one query end to end — validation, origin
-// selection with crashed-node reroute, per-request policy, admission
-// and the live search — and returns either the response or the HTTP
-// status and message the caller should answer with (code 0 means
-// success). Both the single and the batch endpoint funnel through
-// here, so the two planes cannot drift semantically.
+// selection with crashed-node reroute, admission and the live search —
+// and returns either the response or the HTTP status and message the
+// caller should answer with (code 0 means success). Both the single
+// and the batch endpoint funnel through here, so the two planes cannot
+// drift semantically.
 func (s *Server) runQuery(ctx context.Context, req *searchclient.QueryRequest,
 	admit func() (func(), bool), settle bool) (searchclient.QueryResponse, int, string) {
 	var zero searchclient.QueryResponse
 	if req.Key >= uint64(s.cfg.Keys) {
 		return zero, http.StatusBadRequest,
 			fmt.Sprintf("key %d outside catalog [0,%d)", req.Key, s.cfg.Keys)
+	}
+	switch {
+	case req.TTL < 0 || req.TTL > 255:
+		return zero, http.StatusBadRequest, fmt.Sprintf("ttl %d outside [0,255]", req.TTL)
+	case req.MaxHits < 0:
+		return zero, http.StatusBadRequest, fmt.Sprintf("max_hits %d is negative", req.MaxHits)
+	case req.TimeoutMillis < 0:
+		return zero, http.StatusBadRequest, fmt.Sprintf("timeout_ms %d is negative", req.TimeoutMillis)
 	}
 
 	// Origin selection routes around crashed nodes: a pinned-but-down
@@ -530,21 +536,6 @@ func (s *Server) runQuery(ctx context.Context, req *searchclient.QueryRequest,
 		}
 	}
 
-	// A per-request policy applies at the origin hop only: forwarding
-	// nodes are autonomous in the live protocol, so the override
-	// shapes the initial fan-out while the cluster keeps its
-	// configured behavior downstream.
-	var forward core.ForwardPolicy
-	if req.Policy != "" {
-		seq := s.policySeq.Add(1)
-		pol, err := search.PolicyByName(req.Policy,
-			search.PolicyEnv{Intn: rng.New(s.cfg.Seed ^ seq).Intn})
-		if err != nil {
-			return zero, http.StatusBadRequest, "policy: " + err.Error()
-		}
-		forward = pol
-	}
-
 	timeout := s.cfg.QueryWindow()
 	if req.TimeoutMillis > 0 {
 		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
@@ -565,7 +556,6 @@ func (s *Server) runQuery(ctx context.Context, req *searchclient.QueryRequest,
 		Timeout: timeout,
 		MaxHits: req.MaxHits,
 		Settle:  settle,
-		Forward: forward,
 		Cancel:  ctx.Done(),
 	})
 	s.qTotal.Inc()
@@ -640,7 +630,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // cover the slab, so Drain waits for a started batch to finish and a
 // paused daemon refuses the whole slab with 503. Malformed bodies,
 // empty slabs and slabs over max_batch are whole-batch 400s; per-item
-// problems (bad key, unknown policy, unhosted origin, all-crashed
+// problems (bad key, out-of-range field, unhosted origin, all-crashed
 // shard) mark only that item's result.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	var req searchclient.BatchQueryRequest

@@ -87,7 +87,7 @@ type Spec struct {
 	// Classes maps nodes to bandwidth classes for the netsim delay
 	// model; nil disables per-hop delays.
 	Classes func(id topology.NodeID) netsim.BandwidthClass
-	// Policy selects the forward policy by pkg/search registry name;
+	// Policy selects the forward policy by pkg/search policy name;
 	// empty leaves the engine default (flood) or whatever the Search
 	// hook installs.
 	Policy string

@@ -38,7 +38,7 @@ type FaultsConfig struct {
 	Theta            float64
 	Queries          int
 	TTL              int
-	// Policy is the base forward policy (pkg/search registry name).
+	// Policy is the base forward policy (pkg/search policy name).
 	Policy string
 	// Drop is the per-forwarded-copy loss probability in [0,1).
 	Drop float64

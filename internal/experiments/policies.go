@@ -7,19 +7,17 @@ import (
 	"repro/internal/runner"
 )
 
-// The policies experiment family sweeps the pkg/search policy registry
+// The policies experiment family sweeps pkg/search forward policies
 // over one mid-size scale network: the same wiring, holdings and query
 // stream under every forward policy, isolating what fan-out alone buys
-// and costs. It exists because policies are now config-selectable
-// strings — the sweep is literally a list of registry names, and adding
-// a policy family via search.RegisterPolicy makes it sweepable with one
-// line here.
+// and costs. Policies are config-selectable strings from a fixed set
+// (search.PolicyNames), so the sweep is literally a list of names.
 //
 // Stochastic families (random-<k>) draw deterministic per-query streams
 // inside the engine, so every cell remains a pure function of (config,
 // seed) and cells.json stays byte-comparable at any worker count.
 
-// policySweep lists the registry names the sweep compares. directed-bft
+// policySweep lists the policy names the sweep compares. directed-bft
 // is left out: no ledgers accumulate in the stateless scale harness, so
 // it forwards to every candidate and its cell would equal flood's by
 // construction (TestQuickDirectedBFTDegeneratesToFlood asserts that);
@@ -41,7 +39,7 @@ func policyNodes(s Scale) int {
 	return 1_000
 }
 
-// PolicyCells returns one cell per registry policy name over the shared
+// PolicyCells returns one cell per policy name over the shared
 // network shape.
 func PolicyCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 	// Every cell shares the experiment seed: identical wiring, holdings
@@ -65,7 +63,7 @@ func PolicyCells(experiment string, scale Scale, seed uint64) []runner.Cell {
 // PolicyTable renders the sweep.
 func PolicyTable(sums []*PolicySummary) *metrics.Table {
 	t := metrics.NewTable(
-		fmt.Sprintf("Forward-policy sweep over one %d-node network (pkg/search registry)", sums[0].Nodes),
+		fmt.Sprintf("Forward-policy sweep over one %d-node network (pkg/search policies)", sums[0].Nodes),
 		"policy", "hit_rate", "msgs/query", "visited", "p50_ms", "p95_ms")
 	for _, s := range sums {
 		t.AddRow(s.Policy, s.HitRate, s.MsgsPerQuery, s.VisitedMean, s.DelayP50Ms, s.DelayP95Ms)

@@ -131,7 +131,7 @@ func Registry(scale Scale, seed uint64) []Definition {
 		},
 		{
 			Name:   "policies",
-			About:  "Forward-policy registry swept over one shared network",
+			About:  "Forward policies swept over one shared network",
 			Cells:  PolicyCells("policies", scale, seed),
 			Tables: table(collect[*PolicySummary], PolicyTable),
 		},

@@ -48,8 +48,8 @@ type ScaleConfig struct {
 	Queries int
 	// TTL bounds each search.
 	TTL int
-	// Policy selects the forward policy by pkg/search registry name;
-	// empty means "flood" (the canonical cells). Stochastic families
+	// Policy selects the forward policy by pkg/search policy name;
+	// empty means "flood" (the canonical cells). random-<k> policies
 	// draw per-query streams derived from Seed, so any policy keeps the
 	// cell a pure function of its config.
 	Policy string

@@ -32,7 +32,7 @@ import (
 //   - Churn: mean on/off session length (0 = stable membership). Edges
 //     are wired once; offline nodes neither answer nor forward, so
 //     churn thins the effective overlay without rewiring it.
-//   - Policy: pkg/search registry name (flood vs bounded fan-out).
+//   - Policy: pkg/search policy name (flood vs bounded fan-out).
 //
 // The flash-crowd cell ramps every node's arrival rate by FlashPeak
 // inside a half-hour window and focuses in-window queries on the
@@ -56,7 +56,7 @@ type SkewConfig struct {
 	Keys, KeysPerProvider int
 	// Theta is the Zipf exponent shared by holdings and requests.
 	Theta float64
-	// Policy selects the forward policy by pkg/search registry name.
+	// Policy selects the forward policy by pkg/search policy name.
 	Policy string
 	// TTL bounds each search.
 	TTL int
@@ -162,7 +162,7 @@ type SkewSummary struct {
 	FlashHitRate float64 `json:"flash_hit_rate"`
 }
 
-// Grid axes. Policies come from the pkg/search registry; churn levels
+// Grid axes. Policies are pkg/search policy names; churn levels
 // are mean session lengths; thetas span near-uniform to heavy skew.
 var (
 	skewThetas = []float64{0.5, 0.9, 1.2}

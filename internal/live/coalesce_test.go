@@ -86,8 +86,8 @@ func TestTCPNoDelaySet(t *testing.T) {
 func TestCoalesceFlushOnClose(t *testing.T) {
 	lis := startCollector(t)
 	tr := NewTCPTransport()
-	tr.FlushBytes = 1 << 20
-	tr.FlushInterval = time.Hour
+	tr.flushBytes = 1 << 20
+	tr.flushInterval = time.Hour
 	tr.SetAddr(1, lis.addr)
 	if err := tr.Send(1, Envelope{Type: MsgHit, From: 3, QueryID: 7}); err != nil {
 		t.Fatal(err)
@@ -133,13 +133,13 @@ func TestCoalesceFlushOnWindow(t *testing.T) {
 	}
 }
 
-// TestCoalesceFlushOnSize: once the buffer crosses FlushBytes the
+// TestCoalesceFlushOnSize: once the buffer crosses flushBytes the
 // flush happens inline on Send, even with the window disabled.
 func TestCoalesceFlushOnSize(t *testing.T) {
 	lis := startCollector(t)
 	tr := NewTCPTransport()
-	tr.FlushBytes = 256 // a few envelopes' worth
-	tr.FlushInterval = time.Hour
+	tr.flushBytes = 256 // a few envelopes' worth
+	tr.flushInterval = time.Hour
 	defer tr.Close()
 	tr.SetAddr(1, lis.addr)
 	for i := 0; i < 64; i++ {
@@ -150,7 +150,7 @@ func TestCoalesceFlushOnSize(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for lis.count() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("size trigger never flushed a 64-frame burst past FlushBytes")
+			t.Fatal("size trigger never flushed a 64-frame burst past flushBytes")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -370,6 +371,33 @@ func TestQueryTTLOverride(t *testing.T) {
 	}
 }
 
+// The configured forward policy governs the origin hop as it does every
+// other: an origin forwarding with random-1 sends one first-hop copy of
+// each query it originates, however many neighbours it has.
+func TestConfiguredPolicyGovernsOriginHop(t *testing.T) {
+	tr := NewChanTransport()
+	nodes := make([]*Node, 4)
+	for i := range nodes {
+		cfg := Config{ID: topology.NodeID(i), Neighbors: 4, TTL: 3, Transport: tr, Store: MapStore{}}
+		if i == 0 {
+			cfg.Forward = core.RandomK{K: 1, Intn: rng.New(1).Intn}
+		}
+		nodes[i] = NewNode(cfg)
+		tr.Attach(nodes[i])
+		nodes[i].Start()
+		defer nodes[i].Close()
+	}
+	for _, peer := range nodes[1:] {
+		link(nodes[0], peer)
+	}
+	for key := core.Key(0); key < 32; key++ {
+		_, info := nodes[0].QueryInfo(QueryOpts{Key: key, Timeout: 10 * time.Second})
+		if info.Fanout != 1 || !info.Complete {
+			t.Fatalf("query %d: info = %+v, want Fanout 1 and Complete", key, info)
+		}
+	}
+}
+
 func TestCloseDrainsQueuedEnvelopes(t *testing.T) {
 	// A stopped-Start node accumulates envelopes in its inbox; Close
 	// must process all of them before returning. The node serves key 5,
@@ -418,7 +446,7 @@ func TestTCPDialRetrySucceedsAfterPeerBoots(t *testing.T) {
 
 	tr := NewTCPTransport()
 	defer tr.Close()
-	tr.DialBackoff = 50 * time.Millisecond
+	tr.dialBackoff = 50 * time.Millisecond
 	tr.SetAddr(1, addr)
 
 	got := make(chan Envelope, 1)
@@ -453,9 +481,9 @@ func TestTCPDialCooldownFailsFast(t *testing.T) {
 	ln.Close()
 
 	tr := NewTCPTransport()
-	tr.MaxDialAttempts = 2
-	tr.DialBackoff = 5 * time.Millisecond
-	tr.DialCooldown = time.Hour
+	tr.maxDialAttempts = 2
+	tr.dialBackoff = 5 * time.Millisecond
+	tr.dialCooldown = time.Hour
 	tr.SetAddr(1, addr)
 	if err := tr.Send(1, Envelope{}); err == nil {
 		t.Fatal("send to dead peer succeeded")

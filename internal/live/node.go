@@ -48,10 +48,10 @@ type Config struct {
 	// ReconfigThreshold is θ: reconfigure after this many searches
 	// (0 disables automatic reconfiguration).
 	ReconfigThreshold int
-	// Forward selects which neighbors receive a query at each hop; nil
-	// means core.Flood (the Gnutella baseline). Policies resolve from
-	// configuration strings via pkg/search's registry (PolicyByName) —
-	// cmd/dsearch's -policy flag does exactly that. The policy runs
+	// Forward selects which neighbors receive a query at each hop, the
+	// origin hop included; nil means core.Flood (the Gnutella baseline).
+	// Policies resolve from their names via pkg/search's PolicyByName —
+	// cmd/dsearchd's -policy flag does exactly that. The policy runs
 	// under this node's lock, one call at a time, so an instance need
 	// not be concurrency-safe — but for that same reason a stochastic
 	// instance (random-<k>'s rng stream) must not be shared across

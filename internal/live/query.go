@@ -28,11 +28,6 @@ type QueryOpts struct {
 	// instead of stacking the unfinished tails of all its earlier ones
 	// into the inboxes.
 	Settle bool
-	// Forward overrides the origin hop's fan-out policy for this query
-	// only; forwarding nodes still apply their own configured policies
-	// (each hop is autonomous in the live protocol). Nil uses
-	// Config.Forward.
-	Forward core.ForwardPolicy
 	// Cancel, when non-nil, ends hit collection early when it becomes
 	// receivable — the hook a serving frontend uses to stop a query
 	// whose request went away. Hits already collected are returned;
@@ -84,9 +79,8 @@ type collector struct {
 	timer   *time.Timer
 
 	// Request, written by the caller before it hands the collector over.
-	key     core.Key
-	ttl     uint8
-	forward core.ForwardPolicy
+	key core.Key
+	ttl uint8
 	// Set by originate, for retire; fanout is also the caller's, who may
 	// stop waiting before a busy node got that far.
 	qid    core.QueryID
@@ -126,11 +120,8 @@ func completionMark(served uint32, lost bool) SearchHit {
 // originate queries on one node concurrently.
 func (n *Node) QueryInfo(opts QueryOpts) ([]SearchHit, QueryInfo) {
 	c := collectorPool.Get().(*collector)
-	c.key, c.forward, c.hits = opts.Key, opts.Forward, nil
+	c.key, c.hits = opts.Key, nil
 	c.ttl = n.ttl(opts.TTL)
-	if c.forward == nil {
-		c.forward = n.cfg.Forward
-	}
 	c.fanout.Store(-1)
 	// Two trips to the node frame the collection; the caller does not
 	// wait for a busy node to take the first, it goes straight to
@@ -220,7 +211,7 @@ func (n *Node) originate(st *state, c *collector) {
 	e.from = topology.None
 	st.pending[qid] = c
 	st.fwdQuery = core.Query{ID: qid, Key: c.key, Origin: n.cfg.ID, TTL: int(c.ttl)}
-	targets := c.forward.Select(&st.fwdQuery, n.cfg.ID, topology.None, st.neighbors, st.ledger, st.fwdBuf[:0])
+	targets := n.cfg.Forward.Select(&st.fwdQuery, n.cfg.ID, topology.None, st.neighbors, st.ledger, st.fwdBuf[:0])
 	st.fwdBuf = targets[:0]
 	e.act = st.acts.alloc(qid)
 	st.acts.recs[e.act].from = topology.None
@@ -251,7 +242,7 @@ drain:
 		}
 	}
 	hits := c.hits
-	c.hits, c.forward = nil, nil
+	c.hits = nil
 	collectorPool.Put(c)
 	r := float64(len(hits))
 	for _, h := range hits {

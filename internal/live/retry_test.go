@@ -10,8 +10,8 @@ import (
 // peer's retry ladder.
 func TestTCPCloseUnblocksDialBackoff(t *testing.T) {
 	tr := NewTCPTransport()
-	tr.DialBackoff = 10 * time.Second // long enough that only Close can end the wait
-	tr.MaxDialAttempts = 4
+	tr.dialBackoff = 10 * time.Second // long enough that only Close can end the wait
+	tr.maxDialAttempts = 4
 	// A port nothing listens on: every dial fails instantly, so Send
 	// parks in the first backoff sleep.
 	tr.SetAddr(9, "127.0.0.1:1")

@@ -208,30 +208,31 @@ func (t *ChanTransport) Send(to topology.NodeID, env Envelope) error {
 // Writes coalesce: every destination owns a persistent gob encoder
 // over a buffered writer, so one cascade fan-out burst becomes one
 // syscall per destination instead of one per message. Frames flush
-// when the buffer reaches FlushBytes, every FlushInterval from a
+// when the buffer reaches flushBytes, every flushInterval from a
 // background flusher, and unconditionally on Flush and Close — a
 // drained process never strands buffered frames. TCP_NODELAY is set
 // explicitly on every dialed connection: the coalescing window is the
 // transport's own (bounded, observable) batching policy, not the
 // kernel's.
 type TCPTransport struct {
-	// MaxDialAttempts bounds connection attempts per Send (default 4).
-	MaxDialAttempts int
-	// DialBackoff is the base of the first retry delay; each attempt
+	// maxDialAttempts bounds connection attempts per Send (default 4).
+	maxDialAttempts int
+	// dialBackoff is the base of the first retry delay; each attempt
 	// doubles it and the actual sleep is jittered uniformly over
 	// [base/2, base] so peers retrying the same dead destination never
 	// synchronize into a dial storm (default 25ms).
-	DialBackoff time.Duration
-	// DialCooldown is how long a destination fails fast after
-	// MaxDialAttempts consecutive dial failures (default 250ms).
-	DialCooldown time.Duration
-	// FlushBytes flushes a destination's write buffer inline once it
-	// holds at least this many bytes (default 16KB); FlushInterval is
+	dialBackoff time.Duration
+	// dialCooldown is how long a destination fails fast after
+	// maxDialAttempts consecutive dial failures (default 250ms).
+	dialCooldown time.Duration
+	// flushBytes flushes a destination's write buffer inline once it
+	// holds at least this many bytes (default 16KB); flushInterval is
 	// the background flusher's coalescing window — the longest a frame
-	// waits buffered before hitting the wire (default 1ms). Both are
-	// read at first Send; set them before using the transport.
-	FlushBytes    int
-	FlushInterval time.Duration
+	// waits buffered before hitting the wire (default 1ms). The
+	// settings are fixed by NewTCPTransport; only the package's tests
+	// change them, before the first Send.
+	flushBytes    int
+	flushInterval time.Duration
 
 	mu    sync.Mutex
 	dests map[topology.NodeID]*tcpDest
@@ -262,11 +263,11 @@ type tcpDest struct {
 // retry and coalescing parameters.
 func NewTCPTransport() *TCPTransport {
 	return &TCPTransport{
-		MaxDialAttempts: 4,
-		DialBackoff:     25 * time.Millisecond,
-		DialCooldown:    250 * time.Millisecond,
-		FlushBytes:      16 << 10,
-		FlushInterval:   time.Millisecond,
+		maxDialAttempts: 4,
+		dialBackoff:     25 * time.Millisecond,
+		dialCooldown:    250 * time.Millisecond,
+		flushBytes:      16 << 10,
+		flushInterval:   time.Millisecond,
 		dests:           make(map[topology.NodeID]*tcpDest),
 		closed:          make(chan struct{}),
 		jitterState:     uint64(time.Now().UnixNano()),
@@ -345,13 +346,9 @@ func (t *TCPTransport) Send(to topology.NodeID, env Envelope) error {
 		if until := d.downUntil; !until.IsZero() && time.Now().Before(until) {
 			return fmt.Errorf("live: node %d unreachable (cooldown)", to)
 		}
-		attempts := t.MaxDialAttempts
-		if attempts < 1 {
-			attempts = 1
-		}
-		backoff := t.DialBackoff
+		backoff := t.dialBackoff
 		var err error
-		for i := 0; i < attempts; i++ {
+		for i := 0; i < t.maxDialAttempts; i++ {
 			if i > 0 {
 				// Jittered, interruptible backoff: Close unblocks the sleep
 				// immediately so a draining process is not held hostage by a
@@ -374,16 +371,12 @@ func (t *TCPTransport) Send(to topology.NodeID, env Envelope) error {
 			if c, err = net.Dial("tcp", d.addr); err == nil {
 				// The coalescing buffer is the batching policy; the kernel
 				// must not add its own (Nagle would stack a second, opaque
-				// delay window on top of FlushInterval).
+				// delay window on top of flushInterval).
 				if tc, ok := c.(*net.TCPConn); ok {
 					_ = tc.SetNoDelay(true)
 				}
-				bufBytes := t.FlushBytes
-				if bufBytes < 1 {
-					bufBytes = 1
-				}
 				d.c = c
-				d.bw = bufio.NewWriterSize(c, bufBytes)
+				d.bw = bufio.NewWriterSize(c, t.flushBytes)
 				d.enc = gob.NewEncoder(d.bw)
 				d.downUntil = time.Time{}
 				t.flusherOnce.Do(func() { go t.flushLoop() })
@@ -391,7 +384,7 @@ func (t *TCPTransport) Send(to topology.NodeID, env Envelope) error {
 			}
 		}
 		if d.c == nil {
-			d.downUntil = time.Now().Add(t.DialCooldown)
+			d.downUntil = time.Now().Add(t.dialCooldown)
 			return fmt.Errorf("live: dial node %d: %w", to, err)
 		}
 	}
@@ -400,9 +393,9 @@ func (t *TCPTransport) Send(to topology.NodeID, env Envelope) error {
 		return fmt.Errorf("live: send to node %d: %w", to, err)
 	}
 	// Size-triggered inline flush; smaller bursts wait (at most
-	// FlushInterval) for the background flusher, coalescing a fan-out
+	// flushInterval) for the background flusher, coalescing a fan-out
 	// burst into one write.
-	if d.bw.Buffered() >= t.FlushBytes {
+	if d.bw.Buffered() >= t.flushBytes {
 		d.flushLocked()
 		if d.c == nil {
 			return fmt.Errorf("live: flush to node %d failed", to)
@@ -411,15 +404,11 @@ func (t *TCPTransport) Send(to topology.NodeID, env Envelope) error {
 	return nil
 }
 
-// flushLoop is the background coalescing flusher: every FlushInterval
+// flushLoop is the background coalescing flusher: every flushInterval
 // it pushes each destination's buffered frames to the wire. It exits
 // when the transport closes (Close flushes one final time itself).
 func (t *TCPTransport) flushLoop() {
-	interval := t.FlushInterval
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(t.flushInterval)
 	defer tick.Stop()
 	for {
 		select {

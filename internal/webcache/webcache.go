@@ -220,8 +220,8 @@ func New(cfg Config) *Sim {
 	return s
 }
 
-// searchOptions assembles the facade. Policies are registry-selected
-// by name — the digest-guided family gets its oracle via WithDigest.
+// searchOptions assembles the facade. Policies are selected by name —
+// the digest-guided family gets its oracle via WithDigest.
 // No fallback: a proxy that digests say cannot help is skipped; the
 // origin server is the safety net.
 func (s *Sim) searchOptions(*driver.Session) []search.Option {

@@ -44,12 +44,11 @@
 // # Policies
 //
 // Forward policies — which neighbors receive a query at each hop — are
-// selected by name through a registry that round-trips every built-in
-// core.ForwardPolicy ("flood", "random-<k>", "directed-bft-<k>",
-// "digest-guided"), making them config- and flag-selectable;
-// applications register their own families with RegisterPolicy.
-// WithForward bypasses the registry for policy instances carrying
-// shared state.
+// a fixed set selected by name: PolicyByName round-trips each of
+// core's ForwardPolicy implementations ("flood", "random-<k>",
+// "directed-bft-<k>", "digest-guided"), making them config- and
+// flag-selectable. There is no registry to extend; WithForward installs
+// a policy instance directly, for one carrying shared state.
 //
 // # Pooling
 //

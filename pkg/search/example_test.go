@@ -160,7 +160,8 @@ func ExampleEngine_Saturate() {
 }
 
 // ExamplePolicyByName resolves forward policies from configuration
-// strings — every built-in policy name round-trips.
+// strings — every policy name round-trips, and a name outside the fixed
+// set is an error that lists the known families.
 func ExamplePolicyByName() {
 	for _, name := range []string{"flood", "directed-bft-3"} {
 		p, err := search.PolicyByName(name, search.PolicyEnv{})
@@ -170,9 +171,9 @@ func ExamplePolicyByName() {
 		fmt.Println(p.Name())
 	}
 	_, err := search.PolicyByName("carrier-pigeon", search.PolicyEnv{})
-	fmt.Println("err:", err != nil)
+	fmt.Println(err)
 	// Output:
 	// flood
 	// directed-bft-3
-	// err: true
+	// search: unknown policy "carrier-pigeon" (known: digest-guided, directed-bft-<k>, flood, random-<k>)
 }

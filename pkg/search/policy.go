@@ -2,171 +2,83 @@ package search
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/stats"
 )
 
-// PolicyEnv supplies the runtime dependencies a registered policy
-// family may need. Engines fill it from their options; direct
-// PolicyByName callers fill only what their policy consumes (a
-// stateless family like "flood" needs nothing).
+// PolicyEnv supplies the runtime dependencies a forward policy may
+// need. Engines fill it from their options; direct PolicyByName callers
+// fill only what their policy consumes (a stateless family like
+// "flood" needs nothing).
 type PolicyEnv struct {
-	// Intn supplies uniform integers for stochastic families
-	// ("random-<k>"). The Engine derives a fresh deterministic stream
-	// per query (see WithSeed), so concurrent searches never contend on
-	// — or nondeterministically interleave — one generator.
+	// Intn supplies uniform integers for "random-<k>". The Engine
+	// derives a fresh deterministic stream per query (see WithSeed), so
+	// concurrent searches never contend on — or nondeterministically
+	// interleave — one generator.
 	Intn func(n int) int
-	// Benefit ranks peers for history-based families
-	// ("directed-bft-<k>"); nil defaults to stats.Cumulative (the
-	// paper's Σ B/R).
-	Benefit stats.Benefit
-	// MayHold backs the "digest-guided" family: does node id's
-	// published digest admit key? Required by that family.
+	// MayHold backs "digest-guided": does node id's published digest
+	// admit key? Required by that family.
 	MayHold func(id NodeID, key Key) bool
-	// Fallback is the "digest-guided" family's policy of last resort
-	// when no neighbor digest matches; nil means "forward to none".
+	// Fallback is "digest-guided"'s policy of last resort when no
+	// neighbor digest matches; nil means "forward to none".
 	Fallback core.ForwardPolicy
-}
-
-// PolicySpec describes one registered policy family.
-type PolicySpec struct {
-	// New builds the policy. k is the parameter parsed from the name's
-	// trailing "-<k>" (0 when the family name matched exactly). env
-	// carries runtime dependencies; New must error — not panic — when a
-	// required one is missing.
-	New func(k int, env PolicyEnv) (core.ForwardPolicy, error)
-	// Parameterized families require a "-<k>" suffix ("random-2"); the
-	// bare family name is not a valid policy name.
-	Parameterized bool
-	// Stochastic families consume env.Intn. Engines instantiate them
-	// once per query with a runner.DeriveSeed-derived stream so
-	// outcomes are independent of call interleaving.
-	Stochastic bool
-}
-
-var (
-	policyMu  sync.RWMutex
-	policyReg = map[string]PolicySpec{}
-)
-
-// RegisterPolicy adds a policy family under the given name. Names are
-// resolved by PolicyByName either exactly or — for parameterized
-// families — as "<family>-<k>". Registering an empty name, a nil
-// constructor, or a name already taken panics: registration happens in
-// init functions, where a clash is a programming error.
-func RegisterPolicy(family string, spec PolicySpec) {
-	if family == "" {
-		panic("search: RegisterPolicy with empty family name")
-	}
-	if spec.New == nil {
-		panic(fmt.Sprintf("search: RegisterPolicy(%q) with nil constructor", family))
-	}
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if _, dup := policyReg[family]; dup {
-		panic(fmt.Sprintf("search: policy %q registered twice", family))
-	}
-	policyReg[family] = spec
 }
 
 // PolicyByName resolves a ForwardPolicy from its name — the exact
 // string the policy's Name method reports, so every policy round-trips:
-// PolicyByName(p.Name(), env).Name() == p.Name(). Built-in names are
-// "flood", "random-<k>", "directed-bft-<k>" and "digest-guided";
-// applications add more with RegisterPolicy. Unknown names and missing
-// environment dependencies return errors.
+// PolicyByName(p.Name(), env).Name() == p.Name(). The names are
+// "flood", "random-<k>", "directed-bft-<k>" (ranking peers by the
+// paper's Σ B/R, stats.Cumulative) and "digest-guided", each mirroring
+// one of internal/core's ForwardPolicy implementations. Unknown names
+// and missing environment dependencies return errors.
 func PolicyByName(name string, env PolicyEnv) (core.ForwardPolicy, error) {
-	spec, k, err := resolvePolicy(name)
+	family, k, err := parsePolicy(name)
 	if err != nil {
 		return nil, err
 	}
-	return spec.New(k, env)
+	switch family {
+	case "random":
+		if env.Intn == nil {
+			return nil, fmt.Errorf("search: policy %s needs PolicyEnv.Intn (or an Engine, which derives it from WithSeed)", name)
+		}
+		return core.RandomK{K: k, Intn: env.Intn}, nil
+	case "directed-bft":
+		return core.DirectedBFT{K: k, Benefit: stats.Cumulative{}}, nil
+	case "digest-guided":
+		if env.MayHold == nil {
+			return nil, fmt.Errorf("search: policy digest-guided needs PolicyEnv.MayHold (WithDigest on an Engine)")
+		}
+		return core.DigestGuided{MayHold: env.MayHold, Fallback: env.Fallback}, nil
+	}
+	return core.Flood{}, nil
 }
 
-// resolvePolicy maps a name to its registered spec and parsed
-// parameter, without constructing the policy.
-func resolvePolicy(name string) (PolicySpec, int, error) {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	if spec, ok := policyReg[name]; ok {
-		if spec.Parameterized {
-			return PolicySpec{}, 0, fmt.Errorf("search: policy family %q requires a parameter, e.g. %q", name, name+"-2")
-		}
-		return spec, 0, nil
+// parsePolicy splits a policy name into its family and the parameter
+// of a "<family>-<k>" name (0 for "flood" and "digest-guided"). The
+// parameter must be written as Name writes it — a positive decimal
+// without sign or leading zeros — so every accepted name round-trips.
+func parsePolicy(name string) (family string, k int, err error) {
+	switch name {
+	case "flood", "digest-guided":
+		return name, 0, nil
+	case "random", "directed-bft":
+		return "", 0, fmt.Errorf("search: policy family %q requires a parameter, e.g. %q", name, name+"-2")
 	}
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if k, err := strconv.Atoi(name[i+1:]); err == nil && k > 0 {
-			if spec, ok := policyReg[name[:i]]; ok && spec.Parameterized {
-				return spec, k, nil
-			}
+		family = name[:i]
+		k, err := strconv.Atoi(name[i+1:])
+		if (family == "random" || family == "directed-bft") && err == nil && k > 0 && strconv.Itoa(k) == name[i+1:] {
+			return family, k, nil
 		}
 	}
-	return PolicySpec{}, 0, fmt.Errorf("search: unknown policy %q (known: %s)", name, strings.Join(policyNamesLocked(), ", "))
+	return "", 0, fmt.Errorf("search: unknown policy %q (known: %s)", name, strings.Join(PolicyNames(), ", "))
 }
 
-// PolicyNames lists the registered families, sorted; parameterized
+// PolicyNames lists the policy families, sorted; parameterized
 // families are shown with a "-<k>" placeholder.
 func PolicyNames() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	return policyNamesLocked()
-}
-
-func policyNamesLocked() []string {
-	names := make([]string, 0, len(policyReg))
-	for name, spec := range policyReg {
-		if spec.Parameterized {
-			name += "-<k>"
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// benefitOr returns env.Benefit or the paper's default ranking.
-func benefitOr(env PolicyEnv) stats.Benefit {
-	if env.Benefit != nil {
-		return env.Benefit
-	}
-	return stats.Cumulative{}
-}
-
-// The built-in families mirror internal/core's ForwardPolicy
-// implementations one-to-one; see each policy's documentation there.
-func init() {
-	RegisterPolicy("flood", PolicySpec{
-		New: func(int, PolicyEnv) (core.ForwardPolicy, error) {
-			return core.Flood{}, nil
-		},
-	})
-	RegisterPolicy("random", PolicySpec{
-		Parameterized: true,
-		Stochastic:    true,
-		New: func(k int, env PolicyEnv) (core.ForwardPolicy, error) {
-			if env.Intn == nil {
-				return nil, fmt.Errorf("search: policy random-%d needs PolicyEnv.Intn (or an Engine, which derives it from WithSeed)", k)
-			}
-			return core.RandomK{K: k, Intn: env.Intn}, nil
-		},
-	})
-	RegisterPolicy("directed-bft", PolicySpec{
-		Parameterized: true,
-		New: func(k int, env PolicyEnv) (core.ForwardPolicy, error) {
-			return core.DirectedBFT{K: k, Benefit: benefitOr(env)}, nil
-		},
-	})
-	RegisterPolicy("digest-guided", PolicySpec{
-		New: func(_ int, env PolicyEnv) (core.ForwardPolicy, error) {
-			if env.MayHold == nil {
-				return nil, fmt.Errorf("search: policy digest-guided needs PolicyEnv.MayHold (WithDigest on an Engine)")
-			}
-			return core.DigestGuided{MayHold: env.MayHold, Fallback: env.Fallback}, nil
-		},
-	})
+	return []string{"digest-guided", "directed-bft-<k>", "flood", "random-<k>"}
 }

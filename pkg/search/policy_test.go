@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,16 +11,15 @@ import (
 	"repro/pkg/search"
 )
 
-// fullEnv satisfies every built-in family's dependencies.
+// fullEnv satisfies every family's dependencies.
 func fullEnv() search.PolicyEnv {
 	return search.PolicyEnv{
 		Intn:    rng.New(1).Intn,
-		Benefit: stats.Cumulative{},
 		MayHold: func(search.NodeID, search.Key) bool { return true },
 	}
 }
 
-// TestPolicyRoundTrip: every built-in ForwardPolicy's Name() resolves
+// TestPolicyRoundTrip: every core ForwardPolicy's Name() resolves
 // back to a policy with the same name — the property that makes
 // policies config- and flag-selectable.
 func TestPolicyRoundTrip(t *testing.T) {
@@ -44,7 +44,8 @@ func TestPolicyRoundTrip(t *testing.T) {
 }
 
 func TestPolicyByNameUnknown(t *testing.T) {
-	for _, name := range []string{"", "gossip", "flood-2", "random-x", "random--3", "directed-bft-0"} {
+	for _, name := range []string{"", "gossip", "flood-2", "random-x", "random--3", "directed-bft-0",
+		"random-03", "random-+3", "directed-bft-", "-2", "digest-guided-1"} {
 		if _, err := search.PolicyByName(name, fullEnv()); err == nil {
 			t.Errorf("PolicyByName(%q) succeeded, want error", name)
 		}
@@ -73,15 +74,15 @@ func TestPolicyMissingEnv(t *testing.T) {
 	}
 }
 
-// TestPolicyDefaults: directed-bft defaults its benefit to Cumulative,
-// and digest-guided threads the fallback through.
+// TestPolicyDefaults: directed-bft ranks by the paper's Cumulative
+// benefit, and digest-guided threads the fallback through.
 func TestPolicyDefaults(t *testing.T) {
 	p, err := search.PolicyByName("directed-bft-3", search.PolicyEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := p.(core.DirectedBFT); !ok || d.K != 3 || d.Benefit == nil {
-		t.Errorf("directed-bft-3 resolved to %#v, want K=3 with default benefit", p)
+	if d, ok := p.(core.DirectedBFT); !ok || d.K != 3 || d.Benefit != (stats.Cumulative{}) {
+		t.Errorf("directed-bft-3 resolved to %#v, want K=3 ranking by stats.Cumulative", p)
 	}
 	p, err = search.PolicyByName("digest-guided", search.PolicyEnv{
 		MayHold:  func(search.NodeID, search.Key) bool { return false },
@@ -95,58 +96,18 @@ func TestPolicyDefaults(t *testing.T) {
 	}
 }
 
-func TestRegisterPolicyDuplicatePanics(t *testing.T) {
-	spec := search.PolicySpec{
-		New: func(int, search.PolicyEnv) (core.ForwardPolicy, error) { return core.Flood{}, nil },
-	}
-	search.RegisterPolicy("test-dup-policy", spec)
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate RegisterPolicy did not panic")
-		}
-	}()
-	search.RegisterPolicy("test-dup-policy", spec)
-}
-
-func TestRegisterPolicyInvalidPanics(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		spec search.PolicySpec
-	}{
-		{"", search.PolicySpec{New: func(int, search.PolicyEnv) (core.ForwardPolicy, error) { return core.Flood{}, nil }}},
-		{"test-nil-ctor", search.PolicySpec{}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("RegisterPolicy(%q) with invalid spec did not panic", tc.name)
-				}
-			}()
-			search.RegisterPolicy(tc.name, tc.spec)
-		}()
-	}
-}
-
-// TestPolicyNames: families appear sorted, with parameter placeholders.
+// TestPolicyNames: the fixed families, sorted, with parameter
+// placeholders — what repro -list-policies prints.
 func TestPolicyNames(t *testing.T) {
-	names := search.PolicyNames()
-	want := map[string]bool{
-		"flood": false, "random-<k>": false, "directed-bft-<k>": false, "digest-guided": false,
-	}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("PolicyNames() = %v, missing %q", names, n)
-		}
+	want := []string{"digest-guided", "directed-bft-<k>", "flood", "random-<k>"}
+	if got := search.PolicyNames(); !slices.Equal(got, want) {
+		t.Errorf("PolicyNames() = %v, want %v", got, want)
 	}
 }
 
 // TestEngineWithPolicyResolvesRegistry: WithPolicy surfaces resolution
-// errors at New, not per query.
+// errors — an unknown name, a missing dependency — at New, not per
+// query.
 func TestEngineWithPolicyResolvesRegistry(t *testing.T) {
 	net := newTestNet(16, 3)
 	if _, err := search.New(net, search.WithPolicy("no-such-policy")); err == nil {
@@ -160,4 +121,22 @@ func TestEngineWithPolicyResolvesRegistry(t *testing.T) {
 			t.Errorf("New(WithPolicy(%q)): %v", name, err)
 		}
 	}
+}
+
+// FuzzPolicyByName: no name panics the resolver, and every name it
+// accepts is the canonical name of the policy it builds.
+func FuzzPolicyByName(f *testing.F) {
+	for _, seed := range []string{"flood", "random", "directed-bft", "digest-guided",
+		"random-2", "directed-bft-3", "random-0", "random--3", "flood-2"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		p, err := search.PolicyByName(name, fullEnv())
+		if err != nil {
+			return
+		}
+		if got := p.Name(); got != name {
+			t.Fatalf("PolicyByName(%q).Name() = %q, want round-trip", name, got)
+		}
+	})
 }

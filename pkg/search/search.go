@@ -73,8 +73,8 @@ func (emptyGraph) Online(NodeID) bool  { return true }
 type Query struct {
 	// ID tags the query in observer callbacks and error messages; the
 	// cascade itself keys duplicate suppression on per-call state, so
-	// uniqueness is not required for correctness. Stochastic policies,
-	// however, derive their per-query rng stream from (ID, Origin, Key)
+	// uniqueness is not required for correctness. A random-<k> policy,
+	// however, derives its per-query rng stream from (ID, Origin, Key)
 	// alone — a caller retrying the same query under random-<k> must
 	// vary ID to vary the random forwarding decisions (as with
 	// Exploration.ID).
@@ -165,7 +165,7 @@ type Engine struct {
 	store          *topology.SnapshotStore
 
 	// newPolicy, when non-nil, builds a fresh per-query policy from a
-	// derived seed (stochastic registry families); otherwise
+	// derived seed (the random-<k> family); otherwise
 	// template.Forward is shared by all calls.
 	newPolicy func(seed uint64) core.ForwardPolicy
 
@@ -196,17 +196,17 @@ type config struct {
 // Option configures an Engine at construction.
 type Option func(*config)
 
-// WithPolicy selects the forward policy by registry name ("flood",
-// "random-2", "directed-bft-3", "digest-guided", or any name added via
-// RegisterPolicy). Stochastic families are instantiated per query with
-// a deterministic stream derived from WithSeed, so shared-Engine
-// results do not depend on goroutine interleaving.
+// WithPolicy selects the forward policy by name (see PolicyByName:
+// "flood", "random-2", "directed-bft-3", "digest-guided"). A
+// "random-<k>" policy is instantiated per query with a deterministic
+// stream derived from WithSeed, so shared-Engine results do not depend
+// on goroutine interleaving.
 func WithPolicy(name string) Option {
 	return func(c *config) { c.policyName = name; c.forward = nil }
 }
 
-// WithForward installs a concrete policy instance, bypassing the
-// registry — the escape hatch for policies carrying closures or shared
+// WithForward installs a concrete policy instance, bypassing
+// PolicyByName — the escape hatch for policies carrying closures or shared
 // state (a simulator's RandomK over its own rng stream). The caller
 // owns that instance's concurrency story.
 func WithForward(p core.ForwardPolicy) Option {
@@ -288,7 +288,7 @@ func WithIndex(ix core.Index) Option {
 }
 
 // WithDigest supplies the digest oracle (and optional fallback policy)
-// the "digest-guided" registry family requires.
+// the "digest-guided" policy requires.
 func WithDigest(mayHold func(id NodeID, key Key) bool, fallback core.ForwardPolicy) Option {
 	return func(c *config) { c.env.MayHold = mayHold; c.env.Fallback = fallback }
 }
@@ -398,33 +398,16 @@ func New(net Network, opts ...Option) (*Engine, error) {
 	case cfg.forward != nil:
 		e.template.Forward = cfg.forward
 	case cfg.policyName != "":
-		spec, k, err := resolvePolicy(cfg.policyName)
+		family, k, err := parsePolicy(cfg.policyName)
 		if err != nil {
 			return nil, err
 		}
-		if spec.Stochastic {
-			env := cfg.env
+		if family == "random" {
 			e.newPolicy = func(seed uint64) core.ForwardPolicy {
-				env := env
-				env.Intn = rng.New(seed).Intn
-				p, err := spec.New(k, env)
-				if err != nil {
-					panic(err) // validated at New below; cannot fail here
-				}
-				return p
+				return core.RandomK{K: k, Intn: rng.New(seed).Intn}
 			}
-			// Surface missing-dependency errors now, not per query.
-			probe := cfg.env
-			probe.Intn = func(n int) int { return 0 }
-			if _, err := spec.New(k, probe); err != nil {
-				return nil, err
-			}
-		} else {
-			p, err := spec.New(k, cfg.env)
-			if err != nil {
-				return nil, err
-			}
-			e.template.Forward = p
+		} else if e.template.Forward, err = PolicyByName(cfg.policyName, cfg.env); err != nil {
+			return nil, err
 		}
 	}
 

@@ -10,7 +10,7 @@ import (
 // on the daemon's resident batch workers. Admission is batch-atomic —
 // either the whole slab is admitted (one gate check, one inflight
 // entry) or the whole slab is refused with 503; per-item problems
-// (bad key, unknown policy, unhosted origin) never fail the slab, they
+// (bad key, out-of-range field, unhosted origin) never fail the slab, they
 // mark that item's result instead.
 type BatchQueryRequest struct {
 	Queries []QueryRequest `json:"queries"`
@@ -24,7 +24,7 @@ type BatchQueryRequest struct {
 type BatchItem struct {
 	QueryResponse
 	// Status is the per-item HTTP-equivalent status code when the item
-	// failed (400 for a bad key/policy/origin, 503 when every local
+	// failed (400 for a bad key, field or origin, 503 when every local
 	// node was crashed); 0 on success.
 	Status int `json:"status,omitempty"`
 	// Error is the per-item failure message; empty on success.

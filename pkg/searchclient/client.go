@@ -116,12 +116,9 @@ func New(addr string, opts ...Option) *Client {
 type QueryRequest struct {
 	// Key is the content item searched for.
 	Key uint64 `json:"key"`
-	// TTL overrides the daemon's search depth when positive.
+	// TTL overrides the daemon's search depth when positive; it may
+	// not exceed 255, the deepest search a message can carry.
 	TTL int `json:"ttl,omitempty"`
-	// Policy names a pkg/search registry policy applied at the origin
-	// hop of this query only; forwarding nodes keep their configured
-	// policies (each live hop is autonomous). Empty uses the daemon's.
-	Policy string `json:"policy,omitempty"`
 	// Origin pins the originating node ID; nil lets the daemon pick a
 	// local node round-robin. The node must be hosted by the daemon
 	// receiving the request. If the pinned node is crashed, the daemon
@@ -162,9 +159,11 @@ type QueryResponse struct {
 	// the pinned origin was crashed and the query was rerouted, the
 	// origin could not fan out at all, or the failure detector currently
 	// suspects cluster members. The hits are still valid — there may
-	// just be fewer than a healthy cluster would have found. A response
-	// that is not Degraded is exact: it lists every holder within TTL
-	// hops (up to MaxHits), and an empty one means there is none.
+	// just be fewer than a healthy cluster would have found. From a
+	// daemon whose nodes forward with "flood" (the default policy), a
+	// response that is not Degraded is exact: it lists every holder
+	// within TTL hops (up to MaxHits), and an empty one means there is
+	// none. Any other policy searches only the neighbours it selects.
 	Degraded bool `json:"degraded,omitempty"`
 	// DegradedReasons lists why, when Degraded ("deadline", "overload",
 	// "origin-crashed", "no-fanout", "suspect-members",
