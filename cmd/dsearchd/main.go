@@ -133,7 +133,6 @@ func buildConfig(args []string) (daemon.Config, string, error) {
 	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "copies per key")
 
 	fs.IntVar(&cfg.TTL, "ttl", cfg.TTL, "default search hop limit")
-	fs.StringVar(&cfg.Policy, "policy", cfg.Policy, "forward policy at every hop: flood, random-<k>, directed-bft-<k> or digest-guided")
 	fs.StringVar(&cfg.Class, "class", cfg.Class, "bandwidth class: 56k, cable or lan")
 
 	fs.Func("join", "seed daemon HTTP addresses, comma-separated", func(v string) error {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/daemon"
@@ -34,7 +35,7 @@ func TestBuildConfigDefaults(t *testing.T) {
 func TestBuildConfigFileAndFlags(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "daemon.json")
 	if err := os.WriteFile(path, []byte(`{
-		"nodes": 12, "ttl": 6, "policy": "random-2", "query_window_ms": 40,
+		"nodes": 12, "ttl": 6, "query_window_ms": 40,
 		"join": ["a:1"], "faults": {"drop": 0.2}
 	}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -46,7 +47,7 @@ func TestBuildConfigFileAndFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	// File values that no flag touched.
-	if cfg.Nodes != 12 || cfg.Policy != "random-2" || cfg.QueryWindowMillis != 40 || cfg.Faults.Drop != 0.2 {
+	if cfg.Nodes != 12 || cfg.QueryWindowMillis != 40 || cfg.Faults.Drop != 0.2 {
 		t.Fatalf("file values lost: %+v", cfg)
 	}
 	// Flags given on the command line, whether or not the file named them.
@@ -61,13 +62,24 @@ func TestBuildConfigFileAndFlags(t *testing.T) {
 }
 
 func TestBuildConfigRejectsBadInput(t *testing.T) {
-	for name, args := range map[string][]string{
-		"stray argument": {"-nodes", "4", "bogus"},
-		"unknown flag":   {"-bogus"},
-		"missing file":   {"-config", filepath.Join(t.TempDir(), "absent.json")},
+	dir := t.TempDir()
+	retired := filepath.Join(dir, "policy.json")
+	if err := os.WriteFile(retired, []byte(`{"nodes": 4, "policy": "random-2"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		args []string
+		want string
+	}{
+		"stray argument": {[]string{"-nodes", "4", "bogus"}, "bogus"},
+		"unknown flag":   {[]string{"-bogus"}, errFlags.Error()},
+		"missing file":   {[]string{"-config", filepath.Join(dir, "absent.json")}, "absent.json"},
+		// Every node floods: the forward policy is not a daemon setting.
+		"policy flag":  {[]string{"-policy", "random-1"}, errFlags.Error()},
+		"policy field": {[]string{"-config", retired}, `"policy"`},
 	} {
-		if _, _, err := buildConfig(args); err == nil {
-			t.Errorf("%s: %q accepted", name, args)
+		if _, _, err := buildConfig(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %q gave %v, want an error naming %s", name, tc.args, err, tc.want)
 		}
 	}
 }

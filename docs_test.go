@@ -92,6 +92,8 @@ func TestDocsQuoteOnlyWhatExists(t *testing.T) {
 		// The policy registry nothing extended: the forward policies are
 		// a fixed set, and every hop forwards with the node's own.
 		"Register" + "Policy", "Policy" + "Spec",
+		// The live plane's forward-policy setting: every node floods.
+		"dsearchd" + " -policy", "Config." + "Forward",
 	}
 	goBench := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	ticked := regexp.MustCompile("`([^`\n]+)`")

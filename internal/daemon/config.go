@@ -48,12 +48,10 @@ type Config struct {
 	Keys     int    `json:"keys"`
 	Replicas int    `json:"replicas"`
 
-	// TTL is the default search depth; Policy the pkg/search policy
-	// name (PolicyByName) each node forwards with at every hop; Class
-	// the advertised bandwidth class ("56k", "cable", "lan").
-	TTL    int    `json:"ttl"`
-	Policy string `json:"policy"`
-	Class  string `json:"class"`
+	// TTL is the default search depth; Class the advertised bandwidth
+	// class ("56k", "cable", "lan").
+	TTL   int    `json:"ttl"`
+	Class string `json:"class"`
 
 	// Join lists seed daemon HTTP addresses for membership bootstrap.
 	Join []string `json:"join"`
@@ -141,9 +139,6 @@ func (c *Config) ApplyDefaults() {
 	}
 	if c.TTL == 0 {
 		c.TTL = 4
-	}
-	if c.Policy == "" {
-		c.Policy = "flood"
 	}
 	if c.Class == "" {
 		c.Class = "cable"

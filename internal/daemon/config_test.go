@@ -60,7 +60,7 @@ func TestLoadConfig(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "daemon.json")
 	if err := os.WriteFile(path, []byte(`{
-		"nodes": 12, "seed": 9, "policy": "random-2", "transport": "chan"
+		"nodes": 12, "seed": 9, "transport": "chan"
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -69,21 +69,23 @@ func TestLoadConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The file's fields replace the base's; the base's others survive.
-	if c.Nodes != 12 || c.Seed != 9 || c.Policy != "random-2" || c.TTL != 7 {
+	if c.Nodes != 12 || c.Seed != 9 || c.TTL != 7 {
 		t.Fatalf("unexpected config: %+v", c)
 	}
 
-	for name, body := range map[string]string{
-		"unknown field":   `{"nodez": 12}`,
-		"trailing object": `{"nodes": 12} {"nodes": 99}`,
-		"trailing bytes":  `{"nodes": 12}]`,
+	for name, tc := range map[string]struct{ body, want string }{
+		"unknown field":   {`{"nodez": 12}`, `"nodez"`},
+		"trailing object": {`{"nodes": 12} {"nodes": 99}`, "trailing data"},
+		"trailing bytes":  {`{"nodes": 12}]`, "trailing data"},
+		// Every node floods: the forward policy is not a daemon setting.
+		"retired policy": {`{"nodes": 12, "policy": "random-2"}`, `"policy"`},
 	} {
 		bad := filepath.Join(dir, "bad.json")
-		if err := os.WriteFile(bad, []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(bad, []byte(tc.body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadConfig(bad, Config{}); err == nil {
-			t.Errorf("%s accepted", name)
+		if _, err := LoadConfig(bad, Config{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %s", name, err, tc.want)
 		}
 	}
 }

@@ -46,7 +46,6 @@ func simHitRate(t *testing.T, w *World, plan []QuerySpec, ttl int) []bool {
 		Relation: topology.Symmetric,
 		Duration: 3600,
 		Content:  w,
-		Policy:   "flood",
 		TTL:      ttl,
 		Place:    func(s *driver.Session) { w.WireInto(s.Network()) },
 	}, rng.New(7))
@@ -430,6 +429,8 @@ func TestBodiesRejectUnknownFields(t *testing.T) {
 		{"/v1/query/batch", `{"queries":[{"key":1},{"key":2,"ttll":3}]}`, `"ttll"`},
 		{"/v1/query/batch", `{"queries":[{"key":1,"policy":"flood"}]}`, `"policy"`},
 		{"/v1/control/crash", `{"node":1,"force":true}`, `"force"`},
+		{"/v1/gossip", `{"d9":{"name":"d9","http":"127.0.0.1:1","nodez":4}}`, `"nodez"`},
+		{"/v1/gossip", `{} {}`, "trailing data"},
 	} {
 		resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

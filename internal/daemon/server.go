@@ -36,7 +36,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rng"
 	"repro/internal/topology"
-	"repro/pkg/search"
 	"repro/pkg/searchclient"
 )
 
@@ -174,17 +173,9 @@ func New(cfg Config) (*Server, error) {
 	transport := live.Transport(s.faultT)
 	s.crashed = make([]atomic.Bool, cfg.Nodes)
 
-	// Per-node forward policies: one instance each, because stochastic
-	// families carry an rng stream that must not be shared across
-	// actors, and the stream layout must not disturb the World's.
-	policyRoot := rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	s.nodes = make([]*live.Node, cfg.Nodes)
 	for i := range s.nodes {
 		id := topology.NodeID(cfg.BaseID + i)
-		pol, err := search.PolicyByName(cfg.Policy, search.PolicyEnv{Intn: policyRoot.Split().Intn})
-		if err != nil {
-			return nil, fmt.Errorf("daemon: policy %q: %w", cfg.Policy, err)
-		}
 		s.nodes[i] = live.NewNode(live.Config{
 			ID:        id,
 			Neighbors: s.world.MaxDegree,
@@ -192,7 +183,6 @@ func New(cfg Config) (*Server, error) {
 			Transport: transport,
 			Store:     s.world.StoreFor(id),
 			Class:     class,
-			Forward:   pol,
 			Stats:     s.nodeStats,
 		})
 	}
@@ -793,7 +783,7 @@ func (s *Server) handleReconfig(w http.ResponseWriter, r *http.Request) {
 // the caller's view, answer with ours.
 func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 	var remote View
-	if err := json.NewDecoder(r.Body).Decode(&remote); err != nil {
+	if err := decodeBody(r, &remote); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad view: "+err.Error())
 		return
 	}

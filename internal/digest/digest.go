@@ -12,6 +12,8 @@ package digest
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/rng"
 )
 
 // Key is a content identifier (a song, page or chunk ID hashed by the
@@ -49,11 +51,8 @@ func NewBloom(n int, fp float64) *Bloom {
 
 // hash2 derives two independent 64-bit hashes from a key.
 func hash2(key Key) (h1, h2 uint64) {
-	z := uint64(key)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	h1 = z ^ (z >> 31)
-	z = h1 * 0x9e3779b97f4a7c15
+	h1 = rng.Mix64(uint64(key))
+	z := h1 * 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 29)) * 0xff51afd7ed558ccd
 	h2 = z ^ (z >> 32)
 	// h2 must be odd so the double-hash probes cover the bit space.

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/rng"
 	"repro/internal/topology"
 
 	"repro/internal/live"
@@ -106,15 +107,6 @@ func (s *Stats) Snapshot() map[string]uint64 {
 		"faults_delayed":    s.Delayed.Load(),
 		"faults_blocked":    s.Blocked.Load(),
 	}
-}
-
-// mix64 is the splitmix64 finalizer — the same mixer internal/rng
-// uses, duplicated here so link decisions never consume (and therefore
-// never perturb) any shared rng.Stream.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // unit maps 64 random bits to a float in [0,1).
@@ -232,9 +224,10 @@ func (t *Transport) Heal() {
 	t.updateRestrictedLocked()
 }
 
-// linkSeed derives the decision-stream root of one directed link.
-func (t *Transport) linkSeed(from, to topology.NodeID) uint64 {
-	return mix64(t.cfg.Seed ^ mix64(uint64(from)<<32|uint64(uint32(to))))
+// linkSeed derives the decision-stream root of one directed link. It
+// consumes (and therefore perturbs) no shared rng.Stream.
+func linkSeed(seed uint64, from, to topology.NodeID) uint64 {
+	return rng.Mix64(seed ^ rng.Mix64(uint64(from)<<32|uint64(uint32(to))))
 }
 
 // verdict is one message's fate, drawn under the transport lock.
@@ -269,17 +262,17 @@ func (t *Transport) decide(from, to topology.NodeID) verdict {
 	k := linkKey{from, to}
 	ls := t.links[k]
 	if ls == nil {
-		ls = &linkState{seed: t.linkSeed(from, to)}
+		ls = &linkState{seed: linkSeed(t.cfg.Seed, from, to)}
 		t.links[k] = ls
 	}
 	ls.seq++
 	base := ls.seed + ls.seq
-	v.drop = t.cfg.Drop > 0 && unit(mix64(base^saltDrop)) < t.cfg.Drop
-	v.dup = t.cfg.Dup > 0 && unit(mix64(base^saltDup)) < t.cfg.Dup
-	v.reorder = t.cfg.Reorder > 0 && unit(mix64(base^saltReorder)) < t.cfg.Reorder
+	v.drop = t.cfg.Drop > 0 && unit(rng.Mix64(base^saltDrop)) < t.cfg.Drop
+	v.dup = t.cfg.Dup > 0 && unit(rng.Mix64(base^saltDup)) < t.cfg.Dup
+	v.reorder = t.cfg.Reorder > 0 && unit(rng.Mix64(base^saltReorder)) < t.cfg.Reorder
 	if t.cfg.DelayMax > 0 {
 		span := t.cfg.DelayMax - t.cfg.DelayMin
-		v.delay = t.cfg.DelayMin + time.Duration(unit(mix64(base^saltDelay))*float64(span))
+		v.delay = t.cfg.DelayMin + time.Duration(unit(rng.Mix64(base^saltDelay))*float64(span))
 	}
 	return v
 }

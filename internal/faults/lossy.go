@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -58,11 +59,11 @@ func (p *LossyPolicy) Select(q *core.Query, at, from topology.NodeID, out []topo
 		k := linkKey{at, to}
 		ls := p.links[k]
 		if ls == nil {
-			ls = &linkState{seed: mix64(p.Seed ^ mix64(uint64(at)<<32|uint64(uint32(to))))}
+			ls = &linkState{seed: linkSeed(p.Seed, at, to)}
 			p.links[k] = ls
 		}
 		ls.seq++
-		if unit(mix64((ls.seed+ls.seq)^saltDrop)) < p.Rate {
+		if unit(rng.Mix64((ls.seed+ls.seq)^saltDrop)) < p.Rate {
 			continue
 		}
 		keep = append(keep, to)

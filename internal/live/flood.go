@@ -55,11 +55,14 @@ func (n *Node) handleQuery(st *state, env *Envelope) {
 		n.ack(env, 0, false)
 		return
 	}
-	// The forward policy picks the propagation targets; Flood keeps
-	// the baseline everyone-but-sender-and-origin semantics.
-	st.fwdQuery = core.Query{ID: env.QueryID, Key: env.Key, Origin: env.Origin, TTL: int(env.TTL)}
-	targets := n.cfg.Forward.Select(&st.fwdQuery, n.cfg.ID, env.From, st.neighbors, st.ledger, st.fwdBuf[:0])
-	st.fwdBuf = targets[:0] // keep the grown capacity for the next query
+	// Flood: every neighbor but the sender and the origin.
+	targets := st.fwdBuf[:0]
+	for _, nb := range st.neighbors {
+		if nb != env.From && nb != env.Origin {
+			targets = append(targets, nb)
+		}
+	}
+	st.fwdBuf = targets
 	n.cfg.Stats.QueriesForwarded.Add(uint64(len(targets)))
 
 	if r := st.acts.live(e.act, env.QueryID); r != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -67,7 +66,7 @@ func TestMapStore(t *testing.T) {
 
 func TestSearchFindsDirectNeighbor(t *testing.T) {
 	nodes, _ := cluster(t, 3, 4, 2, 0)
-	nodes[1].cfg.Store.(MapStore).Add(42)
+	nodes[1].cfg.Store.Add(42)
 	link(nodes[0], nodes[1])
 	link(nodes[1], nodes[2])
 	hits := search(nodes[0], 42, 200*time.Millisecond)
@@ -88,7 +87,7 @@ func TestSearchTraversesMultipleHops(t *testing.T) {
 	link(nodes[0], nodes[1])
 	link(nodes[1], nodes[2])
 	link(nodes[2], nodes[3])
-	nodes[3].cfg.Store.(MapStore).Add(7)
+	nodes[3].cfg.Store.Add(7)
 	hits := search(nodes[0], 7, 300*time.Millisecond)
 	if len(hits) != 1 || hits[0].Holder != 3 || hits[0].Hops != 3 {
 		t.Fatalf("hits: %+v", hits)
@@ -100,7 +99,7 @@ func TestSearchRespectsTTL(t *testing.T) {
 	link(nodes[0], nodes[1])
 	link(nodes[1], nodes[2])
 	link(nodes[2], nodes[3])
-	nodes[3].cfg.Store.(MapStore).Add(7)
+	nodes[3].cfg.Store.Add(7)
 	if hits := search(nodes[0], 7, 200*time.Millisecond); len(hits) != 0 {
 		t.Fatalf("TTL 2 found a 3-hop holder: %+v", hits)
 	}
@@ -118,7 +117,7 @@ func TestSearchCollectsMultipleHolders(t *testing.T) {
 	nodes, _ := cluster(t, 4, 4, 1, 0)
 	for i := 1; i < 4; i++ {
 		link(nodes[0], nodes[i])
-		nodes[i].cfg.Store.(MapStore).Add(5)
+		nodes[i].cfg.Store.Add(5)
 	}
 	hits := search(nodes[0], 5, 300*time.Millisecond)
 	if len(hits) != 3 {
@@ -130,8 +129,8 @@ func TestServingNodeDoesNotForward(t *testing.T) {
 	nodes, _ := cluster(t, 3, 4, 3, 0)
 	link(nodes[0], nodes[1])
 	link(nodes[1], nodes[2])
-	nodes[1].cfg.Store.(MapStore).Add(5)
-	nodes[2].cfg.Store.(MapStore).Add(5)
+	nodes[1].cfg.Store.Add(5)
+	nodes[2].cfg.Store.Add(5)
 	hits := search(nodes[0], 5, 300*time.Millisecond)
 	if len(hits) != 1 || hits[0].Holder != 1 {
 		t.Fatalf("propagation past a serving node: %+v", hits)
@@ -141,7 +140,7 @@ func TestServingNodeDoesNotForward(t *testing.T) {
 func TestStatisticsAccumulate(t *testing.T) {
 	nodes, _ := cluster(t, 2, 4, 1, 0)
 	link(nodes[0], nodes[1])
-	nodes[1].cfg.Store.(MapStore).Add(5)
+	nodes[1].cfg.Store.Add(5)
 	search(nodes[0], 5, 200*time.Millisecond)
 	var benefit float64
 	nodes[0].do(func(st *state) {
@@ -161,7 +160,7 @@ func TestReconfigureInvitesBestPeer(t *testing.T) {
 	nodes, _ := cluster(t, 4, 2, 2, 0)
 	link(nodes[0], nodes[1])
 	link(nodes[1], nodes[2])
-	nodes[2].cfg.Store.(MapStore).Add(9)
+	nodes[2].cfg.Store.Add(9)
 	hits := search(nodes[0], 9, 300*time.Millisecond)
 	if len(hits) != 1 || hits[0].Holder != 2 {
 		t.Fatalf("setup search failed: %+v", hits)
@@ -205,7 +204,7 @@ func hasNeighbor(n *Node, id topology.NodeID) bool {
 func TestEvictionResetsStatistics(t *testing.T) {
 	nodes, _ := cluster(t, 2, 4, 2, 0)
 	link(nodes[0], nodes[1])
-	nodes[1].cfg.Store.(MapStore).Add(5)
+	nodes[1].cfg.Store.Add(5)
 	search(nodes[0], 5, 200*time.Millisecond)
 	// Node 0 evicts node 1 by hand.
 	nodes[0].do(func(st *state) {
@@ -229,7 +228,7 @@ func TestAutomaticReconfigurationAfterThreshold(t *testing.T) {
 	nodes, _ := cluster(t, 3, 2, 2, 2) // θ=2, capacity 2
 	link(nodes[0], nodes[1])
 	link(nodes[1], nodes[2])
-	nodes[2].cfg.Store.(MapStore).Add(9)
+	nodes[2].cfg.Store.Add(9)
 	search(nodes[0], 9, 200*time.Millisecond)
 	search(nodes[0], 9, 200*time.Millisecond) // second search crosses θ
 	deadline := time.After(2 * time.Second)
@@ -252,7 +251,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	link(nodes[0], nodes[2])
 	link(nodes[1], nodes[3])
 	link(nodes[2], nodes[3])
-	nodes[3].cfg.Store.(MapStore).Add(5)
+	nodes[3].cfg.Store.Add(5)
 	hits := search(nodes[0], 5, 300*time.Millisecond)
 	if len(hits) != 1 {
 		t.Fatalf("duplicate replies: %+v", hits)
@@ -344,7 +343,7 @@ func TestQueryMaxHitsReturnsEarly(t *testing.T) {
 	nodes, _ := cluster(t, 4, 4, 1, 0)
 	for i := 1; i < 4; i++ {
 		link(nodes[0], nodes[i])
-		nodes[i].cfg.Store.(MapStore).Add(5)
+		nodes[i].cfg.Store.Add(5)
 	}
 	start := time.Now()
 	hits := query(nodes[0], QueryOpts{Key: 5, Timeout: 10 * time.Second, MaxHits: 1})
@@ -361,40 +360,13 @@ func TestQueryTTLOverride(t *testing.T) {
 	link(nodes[0], nodes[1])
 	link(nodes[1], nodes[2])
 	link(nodes[2], nodes[3])
-	nodes[3].cfg.Store.(MapStore).Add(7)
+	nodes[3].cfg.Store.Add(7)
 	if hits := query(nodes[0], QueryOpts{Key: 7, Timeout: 200 * time.Millisecond}); len(hits) != 0 {
 		t.Fatalf("config TTL 2 reached a 3-hop holder: %+v", hits)
 	}
 	hits := query(nodes[0], QueryOpts{Key: 7, TTL: 3, Timeout: 300 * time.Millisecond, MaxHits: 1})
 	if len(hits) != 1 || hits[0].Holder != 3 {
 		t.Fatalf("TTL override 3 missed the holder: %+v", hits)
-	}
-}
-
-// The configured forward policy governs the origin hop as it does every
-// other: an origin forwarding with random-1 sends one first-hop copy of
-// each query it originates, however many neighbours it has.
-func TestConfiguredPolicyGovernsOriginHop(t *testing.T) {
-	tr := NewChanTransport()
-	nodes := make([]*Node, 4)
-	for i := range nodes {
-		cfg := Config{ID: topology.NodeID(i), Neighbors: 4, TTL: 3, Transport: tr, Store: MapStore{}}
-		if i == 0 {
-			cfg.Forward = core.RandomK{K: 1, Intn: rng.New(1).Intn}
-		}
-		nodes[i] = NewNode(cfg)
-		tr.Attach(nodes[i])
-		nodes[i].Start()
-		defer nodes[i].Close()
-	}
-	for _, peer := range nodes[1:] {
-		link(nodes[0], peer)
-	}
-	for key := core.Key(0); key < 32; key++ {
-		_, info := nodes[0].QueryInfo(QueryOpts{Key: key, Timeout: 10 * time.Second})
-		if info.Fanout != 1 || !info.Complete {
-			t.Fatalf("query %d: info = %+v, want Fanout 1 and Complete", key, info)
-		}
 	}
 }
 

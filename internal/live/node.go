@@ -13,16 +13,12 @@ import (
 	"repro/internal/topology"
 )
 
-// Store answers local content membership for a live node.
-type Store interface {
-	Has(key core.Key) bool
-}
-
-// MapStore is a Store over an in-memory key set. It is safe for
-// concurrent reads after construction; use Add only before Start.
+// MapStore is a live node's local content: an in-memory key set. It is
+// safe for concurrent reads after construction; use Add only before
+// Start.
 type MapStore map[core.Key]struct{}
 
-// Has implements Store.
+// Has reports whether key is held.
 func (m MapStore) Has(key core.Key) bool {
 	_, ok := m[key]
 	return ok
@@ -42,21 +38,12 @@ type Config struct {
 	// Transport delivers messages. Required.
 	Transport Transport
 	// Store answers local content. Required.
-	Store Store
+	Store MapStore
 	// Class is this node's access-link class, advertised on hits.
 	Class netsim.BandwidthClass
 	// ReconfigThreshold is θ: reconfigure after this many searches
 	// (0 disables automatic reconfiguration).
 	ReconfigThreshold int
-	// Forward selects which neighbors receive a query at each hop, the
-	// origin hop included; nil means core.Flood (the Gnutella baseline).
-	// Policies resolve from their names via pkg/search's PolicyByName —
-	// cmd/dsearchd's -policy flag does exactly that. The policy runs
-	// under this node's lock, one call at a time, so an instance need
-	// not be concurrency-safe — but for that same reason a stochastic
-	// instance (random-<k>'s rng stream) must not be shared across
-	// nodes of one process; give each node its own.
-	Forward core.ForwardPolicy
 	// Stats, when non-nil, receives this node's event counters. One
 	// NodeStats is typically shared by every node of a process (the
 	// daemon's /v1/stats aggregates per-process, not per-node).
@@ -147,14 +134,8 @@ type state struct {
 	// invited is the one peer this node's last invitation went to
 	// (topology.None when none is outstanding).
 	invited topology.NodeID
-	// fwdBuf and fwdQuery are scratch reused across handle calls so the
-	// hot path stops allocating per forwarded query: the target slice
-	// keeps its grown capacity, and the query escapes through the
-	// ForwardPolicy interface call (policies take *core.Query, which
-	// escape analysis cannot see through), so a fresh one per message
-	// would be a heap allocation each time.
-	fwdBuf   []topology.NodeID
-	fwdQuery core.Query
+	// fwdBuf is handleQuery's forward target list, kept for its capacity.
+	fwdBuf []topology.NodeID
 }
 
 // NewNode builds a node; Start launches its actor loop.
@@ -164,9 +145,6 @@ func NewNode(cfg Config) *Node {
 	}
 	if cfg.Neighbors <= 0 || cfg.TTL < 1 || cfg.TTL > maxTTL {
 		panic(fmt.Sprintf("live: bad config %+v", cfg))
-	}
-	if cfg.Forward == nil {
-		cfg.Forward = core.Flood{}
 	}
 	if cfg.Stats == nil {
 		cfg.Stats = &NodeStats{}

@@ -210,14 +210,12 @@ func (n *Node) originate(st *state, c *collector) {
 	e, _ := st.seen.visit(qid) // hops 0: no copy coming back can improve on it
 	e.from = topology.None
 	st.pending[qid] = c
-	st.fwdQuery = core.Query{ID: qid, Key: c.key, Origin: n.cfg.ID, TTL: int(c.ttl)}
-	targets := n.cfg.Forward.Select(&st.fwdQuery, n.cfg.ID, topology.None, st.neighbors, st.ledger, st.fwdBuf[:0])
-	st.fwdBuf = targets[:0]
 	e.act = st.acts.alloc(qid)
 	st.acts.recs[e.act].from = topology.None
 	c.qid, c.act = qid, e.act
-	c.fanout.Store(int32(len(targets)))
-	n.fanout(st, e, targets, Envelope{
+	// The origin floods to every neighbor: none is a sender or the origin.
+	c.fanout.Store(int32(len(st.neighbors)))
+	n.fanout(st, e, st.neighbors, Envelope{
 		Type: MsgQuery, From: n.cfg.ID,
 		QueryID: qid, Key: c.key, Origin: n.cfg.ID,
 		TTL: c.ttl, Hops: 1, Slot: e.act,

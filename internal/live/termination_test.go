@@ -55,7 +55,7 @@ func hookCluster(t *testing.T, n, ttl int, edges [][2]int, holders ...int) ([]*N
 		link(nodes[e[0]], nodes[e[1]])
 	}
 	for _, h := range holders {
-		nodes[h].cfg.Store.(MapStore).Add(7)
+		nodes[h].cfg.Store.Add(7)
 	}
 	return nodes, tr
 }
@@ -113,7 +113,7 @@ func TestTerminationRing(t *testing.T) {
 	}
 	nodes, _ := hookCluster(t, 8, 4, edges, 4)
 	wantExact(t, nodes[0], 4)
-	nodes[2].cfg.Store.(MapStore).Add(7)
+	nodes[2].cfg.Store.Add(7)
 	wantExact(t, nodes[0], 2, 4)
 }
 

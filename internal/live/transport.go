@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -244,10 +245,8 @@ type TCPTransport struct {
 	// flusherOnce launches the background flusher on the first dialed
 	// connection (a transport that never sends never ticks).
 	flusherOnce sync.Once
-	// jitterState seeds the backoff jitter stream (splitmix64 steps
-	// under mu; no dependency on the deterministic rng package — dial
-	// timing is wall-clock territory).
-	jitterState uint64
+	// jitterRNG draws backoff jitter under mu, seeded from the clock.
+	jitterRNG *rng.Stream
 }
 
 type tcpDest struct {
@@ -270,20 +269,15 @@ func NewTCPTransport() *TCPTransport {
 		flushInterval:   time.Millisecond,
 		dests:           make(map[topology.NodeID]*tcpDest),
 		closed:          make(chan struct{}),
-		jitterState:     uint64(time.Now().UnixNano()),
+		jitterRNG:       rng.New(uint64(time.Now().UnixNano())),
 	}
 }
 
 // jitter maps backoff to a uniform duration in [backoff/2, backoff].
 func (t *TCPTransport) jitter(backoff time.Duration) time.Duration {
 	t.mu.Lock()
-	t.jitterState += 0x9e3779b97f4a7c15
-	z := t.jitterState
+	u := t.jitterRNG.Float64()
 	t.mu.Unlock()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	u := float64(z>>11) / (1 << 53)
 	return backoff/2 + time.Duration(u*float64(backoff/2))
 }
 

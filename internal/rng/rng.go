@@ -40,7 +40,7 @@ func New(seed uint64) *Stream {
 // the parent's next output mixed with a distinct constant so that
 // parent and child sequences do not overlap in practice.
 func (s *Stream) Split() *Stream {
-	return &Stream{state: mix64(s.Uint64() ^ 0x9e3779b97f4a7c15)}
+	return &Stream{state: Mix64(s.Uint64() ^ 0x9e3779b97f4a7c15)}
 }
 
 // SplitN derives n independent child streams in one call.
@@ -52,8 +52,8 @@ func (s *Stream) SplitN(n int) []*Stream {
 	return out
 }
 
-// mix64 is the splitmix64 finalizer (Steele, Lea, Flood 2014).
-func mix64(z uint64) uint64 {
+// Mix64 is the splitmix64 finalizer (Steele, Lea, Flood 2014).
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -62,7 +62,7 @@ func mix64(z uint64) uint64 {
 // Uint64 returns the next 64 uniformly distributed bits.
 func (s *Stream) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
-	return mix64(s.state)
+	return Mix64(s.state)
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/digest"
 	"repro/internal/netsim"
@@ -77,19 +78,26 @@ func (c MusicConfig) Scaled(f int) MusicConfig {
 	return c
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: what it accepts builds a
+// catalog and a population. Every comparison is written to fail on NaN.
 func (c MusicConfig) Validate() error {
 	switch {
 	case c.Songs <= 0 || c.Categories <= 0 || c.Users <= 0:
 		return fmt.Errorf("workload: non-positive sizes in %+v", c)
 	case c.Songs%c.Categories != 0:
 		return fmt.Errorf("workload: %d songs not divisible into %d categories", c.Songs, c.Categories)
-	case c.OtherCategories >= c.Categories:
-		return fmt.Errorf("workload: %d other categories with only %d total", c.OtherCategories, c.Categories)
-	case c.LibraryMean <= 0:
-		return fmt.Errorf("workload: non-positive library mean %v", c.LibraryMean)
-	case c.FavoriteFraction < 0 || c.FavoriteFraction > 1:
-		return fmt.Errorf("workload: favorite fraction %v outside [0,1]", c.FavoriteFraction)
+	case c.OtherCategories < 0 || c.OtherCategories >= c.Categories:
+		return fmt.Errorf("workload: OtherCategories %d outside [0, %d categories)", c.OtherCategories, c.Categories)
+	case !(c.PopularityTheta >= 0) || math.IsInf(c.PopularityTheta, 1):
+		return fmt.Errorf("workload: PopularityTheta %v must be finite and non-negative", c.PopularityTheta)
+	case !(c.UserCategoryTheta >= 0) || math.IsInf(c.UserCategoryTheta, 1):
+		return fmt.Errorf("workload: UserCategoryTheta %v must be finite and non-negative", c.UserCategoryTheta)
+	case !(c.LibraryMean > 0) || math.IsInf(c.LibraryMean, 1):
+		return fmt.Errorf("workload: LibraryMean %v must be finite and positive", c.LibraryMean)
+	case !(c.LibraryStd >= 0) || math.IsInf(c.LibraryStd, 1):
+		return fmt.Errorf("workload: LibraryStd %v must be finite and non-negative", c.LibraryStd)
+	case !(c.FavoriteFraction >= 0 && c.FavoriteFraction <= 1):
+		return fmt.Errorf("workload: FavoriteFraction %v outside [0,1]", c.FavoriteFraction)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -52,6 +53,57 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatalf("config %d accepted: %+v", i, c)
 		}
 	}
+	// Values that would pass a plain range check and fail later — a
+	// panic in NewCatalog, a population of one-song libraries — are
+	// refused up front, by an error that names the field.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		mut   func(*MusicConfig)
+	}{
+		{"PopularityTheta", func(c *MusicConfig) { c.PopularityTheta = -1 }},
+		{"PopularityTheta", func(c *MusicConfig) { c.PopularityTheta = nan }},
+		{"PopularityTheta", func(c *MusicConfig) { c.PopularityTheta = inf }},
+		{"UserCategoryTheta", func(c *MusicConfig) { c.UserCategoryTheta = -0.5 }},
+		{"UserCategoryTheta", func(c *MusicConfig) { c.UserCategoryTheta = nan }},
+		{"LibraryMean", func(c *MusicConfig) { c.LibraryMean = nan }},
+		{"LibraryMean", func(c *MusicConfig) { c.LibraryMean = inf }},
+		{"LibraryStd", func(c *MusicConfig) { c.LibraryStd = -1 }},
+		{"LibraryStd", func(c *MusicConfig) { c.LibraryStd = nan }},
+		{"FavoriteFraction", func(c *MusicConfig) { c.FavoriteFraction = nan }},
+		{"OtherCategories", func(c *MusicConfig) { c.OtherCategories = -1 }},
+	} {
+		c := smallConfig()
+		tc.mut(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: got %v, want an error naming %s", c, err, tc.field)
+		}
+	}
+}
+
+// FuzzMusicConfig: a configuration Validate accepts builds its catalog
+// and population without panicking. Users and Songs are clamped so that
+// one input runs in milliseconds.
+func FuzzMusicConfig(f *testing.F) {
+	c := smallConfig()
+	f.Add(c.Songs, c.Categories, c.PopularityTheta, c.UserCategoryTheta, c.Users,
+		c.LibraryMean, c.LibraryStd, c.FavoriteFraction, c.OtherCategories, uint64(1))
+	f.Add(100, 10, -1.0, -0.5, 5, 10.0, 3.0, 0.5, 2, uint64(2))
+	f.Add(100, 10, 0.9, 0.9, 5, math.NaN(), 3.0, 0.5, 2, uint64(3))
+	f.Add(12, 4, 0.0, 2.0, 3, 1e9, 0.0, 1.0, 3, uint64(4))
+	f.Add(10, 10, 0.9, 0.9, 1, 1.0, 1e6, 0.0, -1, uint64(5))
+	f.Fuzz(func(t *testing.T, songs, categories int, popTheta, userTheta float64, users int,
+		mean, std, fav float64, others int, seed uint64) {
+		cfg := MusicConfig{
+			Songs: songs % 2000, Categories: categories, PopularityTheta: popTheta,
+			UserCategoryTheta: userTheta, Users: users % 50, LibraryMean: mean,
+			LibraryStd: std, FavoriteFraction: fav, OtherCategories: others,
+		}
+		if cfg.Validate() != nil {
+			return
+		}
+		GenerateUsers(NewCatalog(cfg), rng.New(seed))
+	})
 }
 
 func TestScaled(t *testing.T) {

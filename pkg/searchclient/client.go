@@ -36,6 +36,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Client talks to one dsearchd process. Methods are safe for
@@ -53,8 +55,9 @@ type Client struct {
 
 	br *breaker
 
-	jmu sync.Mutex
-	jst uint64
+	// jitterRNG draws backoff jitter under jmu, seeded from the clock.
+	jmu       sync.Mutex
+	jitterRNG *rng.Stream
 }
 
 // Option configures a Client.
@@ -103,7 +106,7 @@ func New(addr string, opts ...Option) *Client {
 		maxRetries: 3,
 		retryBase:  25 * time.Millisecond,
 		br:         newBreaker(8, 500*time.Millisecond),
-		jst:        uint64(time.Now().UnixNano()),
+		jitterRNG:  rng.New(uint64(time.Now().UnixNano())),
 	}
 	for _, o := range opts {
 		o(c)
@@ -159,11 +162,9 @@ type QueryResponse struct {
 	// the pinned origin was crashed and the query was rerouted, the
 	// origin could not fan out at all, or the failure detector currently
 	// suspects cluster members. The hits are still valid — there may
-	// just be fewer than a healthy cluster would have found. From a
-	// daemon whose nodes forward with "flood" (the default policy), a
-	// response that is not Degraded is exact: it lists every holder
-	// within TTL hops (up to MaxHits), and an empty one means there is
-	// none. Any other policy searches only the neighbours it selects.
+	// just be fewer than a healthy cluster would have found. A response
+	// that is not Degraded is exact: it lists every holder within TTL
+	// hops (up to MaxHits), and an empty one means there is none.
 	Degraded bool `json:"degraded,omitempty"`
 	// DegradedReasons lists why, when Degraded ("deadline", "overload",
 	// "origin-crashed", "no-fanout", "suspect-members",
@@ -454,13 +455,9 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 // jitter maps d to a uniform duration in [d/2, d].
 func (c *Client) jitter(d time.Duration) time.Duration {
 	c.jmu.Lock()
-	c.jst += 0x9e3779b97f4a7c15
-	z := c.jst
+	u := c.jitterRNG.Float64()
 	c.jmu.Unlock()
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return d/2 + time.Duration(float64(z>>11)/(1<<53)*float64(d/2))
+	return d/2 + time.Duration(u*float64(d/2))
 }
 
 // record feeds an attempt's outcome to the breaker. Any HTTP response
