@@ -8,7 +8,9 @@
 //	dsearchd -nodes 50 -degree 3 -ttl 3 -seed 42 -http 127.0.0.1:7080
 //
 // Three-process cluster over loopback TCP (all members must agree on
-// -total, -seed, -degree, -keys and -replicas — the shared world):
+// -total, -seed, -degree, -keys and -replicas — the shared world). Each
+// process binds one envelope listener for its whole shard and gossips
+// its address; a process holds one connection per peer process:
 //
 //	dsearchd -transport tcp -total 12 -nodes 4 -base 0 -http 127.0.0.1:7080
 //	dsearchd -transport tcp -total 12 -nodes 4 -base 4 -join 127.0.0.1:7080
@@ -121,7 +123,7 @@ func buildConfig(args []string) (daemon.Config, string, error) {
 	fs.StringVar(&cfg.Name, "name", cfg.Name, "cluster-unique member name (default d<base>)")
 	fs.StringVar(&cfg.HTTPAddr, "http", cfg.HTTPAddr, "HTTP listen address (:0 = ephemeral)")
 	fs.StringVar(&cfg.Transport, "transport", cfg.Transport, "envelope transport: chan or tcp")
-	fs.StringVar(&cfg.NodeHost, "node-host", cfg.NodeHost, "host node listeners bind on (tcp)")
+	fs.StringVar(&cfg.NodeHost, "node-host", cfg.NodeHost, "host the envelope listener binds on (tcp)")
 
 	fs.IntVar(&cfg.Nodes, "nodes", cfg.Nodes, "local node count")
 	fs.IntVar(&cfg.BaseID, "base", cfg.BaseID, "first local node ID")
@@ -145,16 +147,11 @@ func buildConfig(args []string) (daemon.Config, string, error) {
 		return nil
 	})
 	fs.IntVar(&cfg.GossipIntervalMillis, "gossip-interval", cfg.GossipIntervalMillis, "gossip round interval (ms)")
-	fs.IntVar(&cfg.GossipFanout, "gossip-fanout", cfg.GossipFanout, "peers contacted per gossip round")
 	fs.IntVar(&cfg.QueryWindowMillis, "query-window", cfg.QueryWindowMillis, "fallback hit-collection window (ms): a search ends when its flood terminates, and on this window only if an ack was lost")
 	fs.IntVar(&cfg.DrainTimeoutMillis, "drain-timeout", cfg.DrainTimeoutMillis, "graceful drain bound (ms)")
 
 	fs.IntVar(&cfg.BatchWorkers, "batch-workers", cfg.BatchWorkers, "goroutines draining one /v1/query/batch slab (floods in flight per slab)")
 	fs.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "largest query slab one batch request may carry")
-
-	fs.IntVar(&cfg.FDSuspectRounds, "fd-suspect-rounds", cfg.FDSuspectRounds, "gossip rounds without a heartbeat before suspecting a member")
-	fs.IntVar(&cfg.FDEvictRounds, "fd-evict-rounds", cfg.FDEvictRounds, "gossip rounds without a heartbeat before evicting a member")
-	fs.IntVar(&cfg.FDAmnestyRounds, "fd-amnesty-rounds", cfg.FDAmnestyRounds, "gossip rounds an eviction tombstone blocks rejoin")
 
 	fs.Uint64Var(&cfg.Faults.Seed, "fault-seed", cfg.Faults.Seed, "fault decision-stream seed (0 = derive from -seed)")
 	fs.Float64Var(&cfg.Faults.Drop, "fault-drop", cfg.Faults.Drop, "per-message drop probability [0,1)")

@@ -94,6 +94,11 @@ func TestDocsQuoteOnlyWhatExists(t *testing.T) {
 		"Register" + "Policy", "Policy" + "Spec",
 		// The live plane's forward-policy setting: every node floods.
 		"dsearchd" + " -policy", "Config." + "Forward",
+		// A process is one envelope endpoint (one listener, one gossiped
+		// address), the membership knobs one value served are constants,
+		// and the engine sizes its scratches from the graph.
+		"Node" + "Addrs", "node" + "_addrs", "-gossip" + "-fanout", "-fd" + "-suspect-rounds",
+		"-fd" + "-evict-rounds", "-fd" + "-amnesty-rounds", "Set" + "Detection", "WithScratch" + "Hint",
 	}
 	goBench := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	ticked := regexp.MustCompile("`([^`\n]+)`")

@@ -13,9 +13,9 @@ const (
 	// in-process channel fabric (Total must equal Nodes). This is the
 	// CI-scale deployment and the parity harness's subject.
 	TransportChan = "chan"
-	// TransportTCP gives every local node a loopback TCP listener and
-	// delivers cross-process envelopes over gob/TCP; membership gossip
-	// distributes the listener addresses.
+	// TransportTCP gives each process one TCP envelope listener for its
+	// whole shard and delivers cross-process envelopes over gob/TCP;
+	// membership gossip distributes the listener addresses.
 	TransportTCP = "tcp"
 )
 
@@ -32,7 +32,7 @@ type Config struct {
 	HTTPAddr string `json:"http_addr"`
 	// Transport is TransportChan or TransportTCP.
 	Transport string `json:"transport"`
-	// NodeHost is the host node listeners bind on in TCP mode.
+	// NodeHost is the host the envelope listener binds on in TCP mode.
 	NodeHost string `json:"node_host"`
 
 	// Nodes is the local shard size; BaseID its first node ID; Total
@@ -55,10 +55,8 @@ type Config struct {
 
 	// Join lists seed daemon HTTP addresses for membership bootstrap.
 	Join []string `json:"join"`
-	// GossipIntervalMillis paces peer-exchange rounds; GossipFanout is
-	// how many peers each round contacts.
+	// GossipIntervalMillis paces peer-exchange rounds.
 	GossipIntervalMillis int `json:"gossip_interval_ms"`
-	GossipFanout         int `json:"gossip_fanout"`
 
 	// QueryWindowMillis is the default per-query hit-collection window
 	// when a request does not carry its own. A search normally ends
@@ -76,16 +74,6 @@ type Config struct {
 	// DrainTimeoutMillis bounds how long Drain waits for in-flight
 	// queries before giving up on them.
 	DrainTimeoutMillis int `json:"drain_timeout_ms"`
-
-	// FDSuspectRounds/FDEvictRounds/FDAmnestyRounds tune the heartbeat
-	// failure detector, in gossip rounds: a member is suspected after
-	// FDSuspectRounds without a heartbeat advance, evicted after
-	// FDEvictRounds, and its eviction tombstone expires after
-	// FDAmnestyRounds (so a restarted member can rejoin). Defaults
-	// 3/6/12.
-	FDSuspectRounds int `json:"fd_suspect_rounds"`
-	FDEvictRounds   int `json:"fd_evict_rounds"`
-	FDAmnestyRounds int `json:"fd_amnesty_rounds"`
 
 	// Faults configures deterministic message-fault injection on this
 	// process's transport (all zero: no injection). Crash/partition
@@ -146,9 +134,6 @@ func (c *Config) ApplyDefaults() {
 	if c.GossipIntervalMillis == 0 {
 		c.GossipIntervalMillis = 500
 	}
-	if c.GossipFanout == 0 {
-		c.GossipFanout = 2
-	}
 	if c.QueryWindowMillis == 0 {
 		c.QueryWindowMillis = 100
 	}
@@ -160,15 +145,6 @@ func (c *Config) ApplyDefaults() {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 16_384
-	}
-	if c.FDSuspectRounds == 0 {
-		c.FDSuspectRounds = 3
-	}
-	if c.FDEvictRounds == 0 {
-		c.FDEvictRounds = 6
-	}
-	if c.FDAmnestyRounds == 0 {
-		c.FDAmnestyRounds = 12
 	}
 	if c.Faults.Seed == 0 {
 		c.Faults.Seed = c.Seed ^ 0xfa017fa017fa017
@@ -192,17 +168,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("daemon: degree/ttl/keys/replicas must be positive")
 	case c.TTL > 255:
 		return fmt.Errorf("daemon: ttl %d exceeds the wire limit of 255", c.TTL)
-	case c.GossipFanout <= 0 || c.GossipIntervalMillis <= 0:
-		return fmt.Errorf("daemon: gossip fanout and interval must be positive")
+	case c.GossipIntervalMillis <= 0:
+		return fmt.Errorf("daemon: gossip_interval_ms must be positive")
 	case c.QueryWindowMillis <= 0 || c.DrainTimeoutMillis <= 0:
 		return fmt.Errorf("daemon: query_window_ms and drain_timeout_ms must be positive")
 	case c.BatchWorkers <= 0 || c.MaxBatch <= 0:
 		return fmt.Errorf("daemon: batch_workers and max_batch must be positive")
-	case c.FDSuspectRounds <= 0 || c.FDAmnestyRounds <= 0:
-		return fmt.Errorf("daemon: fd_suspect_rounds and fd_amnesty_rounds must be positive")
-	case c.FDEvictRounds <= c.FDSuspectRounds:
-		return fmt.Errorf("daemon: fd_evict_rounds %d must exceed fd_suspect_rounds %d",
-			c.FDEvictRounds, c.FDSuspectRounds)
 	case badRate(c.Faults.Drop) || badRate(c.Faults.Dup) || badRate(c.Faults.Reorder):
 		return fmt.Errorf("daemon: fault rates must lie in [0,1)")
 	case c.Faults.DelayMinMillis < 0:

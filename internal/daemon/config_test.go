@@ -40,8 +40,7 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"negative query window", func(c *Config) { c.QueryWindowMillis = -5 }, "query_window_ms"},
 		{"negative drain timeout", func(c *Config) { c.DrainTimeoutMillis = -1 }, "drain_timeout_ms"},
 		{"negative fault delay", func(c *Config) { c.Faults.DelayMinMillis = -3 }, "fault delay min"},
-		{"negative suspect rounds", func(c *Config) { c.FDSuspectRounds = -2 }, "fd_suspect_rounds"},
-		{"negative amnesty rounds", func(c *Config) { c.FDAmnestyRounds = -1 }, "fd_amnesty_rounds"},
+		{"negative gossip interval", func(c *Config) { c.GossipIntervalMillis = -1 }, "gossip_interval_ms"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,6 +78,11 @@ func TestLoadConfig(t *testing.T) {
 		"trailing bytes":  {`{"nodes": 12}]`, "trailing data"},
 		// Every node floods: the forward policy is not a daemon setting.
 		"retired policy": {`{"nodes": 12, "policy": "random-2"}`, `"policy"`},
+		// The membership knobs one value served are constants now.
+		"retired gossip_fanout":     {`{"nodes": 12, "gossip_fanout": 2}`, `"gossip_fanout"`},
+		"retired fd_suspect_rounds": {`{"nodes": 12, "fd_suspect_rounds": 3}`, `"fd_suspect_rounds"`},
+		"retired fd_evict_rounds":   {`{"nodes": 12, "fd_evict_rounds": 6}`, `"fd_evict_rounds"`},
+		"retired fd_amnesty_rounds": {`{"nodes": 12, "fd_amnesty_rounds": 12}`, `"fd_amnesty_rounds"`},
 	} {
 		bad := filepath.Join(dir, "bad.json")
 		if err := os.WriteFile(bad, []byte(tc.body), 0o644); err != nil {

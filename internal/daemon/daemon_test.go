@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/driver"
+	"repro/internal/live"
 	"repro/internal/rng"
 	"repro/internal/topology"
 	"repro/pkg/search"
@@ -508,7 +508,8 @@ func TestClientBodiesDecodeStrictly(t *testing.T) {
 // TestThreeServersTCPGossipAndQueries boots a 12-node cluster as three
 // TCP-transport shards in one test process: membership must converge
 // by gossip from a single seed address, and cross-shard queries must
-// match the simulated twin's hit rate.
+// keep the exactness contract: every hit is a holder the BFS flood
+// oracle names, and a miss that is not degraded is an oracle miss.
 func TestThreeServersTCPGossipAndQueries(t *testing.T) {
 	const (
 		total, perShard, degree, ttl = 12, 4, 2, 3
@@ -567,9 +568,7 @@ func TestThreeServersTCPGossipAndQueries(t *testing.T) {
 
 	w := BuildWorld(seed, total, degree, keys, replicas)
 	plan := w.QueryPlan(150)
-	simHit := simHitRate(t, BuildWorld(seed, total, degree, keys, replicas), plan, ttl)
-
-	liveHits, simHits := 0, 0
+	hits, degraded := 0, 0
 	for i, q := range plan {
 		origin := int(q.Origin)
 		shard := origin / perShard
@@ -579,19 +578,25 @@ func TestThreeServersTCPGossipAndQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d via shard %d: %v", i, shard, err)
 		}
+		oracle := floodHolders(w, q.Origin, q.Key, ttl)
+		for _, h := range resp.Hits {
+			if !slices.Contains(oracle, h.Holder) {
+				t.Fatalf("query %d (key %d from %d): hit from %d, oracle holders %v",
+					i, q.Key, origin, h.Holder, oracle)
+			}
+		}
+		switch {
+		case resp.Degraded:
+			degraded++
+		case !resp.Found() && len(oracle) > 0:
+			t.Fatalf("query %d (key %d from %d): undegraded miss, oracle holders %v",
+				i, q.Key, origin, oracle)
+		}
 		if resp.Found() {
-			liveHits++
-		}
-		if simHit[i] {
-			simHits++
+			hits++
 		}
 	}
-	liveRate := float64(liveHits) / float64(len(plan))
-	simRate := float64(simHits) / float64(len(plan))
-	t.Logf("tcp live %.4f vs sim %.4f over %d queries", liveRate, simRate, len(plan))
-	if diff := math.Abs(liveRate - simRate); diff > 0.02 {
-		t.Fatalf("tcp hit-rate diverged: live %.4f vs sim %.4f", liveRate, simRate)
-	}
+	t.Logf("tcp: %d/%d hits, %d degraded", hits, len(plan), degraded)
 
 	// Epochs moved with gossip, and the view names every shard.
 	info, err := clients[2].Cluster(ctx)
@@ -612,5 +617,50 @@ func TestThreeServersTCPGossipAndQueries(t *testing.T) {
 		if !found {
 			t.Fatalf("member %s missing or wrong in view %+v", name, info.Members)
 		}
+	}
+}
+
+// TestEnvelopeOutsideShardDropped: a frame reaching a process's
+// envelope listener for a node outside its shard is dropped and
+// counted as an inbox drop; no local node sees it.
+func TestEnvelopeOutsideShardDropped(t *testing.T) {
+	srv, err := New(Config{
+		Transport: TransportTCP, BaseID: 4, Nodes: 4, Total: 12,
+		GossipIntervalMillis: 50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Drain(context.Background())
+
+	tr := live.NewTCPTransport()
+	defer tr.Close()
+	outside := []topology.NodeID{3, 8, 1 << 30, -1}
+	for _, id := range outside {
+		tr.SetAddr(id, srv.g.Self().EnvAddr)
+		if err := tr.Send(id, live.Envelope{Type: live.MsgQuery, From: 0, QueryID: 1, TTL: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Flush()
+	stats := srv.nodeStats
+	for deadline := time.Now().Add(5 * time.Second); stats.InboxDropped.Load() < uint64(len(outside)); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d out-of-shard frames counted as dropped",
+				stats.InboxDropped.Load(), len(outside))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	snap, err := searchclient.New(srv.Addr()).Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap["node_inbox_dropped"]; got != uint64(len(outside)) {
+		t.Fatalf("node_inbox_dropped = %d, want %d", got, len(outside))
+	}
+	if seen := snap["node_queries_seen"]; seen != 0 {
+		t.Fatalf("a local node processed %d out-of-shard queries", seen)
 	}
 }

@@ -6,38 +6,32 @@ import "sort"
 type MemberStatus string
 
 // Detector verdicts. A member is Alive while its heartbeat keeps
-// advancing, Suspect once it has been silent for SuspectAfter local
+// advancing, Suspect once it has been silent for suspectAfter local
 // rounds, and Dead (evicted from the view, remembered by a tombstone)
-// after EvictAfter rounds of silence.
+// after evictAfter rounds of silence.
 const (
 	StatusAlive   MemberStatus = "alive"
 	StatusSuspect MemberStatus = "suspect"
 	StatusDead    MemberStatus = "dead"
 )
 
-// Detection parameterizes the heartbeat failure detector. All spans
-// are in local gossip rounds (one Tick per round), so the wall-clock
-// thresholds scale with the configured gossip interval.
-type Detection struct {
-	// SuspectAfter is how many rounds without a heartbeat advance mark
+// The heartbeat failure detector's thresholds. All spans are in local
+// gossip rounds (one Tick per round), so the wall-clock thresholds
+// scale with the configured gossip interval.
+const (
+	// suspectAfter is how many rounds without a heartbeat advance mark
 	// a member suspect.
-	SuspectAfter uint64
-	// EvictAfter is how many silent rounds confirm death and evict the
-	// member from the view (must exceed SuspectAfter).
-	EvictAfter uint64
-	// Amnesty is how many rounds an eviction tombstone blocks
+	suspectAfter = 3
+	// evictAfter is how many silent rounds confirm death and evict the
+	// member from the view.
+	evictAfter = 6
+	// amnesty is how many rounds an eviction tombstone blocks
 	// re-adoption of beats at or below the evicted one. A member that
 	// kept beating behind a partition returns immediately (its beat
 	// outruns the tombstone); one that restarted from beat zero waits
 	// out the amnesty window.
-	Amnesty uint64
-}
-
-// DefaultDetection is the detector configuration servers start with:
-// suspect at 3 silent rounds, evict at 6, tombstones expire after 12.
-func DefaultDetection() Detection {
-	return Detection{SuspectAfter: 3, EvictAfter: 6, Amnesty: 12}
-}
+	amnesty = 12
+)
 
 // tombstone remembers an eviction: entries with Beat <= beat are
 // rejected until round expire.
@@ -48,7 +42,6 @@ type tombstone struct {
 
 // fdState is the detector side of a Gossip, guarded by Gossip.mu.
 type fdState struct {
-	det   Detection
 	round uint64
 	// lastBeat/lastAdvance track, per member, the newest heartbeat seen
 	// and the local round it arrived in.
@@ -57,25 +50,16 @@ type fdState struct {
 	tombs       map[string]tombstone
 }
 
-func newFDState(det Detection) fdState {
+func newFDState() fdState {
 	return fdState{
-		det:         det,
 		lastBeat:    make(map[string]uint64),
 		lastAdvance: make(map[string]uint64),
 		tombs:       make(map[string]tombstone),
 	}
 }
 
-// SetDetection replaces the detector thresholds (before serving
-// starts; the zero SuspectAfter disables suspicion entirely).
-func (g *Gossip) SetDetection(det Detection) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.fd.det = det
-}
-
 // Tick advances the failure detector one round: members whose
-// heartbeat has not advanced for EvictAfter rounds are evicted from
+// heartbeat has not advanced for evictAfter rounds are evicted from
 // the view behind a tombstone. It returns the names evicted this
 // round, sorted. Tick is deliberately separate from Beat — Beat is
 // "I am alive", Tick is "judge everyone else" — so transport-free
@@ -91,9 +75,6 @@ func (g *Gossip) Tick() []string {
 			delete(g.fd.tombs, name)
 		}
 	}
-	if g.fd.det.EvictAfter == 0 {
-		return nil
-	}
 	var evicted []string
 	for name, m := range g.view {
 		if name == g.self {
@@ -105,11 +86,11 @@ func (g *Gossip) Tick() []string {
 			g.fd.lastAdvance[name] = now
 			continue
 		}
-		if now-last >= g.fd.det.EvictAfter {
+		if now-last >= evictAfter {
 			delete(g.view, name)
 			delete(g.fd.lastBeat, name)
 			delete(g.fd.lastAdvance, name)
-			g.fd.tombs[name] = tombstone{beat: m.Beat, expire: now + g.fd.det.Amnesty}
+			g.fd.tombs[name] = tombstone{beat: m.Beat, expire: now + amnesty}
 			g.version++
 			evicted = append(evicted, name)
 		}
@@ -126,9 +107,6 @@ func (g *Gossip) statusLocked(name string) MemberStatus {
 	if _, dead := g.fd.tombs[name]; dead {
 		return StatusDead
 	}
-	if g.fd.det.SuspectAfter == 0 {
-		return StatusAlive
-	}
 	last, known := g.fd.lastAdvance[name]
 	if !known {
 		// Never judged yet (adopted this round); innocent until silent.
@@ -136,9 +114,9 @@ func (g *Gossip) statusLocked(name string) MemberStatus {
 	}
 	silent := g.fd.round - last
 	switch {
-	case silent >= g.fd.det.EvictAfter:
+	case silent >= evictAfter:
 		return StatusDead
-	case silent >= g.fd.det.SuspectAfter:
+	case silent >= suspectAfter:
 		return StatusSuspect
 	default:
 		return StatusAlive

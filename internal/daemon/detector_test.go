@@ -68,11 +68,10 @@ func TestDetectorSuspectsThenEvicts(t *testing.T) {
 
 	// Now m03 goes silent: only the first three run rounds.
 	live := &mesh{gs: alive, byName: m.byName}
-	det := DefaultDetection()
 	sawSuspect := false
-	for r := uint64(1); r <= det.EvictAfter+1; r++ {
+	for r := 1; r <= evictAfter+1; r++ {
 		live.dirRound([]string{"m00"}, 2, stream, nil, true)
-		if r >= det.SuspectAfter && r < det.EvictAfter {
+		if r >= suspectAfter && r < evictAfter {
 			if got := status(alive[0], silent); got == StatusSuspect {
 				sawSuspect = true
 			}
@@ -105,8 +104,7 @@ func TestDetectorRejoinAmnestyAfterPartition(t *testing.T) {
 
 	// Partition m03 both ways; everyone keeps beating and ticking.
 	cut := func(a, b string) bool { return a != flappy && b != flappy }
-	det := DefaultDetection()
-	for r := uint64(0); r < det.EvictAfter+2; r++ {
+	for r := 0; r < evictAfter+2; r++ {
 		m.dirRound([]string{"m00"}, 2, stream, cut, true)
 	}
 	if _, ok := m.gs[0].Snapshot()[flappy]; ok {
@@ -139,11 +137,13 @@ func TestDetectorRejoinAmnestyAfterPartition(t *testing.T) {
 // tombstone only until the amnesty window expires, then rejoins.
 func TestDetectorRestartRejoinsAfterAmnestyExpiry(t *testing.T) {
 	g := NewGossip(Member{Name: "a"})
-	det := Detection{SuspectAfter: 1, EvictAfter: 2, Amnesty: 3}
-	g.SetDetection(det)
 	g.Absorb(View{"b": {Name: "b", Beat: 50}})
 	g.Tick() // records baseline
-	g.Tick()
+	for i := 1; i < evictAfter; i++ {
+		if evicted := g.Tick(); len(evicted) != 0 {
+			t.Fatalf("Tick evicted %v after %d silent rounds, want none before %d", evicted, i, evictAfter)
+		}
+	}
 	evicted := g.Tick()
 	if len(evicted) != 1 || evicted[0] != "b" {
 		t.Fatalf("Tick evicted %v, want [b]", evicted)
@@ -157,7 +157,7 @@ func TestDetectorRestartRejoinsAfterAmnestyExpiry(t *testing.T) {
 	}
 	// After Amnesty rounds the tombstone expires and the same entry is
 	// welcome again.
-	for i := uint64(0); i < det.Amnesty; i++ {
+	for i := 0; i < amnesty; i++ {
 		g.Tick()
 	}
 	g.Absorb(View{"b": {Name: "b", Beat: 2}})
@@ -254,13 +254,12 @@ func TestFlappingNodeNeverPermanentlyEvictsHealthyPeer(t *testing.T) {
 	stream := rng.New(31)
 	flappy := "m04"
 	cut := func(a, b string) bool { return a != flappy && b != flappy }
-	det := DefaultDetection()
 
 	for r := 0; r < 4; r++ {
 		m.dirRound([]string{"m00"}, 2, stream, nil, true)
 	}
 	for flap := 0; flap < 3; flap++ {
-		for r := uint64(0); r < det.EvictAfter+2; r++ {
+		for r := 0; r < evictAfter+2; r++ {
 			m.dirRound([]string{"m00"}, 2, stream, cut, true)
 		}
 		for r := 0; r < 8; r++ {
@@ -278,7 +277,6 @@ func TestFlappingNodeNeverPermanentlyEvictsHealthyPeer(t *testing.T) {
 // Statuses and Suspects track the detector verdicts coherently.
 func TestStatusesAndSuspects(t *testing.T) {
 	g := NewGossip(Member{Name: "a"})
-	g.SetDetection(Detection{SuspectAfter: 2, EvictAfter: 10, Amnesty: 5})
 	g.Absorb(View{"b": {Name: "b", Beat: 1}, "c": {Name: "c", Beat: 1}})
 	g.Tick() // baseline for b and c
 	// c keeps beating, b goes silent.

@@ -15,9 +15,10 @@ type Member struct {
 	// hosts: [BaseID, BaseID+Nodes).
 	BaseID int `json:"base_id"`
 	Nodes  int `json:"nodes"`
-	// NodeAddrs lists per-local-node envelope listener addresses in
-	// local-index order (TCP transport; empty for in-process fabrics).
-	NodeAddrs []string `json:"node_addrs,omitempty"`
+	// EnvAddr is the process's envelope listener address, which every
+	// node of its range is reached at (TCP transport; empty for the
+	// in-process fabric).
+	EnvAddr string `json:"env_addr,omitempty"`
 	// Beat is the member's heartbeat counter: its own liveness tick,
 	// as last observed by whoever holds this entry. Higher wins on
 	// merge, so refreshed entries displace stale ones.
@@ -73,17 +74,15 @@ type Gossip struct {
 	fd fdState
 }
 
-// NewGossip starts a membership view containing only self, with the
-// default failure-detector thresholds (the detector stays inert until
-// something calls Tick).
+// NewGossip starts a membership view containing only self (the
+// failure detector stays inert until something calls Tick).
 func NewGossip(self Member) *Gossip {
-	g := &Gossip{
+	return &Gossip{
 		self:    self.Name,
 		view:    View{self.Name: self},
 		version: 1,
-		fd:      newFDState(DefaultDetection()),
+		fd:      newFDState(),
 	}
-	return g
 }
 
 // Self returns the current self entry.
@@ -147,6 +146,10 @@ func (g *Gossip) Version() uint64 {
 	defer g.mu.Unlock()
 	return g.version
 }
+
+// gossipFanout is how many random known peers each gossip round
+// contacts, besides the seed list.
+const gossipFanout = 2
 
 // Targets picks up to fanout distinct random members other than self,
 // drawing indices from intn.

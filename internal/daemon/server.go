@@ -8,9 +8,9 @@
 // channel fabric — the CI-scale configuration, and the subject of the
 // live-vs-simulated parity harness. In tcp-transport mode each process
 // hosts a contiguous shard [BaseID, BaseID+Nodes) of the cluster's
-// node ID space, every local node gets its own loopback gob/TCP
-// listener, and gossip distributes listener addresses so shards find
-// each other without any central registry.
+// node ID space behind one gob/TCP envelope listener, and gossip
+// distributes each process's listener address so shards find each
+// other without any central registry.
 package daemon
 
 import (
@@ -92,8 +92,8 @@ type Server struct {
 	// traffic is blocked, TCP deliveries are discarded, and admission
 	// routes around it.
 	crashed []atomic.Bool
-	// stopListeners closes the per-node envelope listeners (TCP mode).
-	stopListeners []func()
+	// stopListener closes the process's envelope listener (TCP mode).
+	stopListener func()
 
 	httpLn  net.Listener
 	httpSrv *http.Server
@@ -122,9 +122,9 @@ type Server struct {
 }
 
 // New builds a server: world derivation, node construction, and every
-// listener bind (HTTP and, in TCP mode, one envelope listener per
-// local node) happen here, so Addr is valid — and the process's
-// gossip entry complete — before Start launches anything.
+// listener bind (HTTP and, in TCP mode, the process's envelope
+// listener) happen here, so Addr is valid — and the process's gossip
+// entry complete — before Start launches anything.
 func New(cfg Config) (*Server, error) {
 	cfg.ApplyDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -200,43 +200,22 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.httpLn = ln
 
-	var nodeAddrs []string
+	var envAddr string
 	if s.tcpT != nil {
-		nodeAddrs = make([]string, len(s.nodes))
-		for i, n := range s.nodes {
-			// The deliver gate enforces crashes on the receive side too:
-			// remote processes do not share this process's fault plane, so
-			// their envelopes to a crashed local node die at the listener.
-			node, idx := n, i
-			deliver := func(env live.Envelope) {
-				if s.crashed[idx].Load() {
-					return
-				}
-				node.Deliver(env)
-			}
-			addr, stop, err := live.Listen(cfg.NodeHost+":0", deliver)
-			if err != nil {
-				s.closeListeners()
-				return nil, fmt.Errorf("daemon: bind node %d listener: %w", n.ID(), err)
-			}
-			nodeAddrs[i] = addr
-			s.stopListeners = append(s.stopListeners, stop)
-			s.tcpT.SetAddr(n.ID(), addr)
+		if envAddr, s.stopListener, err = live.Listen(cfg.NodeHost+":0", s.deliver); err != nil {
+			ln.Close()
+			return nil, fmt.Errorf("daemon: bind envelope listener: %w", err)
 		}
 	}
 
 	s.g = NewGossip(Member{
-		Name:      cfg.Name,
-		HTTP:      ln.Addr().String(),
-		BaseID:    cfg.BaseID,
-		Nodes:     cfg.Nodes,
-		NodeAddrs: nodeAddrs,
+		Name:    cfg.Name,
+		HTTP:    ln.Addr().String(),
+		BaseID:  cfg.BaseID,
+		Nodes:   cfg.Nodes,
+		EnvAddr: envAddr,
 	})
-	s.g.SetDetection(Detection{
-		SuspectAfter: uint64(cfg.FDSuspectRounds),
-		EvictAfter:   uint64(cfg.FDEvictRounds),
-		Amnesty:      uint64(cfg.FDAmnestyRounds),
-	})
+	s.syncTransport()
 
 	s.httpSrv = &http.Server{Handler: s.mux(), ReadHeaderTimeout: 5 * time.Second}
 	return s, nil
@@ -311,19 +290,26 @@ func (s *Server) drain(ctx context.Context) error {
 	for _, n := range s.nodes {
 		n.Close()
 	}
-	s.closeListeners()
 	if s.tcpT != nil {
+		s.stopListener()
 		s.tcpT.Close()
 	}
 	s.state.Store(int32(StateStopped))
 	return err
 }
 
-func (s *Server) closeListeners() {
-	for _, stop := range s.stopListeners {
-		stop()
+// deliver routes a frame from the envelope listener to the local node
+// it names. A frame for a node outside the shard counts as an inbox
+// drop. The crash gate holds on the receive side too: remote processes
+// do not share this process's fault plane, so their envelopes to a
+// crashed local node die here.
+func (s *Server) deliver(env live.Envelope) {
+	switch n := s.localNode(int(env.To)); {
+	case n == nil:
+		s.nodeStats.InboxDropped.Inc()
+	case !s.nodeCrashed(int(env.To)):
+		n.Deliver(env)
 	}
-	s.stopListeners = nil
 }
 
 // waitCtx waits on wg until done or ctx expires; true means done.
@@ -836,7 +822,7 @@ func (s *Server) gossipRound(stream *rng.Stream) {
 	for _, seed := range s.cfg.Join {
 		targets[seed] = struct{}{}
 	}
-	for _, m := range s.g.Targets(s.cfg.GossipFanout, stream.Intn) {
+	for _, m := range s.g.Targets(gossipFanout, stream.Intn) {
 		targets[m.HTTP] = struct{}{}
 	}
 	delete(targets, self.HTTP)
@@ -867,15 +853,19 @@ func (s *Server) gossipRound(stream *rng.Stream) {
 	s.syncTransport()
 }
 
-// syncTransport replays the gossip view's node listener addresses into
-// the TCP transport (SetAddr is idempotent for unchanged entries).
+// syncTransport points every node ID of each member's shard at that
+// member's envelope address (SetAddr is idempotent for unchanged
+// entries).
 func (s *Server) syncTransport() {
 	if s.tcpT == nil {
 		return
 	}
 	for _, m := range s.g.Members() {
-		for i, addr := range m.NodeAddrs {
-			s.tcpT.SetAddr(topology.NodeID(m.BaseID+i), addr)
+		if m.EnvAddr == "" {
+			continue
+		}
+		for id := m.BaseID; id < m.BaseID+m.Nodes; id++ {
+			s.tcpT.SetAddr(topology.NodeID(id), m.EnvAddr)
 		}
 	}
 }

@@ -202,7 +202,7 @@ func New(spec Spec, root *rng.Stream) (*Session, error) {
 		s.view.Mask = make([]bool, spec.Nodes)
 	}
 
-	opts := []search.Option{search.WithScratchHint(spec.Nodes)}
+	var opts []search.Option
 	if spec.Classes != nil {
 		opts = append(opts, search.WithDelay(s.SampleDelay))
 	}

@@ -238,7 +238,6 @@ func RunFaults(cfg FaultsConfig) (*FaultsSummary, error) {
 		search.WithForward(forward),
 		search.WithSeed(cfg.Seed),
 		search.WithTTL(cfg.TTL),
-		search.WithScratchHint(cfg.Nodes),
 		search.WithDelay(fx.delayFunc(classes)))
 	if err != nil {
 		return nil, err

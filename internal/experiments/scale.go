@@ -314,7 +314,6 @@ func buildScaleWorld(cfg ScaleConfig) (*scaleWorld, error) {
 		search.WithPolicy(policy),
 		search.WithSeed(cfg.Seed),
 		search.WithTTL(cfg.TTL),
-		search.WithScratchHint(cfg.Nodes),
 		search.WithDelay(fx.delayFunc(classes)))
 	if err != nil {
 		return nil, err

@@ -109,11 +109,6 @@ func (s *Stats) Snapshot() map[string]uint64 {
 	}
 }
 
-// unit maps 64 random bits to a float in [0,1).
-func unit(bits uint64) float64 {
-	return float64(bits>>11) / (1 << 53)
-}
-
 // Per-decision salts: one message draws three independent verdicts
 // (drop, dup, reorder) from one (link, seq) pair.
 const (
@@ -267,12 +262,12 @@ func (t *Transport) decide(from, to topology.NodeID) verdict {
 	}
 	ls.seq++
 	base := ls.seed + ls.seq
-	v.drop = t.cfg.Drop > 0 && unit(rng.Mix64(base^saltDrop)) < t.cfg.Drop
-	v.dup = t.cfg.Dup > 0 && unit(rng.Mix64(base^saltDup)) < t.cfg.Dup
-	v.reorder = t.cfg.Reorder > 0 && unit(rng.Mix64(base^saltReorder)) < t.cfg.Reorder
+	v.drop = t.cfg.Drop > 0 && rng.Unit(rng.Mix64(base^saltDrop)) < t.cfg.Drop
+	v.dup = t.cfg.Dup > 0 && rng.Unit(rng.Mix64(base^saltDup)) < t.cfg.Dup
+	v.reorder = t.cfg.Reorder > 0 && rng.Unit(rng.Mix64(base^saltReorder)) < t.cfg.Reorder
 	if t.cfg.DelayMax > 0 {
 		span := t.cfg.DelayMax - t.cfg.DelayMin
-		v.delay = t.cfg.DelayMin + time.Duration(unit(rng.Mix64(base^saltDelay))*float64(span))
+		v.delay = t.cfg.DelayMin + time.Duration(rng.Unit(rng.Mix64(base^saltDelay))*float64(span))
 	}
 	return v
 }

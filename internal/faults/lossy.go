@@ -63,7 +63,7 @@ func (p *LossyPolicy) Select(q *core.Query, at, from topology.NodeID, out []topo
 			p.links[k] = ls
 		}
 		ls.seq++
-		if unit(rng.Mix64((ls.seed+ls.seq)^saltDrop)) < p.Rate {
+		if rng.Unit(rng.Mix64((ls.seed+ls.seq)^saltDrop)) < p.Rate {
 			continue
 		}
 		keep = append(keep, to)

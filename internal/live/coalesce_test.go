@@ -1,11 +1,13 @@
 package live
 
 import (
+	"net"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -176,6 +178,108 @@ func TestCoalesceManyFramesOneWindowAllDelivered(t *testing.T) {
 	for lis.count() < frames {
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d/%d coalesced frames delivered", lis.count(), frames)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestTCPSharedAddressOneConnection: node IDs given one address (the
+// shard of one peer process) share one connection, every frame carries
+// the node it is for in To, and the connection closes once no ID
+// points at that address any more.
+func TestTCPSharedAddressOneConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var (
+		mu      sync.Mutex
+		accepts int
+		got     []Envelope
+		ended   = make(chan struct{}, 4)
+	)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			accepts++
+			mu.Unlock()
+			go func() {
+				defer c.Close()
+				_ = decodeFrames(c, func(env Envelope) {
+					mu.Lock()
+					got = append(got, env)
+					mu.Unlock()
+				})
+				ended <- struct{}{}
+			}()
+		}
+	}()
+
+	other := startCollector(t)
+	tr := NewTCPTransport()
+	defer tr.Close()
+	tr.SetAddr(1, ln.Addr().String())
+	tr.SetAddr(2, ln.Addr().String())
+	const perNode = 50
+	for i := 0; i < perNode; i++ {
+		for _, to := range []topology.NodeID{1, 2} {
+			if err := tr.Send(to, Envelope{Type: MsgQuery, From: 9, QueryID: core.QueryID(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tr.Flush()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := len(got)
+		mu.Unlock()
+		if n == 2*perNode {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d frames arrived", n, 2*perNode)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	mu.Lock()
+	if accepts != 1 {
+		t.Errorf("listener accepted %d connections for two IDs of one address, want 1", accepts)
+	}
+	for i, env := range got {
+		if want := topology.NodeID(1 + i%2); env.To != want {
+			t.Errorf("frame %d: To = %d, want %d", i, env.To, want)
+			break
+		}
+	}
+	mu.Unlock()
+
+	// Re-pointing one ID keeps the shared connection for the other;
+	// re-pointing the last one closes it.
+	tr.SetAddr(1, other.addr)
+	select {
+	case <-ended:
+		t.Fatal("connection closed while ID 2 still points at its address")
+	case <-time.After(20 * time.Millisecond):
+	}
+	tr.SetAddr(2, other.addr)
+	select {
+	case <-ended:
+	case <-time.After(2 * time.Second):
+		t.Fatal("connection left open after no ID points at its address")
+	}
+	if err := tr.Send(2, Envelope{Type: MsgHit}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Flush()
+	for deadline := time.Now().Add(2 * time.Second); other.count() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("frame to the re-pointed ID never arrived")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -12,7 +12,7 @@ import (
 // the protocol uses, several frames behind one type definition.
 func frameSeeds() [][]Envelope {
 	return [][]Envelope{
-		{{Type: MsgQuery, From: 3, QueryID: 3<<32 | 1, Key: 42, Origin: 3, TTL: 3, Hops: 1, Slot: 7, Seq: 2}},
+		{{Type: MsgQuery, From: 3, To: 5, QueryID: 3<<32 | 1, Key: 42, Origin: 3, TTL: 3, Hops: 1, Slot: 7, Seq: 2}},
 		{{Type: MsgAck, From: 9, QueryID: 3<<32 | 1, Slot: 7, Seq: 2, Served: 2, Lost: true}},
 		{
 			{Type: MsgHit, From: 9, QueryID: 3<<32 | 1, Key: 42, Hops: 3, Class: netsim.LAN},

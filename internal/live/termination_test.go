@@ -265,7 +265,7 @@ func TestTerminationLostCopy(t *testing.T) {
 }
 
 // TestTerminationMarkWaitsForHits: on a transport that lets the ack
-// chain overtake a hit (TCP has one connection per peer pair), the
+// chain overtake a hit (TCP has one connection per pair of processes), the
 // origin must hold completion until the hits the acks announced are in.
 func TestTerminationMarkWaitsForHits(t *testing.T) {
 	nodes, tr := hookCluster(t, 3, 3, [][2]int{{0, 1}, {1, 2}}, 2)

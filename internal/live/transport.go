@@ -2,7 +2,7 @@
 // the discrete-event simulator: every node is a goroutine-driven actor
 // with an inbox, and messages travel over a pluggable Transport — an
 // in-process channel fabric for tests and single-binary demos, or
-// TCP with gob encoding for multi-process deployments (cmd/dsearch).
+// TCP with gob encoding for multi-process deployments (cmd/dsearchd).
 //
 // The protocol is the paper's Algo 5 adapted to a real network: queries
 // flood with a TTL and duplicate suppression, hits reply directly to
@@ -71,7 +71,7 @@ func (t MsgType) String() string {
 
 // Envelope is the wire message. All fields are exported and
 // gob-encodable; unused fields stay zero. The field order packs it into
-// 40 bytes: every node owns a 1024-slot inbox of these.
+// 48 bytes: every node owns a 1024-slot inbox of these.
 type Envelope struct {
 	Type MsgType
 	// TTL and Hops are the search depth and the distance this copy has
@@ -81,6 +81,10 @@ type Envelope struct {
 	// record awaits an ack for; the ack echoes it (query, ack).
 	Seq  uint8
 	From topology.NodeID
+	// To is the destination node. TCPTransport.Send stamps it, so a
+	// process's one envelope listener can route a frame to the node it
+	// is for; the in-process fabric leaves it zero.
+	To topology.NodeID
 
 	// Query / Hit / Ack fields.
 	QueryID core.QueryID
@@ -195,9 +199,13 @@ func (t *ChanTransport) Send(to topology.NodeID, env Envelope) error {
 }
 
 // TCPTransport sends envelopes over TCP connections with gob encoding.
-// Every process registers its peers' listen addresses; connections are
-// pooled per destination, and each destination carries its own lock so
-// a slow or dead peer never blocks sends to healthy ones.
+// Every process registers the envelope address each peer node is
+// reached at; nodes that share an address (the shard of one peer
+// process) share one pooled connection, so a process holds one
+// connection per peer process, not per peer node. Send stamps the
+// destination node into Envelope.To for the receiving process to route
+// on. Each connection carries its own lock so a slow or dead peer never
+// blocks sends to healthy ones.
 //
 // Dial failures are non-fatal: Send retries a bounded number of times
 // with exponential backoff (a peer that is still booting becomes
@@ -206,9 +214,9 @@ func (t *ChanTransport) Send(to topology.NodeID, env Envelope) error {
 // sends fail fast — the lossy-network semantics the protocol already
 // tolerates, without a dial storm against a dead peer.
 //
-// Writes coalesce: every destination owns a persistent gob encoder
+// Writes coalesce: every connection owns a persistent gob encoder
 // over a buffered writer, so one cascade fan-out burst becomes one
-// syscall per destination instead of one per message. Frames flush
+// syscall per peer process instead of one per message. Frames flush
 // when the buffer reaches flushBytes, every flushInterval from a
 // background flusher, and unconditionally on Flush and Close — a
 // drained process never strands buffered frames. TCP_NODELAY is set
@@ -235,8 +243,13 @@ type TCPTransport struct {
 	flushBytes    int
 	flushInterval time.Duration
 
-	mu    sync.Mutex
-	dests map[topology.NodeID]*tcpDest
+	// mu guards dests, byAddr and every tcpDest's refs. It is never
+	// held while waiting for a tcpDest's lock.
+	mu sync.Mutex
+	// dests maps a node to the destination its address names; byAddr
+	// holds one destination per distinct address.
+	dests  map[topology.NodeID]*tcpDest
+	byAddr map[string]*tcpDest
 	// closed is closed by Close; backoff sleeps and the background
 	// flusher select on it so a draining process is never pinned by a
 	// peer mid-retry.
@@ -249,13 +262,22 @@ type TCPTransport struct {
 	jitterRNG *rng.Stream
 }
 
+// tcpDest is one peer address: its connection, encoder, write buffer
+// and dial cooldown.
 type tcpDest struct {
+	addr string
+	// refs counts the node IDs pointing here (under TCPTransport.mu);
+	// the last one leaving retires the destination.
+	refs int
+
 	mu        sync.Mutex
-	addr      string
 	c         net.Conn
 	bw        *bufio.Writer
 	enc       *gob.Encoder
 	downUntil time.Time
+	// retired is set once no node ID points here any more: a Send that
+	// looked the destination up before then fails instead of re-dialing.
+	retired bool
 }
 
 // NewTCPTransport returns a transport with no known peers and default
@@ -268,6 +290,7 @@ func NewTCPTransport() *TCPTransport {
 		flushBytes:      16 << 10,
 		flushInterval:   time.Millisecond,
 		dests:           make(map[topology.NodeID]*tcpDest),
+		byAddr:          make(map[string]*tcpDest),
 		closed:          make(chan struct{}),
 		jitterRNG:       rng.New(uint64(time.Now().UnixNano())),
 	}
@@ -281,27 +304,39 @@ func (t *TCPTransport) jitter(backoff time.Duration) time.Duration {
 	return backoff/2 + time.Duration(u*float64(backoff/2))
 }
 
-// SetAddr registers the listen address of a peer. Re-registering the
-// same address is a no-op (gossip refreshes are idempotent); a changed
-// address closes the pooled connection so the next Send re-dials.
+// SetAddr points node id at a peer's envelope address. Re-registering
+// the same address is a no-op (gossip refreshes are idempotent); ids
+// given one address share its connection, and a destination no id
+// points to any more is closed.
 func (t *TCPTransport) SetAddr(id topology.NodeID, addr string) {
 	t.mu.Lock()
-	d, ok := t.dests[id]
-	if !ok {
-		t.dests[id] = &tcpDest{addr: addr}
+	old := t.dests[id]
+	if old != nil && old.addr == addr {
 		t.mu.Unlock()
 		return
 	}
+	d := t.byAddr[addr]
+	if d == nil {
+		d = &tcpDest{addr: addr}
+		t.byAddr[addr] = d
+	}
+	d.refs++
+	t.dests[id] = d
+	if old != nil {
+		old.refs--
+	}
+	retire := old != nil && old.refs == 0
+	if retire {
+		delete(t.byAddr, old.addr)
+	}
 	t.mu.Unlock()
 
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.addr == addr {
-		return
+	if retire {
+		old.mu.Lock()
+		old.retired = true
+		old.dropConnLocked()
+		old.mu.Unlock()
 	}
-	d.addr = addr
-	d.downUntil = time.Time{}
-	d.dropConnLocked()
 }
 
 // dropConnLocked abandons the pooled connection (and any frames still
@@ -325,7 +360,7 @@ func (d *tcpDest) flushLocked() {
 	}
 }
 
-// Send implements Transport.
+// Send implements Transport. It stamps to into env.To.
 func (t *TCPTransport) Send(to topology.NodeID, env Envelope) error {
 	t.mu.Lock()
 	d, ok := t.dests[to]
@@ -333,10 +368,14 @@ func (t *TCPTransport) Send(to topology.NodeID, env Envelope) error {
 	if !ok {
 		return fmt.Errorf("live: no address for node %d", to)
 	}
+	env.To = to
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.c == nil {
+		if d.retired {
+			return fmt.Errorf("live: address of node %d changed mid-send", to)
+		}
 		if until := d.downUntil; !until.IsZero() && time.Now().Before(until) {
 			return fmt.Errorf("live: node %d unreachable (cooldown)", to)
 		}
@@ -414,20 +453,23 @@ func (t *TCPTransport) flushLoop() {
 	}
 }
 
-// Flush pushes every destination's buffered frames to the wire now.
-func (t *TCPTransport) Flush() {
+// eachDest runs f on every destination under its lock.
+func (t *TCPTransport) eachDest(f func(*tcpDest)) {
 	t.mu.Lock()
-	dests := make([]*tcpDest, 0, len(t.dests))
-	for _, d := range t.dests {
+	dests := make([]*tcpDest, 0, len(t.byAddr))
+	for _, d := range t.byAddr {
 		dests = append(dests, d)
 	}
 	t.mu.Unlock()
 	for _, d := range dests {
 		d.mu.Lock()
-		d.flushLocked()
+		f(d)
 		d.mu.Unlock()
 	}
 }
+
+// Flush pushes every destination's buffered frames to the wire now.
+func (t *TCPTransport) Flush() { t.eachDest((*tcpDest).flushLocked) }
 
 // Close flushes and shuts all pooled connections and unblocks any Send
 // waiting in dial backoff; subsequent Sends fail fast. The flush-first
@@ -435,14 +477,10 @@ func (t *TCPTransport) Flush() {
 // on: everything buffered before Close reaches the wire.
 func (t *TCPTransport) Close() {
 	t.closeOnce.Do(func() { close(t.closed) })
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, d := range t.dests {
-		d.mu.Lock()
+	t.eachDest(func(d *tcpDest) {
 		d.flushLocked()
 		d.dropConnLocked()
-		d.mu.Unlock()
-	}
+	})
 }
 
 // decodeFrames reads the gob stream a TCPTransport writes and hands

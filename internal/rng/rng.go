@@ -66,11 +66,12 @@ func (s *Stream) Uint64() uint64 {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Stream) Float64() float64 {
-	// 53 high bits scaled by 2^-53 gives every representable double in
-	// [0,1) with equal probability per ulp-bucket.
-	return float64(s.Uint64()>>11) / (1 << 53)
-}
+func (s *Stream) Float64() float64 { return Unit(s.Uint64()) }
+
+// Unit maps 64 random bits to a uniform value in [0, 1): the 53 high
+// bits scaled by 2^-53 give every representable double in [0,1) with
+// equal probability per ulp-bucket.
+func Unit(bits uint64) float64 { return float64(bits>>11) / (1 << 53) }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (s *Stream) Intn(n int) int {

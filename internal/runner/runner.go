@@ -30,6 +30,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Cell is one independent unit of simulation work. Cells must not
@@ -227,10 +229,10 @@ func Failed(results []Result) int {
 // DeriveSeed maps (base, labels...) to a stable 64-bit seed: FNV-1a
 // over the base seed and the length-prefixed labels (so distinct label
 // lists are distinct byte streams even with arbitrary label contents)
-// followed by a splitmix64 finalizer for avalanche. The same inputs
-// yield the same seed on every platform and at every worker count;
-// distinct labels yield independent streams. The result is never 0,
-// which some RNGs treat as a sentinel.
+// followed by the splitmix64 finalizer (rng.Mix64) for avalanche. The
+// same inputs yield the same seed on every platform and at every worker
+// count; distinct labels yield independent streams. The result is never
+// 0, which some RNGs treat as a sentinel.
 func DeriveSeed(base uint64, labels ...string) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -253,11 +255,7 @@ func DeriveSeed(base uint64, labels ...string) uint64 {
 			mix(l[i])
 		}
 	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
+	h = rng.Mix64(h)
 	if h == 0 {
 		h = 0x9e3779b97f4a7c15
 	}

@@ -225,6 +225,23 @@ func TestDeriveSeed(t *testing.T) {
 	if DeriveSeed(1, "ab", "") == DeriveSeed(1, "a", "b") {
 		t.Fatal("label boundaries ambiguous")
 	}
+	// Golden values: every seeded experiment derives its cells' seeds
+	// here, so a changed value changes every published number.
+	for _, g := range []struct {
+		base   uint64
+		labels []string
+		want   uint64
+	}{
+		{1, []string{"fig1", "static"}, 0x82e2b707dba72b84},
+		{1, nil, 0x5ca6bbcbb1e85355},
+		{42, []string{"synth", "cell-3"}, 0x622378a9c5f49828},
+		{0, []string{""}, 0x68752350ae1d483f},
+		{^uint64(0), []string{"faults", "drop=0.1", "crash"}, 0x2a864907a51d734b},
+	} {
+		if got := DeriveSeed(g.base, g.labels...); got != g.want {
+			t.Errorf("DeriveSeed(%d, %q) = %#x, want %#x", g.base, g.labels, got, g.want)
+		}
+	}
 }
 
 func TestWriteArtifacts(t *testing.T) {

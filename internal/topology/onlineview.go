@@ -21,6 +21,9 @@ type OnlineView struct {
 	Mask []bool
 }
 
+// Len returns the number of nodes.
+func (v *OnlineView) Len() int { return v.Net.Len() }
+
 // Out returns id's outgoing neighbors (shared backing array).
 func (v *OnlineView) Out(id NodeID) []NodeID { return v.Net.Out(id) }
 

@@ -96,8 +96,8 @@ func WithWorkers(n int) ServeOption {
 
 // Saturate starts the Engine's saturation serving mode and returns its
 // handle. The worker goroutines live until Close; each owns a scratch
-// pre-sized like the Engine's pooled ones (the graph's node count or
-// WithScratchHint). The Engine remains fully usable alongside — Do
+// pre-sized like the Engine's pooled ones (the graph's node count).
+// The Engine remains fully usable alongside — Do
 // traffic may interleave with saturation traffic on the same shared
 // snapshot. No current option can fail, so the error is always nil.
 func (e *Engine) Saturate(opts ...ServeOption) (*Saturator, error) {
@@ -121,7 +121,7 @@ func (e *Engine) Saturate(opts ...ServeOption) (*Saturator, error) {
 // worker is one shard member: it owns its scratch for its whole life.
 func (s *Saturator) worker() {
 	defer s.done.Done()
-	scratch := core.NewScratch(s.e.hint)
+	scratch := core.NewScratch(s.e.nodes)
 	for b := range s.queue {
 		job := b.job
 		for i := range b.qs {

@@ -160,7 +160,6 @@ type Engine struct {
 	maxResults     int
 	forwardWhenHit bool
 	seed           uint64
-	hint           int
 	nodes          int // node count when the graph knows one; 0 = unknown
 	store          *topology.SnapshotStore
 
@@ -187,7 +186,6 @@ type config struct {
 	index          core.Index
 	onMessage      func(from, to NodeID)
 	seed           uint64
-	hint           int
 	store          *topology.SnapshotStore
 
 	err error
@@ -306,12 +304,6 @@ func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
 }
 
-// WithScratchHint pre-sizes pooled scratches for networks of n nodes,
-// avoiding growth pauses on first cascades. Pass the network size.
-func WithScratchHint(n int) Option {
-	return func(c *config) { c.hint = n }
-}
-
 // WithSnapshotStore serves every search from a live
 // topology.SnapshotStore instead of a fixed graph: each call — Do,
 // Explore and every Saturator query — pins the store's current epoch
@@ -369,7 +361,6 @@ func New(net Network, opts ...Option) (*Engine, error) {
 		maxResults:     cfg.maxResults,
 		forwardWhenHit: cfg.forwardWhenHit,
 		seed:           cfg.seed,
-		hint:           cfg.hint,
 	}
 	graph := graphOf(net)
 	if cfg.store != nil {
@@ -378,9 +369,6 @@ func New(net Network, opts ...Option) (*Engine, error) {
 		// replace it with the pinned epoch's snapshot on every call.
 		graph = nil
 		e.nodes = e.store.Len()
-		if e.hint == 0 {
-			e.hint = e.nodes
-		}
 	}
 	e.template = core.Cascade{
 		Graph:     graph,
@@ -412,20 +400,20 @@ func New(net Network, opts ...Option) (*Engine, error) {
 	}
 
 	// Take the node count from the graph when it knows one (a frozen
-	// *topology.CSR does): it pre-sizes pooled scratches and their
-	// event queues (no growth pauses on first queries) and
-	// bounds-checks query origins up front — flat-array graphs would
-	// otherwise panic on an out-of-range origin.
-	if sized, ok := graph.(interface{ Len() int }); ok {
-		e.nodes = sized.Len()
-		if e.hint == 0 {
-			e.hint = e.nodes
-		}
+	// *topology.CSR and a *topology.OnlineView do): it pre-sizes pooled
+	// scratches and their event queues (no growth pauses on first
+	// queries) and bounds-checks query origins up front — flat-array
+	// graphs would otherwise panic on an out-of-range origin.
+	if g, ok := graph.(sizedGraph); ok {
+		e.nodes = g.Len()
 	}
-	hint := e.hint
-	e.scratch.New = func() any { return core.NewScratch(hint) }
+	nodes := e.nodes
+	e.scratch.New = func() any { return core.NewScratch(nodes) }
 	return e, nil
 }
+
+// sizedGraph is a graph that knows its node count.
+type sizedGraph interface{ Len() int }
 
 // graphOf returns the core.Graph view of net. Networks assembled with
 // Over keep their original graph half un-wrapped, so a caller passing a

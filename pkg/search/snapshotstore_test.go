@@ -56,7 +56,7 @@ func churnDeltas(rnd *rand.Rand, n, count int) []topology.Delta {
 func TestWithSnapshotStoreMatchesSnapshot(t *testing.T) {
 	net, store, content := storeWorld(120)
 	frozen, err := search.New(search.Over(net.Freeze(), content),
-		search.WithTTL(4), search.WithDelay(stepDelay), search.WithScratchHint(net.Len()))
+		search.WithTTL(4), search.WithDelay(stepDelay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSnapshotStoreHammerQuiescedReplay(t *testing.T) {
 			t.Fatalf("query served from epoch %d, which was never published", epoch)
 		}
 		replay, err := search.New(search.Over(csr, content),
-			search.WithTTL(3), search.WithScratchHint(n))
+			search.WithTTL(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestSnapshotStorePostSwapMatchesFreshFreeze(t *testing.T) {
 	}
 
 	fresh, err := search.New(search.Over(net.Freeze(), content),
-		search.WithTTL(4), search.WithDelay(stepDelay), search.WithScratchHint(n))
+		search.WithTTL(4), search.WithDelay(stepDelay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestSaturateUnderChurn(t *testing.T) {
 
 	final := store.Epoch()
 	fresh, err := search.New(search.Over(net.Freeze(), content),
-		search.WithTTL(3), search.WithScratchHint(n))
+		search.WithTTL(3))
 	if err != nil {
 		t.Fatal(err)
 	}
