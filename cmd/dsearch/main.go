@@ -1,6 +1,6 @@
 // Command dsearch is the interactive client of a running dsearchd
 // daemon: stdin commands go over the daemon's HTTP/JSON plane via
-// pkg/searchclient. (A TCP node is booted by dsearchd -transport tcp.)
+// pkg/searchclient. (Nodes are hosted by dsearchd processes.)
 //
 // Usage:
 //

@@ -3,18 +3,21 @@
 // seed-list + gossip membership, and serves the HTTP/JSON
 // query+control plane that pkg/searchclient speaks.
 //
-// Single-process cluster (in-process channel fabric):
+// Single-process cluster (every hop stays on the in-process channel
+// fabric):
 //
 //	dsearchd -nodes 50 -degree 3 -ttl 3 -seed 42 -http 127.0.0.1:7080
 //
 // Three-process cluster over loopback TCP (all members must agree on
-// -total, -seed, -degree, -keys and -replicas — the shared world). Each
+// -total, -seed, -degree, -keys and -replicas — the shared world). A
+// process is one shard of several because -total exceeds -nodes. Each
 // process binds one envelope listener for its whole shard and gossips
-// its address; a process holds one connection per peer process:
+// its address; hops between its own nodes stay in-process, and it
+// holds one connection per peer process for the rest:
 //
-//	dsearchd -transport tcp -total 12 -nodes 4 -base 0 -http 127.0.0.1:7080
-//	dsearchd -transport tcp -total 12 -nodes 4 -base 4 -join 127.0.0.1:7080
-//	dsearchd -transport tcp -total 12 -nodes 4 -base 8 -join 127.0.0.1:7080
+//	dsearchd -total 12 -nodes 4 -base 0 -http 127.0.0.1:7080
+//	dsearchd -total 12 -nodes 4 -base 4 -join 127.0.0.1:7080
+//	dsearchd -total 12 -nodes 4 -base 8 -join 127.0.0.1:7080
 //
 // Deterministic chaos on a live cluster — seeded per-link message
 // faults at boot, crash/restart via the control plane at runtime:
@@ -80,8 +83,8 @@ func main() {
 	srv.Start()
 	// The three-process harness and shell scripts parse this line for
 	// the ephemeral port; keep its shape stable.
-	fmt.Printf("dsearchd: listening http=%s nodes=%d base=%d transport=%s\n",
-		srv.Addr(), cfg.Nodes, cfg.BaseID, cfg.Transport)
+	fmt.Printf("dsearchd: listening http=%s nodes=%d base=%d env=%s\n",
+		srv.Addr(), cfg.Nodes, cfg.BaseID, srv.EnvAddr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -122,12 +125,11 @@ func buildConfig(args []string) (daemon.Config, string, error) {
 
 	fs.StringVar(&cfg.Name, "name", cfg.Name, "cluster-unique member name (default d<base>)")
 	fs.StringVar(&cfg.HTTPAddr, "http", cfg.HTTPAddr, "HTTP listen address (:0 = ephemeral)")
-	fs.StringVar(&cfg.Transport, "transport", cfg.Transport, "envelope transport: chan or tcp")
-	fs.StringVar(&cfg.NodeHost, "node-host", cfg.NodeHost, "host the envelope listener binds on (tcp)")
+	fs.StringVar(&cfg.NodeHost, "node-host", cfg.NodeHost, "host the envelope listener binds on")
 
 	fs.IntVar(&cfg.Nodes, "nodes", cfg.Nodes, "local node count")
 	fs.IntVar(&cfg.BaseID, "base", cfg.BaseID, "first local node ID")
-	fs.IntVar(&cfg.Total, "total", cfg.Total, "cluster node count (0 = nodes)")
+	fs.IntVar(&cfg.Total, "total", cfg.Total, "cluster node count (0 = nodes; above -nodes, this process is one shard of several)")
 
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "world seed (cluster-wide)")
 	fs.IntVar(&cfg.Degree, "degree", cfg.Degree, "overlay wiring degree")

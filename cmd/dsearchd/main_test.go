@@ -56,7 +56,7 @@ func TestBuildConfigFileAndFlags(t *testing.T) {
 		t.Fatalf("flags did not override the file: %+v", cfg)
 	}
 	// Fields neither names keep their defaults, derived ones stay unset.
-	if cfg.Degree != 4 || cfg.Transport != daemon.TransportChan || cfg.Total != 0 || cfg.Name != "" {
+	if cfg.Degree != 4 || cfg.Total != 0 || cfg.Name != "" {
 		t.Fatalf("defaults not kept: %+v", cfg)
 	}
 }
@@ -77,6 +77,8 @@ func TestBuildConfigRejectsBadInput(t *testing.T) {
 		// Every node floods: the forward policy is not a daemon setting.
 		"policy flag":  {[]string{"-policy", "random-1"}, errFlags.Error()},
 		"policy field": {[]string{"-config", retired}, `"policy"`},
+		// A process is one shard of several because -total exceeds -nodes.
+		"transport flag": {[]string{"-transport", "tcp"}, errFlags.Error()},
 	} {
 		if _, _, err := buildConfig(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %q gave %v, want an error naming %s", name, tc.args, err, tc.want)

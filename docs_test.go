@@ -99,6 +99,10 @@ func TestDocsQuoteOnlyWhatExists(t *testing.T) {
 		// and the engine sizes its scratches from the graph.
 		"Node" + "Addrs", "node" + "_addrs", "-gossip" + "-fanout", "-fd" + "-suspect-rounds",
 		"-fd" + "-evict-rounds", "-fd" + "-amnesty-rounds", "Set" + "Detection", "WithScratch" + "Hint",
+		// One fabric per process: a node's own shard is always in-process
+		// and TCP carries only envelopes between processes, so there is no
+		// transport to choose and no second way into a node's inbox.
+		"-trans" + "port", "Transport" + "Chan", "Transport" + "TCP", "Node." + "Deliver",
 	}
 	goBench := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	ticked := regexp.MustCompile("`([^`\n]+)`")

@@ -16,7 +16,7 @@ import (
 	"repro/pkg/searchclient"
 )
 
-// batchDaemon boots a small chan-transport cluster for batch tests.
+// batchDaemon boots a small single-process cluster for batch tests.
 func batchDaemon(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	srv, err := New(cfg)

@@ -7,18 +7,6 @@ import (
 	"time"
 )
 
-// Transport selection for a daemon's envelope plane.
-const (
-	// TransportChan runs the whole cluster in one process over the
-	// in-process channel fabric (Total must equal Nodes). This is the
-	// CI-scale deployment and the parity harness's subject.
-	TransportChan = "chan"
-	// TransportTCP gives each process one TCP envelope listener for its
-	// whole shard and delivers cross-process envelopes over gob/TCP;
-	// membership gossip distributes the listener addresses.
-	TransportTCP = "tcp"
-)
-
 // Config parameterizes one dsearchd process. The zero value is not
 // runnable; ApplyDefaults fills the optional fields and Validate
 // rejects the rest. Durations are carried as integer milliseconds so a
@@ -30,13 +18,13 @@ type Config struct {
 	// HTTPAddr is the control/query-plane listen address; ":0" and
 	// "127.0.0.1:0" bind an ephemeral port (Server.Addr reports it).
 	HTTPAddr string `json:"http_addr"`
-	// Transport is TransportChan or TransportTCP.
-	Transport string `json:"transport"`
-	// NodeHost is the host the envelope listener binds on in TCP mode.
+	// NodeHost is the host the process's envelope listener binds on.
 	NodeHost string `json:"node_host"`
 
 	// Nodes is the local shard size; BaseID its first node ID; Total
 	// the whole cluster's node count (0 means Nodes — single-process).
+	// The process is one shard of several exactly when Total exceeds
+	// Nodes.
 	Nodes  int `json:"nodes"`
 	BaseID int `json:"base_id"`
 	Total  int `json:"total"`
@@ -98,9 +86,6 @@ type FaultsConfig struct {
 
 // ApplyDefaults fills unset optional fields in place.
 func (c *Config) ApplyDefaults() {
-	if c.Transport == "" {
-		c.Transport = TransportChan
-	}
 	if c.NodeHost == "" {
 		c.NodeHost = "127.0.0.1"
 	}
@@ -160,10 +145,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("daemon: negative base ID %d", c.BaseID)
 	case c.Total < c.BaseID+c.Nodes:
 		return fmt.Errorf("daemon: total %d < base %d + nodes %d", c.Total, c.BaseID, c.Nodes)
-	case c.Transport != TransportChan && c.Transport != TransportTCP:
-		return fmt.Errorf("daemon: unknown transport %q", c.Transport)
-	case c.Transport == TransportChan && (c.Total != c.Nodes || c.BaseID != 0):
-		return fmt.Errorf("daemon: chan transport requires the whole cluster in-process (base 0, total == nodes)")
 	case c.Degree <= 0 || c.TTL <= 0 || c.Keys <= 0 || c.Replicas <= 0:
 		return fmt.Errorf("daemon: degree/ttl/keys/replicas must be positive")
 	case c.TTL > 255:

@@ -17,7 +17,7 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("defaulted config invalid: %v", err)
 	}
-	if c.Total != 8 || c.Transport != TransportChan || c.Name != "d0" {
+	if c.Total != 8 || c.Name != "d0" {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	if c.GossipInterval() <= 0 || c.QueryWindow() <= 0 || c.DrainTimeout() <= 0 {
@@ -34,8 +34,6 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"no nodes", func(c *Config) { c.Nodes = 0 }, "node count"},
 		{"negative base", func(c *Config) { c.BaseID = -1 }, "base"},
 		{"short total", func(c *Config) { c.Total = 4; c.BaseID = 2 }, "total"},
-		{"bad transport", func(c *Config) { c.Transport = "udp" }, "transport"},
-		{"chan shard", func(c *Config) { c.Total = 16 }, "whole cluster"},
 		{"NaN fault rate", func(c *Config) { c.Faults.Drop = math.NaN() }, "fault rates"},
 		{"negative query window", func(c *Config) { c.QueryWindowMillis = -5 }, "query_window_ms"},
 		{"negative drain timeout", func(c *Config) { c.DrainTimeoutMillis = -1 }, "drain_timeout_ms"},
@@ -59,7 +57,7 @@ func TestLoadConfig(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "daemon.json")
 	if err := os.WriteFile(path, []byte(`{
-		"nodes": 12, "seed": 9, "transport": "chan"
+		"nodes": 12, "seed": 9
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +76,9 @@ func TestLoadConfig(t *testing.T) {
 		"trailing bytes":  {`{"nodes": 12}]`, "trailing data"},
 		// Every node floods: the forward policy is not a daemon setting.
 		"retired policy": {`{"nodes": 12, "policy": "random-2"}`, `"policy"`},
+		// A process is one shard of several because total exceeds nodes:
+		// there is no transport to choose.
+		"retired transport": {`{"nodes": 4, "total": 12, "transport": "tcp"}`, `"transport"`},
 		// The membership knobs one value served are constants now.
 		"retired gossip_fanout":     {`{"nodes": 12, "gossip_fanout": 2}`, `"gossip_fanout"`},
 		"retired fd_suspect_rounds": {`{"nodes": 12, "fd_suspect_rounds": 3}`, `"fd_suspect_rounds"`},

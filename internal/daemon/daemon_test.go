@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -505,26 +506,15 @@ func TestClientBodiesDecodeStrictly(t *testing.T) {
 	}
 }
 
-// TestThreeServersTCPGossipAndQueries boots a 12-node cluster as three
-// TCP-transport shards in one test process: membership must converge
-// by gossip from a single seed address, and cross-shard queries must
-// keep the exactness contract: every hit is a holder the BFS flood
-// oracle names, and a miss that is not degraded is an oracle miss.
-func TestThreeServersTCPGossipAndQueries(t *testing.T) {
-	const (
-		total, perShard, degree, ttl = 12, 4, 2, 3
-		keys, replicas               = 64, 3
-		seed                         = 7
-	)
-	base := Config{
-		Transport: TransportTCP, Total: total, Nodes: perShard,
-		Seed: seed, Degree: degree, TTL: ttl, Keys: keys, Replicas: replicas,
-		GossipIntervalMillis: 50, QueryWindowMillis: 150,
-	}
+// bootShards boots three in-process shards of base.Nodes nodes each,
+// joined by gossip from a single seed address, and returns them with a
+// client each once every shard's view names all three.
+func bootShards(t *testing.T, base Config) ([]*Server, []*searchclient.Client) {
+	t.Helper()
 	var srvs []*Server
 	for i := 0; i < 3; i++ {
 		cfg := base
-		cfg.BaseID = i * perShard
+		cfg.BaseID = i * cfg.Nodes
 		cfg.Name = fmt.Sprintf("shard%d", i)
 		if i > 0 {
 			cfg.Join = []string{srvs[0].Addr()}
@@ -534,7 +524,7 @@ func TestThreeServersTCPGossipAndQueries(t *testing.T) {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 		srv.Start()
-		defer srv.Drain(context.Background())
+		t.Cleanup(func() { srv.Drain(context.Background()) })
 		srvs = append(srvs, srv)
 	}
 
@@ -565,6 +555,27 @@ func TestThreeServersTCPGossipAndQueries(t *testing.T) {
 	// One more round so every shard's transport address book covers the
 	// last-learned members before queries cross shards.
 	time.Sleep(150 * time.Millisecond)
+	return srvs, clients
+}
+
+// TestThreeServersTCPGossipAndQueries boots a 12-node cluster as three
+// shards in one test process: membership must converge by gossip from
+// a single seed address, and cross-shard full floods must keep the
+// exactness contract: an answer that is not degraded holds exactly the
+// holders the BFS flood oracle names, and a degraded one none it does
+// not name.
+func TestThreeServersTCPGossipAndQueries(t *testing.T) {
+	const (
+		total, perShard, degree, ttl = 12, 4, 2, 3
+		keys, replicas               = 64, 3
+		seed                         = 7
+	)
+	_, clients := bootShards(t, Config{
+		Total: total, Nodes: perShard,
+		Seed: seed, Degree: degree, TTL: ttl, Keys: keys, Replicas: replicas,
+		GossipIntervalMillis: 50, QueryWindowMillis: 150,
+	})
+	ctx := context.Background()
 
 	w := BuildWorld(seed, total, degree, keys, replicas)
 	plan := w.QueryPlan(150)
@@ -573,7 +584,7 @@ func TestThreeServersTCPGossipAndQueries(t *testing.T) {
 		origin := int(q.Origin)
 		shard := origin / perShard
 		resp, err := clients[shard].Query(ctx, searchclient.QueryRequest{
-			Key: uint64(q.Key), Origin: &origin, MaxHits: 1,
+			Key: uint64(q.Key), Origin: &origin,
 		})
 		if err != nil {
 			t.Fatalf("query %d via shard %d: %v", i, shard, err)
@@ -585,12 +596,12 @@ func TestThreeServersTCPGossipAndQueries(t *testing.T) {
 					i, q.Key, origin, h.Holder, oracle)
 			}
 		}
-		switch {
+		switch got := hitHolders(resp); {
 		case resp.Degraded:
 			degraded++
-		case !resp.Found() && len(oracle) > 0:
-			t.Fatalf("query %d (key %d from %d): undegraded miss, oracle holders %v",
-				i, q.Key, origin, oracle)
+		case !slices.Equal(got, oracle):
+			t.Fatalf("query %d (key %d from %d): undegraded holders %v, oracle holders %v",
+				i, q.Key, origin, got, oracle)
 		}
 		if resp.Found() {
 			hits++
@@ -620,12 +631,34 @@ func TestThreeServersTCPGossipAndQueries(t *testing.T) {
 	}
 }
 
+// TestShardHopsStayInProcess: once three shards have converged, each
+// process's TCP transport has a destination for every peer node and
+// none for its own, so a hop between two of its nodes never touches
+// its socket.
+func TestShardHopsStayInProcess(t *testing.T) {
+	const total, perShard = 12, 4
+	srvs, _ := bootShards(t, Config{Total: total, Nodes: perShard, GossipIntervalMillis: 50})
+	// An ack naming no activation record: a receiver drops it unread.
+	probe := live.Envelope{Type: live.MsgAck, Slot: math.MaxUint16}
+	for i, srv := range srvs {
+		for id := 0; id < total; id++ {
+			err := srv.tcpT.Send(topology.NodeID(id), probe)
+			switch own := srv.localNode(id) != nil; {
+			case own && (err == nil || !strings.Contains(err.Error(), "no address")):
+				t.Errorf("shard %d: own node %d through TCP: %v, want no address", i, id, err)
+			case !own && err != nil:
+				t.Errorf("shard %d: peer node %d through TCP: %v", i, id, err)
+			}
+		}
+	}
+}
+
 // TestEnvelopeOutsideShardDropped: a frame reaching a process's
 // envelope listener for a node outside its shard is dropped and
 // counted as an inbox drop; no local node sees it.
 func TestEnvelopeOutsideShardDropped(t *testing.T) {
 	srv, err := New(Config{
-		Transport: TransportTCP, BaseID: 4, Nodes: 4, Total: 12,
+		BaseID: 4, Nodes: 4, Total: 12,
 		GossipIntervalMillis: 50,
 	})
 	if err != nil {

@@ -16,8 +16,7 @@ type Member struct {
 	BaseID int `json:"base_id"`
 	Nodes  int `json:"nodes"`
 	// EnvAddr is the process's envelope listener address, which every
-	// node of its range is reached at (TCP transport; empty for the
-	// in-process fabric).
+	// node of its range is reached at from other processes.
 	EnvAddr string `json:"env_addr,omitempty"`
 	// Beat is the member's heartbeat counter: its own liveness tick,
 	// as last observed by whoever holds this entry. Higher wins on

@@ -96,7 +96,7 @@ func TestThreeProcessTCPDrain(t *testing.T) {
 	}
 
 	shared := []string{
-		"-transport", "tcp", "-total", "12", "-nodes", "4",
+		"-total", "12", "-nodes", "4",
 		"-seed", "7", "-degree", "2", "-ttl", "3",
 		"-keys", "64", "-replicas", "3",
 		"-gossip-interval", "50", "-query-window", "150",

@@ -3,14 +3,15 @@
 // other shards by gossip, and serves an HTTP/JSON query+control plane
 // whose wire contract lives in pkg/searchclient.
 //
-// The deployment model is deliberately two-headed. In chan-transport
-// mode one process hosts the entire cluster over the in-process
-// channel fabric — the CI-scale configuration, and the subject of the
-// live-vs-simulated parity harness. In tcp-transport mode each process
-// hosts a contiguous shard [BaseID, BaseID+Nodes) of the cluster's
-// node ID space behind one gob/TCP envelope listener, and gossip
-// distributes each process's listener address so shards find each
-// other without any central registry.
+// Each process hosts a contiguous shard [BaseID, BaseID+Nodes) of the
+// cluster's node ID space on one fabric: envelopes between its own
+// nodes go over the in-process channel fabric, and only envelopes for
+// nodes of another process travel over gob/TCP, through that process's
+// one envelope listener. Gossip distributes each process's listener
+// address so shards find each other without any central registry. A
+// process whose shard is the whole cluster (Total == Nodes, the
+// CI-scale configuration and the subject of the live-vs-simulated
+// parity harness) never opens a connection.
 package daemon
 
 import (
@@ -82,17 +83,19 @@ type Server struct {
 	nodeStats *live.NodeStats
 
 	nodes []*live.Node
+	// chanT is the shard's fabric; it hands envelopes for other
+	// processes' nodes to tcpT.
 	chanT *live.ChanTransport
 	tcpT  *live.TCPTransport
-	// faultT wraps whichever transport the nodes send through: the
-	// deterministic fault-injection plane plus crash/partition
-	// enforcement. Always present (zero rates make it a pass-through).
+	// faultT wraps chanT: the deterministic fault-injection plane plus
+	// crash/partition enforcement. Always present (zero rates make it a
+	// pass-through).
 	faultT *faults.Transport
 	// crashed[i] marks local node i fault-injected down: its transport
-	// traffic is blocked, TCP deliveries are discarded, and admission
-	// routes around it.
+	// traffic is blocked, deliveries from other processes are
+	// discarded, and admission routes around it.
 	crashed []atomic.Bool
-	// stopListener closes the process's envelope listener (TCP mode).
+	// stopListener closes the process's envelope listener.
 	stopListener func()
 
 	httpLn  net.Listener
@@ -122,9 +125,9 @@ type Server struct {
 }
 
 // New builds a server: world derivation, node construction, and every
-// listener bind (HTTP and, in TCP mode, the process's envelope
-// listener) happen here, so Addr is valid — and the process's gossip
-// entry complete — before Start launches anything.
+// listener bind (HTTP and the process's envelope listener) happen
+// here, so Addr is valid — and the process's gossip entry complete —
+// before Start launches anything.
 func New(cfg Config) (*Server, error) {
 	cfg.ApplyDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -151,18 +154,12 @@ func New(cfg Config) (*Server, error) {
 	s.gossipRounds = s.reg.Counter("daemon_gossip_rounds_total")
 	s.state.Store(int32(StateStarting))
 
-	var inner live.Transport
-	switch cfg.Transport {
-	case TransportChan:
-		s.chanT = live.NewChanTransport()
-		inner = s.chanT
-	case TransportTCP:
-		s.tcpT = live.NewTCPTransport()
-		inner = s.tcpT
-	}
+	s.chanT = live.NewChanTransport()
+	s.tcpT = live.NewTCPTransport()
+	s.chanT.SetRemote(s.tcpT)
 	// Every node sends through the fault plane, even with zero rates:
 	// crash and partition control must work on a healthy configuration.
-	s.faultT = faults.Wrap(inner, faults.Config{
+	s.faultT = faults.Wrap(s.chanT, faults.Config{
 		Seed:     cfg.Faults.Seed,
 		Drop:     cfg.Faults.Drop,
 		Dup:      cfg.Faults.Dup,
@@ -187,10 +184,8 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 
-	if s.chanT != nil {
-		for _, n := range s.nodes {
-			s.chanT.Attach(n)
-		}
+	for _, n := range s.nodes {
+		s.chanT.Attach(n)
 	}
 
 	// Bind everything before gossip can mention us.
@@ -200,13 +195,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.httpLn = ln
 
-	var envAddr string
-	if s.tcpT != nil {
-		if envAddr, s.stopListener, err = live.Listen(cfg.NodeHost+":0", s.deliver); err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("daemon: bind envelope listener: %w", err)
-		}
+	envAddr, stop, err := live.Listen(cfg.NodeHost+":0", s.deliver)
+	if err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("daemon: bind envelope listener: %w", err)
 	}
+	s.stopListener = stop
 
 	s.g = NewGossip(Member{
 		Name:    cfg.Name,
@@ -224,6 +218,10 @@ func New(cfg Config) (*Server, error) {
 // Addr returns the bound HTTP address (valid from New on, so callers
 // using ":0" learn the ephemeral port).
 func (s *Server) Addr() string { return s.httpLn.Addr().String() }
+
+// EnvAddr returns the bound envelope listener address, the one gossip
+// announces for every node of the shard.
+func (s *Server) EnvAddr() string { return s.g.Self().EnvAddr }
 
 // State returns the current lifecycle state.
 func (s *Server) State() State { return State(s.state.Load()) }
@@ -290,25 +288,27 @@ func (s *Server) drain(ctx context.Context) error {
 	for _, n := range s.nodes {
 		n.Close()
 	}
-	if s.tcpT != nil {
-		s.stopListener()
-		s.tcpT.Close()
-	}
+	s.stopListener()
+	s.tcpT.Close()
 	s.state.Store(int32(StateStopped))
 	return err
 }
 
-// deliver routes a frame from the envelope listener to the local node
-// it names. A frame for a node outside the shard counts as an inbox
-// drop. The crash gate holds on the receive side too: remote processes
-// do not share this process's fault plane, so their envelopes to a
-// crashed local node die here.
+// deliver hands a frame from the envelope listener to the shard's
+// fabric, so a remote ack or hit gets the same idle-receiver fast path
+// a local one gets. A frame for a node outside the shard counts as an
+// inbox drop and never reaches the fabric, whose miss path would send
+// it back out. The crash gate holds on the receive side too: remote
+// processes do not share this process's fault plane, so their
+// envelopes to a crashed local node die here.
 func (s *Server) deliver(env live.Envelope) {
-	switch n := s.localNode(int(env.To)); {
-	case n == nil:
+	switch {
+	case s.localNode(int(env.To)) == nil:
 		s.nodeStats.InboxDropped.Inc()
 	case !s.nodeCrashed(int(env.To)):
-		n.Deliver(env)
+		if s.chanT.Send(env.To, env) != nil {
+			s.nodeStats.InboxDropped.Inc()
+		}
 	}
 }
 
@@ -374,10 +374,10 @@ func (s *Server) pickLive() *live.Node {
 }
 
 // Crash fault-injects a locally hosted node down: its transport
-// traffic is blocked both ways, TCP deliveries are discarded, and
-// query admission routes around it until Restart. The node's actor
-// keeps running — a crash here is a network death, which is all the
-// protocol can observe anyway.
+// traffic is blocked both ways, deliveries from other processes are
+// discarded, and query admission routes around it until Restart. The
+// node's actor keeps running — a crash here is a network death, which
+// is all the protocol can observe anyway.
 //
 // Crash, Restart, Partition and Heal make *Server a faults.Target, so
 // a faults.Schedule can play directly against an in-process cluster.
@@ -405,8 +405,8 @@ func (s *Server) Restart(id int) error {
 }
 
 // Partition splits this process's transport into isolated groups
-// (node IDs); traffic across groups is blocked until Heal. In TCP
-// mode the cut applies to this process's outbound plane only.
+// (node IDs); traffic across groups is blocked until Heal. Across
+// processes the cut applies to this process's outbound plane only.
 func (s *Server) Partition(groups [][]int) error {
 	conv := make([][]topology.NodeID, len(groups))
 	for i, g := range groups {
@@ -853,15 +853,13 @@ func (s *Server) gossipRound(stream *rng.Stream) {
 	s.syncTransport()
 }
 
-// syncTransport points every node ID of each member's shard at that
-// member's envelope address (SetAddr is idempotent for unchanged
-// entries).
+// syncTransport points every node ID of each peer member's shard at
+// that member's envelope address (SetAddr is idempotent for unchanged
+// entries). The process's own IDs get no address: its fabric delivers
+// them without touching a socket.
 func (s *Server) syncTransport() {
-	if s.tcpT == nil {
-		return
-	}
 	for _, m := range s.g.Members() {
-		if m.EnvAddr == "" {
+		if m.Name == s.cfg.Name || m.EnvAddr == "" {
 			continue
 		}
 		for id := m.BaseID; id < m.BaseID+m.Nodes; id++ {

@@ -2,6 +2,7 @@ package live
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -202,7 +203,7 @@ func hasNeighbor(n *Node, id topology.NodeID) bool {
 }
 
 func TestEvictionResetsStatistics(t *testing.T) {
-	nodes, _ := cluster(t, 2, 4, 2, 0)
+	nodes, tr := cluster(t, 2, 4, 2, 0)
 	link(nodes[0], nodes[1])
 	nodes[1].cfg.Store.Add(5)
 	search(nodes[0], 5, 200*time.Millisecond)
@@ -210,7 +211,9 @@ func TestEvictionResetsStatistics(t *testing.T) {
 	nodes[0].do(func(st *state) {
 		removeNeighbor(st, 1)
 	})
-	nodes[1].Deliver(Envelope{Type: MsgEvict, From: 0})
+	if err := tr.Send(1, Envelope{Type: MsgEvict, From: 0}); err != nil {
+		t.Fatal(err)
+	}
 	time.Sleep(50 * time.Millisecond)
 	var hasStats bool
 	nodes[1].do(func(st *state) { hasStats = st.ledger.Get(0) != nil })
@@ -283,6 +286,41 @@ func TestChanTransportUnknownNode(t *testing.T) {
 	}
 }
 
+// transportFunc adapts a function to Transport.
+type transportFunc func(topology.NodeID, Envelope) error
+
+func (f transportFunc) Send(to topology.NodeID, env Envelope) error { return f(to, env) }
+
+// TestChanTransportRemoteFallback: an envelope for an ID with no inbox
+// goes to the remote transport, and one for a registered ID never does
+// — whether it is queued or handled on the sender's goroutine.
+func TestChanTransportRemoteFallback(t *testing.T) {
+	var remote []topology.NodeID
+	tr := NewChanTransport()
+	tr.SetRemote(transportFunc(func(to topology.NodeID, env Envelope) error {
+		remote = append(remote, to)
+		return nil
+	}))
+	tr.Register(1)
+	idle := NewNode(Config{ID: 2, Neighbors: 4, TTL: 2, Transport: tr,
+		Store: MapStore{}, Class: netsim.Cable})
+	tr.Attach(idle)
+	for _, typ := range []MsgType{MsgQuery, MsgHit, MsgAck} {
+		for _, to := range []topology.NodeID{1, 2, 7} {
+			if err := tr.Send(to, Envelope{Type: typ, From: 0}); err != nil {
+				t.Fatalf("%v to %d: %v", typ, to, err)
+			}
+		}
+	}
+	if want := []topology.NodeID{7, 7, 7}; !slices.Equal(remote, want) {
+		t.Fatalf("remote transport got %v, want %v", remote, want)
+	}
+	tr.Unregister(1)
+	if err := tr.Send(1, Envelope{}); err != nil || len(remote) != 4 || remote[3] != 1 {
+		t.Fatalf("unregistered ID: err %v, remote got %v", err, remote)
+	}
+}
+
 func TestChanTransportUnregister(t *testing.T) {
 	tr := NewChanTransport()
 	tr.Register(1)
@@ -300,18 +338,26 @@ func TestMsgTypeStrings(t *testing.T) {
 	}
 }
 
+// TestTCPTransportEndToEnd: two processes of one node each. A node's
+// own fabric hands the other node's ID to TCP, and each listener feeds
+// the fabric of the node it fronts.
 func TestTCPTransportEndToEnd(t *testing.T) {
 	tr := NewTCPTransport()
 	defer tr.Close()
+	fabA, fabB := NewChanTransport(), NewChanTransport()
+	fabA.SetRemote(tr)
+	fabB.SetRemote(tr)
 
-	a := NewNode(Config{ID: 0, Neighbors: 4, TTL: 2, Transport: tr, Store: MapStore{}, Class: netsim.LAN})
-	b := NewNode(Config{ID: 1, Neighbors: 4, TTL: 2, Transport: tr, Store: MapStore{5: {}}, Class: netsim.LAN})
-	addrA, stopA, err := Listen("127.0.0.1:0", a.Deliver)
+	a := NewNode(Config{ID: 0, Neighbors: 4, TTL: 2, Transport: fabA, Store: MapStore{}, Class: netsim.LAN})
+	b := NewNode(Config{ID: 1, Neighbors: 4, TTL: 2, Transport: fabB, Store: MapStore{5: {}}, Class: netsim.LAN})
+	fabA.Attach(a)
+	fabB.Attach(b)
+	addrA, stopA, err := Listen("127.0.0.1:0", func(env Envelope) { _ = fabA.Send(env.To, env) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stopA()
-	addrB, stopB, err := Listen("127.0.0.1:0", b.Deliver)
+	addrB, stopB, err := Listen("127.0.0.1:0", func(env Envelope) { _ = fabB.Send(env.To, env) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,8 +427,10 @@ func TestCloseDrainsQueuedEnvelopes(t *testing.T) {
 	tr.Attach(served)
 	const queued = 500
 	for i := 0; i < queued; i++ {
-		served.Deliver(Envelope{Type: MsgQuery, From: 0, QueryID: core.QueryID(i + 1),
-			Key: 5, Origin: 0, TTL: 2, Hops: 1})
+		if err := tr.Send(1, Envelope{Type: MsgQuery, From: 0, QueryID: core.QueryID(i + 1),
+			Key: 5, Origin: 0, TTL: 2, Hops: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	served.Start()
 	served.Close()
@@ -400,10 +448,11 @@ func TestCloseThenDeliverDrops(t *testing.T) {
 	tr := NewChanTransport()
 	n := NewNode(Config{ID: 0, Neighbors: 4, TTL: 2, Transport: tr,
 		Store: MapStore{}, Class: netsim.Cable, Stats: &NodeStats{}})
+	tr.Attach(n)
 	n.Start()
 	n.Close()
 	// Must not block or panic after the loop has exited.
-	n.Deliver(Envelope{Type: MsgQuery, QueryID: 1, Key: 5, Origin: 0, TTL: 2, Hops: 1})
+	_ = tr.Send(0, Envelope{Type: MsgQuery, QueryID: 1, Key: 5, Origin: 0, TTL: 2, Hops: 1})
 }
 
 func TestTCPDialRetrySucceedsAfterPeerBoots(t *testing.T) {

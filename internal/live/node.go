@@ -63,8 +63,8 @@ type NodeStats struct {
 	// InboxDropped counts envelopes lost to a saturated inbox.
 	InboxDropped metrics.Counter
 	// SendFailed counts envelopes the transport refused on the send
-	// side (full destination inbox in chan mode, dead peer in TCP
-	// mode) — the send-side twin of InboxDropped.
+	// side (a full inbox in this process, an unreachable peer process)
+	// — the send-side twin of InboxDropped.
 	SendFailed metrics.Counter
 	// AcksSent counts MsgAck envelopes sent: one per query copy whose
 	// part of the flood is exhausted.
@@ -173,20 +173,10 @@ func NewNode(cfg Config) *Node {
 // ID returns the node's identity.
 func (n *Node) ID() topology.NodeID { return n.cfg.ID }
 
-// Inbox returns the channel a Transport should deliver into. For
-// ChanTransport, register this node and copy envelopes in; for TCP,
-// wire Listen's deliver callback to Deliver.
+// Inbox returns the channel the node's ChanTransport delivers into
+// (Attach wires it). Envelopes from other processes reach it the same
+// way: Listen's deliver callback hands each frame to that fabric.
 func (n *Node) Inbox() chan Envelope { return n.inbox }
-
-// Deliver enqueues an envelope (dropping when the node is saturated).
-func (n *Node) Deliver(env Envelope) {
-	select {
-	case n.inbox <- env:
-	case <-n.done:
-	default:
-		n.cfg.Stats.InboxDropped.Inc()
-	}
-}
 
 // Start launches the actor loop.
 func (n *Node) Start() {
@@ -279,7 +269,7 @@ func (n *Node) loop() {
 		select {
 		case <-n.closing:
 			// Drain mode: consume whatever is already queued, then
-			// declare the node done so Deliver and submit stop enqueueing.
+			// declare the node done so submit stops enqueueing.
 			n.mu.Lock()
 			defer n.mu.Unlock()
 			for {

@@ -1,8 +1,9 @@
 // Package live runs the framework on real concurrent nodes instead of
 // the discrete-event simulator: every node is a goroutine-driven actor
-// with an inbox, and messages travel over a pluggable Transport — an
-// in-process channel fabric for tests and single-binary demos, or
-// TCP with gob encoding for multi-process deployments (cmd/dsearchd).
+// with an inbox, and messages travel over a pluggable Transport. A
+// process's own nodes share an in-process channel fabric, which hands
+// every envelope for a node it does not host to TCP with gob encoding
+// (cmd/dsearchd runs one such fabric per process).
 //
 // The protocol is the paper's Algo 5 adapted to a real network: queries
 // flood with a TTL and duplicate suppression, hits reply directly to
@@ -83,7 +84,7 @@ type Envelope struct {
 	From topology.NodeID
 	// To is the destination node. TCPTransport.Send stamps it, so a
 	// process's one envelope listener can route a frame to the node it
-	// is for; the in-process fabric leaves it zero.
+	// is for; a hop inside the channel fabric leaves it zero.
 	To topology.NodeID
 
 	// Query / Hit / Ack fields.
@@ -120,10 +121,14 @@ type Transport interface {
 // ChanTransport is an in-process fabric: one buffered channel per node.
 // The routing table is copy-on-write — registrations (boot-time, rare)
 // publish a fresh map; Send (the flood hot path, millions per run)
-// reads it with one atomic load and no lock.
+// reads it with one atomic load and no lock. An envelope for an ID
+// with no inbox goes to the remote transport, if one is set.
 type ChanTransport struct {
 	mu    sync.Mutex // serializes writers only
 	boxes atomic.Pointer[map[topology.NodeID]chanDest]
+	// remote carries envelopes for IDs hosted elsewhere; set once by
+	// SetRemote before the first Send.
+	remote Transport
 }
 
 // chanDest is one routing entry: the inbox, and the node behind it when
@@ -172,6 +177,11 @@ func (t *ChanTransport) Attach(n *Node) {
 	t.mutate(func(m map[topology.NodeID]chanDest) { m[n.ID()] = chanDest{n.Inbox(), n} })
 }
 
+// SetRemote makes r the destination of every envelope whose ID has no
+// inbox here. It must be called before the first Send; without it such
+// an envelope fails.
+func (t *ChanTransport) SetRemote(r Transport) { t.remote = r }
+
 // Unregister removes a node's inbox; pending messages are dropped.
 func (t *ChanTransport) Unregister(id topology.NodeID) {
 	t.mutate(func(m map[topology.NodeID]chanDest) { delete(m, id) })
@@ -182,6 +192,9 @@ func (t *ChanTransport) Unregister(id topology.NodeID) {
 func (t *ChanTransport) Send(to topology.NodeID, env Envelope) error {
 	d, ok := (*t.boxes.Load())[to]
 	if !ok {
+		if t.remote != nil {
+			return t.remote.Send(to, env)
+		}
 		return fmt.Errorf("live: no inbox for node %d", to)
 	}
 	// Half of a flood's messages are acks, and an ack to an idle node
@@ -199,13 +212,15 @@ func (t *ChanTransport) Send(to topology.NodeID, env Envelope) error {
 }
 
 // TCPTransport sends envelopes over TCP connections with gob encoding.
-// Every process registers the envelope address each peer node is
-// reached at; nodes that share an address (the shard of one peer
-// process) share one pooled connection, so a process holds one
-// connection per peer process, not per peer node. Send stamps the
-// destination node into Envelope.To for the receiving process to route
-// on. Each connection carries its own lock so a slow or dead peer never
-// blocks sends to healthy ones.
+// It carries only envelopes between processes: a process's own nodes
+// reach each other over its ChanTransport, which hands this transport
+// the IDs it does not host. Every process registers the envelope
+// address each peer node is reached at; nodes that share an address
+// (the shard of one peer process) share one pooled connection, so a
+// process holds one connection per peer process, not per peer node.
+// Send stamps the destination node into Envelope.To for the receiving
+// process to route on. Each connection carries its own lock so a slow
+// or dead peer never blocks sends to healthy ones.
 //
 // Dial failures are non-fatal: Send retries a bounded number of times
 // with exponential backoff (a peer that is still booting becomes
